@@ -6,8 +6,12 @@ dual(C) \\ C.  Equivalently: whenever two bursts share a syndrome, their
 sum must lie in the stabilizer itself (a harmless, degenerate collision).
 
 The production engine enumerates every burst once, computes all syndromes
-as packed uint64 words with vectorized XOR folding, sorts them, and only
-inspects colliding groups.  A naive all-pairs oracle is kept alongside for
+as packed uint64 words with vectorized XOR folding from the code's cached
+label table, and sorts them.  The bursts whose syndrome occurs more than
+once are then resolved in one vectorized pass: each gets its 2k logical
+label bits from the same table, and a collision is harmful exactly when
+a burst's logical bits differ from those of the first burst sharing its
+syndrome.  A naive all-pairs oracle is kept alongside for
 cross-validation at small sizes.
 """
 
@@ -105,32 +109,20 @@ def enumerate_bursts(n: int, l: int) -> Iterator[F4Vector]:
 # Syndrome-hash engine
 # ----------------------------------------------------------------------
 
-def _unit_syndromes(code: StabilizerCode) -> np.ndarray:
-    """uint64 table [position][symbol] of single-coordinate syndromes."""
-    n = code.n
-    tab = np.zeros((n, 4), dtype=np.uint64)
-    for j, sw in enumerate(code._swapped):
-        bit = 1 << j
-        for i in range(n):
-            za = (sw >> i) & 1          # pairs with the error's a bit
-            zb = (sw >> (n + i)) & 1    # pairs with the error's b bit
-            for c in range(1, 4):
-                if (za & (c & 1)) ^ (zb & (c >> 1)):
-                    tab[i, c] ^= np.uint64(bit)
-    return tab
-
-
-def _level_syndromes(code: StabilizerCode, l: int, tab: np.ndarray) -> np.ndarray:
+def _level_syndromes(n: int, l: int, syn: np.ndarray) -> np.ndarray:
     """Syndromes of every burst of length <= l, index 0 the zero vector,
-    then the enumerate_bursts order."""
-    chunks = [np.zeros(1, dtype=np.uint64)]
-    if l > 0:
-        for s, w in _window_lengths(code.n, l):
-            arr = tab[s, 1:4].copy()
-            for t in range(1, w):
-                arr = (arr[:, None] ^ tab[s + t][None, :]).reshape(-1)
-            chunks.append(arr)
-    return np.concatenate(chunks)
+    then the enumerate_bursts order; syn is the uint64 [position, symbol]
+    table of single-coordinate syndromes."""
+    windows = _window_lengths(n, l) if l > 0 else []
+    out = np.zeros(1 + sum(3 * 4 ** (w - 1) for _, w in windows), dtype=np.uint64)
+    base = 1
+    for s, w in windows:
+        arr = syn[s, 1:4]
+        for t in range(1, w):
+            arr = (arr[:, None] ^ syn[s + t][None, :]).reshape(-1)
+        out[base:base + arr.size] = arr
+        base += arr.size
+    return out
 
 
 def _index_to_vector(n: int, l: int, idx: int) -> Tuple[int, Tuple[int, int]]:
@@ -145,6 +137,37 @@ def _index_to_vector(n: int, l: int, idx: int) -> Tuple[int, Tuple[int, int]]:
     raise IndexError(idx)
 
 
+def _burst_labels(n: int, l: int, logical: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Logical label words [len(idx), words] of the bursts at the given
+    level-l enumeration indices: the vectorized form of _index_to_vector."""
+    windows = _window_lengths(n, l)
+    starts = np.array([s for s, _ in windows], dtype=np.int64)
+    widths = np.array([w for _, w in windows], dtype=np.int64)
+    bases = np.cumsum(np.concatenate(([1], 3 * 4 ** (widths[:-1] - 1))))
+    win = np.maximum(np.searchsorted(bases, idx, side="right") - 1, 0)
+    start, width, c = starts[win], widths[win], idx - bases[win]
+    labels = np.zeros((idx.size, logical.shape[2]), dtype=np.uint64)
+    for t in range(l):
+        inside = (idx > 0) & (t < width)
+        digit = c >> np.where(inside, 2 * (width - 1 - t), 0)
+        digit = digit + 1 if t == 0 else digit & 3
+        labels ^= logical[np.minimum(start + t, n - 1), np.where(inside, digit, 0)]
+    return labels
+
+
+def _colliding(syns: np.ndarray, dup_vals: np.ndarray) -> np.ndarray:
+    """Ascending indices of the syndromes found in the sorted dup_vals, in
+    blocks so the temporaries stay small next to syns."""
+    block = 1 << 20
+    hits = []
+    for lo in range(0, syns.size, block):
+        part = syns[lo:lo + block]
+        pos = np.searchsorted(dup_vals, part)
+        np.minimum(pos, dup_vals.size - 1, out=pos)
+        hits.append(np.flatnonzero(dup_vals[pos] == part) + lo)
+    return np.concatenate(hits)
+
+
 def _check_level_hash(code: StabilizerCode, l: int):
     n = code.n
     if l == 0:
@@ -153,33 +176,35 @@ def _check_level_hash(code: StabilizerCode, l: int):
     if total > MAX_BURSTS_PER_LEVEL:
         raise ResourceLimitError(
             f"level {l} needs {total} bursts, limit {MAX_BURSTS_PER_LEVEL}")
-    tab = _unit_syndromes(code)
-    syns = _level_syndromes(code, l, tab)
+    tab = code.label_table()
+    if tab.syndrome.shape[2] > 1:
+        raise ResourceLimitError(f"{code.r} syndrome bits exceed one 64-bit word")
+    syns = _level_syndromes(n, l, tab.syndrome[:, :, 0])
     s_sorted = np.sort(syns)
     dup_mask = s_sorted[1:] == s_sorted[:-1]
     if not dup_mask.any():
         return True, False, None, 0
     dup_vals = np.unique(s_sorted[1:][dup_mask])
-    del s_sorted
-    hit = np.flatnonzero(np.isin(syns, dup_vals))
-    groups: dict = {}
-    for idx in hit.tolist():
-        groups.setdefault(int(syns[idx]), []).append(idx)
-    degenerate = False
-    pairs = 0
-    for syn_val in sorted(groups):
-        members = groups[syn_val]
-        rep_f4, (rep_a, rep_b) = _index_to_vector(n, l, members[0])
-        rep_ab = rep_a | (rep_b << n)
-        for idx in members[1:]:
-            f4, (a, b) = _index_to_vector(n, l, idx)
-            u = rep_ab ^ (a | (b << n))
-            pairs += 1
-            if not code.contains(u):
-                witness = (F4Vector(n, rep_f4), F4Vector(n, f4))
-                return False, degenerate, witness, pairs
-            degenerate = True  # distinct vectors, sum in C \ {0}
-    return True, degenerate, None, pairs
+    del s_sorted, dup_mask
+    # colliding bursts grouped by ascending syndrome, each group in
+    # enumeration order; the first member of a group stands for the group
+    hit = _colliding(syns, dup_vals)
+    hit = hit[np.argsort(syns[hit], kind="stable")]
+    hs = syns[hit]
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = hs[1:] != hs[:-1]
+    rep = np.flatnonzero(first)[np.cumsum(first) - 1]
+    labels = _burst_labels(n, l, tab.logical, hit)
+    # same syndrome: the sum lies in dual(C), and in C iff the labels agree
+    harmful = np.flatnonzero((labels != labels[rep]).any(axis=1))
+    if harmful.size == 0:
+        pairs = int(hit.size - first.sum())
+        return True, pairs > 0, None, pairs
+    f = int(harmful[0])
+    pairs = f + 1 - int(first[:f + 1].sum())
+    rep_f4, _ = _index_to_vector(n, l, int(hit[rep[f]]))
+    f4, _ = _index_to_vector(n, l, int(hit[f]))
+    return False, pairs > 1, (F4Vector(n, rep_f4), F4Vector(n, f4)), pairs
 
 
 # ----------------------------------------------------------------------

@@ -87,21 +87,15 @@ def label_contrib(code: StabilizerCode) -> List[List[int]]:
     Bit j of the label of an error is its symplectic inner product with the
     j-th dual-basis vector; the first r bits are the syndrome.  Labels are
     XOR-additive over coordinates and constant on cosets of the stabilizer.
+    This is the code's label table with each entry joined into one int.
     """
-    n = code.n
-    dual = code.dual_basis()
-    tab = [[0, 0, 0, 0] for _ in range(n)]
-    for j, vec in enumerate(dual):
-        a = vec & ((1 << n) - 1)
-        b = vec >> n
-        bit = 1 << j
-        for i in range(n):
-            ai = (a >> i) & 1
-            bi = (b >> i) & 1
-            for c in range(1, 4):
-                if (bi & (c & 1)) ^ (ai & (c >> 1)):
-                    tab[i][c] ^= bit
-    return tab
+    tab = code.label_table()
+
+    def as_int(words: np.ndarray) -> int:
+        return int.from_bytes(words.tobytes(), "little")
+
+    return [[as_int(tab.syndrome[i, c]) | (as_int(tab.logical[i, c]) << code.r)
+             for c in range(4)] for i in range(code.n)]
 
 
 def vector_label(contrib: Sequence[Sequence[int]], symbols: Sequence[int]) -> int:

@@ -251,8 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate and analyze cyclic candidates")
     p.add_argument("--min-n", type=int)
     p.add_argument("--max-n", type=int)
-    p.add_argument("--odd-only", action="store_true", default=True,
-                   help="restrict to odd lengths (always on)")
     p.add_argument("--construction", default="hermitian,css")
     p.add_argument("--max-seconds", type=float)
     p.add_argument("--max-candidates", type=int)

@@ -8,6 +8,7 @@ ground truth under investigation.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -27,7 +28,9 @@ class RegistryEntry:
     note: str = ""
 
 
+@functools.cache
 def load_registry() -> Tuple[RegistryEntry, ...]:
+    """The registry rows in table order, parsed once per process."""
     payload = json.loads(
         resources.files("qbecc.data").joinpath("table1.json").read_text("utf-8"))
     entries = []

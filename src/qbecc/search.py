@@ -3,12 +3,14 @@
 Candidates are built from monic divisors of x^n - 1: single GF(4)
 generators through the Hermitian construction, and pairs of binary
 generators through the CSS construction.  Every candidate that passes its
-dual-containment precondition is analyzed and recorded.
+dual-containment precondition, decided by polynomial divisibility, is
+analyzed and recorded.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 import time
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .burst import BurstAnalysis, qrb, quantum_burst_capability
-from .classical import (binary_dual_containing, cyclic_from_poly,
-                        hermitian_dual_containing)
-from .gf import GF2, GF4, Poly, berlekamp_factor, xn_minus_1
+from .classical import cyclic_from_poly
+from .gf import GF2, GF4, Poly, berlekamp_factor, f4_conj, xn_minus_1
 from .registry import RegistryEntry, load_registry
 from .stabilizer import StabilizerCode, css_construct, hermitian_construct
 
@@ -95,6 +96,28 @@ def enumerate_cyclic_generators(n: int, field_obj) -> List[Poly]:
     return divisors
 
 
+# Dual containment of cyclic codes read off their generators (Calderbank,
+# Rains, Shor and Sloane, IEEE T-IT 1998; Aly, Klappenecker and Sarvepalli,
+# IEEE T-IT 2007).  Divisors of x^n - 1 have a nonzero constant term, so
+# reversing the coefficients keeps the degree.
+
+def _divides_xn_minus_1(p: Poly, n: int) -> bool:
+    return (xn_minus_1(n, p.field) % p).is_zero
+
+
+def _hermitian_dual_containing(g: Poly, n: int) -> bool:
+    """The Hermitian dual of <g> lies in <g> iff g times its conjugate
+    reciprocal divides x^n - 1."""
+    conj_reciprocal = Poly(GF4, [f4_conj(c) for c in reversed(g.coeffs)])
+    return _divides_xn_minus_1(g * conj_reciprocal, n)
+
+
+def _css_dual_containing(g1: Poly, g2: Poly, n: int) -> bool:
+    """The dual of <g2> lies in <g1> iff g1 times the reciprocal of g2
+    divides x^n - 1."""
+    return _divides_xn_minus_1(g1 * Poly(g2.field, reversed(g2.coeffs)), n)
+
+
 # ----------------------------------------------------------------------
 # Search
 # ----------------------------------------------------------------------
@@ -145,8 +168,12 @@ def _record(analysis: BurstAnalysis, construction: str, g1: str, g2: str = "") -
 def search(plan: SearchPlan) -> SearchOutcome:
     """Analyze every dual-containment-passing cyclic candidate in the plan.
 
-    Deterministic for a fixed plan; budget exhaustion stops early and marks
-    the outcome incomplete.
+    Dual containment is decided on the generator polynomials by
+    divisibility of x^n - 1, so no matrix is built for a rejected
+    candidate; the cyclic codes of the survivors are built on demand (once
+    per binary divisor), and the constructors re-check containment on the
+    matrices.  Deterministic for a fixed plan; budget exhaustion stops
+    early and marks the outcome incomplete.
     """
     started = time.monotonic()
     analyzed = 0
@@ -168,9 +195,9 @@ def search(plan: SearchPlan) -> SearchOutcome:
                 if not budget_left():
                     complete = False
                     break
-                code = cyclic_from_poly(g, n).base
-                if not hermitian_dual_containing(code):
+                if not _hermitian_dual_containing(g, n):
                     continue
+                code = cyclic_from_poly(g, n).base
                 analysis = quantum_burst_capability(hermitian_construct(code))
                 analyzed += 1
                 records.append(_record(analysis, "hermitian",
@@ -179,7 +206,7 @@ def search(plan: SearchPlan) -> SearchOutcome:
                 break
         if "css" in plan.constructions:
             divisors = enumerate_cyclic_generators(n, GF2)
-            codes = [cyclic_from_poly(g, n).base for g in divisors]
+            binary_code = functools.cache(lambda i: cyclic_from_poly(divisors[i], n).base)
             for i in range(len(divisors)):
                 if not complete:
                     break
@@ -187,9 +214,10 @@ def search(plan: SearchPlan) -> SearchOutcome:
                     if not budget_left():
                         complete = False
                         break
-                    if not binary_dual_containing(codes[j], codes[i]):
+                    if not _css_dual_containing(divisors[i], divisors[j], n):
                         continue
-                    analysis = quantum_burst_capability(css_construct(codes[i], codes[j]))
+                    analysis = quantum_burst_capability(
+                        css_construct(binary_code(i), binary_code(j)))
                     analyzed += 1
                     records.append(_record(
                         analysis, "css",

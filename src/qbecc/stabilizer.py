@@ -18,7 +18,9 @@ symplectic form; all analysis predicates live on that representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .classical import LinearCode, binary_dual_containing, hermitian_dual_containing
 from .gf import f4_conj, f4_mul
@@ -130,6 +132,40 @@ def burst_length(v) -> int:
     return last - first + 1
 
 
+class LabelTable(NamedTuple):
+    """Coset-label contributions of single-coordinate errors, as read-only
+    uint64 arrays indexed [position, symbol, word].
+
+    Bit j of an error's label is its symplectic inner product with
+    dual_basis()[j]; labels are XOR-additive over positions.  syndrome
+    holds bits 0..r-1 (the syndrome), logical the 2k bits that follow,
+    each packed little-endian into ceil(bits/64) words (at least one).
+    """
+    syndrome: np.ndarray
+    logical: np.ndarray
+
+
+def _contribution_words(vectors: Sequence[int], n: int) -> np.ndarray:
+    """uint64 [n, 4, words]: bit j of entry [i, c] is the symplectic inner
+    product of symbol c at position i with vectors[j]."""
+    m = len(vectors)
+    nbytes = (2 * n + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in vectors),
+                        dtype=np.uint8).reshape(m, nbytes)
+    bits = np.unpackbits(raw, axis=1, count=2 * n, bitorder="little")
+    a, b = bits[:, :n], bits[:, n:]
+    words = max(1, -(-m // 64))
+    # <e, v> = e_a v_b + e_b v_a, where symbol c has e_a = c & 1, e_b = c >> 1
+    per_symbol = np.zeros((64 * words, n, 4), dtype=np.uint8)
+    per_symbol[:m, :, 1] = b
+    per_symbol[:m, :, 2] = a
+    per_symbol[:m, :, 3] = a ^ b
+    packed = np.packbits(per_symbol, axis=0, bitorder="little")
+    table = np.ascontiguousarray(packed.transpose(1, 2, 0)).view("<u8")
+    table.flags.writeable = False
+    return table
+
+
 def _sweight_packed(packed: int, n: int) -> int:
     mask = (1 << n) - 1
     return ((packed & mask) | (packed >> n)).bit_count()
@@ -154,6 +190,7 @@ class StabilizerCode:
         # syndrome rows with halves pre-swapped: <u,v>_s = parity(swap(u) & v)
         self._swapped = tuple(_swap_halves(row, n) for row in reduced)
         self._dual_basis: Optional[Tuple[int, ...]] = None
+        self._label_table: Optional[LabelTable] = None
 
     @classmethod
     def from_vectors(cls, n: int, vectors: Iterable[SymplecticVector]) -> "StabilizerCode":
@@ -193,6 +230,16 @@ class StabilizerCode:
                 raise AssertionError("symplectic dual has wrong dimension")
             self._dual_basis = tuple(chosen)
         return self._dual_basis
+
+    def label_table(self) -> LabelTable:
+        """Per-(position, symbol) syndrome and logical label bits, built
+        once from dual_basis()."""
+        if self._label_table is None:
+            dual = self.dual_basis()
+            self._label_table = LabelTable(
+                _contribution_words(dual[:self.r], self.n),
+                _contribution_words(dual[self.r:], self.n))
+        return self._label_table
 
     def min_distance(self, limit: int = 1 << 28, include_stabilizer: bool = False) -> int:
         """Minimum symplectic weight over the dual, excluding stabilizer
@@ -297,7 +344,7 @@ def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
 
 
 __all__ = [
-    "SymplecticVector", "F4Vector", "PauliError", "StabilizerCode",
+    "SymplecticVector", "F4Vector", "PauliError", "StabilizerCode", "LabelTable",
     "CommutationError", "ResourceLimitError",
     "symplectic_ip", "trace_ip", "f4_symplectic_map", "symplectic_f4_map",
     "burst_length", "additive_code", "hermitian_construct", "css_construct",

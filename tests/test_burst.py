@@ -1,14 +1,22 @@
+import json
 import random
+from pathlib import Path
+
+import pytest
 
 from conftest import random_self_orthogonal_code
 from qbecc.burst import (burst_count, check_qrb, enumerate_bursts,
                          located_burst_check, no_cloning_check, qrb,
                          quantum_burst_capability)
-from qbecc.burst import _check_level_hash, _level_syndromes, _unit_syndromes
+from qbecc.burst import _check_level_hash, _check_level_oracle, _level_syndromes
 from qbecc.classical import cyclic_from_poly
-from qbecc.gf import GF4, Poly
-from qbecc.stabilizer import (F4Vector, StabilizerCode, additive_code,
-                              burst_length, f4_symplectic_map)
+from qbecc.gf import GF2, GF4, Poly
+from qbecc.linalg import gf2_nullspace
+from qbecc.registry import load_registry
+from qbecc.search import build_registry_code
+from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
+                              additive_code, burst_length, css_construct,
+                              f4_symplectic_map, hermitian_construct)
 
 W = 2
 
@@ -64,8 +72,7 @@ def test_numpy_syndromes_match_iterator_order():
         n = rng.randrange(2, 8)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
         l = rng.randrange(0, n + 1)
-        tab = _unit_syndromes(code)
-        syns = _level_syndromes(code, l, tab)
+        syns = _level_syndromes(n, l, code.label_table().syndrome[:, :, 0])
         expected = [code.syndrome(f4_symplectic_map(v).packed)
                     for v in enumerate_bursts(n, l)]
         assert expected == syns.tolist()
@@ -184,3 +191,133 @@ def test_located_burst_13_1_double_span_windows():
     span = 2 * analysis.l
     for start in range(code.n - span + 1):
         assert located_burst_check(code, start, span)
+
+
+# ----------------------------------------------------------------------
+# Vectorized level check against the slow paths
+# ----------------------------------------------------------------------
+
+def _random_css_code(rng, n, rx, rz, short):
+    """CSS code with rx random X rows and rz Z rows from their kernel;
+    with short, the first X row acts on two neighbours only, which makes
+    degenerate collisions."""
+    xs = [rng.getrandbits(n) for _ in range(rx)]
+    if short:
+        xs[0] = 3 << rng.randrange(n - 1)
+    kernel = gf2_nullspace(xs, n)
+    zs = []
+    for _ in range(rz):
+        z = 0
+        for v in kernel:
+            if rng.random() < 0.5:
+                z ^= v
+        zs.append(z << n)
+    return StabilizerCode(n, [r for r in xs + zs if r])
+
+
+def _assert_valid_witness(code, l, witness):
+    e1, e2 = witness
+    assert e1 != e2
+    assert burst_length(e1) <= l and burst_length(e2) <= l
+    u = f4_symplectic_map(e1 + e2).packed
+    assert code.in_dual(u) and not code.contains(u)
+
+
+def _compare_with_oracle(code, l):
+    ok, degenerate, witness, pairs = _check_level_hash(code, l)
+    slow_ok, slow_degenerate, _, _ = _check_level_oracle(code, l)
+    assert ok == slow_ok
+    if ok:
+        # with no failure both engines have seen every collision
+        assert degenerate == slow_degenerate
+        assert witness is None
+    else:
+        _assert_valid_witness(code, l, witness)
+        assert pairs >= 1
+
+
+def test_level_check_matches_oracle_small_codes():
+    rng = random.Random(4242)
+    for _ in range(120):
+        n = rng.randrange(2, 10)
+        code = random_self_orthogonal_code(rng, n, rng.randrange(0, n))
+        for l in range(0, n + 1):
+            if burst_count(n, l) > 1500:
+                break
+            _compare_with_oracle(code, l)
+
+
+def test_level_check_matches_oracle_multiword_labels():
+    # 2k > 64: the logical label bits span two or more uint64 words
+    rng = random.Random(7070)
+    seen_ok = seen_degenerate = seen_fail = 0
+    for n, rx, rz in [(70, 2, 2), (64, 14, 14), (66, 12, 12), (72, 13, 13)]:
+        for short in (False, True):
+            code = _random_css_code(rng, n, rx, rz, short)
+            assert 2 * code.k > 64
+            _compare_with_oracle(code, 1)
+            ok, degenerate, _, _ = _check_level_hash(code, 1)
+            seen_ok += ok
+            seen_degenerate += degenerate
+            seen_fail += not ok
+    assert seen_ok and seen_degenerate and seen_fail
+
+
+def test_level_check_refuses_wide_syndromes():
+    rng = random.Random(65)
+    code = _random_css_code(rng, 80, 33, 33, False)
+    assert code.r > 64
+    with pytest.raises(ResourceLimitError):
+        _check_level_hash(code, 1)
+
+
+# Recorded with the per-pair collision walk that the vectorized check
+# replaced: (l, degenerate, checked_pairs, witness) for every search code
+# of odd length 3..21, every registry row with n < 41, and every level up
+# to 60000 bursts of 43 random codes (13 of them with 2k > 64).
+PINS = json.loads((Path(__file__).parent / "data" / "burst_pins.json").read_text())
+
+
+def _poly(text, field):
+    coeffs = {}
+    for token in text.split():
+        c, e = token.split("^")
+        coeffs[int(e)] = int(c)
+    return Poly(field, [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
+
+
+def _witness_ints(witness):
+    return None if witness is None else [witness[0].packed, witness[1].packed]
+
+
+def _summary(analysis):
+    return [analysis.l, analysis.degenerate, analysis.checked_pairs,
+            _witness_ints(analysis.witness)]
+
+
+def test_pinned_search_codes():
+    assert len(PINS["search"]) == 636
+    for n, construction, g1, g2, *want in PINS["search"]:
+        if construction == "hermitian":
+            code = hermitian_construct(cyclic_from_poly(_poly(g1, GF4), n).base)
+        else:
+            code = css_construct(cyclic_from_poly(_poly(g1, GF2), n).base,
+                                 cyclic_from_poly(_poly(g2, GF2), n).base)
+        assert _summary(quantum_burst_capability(code)) == want, (n, g1, g2)
+
+
+def test_pinned_registry_rows():
+    entries = {e.id: e for e in load_registry()}
+    assert len(PINS["registry"]) == 14
+    for entry_id, *want in PINS["registry"]:
+        code = build_registry_code(entries[entry_id])
+        assert _summary(quantum_burst_capability(code)) == want, entry_id
+
+
+def test_pinned_random_levels():
+    for case in PINS["random"]:
+        code = StabilizerCode(case["n"], [int(row, 16) for row in case["rows"]])
+        assert code.k == case["k"]
+        for l, *want in case["levels"]:
+            ok, degenerate, witness, pairs = _check_level_hash(code, l)
+            assert [ok, degenerate, pairs, _witness_ints(witness)] == want, (case["n"], l)

@@ -119,3 +119,8 @@ def test_grid_parsing():
     log = _parse_grid("1e-5:log:1e-1")
     assert len(log) == 17
     assert abs(log[0] - 1e-5) < 1e-18 and abs(log[-1] - 0.1) < 1e-12
+
+
+def test_search_odd_only_flag_removed(capsys):
+    code, _ = run_cli(capsys, "search", "--min-n", "7", "--max-n", "7", "--odd-only")
+    assert code == 2

@@ -1,11 +1,18 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from qbecc.classical import (binary_dual_containing, cyclic_from_poly,
+                             hermitian_dual_containing)
 from qbecc.gf import GF2, GF4, Poly
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import (GenPolyError, SearchPlan, build_registry_code,
                           enumerate_cyclic_generators, format_genpoly,
                           genpoly_to_poly, parse_genpoly, poly_to_genpoly,
                           records_to_csv, reproduce_table1, search)
+from qbecc.search import _css_dual_containing, _hermitian_dual_containing
 
 W = 2
 
@@ -131,3 +138,48 @@ def test_reproduce_quick_rows():
     report = reproduce_table1(entries)
     assert len(report.rows) == 4
     assert report.all_match
+
+
+def test_registry_parsed_once():
+    assert load_registry() is load_registry()
+    assert registry_entry("13_1") is load_registry()[0]
+
+
+# ----------------------------------------------------------------------
+# Divisibility filters against the matrix predicates
+# ----------------------------------------------------------------------
+
+def test_divisibility_filters_match_matrix_predicates():
+    # every odd n <= 31 with at most 64 binary divisors (so not n = 31)
+    cases = passed = 0
+    for n in range(3, 32, 2):
+        binary = enumerate_cyclic_generators(n, GF2)
+        if len(binary) > 64:
+            continue
+        for g in enumerate_cyclic_generators(n, GF4):
+            want = hermitian_dual_containing(cyclic_from_poly(g, n).base)
+            assert _hermitian_dual_containing(g, n) == want, (n, g)
+            cases += 1
+            passed += want
+        codes = [cyclic_from_poly(g, n).base for g in binary]
+        for i, g1 in enumerate(binary):
+            for j, g2 in enumerate(binary):
+                want = binary_dual_containing(codes[j], codes[i])
+                assert _css_dual_containing(g1, g2, n) == want, (n, g1, g2)
+                cases += 1
+                passed += want
+    assert cases > 6000 and 0 < passed < cases
+
+
+# ----------------------------------------------------------------------
+# Search output against the benchmark reference
+# ----------------------------------------------------------------------
+
+def test_search_csv_matches_benchmark_reference():
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json")
+                           .read_text())["search"]["lengths"]
+    for n in (13, 15, 17, 19):
+        lines = records_to_csv(search(SearchPlan((n,))).records).splitlines()[1:]
+        assert len(lines) == reference[str(n)]["records"], n
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == reference[str(n)]["sha256"], n

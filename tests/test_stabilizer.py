@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_self_orthogonal_code
 from qbecc.classical import cyclic_from_poly, linear_code
 from qbecc.gf import GF2, GF4, Poly
 from qbecc.stabilizer import (CommutationError, F4Vector, ResourceLimitError,
@@ -216,3 +217,30 @@ def test_dual_basis_shape_and_orthogonality():
         sv = SymplecticVector.from_packed(code.n, v)
         for row in code.basis:
             assert symplectic_ip(sv, SymplecticVector.from_packed(code.n, row)) == 0
+
+
+def test_label_table_matches_inner_products():
+    # includes codes whose 2k logical bits need two or three uint64 words
+    rng = random.Random(64)
+    cases = [(rng.randrange(2, 12), None) for _ in range(20)] + [(45, 10), (70, 4)]
+    for n, r in cases:
+        code = random_self_orthogonal_code(rng, n, r if r else rng.randrange(0, n))
+        tab = code.label_table()
+        assert tab.syndrome.shape == (n, 4, max(1, -(-code.r // 64)))
+        assert tab.logical.shape == (n, 4, max(1, -(-2 * code.k // 64)))
+        assert code.label_table() is tab  # cached
+        assert not tab.logical.flags.writeable
+        dual = code.dual_basis()
+        for i in range(n):
+            for c in range(4):
+                error = SymplecticVector(n, (c & 1) << i, (c >> 1) << i)
+                bits = [symplectic_ip(error, SymplecticVector.from_packed(n, v))
+                        for v in dual]
+                syndrome = sum(bit << j for j, bit in enumerate(bits[:code.r]))
+                logical = sum(bit << j for j, bit in enumerate(bits[code.r:]))
+                assert _words_int(tab.syndrome[i, c]) == syndrome
+                assert _words_int(tab.logical[i, c]) == logical
+
+
+def _words_int(words) -> int:
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
