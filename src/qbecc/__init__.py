@@ -21,10 +21,10 @@ from .search import (GenPolySpec, SearchPlan, SearchRecord, SearchOutcome,
                      build_registry_code, enumerate_cyclic_generators,
                      format_genpoly, parse_genpoly, records_to_csv,
                      reproduce_table1, search)
-from .stabilizer import (CommutationError, F4Vector, PauliError,
-                         ResourceLimitError, StabilizerCode, SymplecticVector,
-                         additive_code, burst_length, css_construct,
-                         f4_symplectic_map, hermitian_construct, symplectic_f4_map,
+from .stabilizer import (CommutationError, F4Vector, ResourceLimitError,
+                         StabilizerCode, SymplecticVector, additive_code,
+                         burst_length, css_construct, f4_symplectic_map,
+                         hermitian_construct, symplectic_f4_map,
                          symplectic_ip, trace_ip)
 
 __version__ = "0.1.0"

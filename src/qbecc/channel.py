@@ -10,12 +10,19 @@ the total probability of errors e whose recovery R(syndrome(e)) composes
 with e to a stabilizer element.  The exact engine never iterates the 4^n
 errors one by one: errors are binned by their coset of the stabilizer group
 (a 2^(n+k)-valued linear label), and the full probability mass per coset is
-pushed through the qubit chain as a transfer recursion.  Each decoder entry
-then claims exactly one coset's mass.
+pushed through the qubit chain as a transfer recursion, XOR-ing a qubit's
+label contribution into the state index by flipping axes of a (2,)*D view.
+Each decoder entry then claims exactly one coset's mass, so one mass per
+(code, p, mu) scores every decoder table of that code.
 
-The truncated engine enumerates a small error set explicitly (all patterns
-up to a weight cap plus all bursts up to a span cap) and brackets the
-fidelity from below, with the unenumerated mass as the residual.
+Error patterns are uint8 arrays [patterns, n] of Pauli symbols, produced a
+weight class or a span class at a time by one enumerator; their labels are
+XOR folds of the code's label table.  Decoder tables keep the first pattern
+of each syndrome in priority order and store its label once.  The truncated
+engine scores an explicit pattern set (every pattern up to a weight cap,
+plus the heavier bursts up to a span cap) with chain products over the same
+arrays and brackets the fidelity from below, with the unenumerated mass as
+the residual.  Pattern sets and transfer buffers are capped in bytes.
 """
 
 from __future__ import annotations
@@ -23,15 +30,17 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .stabilizer import F4Vector, PauliError, ResourceLimitError, StabilizerCode
+from .stabilizer import F4Vector, ResourceLimitError, StabilizerCode
 
 DEFAULT_EXACT_LIMIT = 4 ** 13
-MAX_LABEL_STATES = 1 << 24
+# Bytes of one array: a pattern set (one byte per symbol) or one transfer
+# buffer of the label mass (four float64 per label, so 2^24 labels fit).
+MAX_ARRAY_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -57,18 +66,10 @@ def cond_prob(l: int, k: int, ch: ChannelModel) -> float:
     return (1.0 - ch.mu) * ch.marginals[l] + (ch.mu if l == k else 0.0)
 
 
-def _error_symbols(e) -> Tuple[int, ...]:
-    if isinstance(e, F4Vector):
-        return e.symbols()
-    if isinstance(e, PauliError):
-        from .stabilizer import symplectic_f4_map
-        return symplectic_f4_map(e.sym).symbols()
-    return tuple(e)
-
-
 def error_prob(e, ch: ChannelModel) -> float:
-    """Chain probability of a Pauli error pattern (phase ignored)."""
-    symbols = _error_symbols(e)
+    """Chain probability of a Pauli error pattern (phase ignored); the
+    scalar reference of the vectorized chain products."""
+    symbols = e.symbols() if isinstance(e, F4Vector) else tuple(e)
     prob = ch.marginals[symbols[0]]
     prev = symbols[0]
     for s in symbols[1:]:
@@ -77,9 +78,87 @@ def error_prob(e, ch: ChannelModel) -> float:
     return prob
 
 
+def _cond_table(ch: ChannelModel) -> np.ndarray:
+    """float64 [previous, next] of cond_prob."""
+    return np.array([[cond_prob(l, k, ch) for l in range(4)] for k in range(4)])
+
+
+def _chain_probs(patterns: np.ndarray, ch: ChannelModel) -> np.ndarray:
+    """error_prob of every row, multiplied left to right as it does."""
+    cond = _cond_table(ch)
+    prob = np.array(ch.marginals)[patterns[:, 0]]
+    for i in range(1, patterns.shape[1]):
+        prob *= cond[patterns[:, i - 1], patterns[:, i]]
+    return prob
+
+
 # ----------------------------------------------------------------------
-# Coset labels
+# Error patterns and their labels
 # ----------------------------------------------------------------------
+
+def _class_size(n: int, kind: str, size: int) -> int:
+    if kind == "weight":
+        return math.comb(n, size) * 3 ** size
+    return max(0, n - size + 1) * 9 * 4 ** (size - 2)
+
+
+def _classes(n: int, w_max: int, span: int) -> List[Tuple[str, int]]:
+    """Weight classes 0..w_max, then span classes 2..span, as (kind, size)."""
+    return ([("weight", w) for w in range(min(w_max, n) + 1)]
+            + [("span", s) for s in range(2, min(span, n) + 1)])
+
+
+def _check_patterns(n: int, count: int, what: str) -> None:
+    if count * n > MAX_ARRAY_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs {count} patterns of {n} symbols, over the "
+            f"{MAX_ARRAY_BYTES}-byte cap")
+
+
+def _product(axes: Sequence[Sequence[int]]) -> np.ndarray:
+    """uint8 [prod, len(axes)]: itertools.product(*axes) as rows."""
+    grids = np.meshgrid(*[np.array(a, dtype=np.uint8) for a in axes], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _pattern_class(n: int, kind: str, size: int) -> np.ndarray:
+    """uint8 [m, n]: every pattern of weight exactly size, in lexicographic
+    order (kind "weight"), or of burst length exactly size >= 2, ordered by
+    start position and then by window content (kind "span")."""
+    count = _class_size(n, kind, size)
+    _check_patterns(n, count, f"the {kind}-{size} class")
+    out = np.zeros((count, n), dtype=np.uint8)
+    if count == 0 or (kind == "weight" and size == 0):
+        return out
+    if kind == "span":
+        window = _product([(1, 2, 3)] + [range(4)] * (size - 2) + [(1, 2, 3)])
+        out = out.reshape(n - size + 1, len(window), n)
+        for start in range(n - size + 1):
+            out[start, :, start:start + size] = window
+        return out.reshape(count, n)
+    supports = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
+    symbols = _product([(1, 2, 3)] * size)
+    rows = np.arange(count).reshape(len(supports), len(symbols), 1)
+    out[rows, supports[:, None, :]] = symbols[None, :, :]
+    return out[np.lexsort(out.T[::-1])]
+
+
+def _fold(words: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """uint64 [m, words]: XOR over positions of a label-table half
+    (syndrome or logical) at each row's symbols."""
+    out = words[0][patterns[:, 0]]
+    for i in range(1, patterns.shape[1]):
+        out ^= words[i][patterns[:, i]]
+    return out
+
+
+def _packed_ints(patterns: np.ndarray) -> List[int]:
+    """Each row as an F4Vector.packed int (symbol i at bits 2i, 2i+1)."""
+    m, n = patterns.shape
+    bits = np.stack([patterns & 1, patterns >> 1], axis=2).reshape(m, 2 * n)
+    raw = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in raw]
+
 
 def label_contrib(code: StabilizerCode) -> List[List[int]]:
     """Per-position, per-symbol contribution to the coset label.
@@ -98,14 +177,6 @@ def label_contrib(code: StabilizerCode) -> List[List[int]]:
              for c in range(4)] for i in range(code.n)]
 
 
-def vector_label(contrib: Sequence[Sequence[int]], symbols: Sequence[int]) -> int:
-    lbl = 0
-    for i, c in enumerate(symbols):
-        if c:
-            lbl ^= contrib[i][c]
-    return lbl
-
-
 # ----------------------------------------------------------------------
 # Decoder tables
 # ----------------------------------------------------------------------
@@ -117,6 +188,9 @@ class DecoderTable:
     t: int
     l: int
     entries: Dict[int, int]  # syndrome -> packed GF(4) recovery
+    # the recoveries' labels, sorted by syndrome: uint64 [E] and [E, words]
+    syndromes: np.ndarray = field(repr=False, compare=False)
+    logicals: np.ndarray = field(repr=False, compare=False)
 
     def describe(self) -> str:
         if self.mode == "random":
@@ -126,51 +200,14 @@ class DecoderTable:
         return f"combined(t={self.t},l={self.l})"
 
 
-def _weight_class(n: int, w: int) -> Iterable[Tuple[int, ...]]:
-    """All symbol tuples of weight w in lexicographic order."""
-    if w == 0:
-        yield (0,) * n
-        return
-    vectors = []
-    for support in itertools.combinations(range(n), w):
-        for syms in itertools.product((1, 2, 3), repeat=w):
-            vec = [0] * n
-            for pos, s in zip(support, syms):
-                vec[pos] = s
-            vectors.append(tuple(vec))
-    vectors.sort()
-    yield from vectors
-
-
-def _span_class(n: int, span: int) -> Iterable[Tuple[int, ...]]:
-    """All symbol tuples of burst length exactly span >= 2, ordered by
-    start position then window content."""
-    for start in range(n - span + 1):
-        for first in (1, 2, 3):
-            for middle in itertools.product(range(4), repeat=span - 2):
-                for last in (1, 2, 3):
-                    vec = [0] * n
-                    vec[start] = first
-                    for i, s in enumerate(middle):
-                        vec[start + 1 + i] = s
-                    vec[start + span - 1] = last
-                    yield tuple(vec)
-
-
-def _packed(symbols: Sequence[int]) -> int:
-    packed = 0
-    for i, c in enumerate(symbols):
-        packed |= c << (2 * i)
-    return packed
-
-
 def build_decoder(code: StabilizerCode, mode: str,
                   t: Optional[int] = None, l: Optional[int] = None,
                   syndrome_limit: int = 1 << 32) -> DecoderTable:
     """Fill a syndrome table in priority order: weights 0..t first
     (lexicographic within a weight class), then bursts of span 2..l for the
     syndromes still unclaimed.  random mode skips the burst pass; burst mode
-    caps the weight pass at 1."""
+    caps the weight pass at 1.  Enumeration stops once every syndrome is
+    claimed."""
     if mode not in ("random", "burst", "combined"):
         raise ValueError(f"unknown decoder mode {mode!r}")
     if 1 << (2 * code.r) > syndrome_limit:
@@ -187,20 +224,31 @@ def build_decoder(code: StabilizerCode, mode: str,
     else:
         if t is None or l is None:
             raise ValueError("combined mode needs both t and l")
-    contrib = label_contrib(code)
-    smask = (1 << code.r) - 1
+    if t < 0 or l < 0:
+        raise ValueError(f"t={t} and l={l} must be non-negative")
+    n = code.n
+    tab = code.label_table()
+    claimed = np.zeros(1 << code.r, dtype=bool)
     entries: Dict[int, int] = {}
-    for w in range(t + 1):
-        for vec in _weight_class(code.n, w):
-            syn = vector_label(contrib, vec) & smask
-            if syn not in entries:
-                entries[syn] = _packed(vec)
-    for span in range(2, (l or 0) + 1):
-        for vec in _span_class(code.n, span):
-            syn = vector_label(contrib, vec) & smask
-            if syn not in entries:
-                entries[syn] = _packed(vec)
-    return DecoderTable(code, mode, t, l, entries)
+    syndromes, logicals = [], []
+    for kind, size in _classes(n, t, l):
+        if len(entries) == len(claimed):
+            break
+        patterns = _pattern_class(n, kind, size)
+        unique, first = np.unique(_fold(tab.syndrome, patterns)[:, 0], return_index=True)
+        new = ~claimed[unique]
+        claimed[unique[new]] = True
+        order = np.argsort(first[new])  # keep the first-claim order
+        syn, recoveries = unique[new][order], patterns[first[new][order]]
+        if not np.array_equal(_fold(tab.syndrome, recoveries)[:, 0], syn):
+            raise AssertionError("decoder entry filed under a foreign syndrome")
+        entries.update(zip(syn.tolist(), _packed_ints(recoveries)))
+        syndromes.append(syn)
+        logicals.append(_fold(tab.logical, recoveries))
+    syndromes = np.concatenate(syndromes)
+    by_syndrome = np.argsort(syndromes)
+    return DecoderTable(code, mode, t, l, entries, syndromes[by_syndrome],
+                        np.concatenate(logicals)[by_syndrome])
 
 
 # ----------------------------------------------------------------------
@@ -218,42 +266,94 @@ class EfResult:
             raise AssertionError(f"inconsistent bracket {self}")
 
 
-def _entry_labels(table: DecoderTable, contrib) -> Dict[int, int]:
-    n = table.code.n
-    labels = {}
-    for syn, packed in table.entries.items():
-        symbols = tuple((packed >> (2 * i)) & 3 for i in range(n))
-        lbl = vector_label(contrib, symbols)
-        if lbl & ((1 << table.code.r) - 1) != syn:
-            raise AssertionError("decoder entry filed under a foreign syndrome")
-        labels[syn] = lbl
-    return labels
+def _xor_permute(src: np.ndarray, c: int, dim: int, out: np.ndarray) -> None:
+    """out[x] = src[x ^ c] for every x < 2^dim.  Each maximal run of index
+    bits on which c is constant becomes one axis of a reshaped view;
+    reversing an axis of 2^b entries XORs its b bits with all ones."""
+    shape, flips = [], []
+    bit = dim
+    while bit > 0:
+        flag = (c >> (bit - 1)) & 1
+        run = 1
+        while run < bit and (c >> (bit - 1 - run)) & 1 == flag:
+            run += 1
+        if flag:
+            flips.append(len(shape))
+        shape.append(1 << run)
+        bit -= run
+    np.copyto(out.reshape(shape), np.flip(src.reshape(shape), axis=flips))
 
 
-def _label_mass(code: StabilizerCode, contrib, ch: ChannelModel) -> np.ndarray:
+def _label_mass(code: StabilizerCode, ch: ChannelModel) -> np.ndarray:
     """Probability mass of every stabilizer-coset label over all 4^n errors."""
-    n = code.n
-    dim = n + code.k
+    dim = code.n + code.k
     n_labels = 1 << dim
-    if n_labels > MAX_LABEL_STATES:
+    if 32 * n_labels > MAX_ARRAY_BYTES:
         raise ResourceLimitError(
-            f"label space 2^{dim} exceeds {MAX_LABEL_STATES} states")
-    marg = np.array(ch.marginals, dtype=np.float64)
-    cond = np.empty((4, 4), dtype=np.float64)
-    for k in range(4):
-        for l in range(4):
-            cond[k, l] = cond_prob(l, k, ch)
+            f"label space 2^{dim} needs {32 * n_labels} bytes per transfer "
+            f"buffer, over the {MAX_ARRAY_BYTES}-byte cap")
+    contrib = label_contrib(code)
+    cond = _cond_table(ch)
+    # mass[label, s]: prefixes with that label whose last symbol is s
     mass = np.zeros((n_labels, 4), dtype=np.float64)
-    for s in range(4):
-        mass[contrib[0][s], s] += marg[s]
-    idx = np.arange(n_labels, dtype=np.intp)
-    for i in range(1, n):
-        new = np.empty_like(mass)
+    new = np.empty_like(mass)
+    for s, prob in enumerate(ch.marginals):
+        mass[contrib[0][s], s] += prob
+    for i in range(1, code.n):
         for s in range(4):
-            col = mass @ cond[:, s]
-            new[:, s] = col[idx ^ contrib[i][s]]
-        mass = new
-    return mass.sum(axis=1)
+            _xor_permute(mass @ cond[:, s], contrib[i][s], dim, new[:, s])
+        mass, new = new, mass
+    # the left-to-right order of mass.sum(axis=1), one column at a time
+    return mass[:, 0] + mass[:, 1] + mass[:, 2] + mass[:, 3]
+
+
+def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
+               w_max: int, span: int) -> EfResult:
+    n = code.n
+    classes = _classes(n, w_max, span)
+    _check_patterns(n, sum(_class_size(n, *c) for c in classes), "the truncated pattern set")
+    tab = code.label_table()
+    last = len(table.syndromes) - 1
+    probs, successes = [], []
+    for kind, size in classes:
+        patterns = _pattern_class(n, kind, size)
+        if kind == "span":  # lighter bursts are in the weight classes
+            patterns = patterns[np.count_nonzero(patterns, axis=1) > w_max]
+        prob = _chain_probs(patterns, ch)
+        probs.append(prob)
+        # decoding succeeds iff the recovery filed under the pattern's
+        # syndrome carries the pattern's own label
+        syn = _fold(tab.syndrome, patterns)[:, 0]
+        at = np.minimum(np.searchsorted(table.syndromes, syn), last)
+        successes.append(prob[(table.syndromes[at] == syn)
+                              & (table.logicals[at] == _fold(tab.logical, patterns)).all(axis=1)])
+    ef = math.fsum(np.concatenate(successes).tolist())
+    residual = max(0.0, 1.0 - math.fsum(np.concatenate(probs).tolist()))
+    return EfResult(ef, residual, False)
+
+
+def _fidelities(code: StabilizerCode, tables: Sequence[DecoderTable],
+                ch: ChannelModel, strategy: str, w_max: int,
+                burst_span: Optional[int], limit: int) -> List[EfResult]:
+    """entanglement_fidelity of each table; the exact strategy computes
+    the label mass once for all of them."""
+    if strategy == "exact":
+        if 4 ** code.n > limit:
+            raise ResourceLimitError(
+                f"exact strategy needs 4^{code.n} = {4 ** code.n} error mass terms, "
+                f"limit {limit}")
+        mass = _label_mass(code, ch)
+        results = []
+        for table in tables:
+            labels = (table.syndromes.astype(np.intp)
+                      | table.logicals[:, 0].astype(np.intp) << code.r)
+            results.append(EfResult(min(math.fsum(mass[labels].tolist()), 1.0), 0.0, True))
+        return results
+    if strategy != "truncated":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return [_truncated(code, table, ch, w_max,
+                       table.l if burst_span is None else burst_span)
+            for table in tables]
 
 
 def entanglement_fidelity(code: StabilizerCode, table: DecoderTable,
@@ -267,39 +367,7 @@ def entanglement_fidelity(code: StabilizerCode, table: DecoderTable,
     4^n <= limit.  truncated: enumerates weight <= w_max plus bursts of span
     <= burst_span (default: the decoder's l) and brackets from below.
     """
-    contrib = label_contrib(code)
-    entry_labels = _entry_labels(table, contrib)
-    if strategy == "exact":
-        if 4 ** code.n > limit:
-            raise ResourceLimitError(
-                f"exact strategy needs 4^{code.n} = {4 ** code.n} error mass terms, "
-                f"limit {limit}")
-        mass = _label_mass(code, contrib, ch)
-        ef = math.fsum(float(mass[lbl]) for _, lbl in sorted(entry_labels.items()))
-        return EfResult(min(ef, 1.0), 0.0, True)
-    if strategy != "truncated":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    span = table.l if burst_span is None else burst_span
-    success_terms: List[float] = []
-    all_terms: List[float] = []
-    seen = set()
-    classes = itertools.chain(
-        (vec for w in range(w_max + 1) for vec in _weight_class(code.n, w)),
-        (vec for s in range(2, span + 1) for vec in _span_class(code.n, s)))
-    for vec in classes:
-        packed = _packed(vec)
-        if packed in seen:
-            continue
-        seen.add(packed)
-        prob = error_prob(vec, ch)
-        all_terms.append(prob)
-        lbl = vector_label(contrib, vec)
-        target = entry_labels.get(lbl & ((1 << code.r) - 1))
-        if target is not None and target == lbl:
-            success_terms.append(prob)
-    ef = math.fsum(success_terms)
-    residual = max(0.0, 1.0 - math.fsum(all_terms))
-    return EfResult(ef, residual, False)
+    return _fidelities(code, [table], ch, strategy, w_max, burst_span, limit)[0]
 
 
 # ----------------------------------------------------------------------
@@ -318,12 +386,9 @@ class SweepPoint:
     exact: bool
 
 
-def _sweep_task(args) -> SweepPoint:
-    code_id, code, table, strategy, p, mu, w_max, limit = args
-    result = entanglement_fidelity(code, table, ChannelModel(p, mu),
-                                   strategy=strategy, w_max=w_max, limit=limit)
-    return SweepPoint(code_id, table.mode, strategy, p, mu,
-                      result.ef_lower, result.residual, result.exact)
+def _sweep_task(args) -> List[EfResult]:
+    code, tables, strategy, p, mu, w_max, limit = args
+    return _fidelities(code, tables, ChannelModel(p, mu), strategy, w_max, None, limit)
 
 
 def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
@@ -331,18 +396,26 @@ def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
           strategy: str = "exact", w_max: int = 4,
           limit: int = DEFAULT_EXACT_LIMIT, workers: int = 1) -> List[SweepPoint]:
     """One fidelity evaluation per (code, mode, p, mu), in that nesting
-    order; deterministic and independent of the worker count."""
-    tasks = []
+    order; deterministic and independent of the worker count.  A task is
+    one (code, p, mu) and scores every mode's table."""
+    grid = [(p, mu) for p in p_grid for mu in mu_grid]
+    tables, tasks = [], []
     for code_id, code, t, l in code_specs:
-        for mode in modes:
-            table = build_decoder(code, mode, t=t, l=l)
-            for p in p_grid:
-                for mu in mu_grid:
-                    tasks.append((code_id, code, table, strategy, p, mu, w_max, limit))
+        tables.append([build_decoder(code, mode, t=t, l=l) for mode in modes])
+        tasks += [(code, tables[-1], strategy, p, mu, w_max, limit) for p, mu in grid]
     if workers <= 1 or len(tasks) <= 1:
-        return [_sweep_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_task, tasks, chunksize=4))
+        results = [_sweep_task(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_task, tasks))
+    points = []
+    for c, (code_id, *_) in enumerate(code_specs):
+        block = results[c * len(grid):(c + 1) * len(grid)]
+        for m, table in enumerate(tables[c]):
+            points += [SweepPoint(code_id, table.mode, strategy, p, mu,
+                                  res[m].ef_lower, res[m].residual, res[m].exact)
+                       for (p, mu), res in zip(grid, block)]
+    return points
 
 
 SWEEP_CSV_HEADER = ["code", "decoder", "strategy", "p", "mu",
@@ -362,8 +435,8 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
 
 __all__ = [
     "ChannelModel", "cond_prob", "error_prob",
-    "DecoderTable", "build_decoder", "label_contrib", "vector_label",
+    "DecoderTable", "build_decoder", "label_contrib",
     "EfResult", "entanglement_fidelity",
     "SweepPoint", "sweep", "sweep_to_csv", "SWEEP_CSV_HEADER",
-    "DEFAULT_EXACT_LIMIT",
+    "DEFAULT_EXACT_LIMIT", "MAX_ARRAY_BYTES",
 ]

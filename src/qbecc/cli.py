@@ -187,11 +187,16 @@ def _parse_grid(text: str) -> List[float]:
     lo, step, hi = float(parts[0]), float(parts[1]), float(parts[2])
     if step <= 0:
         raise UsageError("step must be positive")
+    if hi < lo:
+        raise UsageError(f"range {text!r} ends below its start")
     count = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(count)]
 
 
 def _cmd_simulate(args) -> int:
+    for flag, value in (("--w-max", args.w_max), ("--t", args.t), ("--l", args.l)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be non-negative, got {value}")
     specs = []
     for code_id in args.code.split(","):
         entry = registry_entry(code_id)

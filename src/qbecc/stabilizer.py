@@ -75,12 +75,6 @@ class F4Vector:
         return F4Vector(self.n, self.packed ^ other.packed)
 
 
-@dataclass(frozen=True)
-class PauliError:
-    phase: int  # power of i, carried but ignored by code-level predicates
-    sym: SymplecticVector
-
-
 def symplectic_ip(u: SymplecticVector, v: SymplecticVector) -> int:
     """a.b' + a'.b over GF(2); zero iff the Pauli operators commute."""
     if u.n != v.n:
@@ -344,7 +338,7 @@ def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
 
 
 __all__ = [
-    "SymplecticVector", "F4Vector", "PauliError", "StabilizerCode", "LabelTable",
+    "SymplecticVector", "F4Vector", "StabilizerCode", "LabelTable",
     "CommutationError", "ResourceLimitError",
     "symplectic_ip", "trace_ip", "f4_symplectic_map", "symplectic_f4_map",
     "burst_length", "additive_code", "hermitian_construct", "css_construct",

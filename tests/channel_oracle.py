@@ -1,0 +1,119 @@
+"""Scalar reference versions of the channel layer's vectorized paths: the
+pattern generators, the per-pattern decoder table, the per-pattern
+truncated EF loop and the gather form of the label-mass recursion."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Dict, Iterable, Sequence, Tuple
+
+import numpy as np
+
+from qbecc.channel import ChannelModel, cond_prob, error_prob, label_contrib
+
+
+def weight_class(n: int, w: int) -> Iterable[Tuple[int, ...]]:
+    """All symbol tuples of weight w in lexicographic order."""
+    if w == 0:
+        yield (0,) * n
+        return
+    vectors = []
+    for support in itertools.combinations(range(n), w):
+        for syms in itertools.product((1, 2, 3), repeat=w):
+            vec = [0] * n
+            for pos, s in zip(support, syms):
+                vec[pos] = s
+            vectors.append(tuple(vec))
+    vectors.sort()
+    yield from vectors
+
+
+def span_class(n: int, span: int) -> Iterable[Tuple[int, ...]]:
+    """All symbol tuples of burst length exactly span >= 2, ordered by
+    start position then window content."""
+    for start in range(n - span + 1):
+        for first in (1, 2, 3):
+            for middle in itertools.product(range(4), repeat=span - 2):
+                for last in (1, 2, 3):
+                    vec = [0] * n
+                    vec[start] = first
+                    for i, s in enumerate(middle):
+                        vec[start + 1 + i] = s
+                    vec[start + span - 1] = last
+                    yield tuple(vec)
+
+
+def vector_label(contrib: Sequence[Sequence[int]], symbols: Sequence[int]) -> int:
+    lbl = 0
+    for i, c in enumerate(symbols):
+        if c:
+            lbl ^= contrib[i][c]
+    return lbl
+
+
+def packed(symbols: Sequence[int]) -> int:
+    out = 0
+    for i, c in enumerate(symbols):
+        out |= c << (2 * i)
+    return out
+
+
+def decoder_entries(code, t: int, l: int) -> Dict[int, int]:
+    """First pattern of each syndrome over weights 0..t, then spans 2..l."""
+    contrib = label_contrib(code)
+    smask = (1 << code.r) - 1
+    entries: Dict[int, int] = {}
+    classes = itertools.chain(
+        (vec for w in range(t + 1) for vec in weight_class(code.n, w)),
+        (vec for s in range(2, l + 1) for vec in span_class(code.n, s)))
+    for vec in classes:
+        syn = vector_label(contrib, vec) & smask
+        if syn not in entries:
+            entries[syn] = packed(vec)
+    return entries
+
+
+def truncated_ef(code, entries: Dict[int, int], ch: ChannelModel,
+                 w_max: int, span: int) -> Tuple[float, float]:
+    """(ef_lower, residual) by one error_prob per distinct pattern."""
+    contrib = label_contrib(code)
+    n = code.n
+    entry_labels = {syn: vector_label(contrib, [(rec >> (2 * i)) & 3 for i in range(n)])
+                    for syn, rec in entries.items()}
+    success, total, seen = [], [], set()
+    classes = itertools.chain(
+        (vec for w in range(w_max + 1) for vec in weight_class(n, w)),
+        (vec for s in range(2, span + 1) for vec in span_class(n, s)))
+    for vec in classes:
+        if vec in seen:
+            continue
+        seen.add(vec)
+        prob = error_prob(vec, ch)
+        total.append(prob)
+        lbl = vector_label(contrib, vec)
+        if entry_labels.get(lbl & ((1 << code.r) - 1)) == lbl:
+            success.append(prob)
+    return math.fsum(success), max(0.0, 1.0 - math.fsum(total))
+
+
+def label_mass(code, ch: ChannelModel) -> np.ndarray:
+    """The transfer recursion with the XOR applied as an index gather."""
+    contrib = label_contrib(code)
+    n_labels = 1 << (code.n + code.k)
+    marg = np.array(ch.marginals, dtype=np.float64)
+    cond = np.empty((4, 4), dtype=np.float64)
+    for k in range(4):
+        for l in range(4):
+            cond[k, l] = cond_prob(l, k, ch)
+    mass = np.zeros((n_labels, 4), dtype=np.float64)
+    for s in range(4):
+        mass[contrib[0][s], s] += marg[s]
+    idx = np.arange(n_labels, dtype=np.intp)
+    for i in range(1, code.n):
+        new = np.empty_like(mass)
+        for s in range(4):
+            col = mass @ cond[:, s]
+            new[:, s] = col[idx ^ contrib[i][s]]
+        mass = new
+    return mass.sum(axis=1)

@@ -2,14 +2,19 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+import channel_oracle as oracle
 from conftest import random_self_orthogonal_code
+from qbecc import channel
 from qbecc.channel import (ChannelModel, EfResult, build_decoder,
                            cond_prob, entanglement_fidelity, error_prob,
-                           label_contrib, sweep, sweep_to_csv, vector_label)
+                           label_contrib, sweep, sweep_to_csv)
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF4, Poly
+from qbecc.registry import load_registry, registry_entry
+from qbecc.search import build_registry_code
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, additive_code,
                               f4_symplectic_map, hermitian_construct)
 
@@ -111,7 +116,7 @@ def test_decoder_soundness():
         table = build_decoder(CODE_13_1, mode, **kwargs)
         for syn, packed in table.entries.items():
             symbols = tuple((packed >> (2 * i)) & 3 for i in range(13))
-            assert vector_label(contrib, symbols) & ((1 << CODE_13_1.r) - 1) == syn
+            assert oracle.vector_label(contrib, symbols) & ((1 << CODE_13_1.r) - 1) == syn
 
 
 def test_decoder_combined_extends_random():
@@ -127,6 +132,8 @@ def test_decoder_mode_validation():
         build_decoder(CODE_13_1, "random")
     with pytest.raises(ValueError):
         build_decoder(CODE_13_1, "nonsense", t=1)
+    with pytest.raises(ValueError):
+        build_decoder(CODE_13_1, "combined", t=-1, l=3)
 
 
 # ----------------------------------------------------------------------
@@ -220,16 +227,26 @@ def test_sweep_rows_and_determinism():
     again = sweep([("five", FIVE_QUBIT, 1, 2)], ["random", "combined"],
                   [0.0, 0.02], [0.0, 0.5], limit=4 ** 5)
     assert sweep_to_csv(points) == sweep_to_csv(again)
+    tables = {m: build_decoder(FIVE_QUBIT, m, t=1, l=2) for m in ("random", "combined")}
+    for pt in points:  # the shared mass scores each table as a lone call does
+        assert pt.ef_lower == entanglement_fidelity(
+            FIVE_QUBIT, tables[pt.decoder], ChannelModel(pt.p, pt.mu), limit=4 ** 5).ef_lower
     header = sweep_to_csv(points).splitlines()[0]
     assert header == "code,decoder,strategy,p,mu,ef_lower,ef_residual,exact"
 
 
 def test_sweep_workers_identical():
-    serial = sweep([("five", FIVE_QUBIT, 1, 2)], ["combined"],
-                   [0.01, 0.03], [0.2, 0.7], limit=4 ** 5, workers=1)
-    parallel = sweep([("five", FIVE_QUBIT, 1, 2)], ["combined"],
-                     [0.01, 0.03], [0.2, 0.7], limit=4 ** 5, workers=2)
-    assert sweep_to_csv(serial) == sweep_to_csv(parallel)
+    specs = [("five", FIVE_QUBIT, 1, 2), ("13_1", CODE_13_1, 2, 3)]
+    for modes, strategy in [(["combined"], "exact"),
+                            (["random", "burst", "combined"], "exact"),
+                            (["burst", "random"], "truncated")]:
+        serial = sweep(specs, modes, [0.01, 0.03], [0.2, 0.7], strategy=strategy,
+                       w_max=2, workers=1)
+        parallel = sweep(specs, modes, [0.01, 0.03], [0.2, 0.7], strategy=strategy,
+                         w_max=2, workers=2)
+        assert sweep_to_csv(serial) == sweep_to_csv(parallel)
+        assert [(pt.code_id, pt.decoder) for pt in serial[::4]] == \
+            [(c, m) for c in ("five", "13_1") for m in modes]
 
 
 def test_sweep_monotone_in_p_reported():
@@ -243,3 +260,88 @@ def test_sweep_monotone_in_p_reported():
                   if values[i + 1] > values[i] + 1e-12]
     if violations:
         print(f"ef_lower rose with p at: {violations}")
+
+
+# ----------------------------------------------------------------------
+# vectorized paths against their scalar references
+# ----------------------------------------------------------------------
+
+def _rows(vectors, n):
+    return np.array(list(vectors), dtype=np.uint8).reshape(-1, n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pattern_classes_match_generators(n):
+    for w in range(n + 2):
+        assert np.array_equal(channel._pattern_class(n, "weight", w),
+                              _rows(oracle.weight_class(n, w), n)), w
+    for span in range(2, n + 2):
+        assert np.array_equal(channel._pattern_class(n, "span", span),
+                              _rows(oracle.span_class(n, span), n)), span
+
+
+SMALL_SYNDROME_ROWS = [e.id for e in load_registry() if e.n - e.k <= 16]
+
+
+@pytest.mark.parametrize("code_id", SMALL_SYNDROME_ROWS)
+def test_decoder_matches_per_pattern_table(code_id):
+    entry = registry_entry(code_id)
+    code = build_registry_code(entry)
+    for mode, t, l in [("random", 2, 0), ("burst", 1, entry.l),
+                       ("combined", 2, entry.l)]:
+        table = build_decoder(code, mode, t=t, l=l)
+        expected = oracle.decoder_entries(code, t, l)
+        assert list(table.entries.items()) == list(expected.items()), mode
+        assert table.syndromes.tolist() == sorted(expected)
+
+
+def test_decoder_stops_once_every_syndrome_is_claimed():
+    full = oracle.decoder_entries(CODE_13_1, 4, 0)
+    assert len(full) == 1 << CODE_13_1.r
+    for mode, t, l in [("random", 40, 0), ("combined", 40, 3), ("burst", 1, 40)]:
+        table = build_decoder(CODE_13_1, mode, t=t, l=l)
+        assert len(table.entries) == 1 << CODE_13_1.r
+        if mode != "burst":
+            assert table.entries == full
+
+
+def test_truncated_matches_per_pattern_loop():
+    for code_id, points, w_values in [
+            ("13_1", [(0.01, 0.2), (0.03, 0.5), (0.1, 0.9)], range(5)),
+            ("17_1a", [(0.02, 0.0), (0.05, 0.7)], range(4)),
+            ("17_1a", [(0.03, 0.5)], [4])]:
+        entry = registry_entry(code_id)
+        code = build_registry_code(entry)
+        table = build_decoder(code, "combined", t=2, l=entry.l)
+        for p, mu in points:
+            ch = ChannelModel(p, mu)
+            for w_max in w_values:
+                got = entanglement_fidelity(code, table, ch, strategy="truncated",
+                                            w_max=w_max)
+                assert (got.ef_lower, got.residual) == \
+                    oracle.truncated_ef(code, table.entries, ch, w_max, entry.l)
+
+
+def test_label_mass_matches_gather():
+    codes = [CODE_13_1, build_registry_code(registry_entry("17_1a")), FIVE_QUBIT]
+    rng = random.Random(77)
+    for _ in range(8):
+        n = rng.randrange(2, 9)
+        codes.append(random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1)))
+    for code in codes:
+        for p, mu in [(0.03, 0.5), (0.2, 0.0), (0.07, 0.95)]:
+            ch = ChannelModel(p, mu)
+            assert np.array_equal(channel._label_mass(code, ch),
+                                  oracle.label_mass(code, ch))
+
+
+def test_byte_cap_refuses_large_sets(monkeypatch):
+    table = build_decoder(CODE_13_1, "burst", l=40)
+    with pytest.raises(ResourceLimitError):
+        entanglement_fidelity(CODE_13_1, table, ChannelModel(0.03, 0.5),
+                              strategy="truncated")
+    monkeypatch.setattr(channel, "MAX_ARRAY_BYTES", 32 << 13)
+    with pytest.raises(ResourceLimitError):  # 2^14 labels; the cap holds 2^13
+        entanglement_fidelity(CODE_13_1, table, ChannelModel(0.03, 0.5))
+    with pytest.raises(ResourceLimitError):  # weight 4: 57915 patterns of 13
+        build_decoder(CODE_13_1, "random", t=4)

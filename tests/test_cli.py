@@ -124,3 +124,35 @@ def test_grid_parsing():
 def test_search_odd_only_flag_removed(capsys):
     code, _ = run_cli(capsys, "search", "--min-n", "7", "--max-n", "7", "--odd-only")
     assert code == 2
+
+
+def test_simulate_descending_grid_rejected(capsys):
+    code, out = run_cli(capsys, "simulate", "--code", "13_1", "--decoder", "random",
+                        "--p", "0.05:0.01:0.01", "--mu", "0")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "UsageError"
+
+
+def test_simulate_negative_radius_rejected(capsys):
+    for flag in ("--w-max", "--t", "--l"):
+        code, out = run_cli(capsys, "simulate", "--code", "13_1", "--strategy", "truncated",
+                            "--p", "0.03", "--mu", "0.5", flag, "-1")
+        assert code == 2, flag
+        assert flag in json.loads(out)["error"]["message"]
+
+
+def test_simulate_radius_past_full_table(capsys):
+    # every syndrome of 13_1 is claimed at weight 4, so t = 40 stops there
+    code, out40 = run_cli(capsys, "simulate", "--code", "13_1", "--p", "0.03",
+                          "--mu", "0.5", "--t", "40")
+    assert code == 0
+    code, out4 = run_cli(capsys, "simulate", "--code", "13_1", "--p", "0.03",
+                         "--mu", "0.5", "--t", "4")
+    assert out40 == out4
+
+
+def test_simulate_truncated_span_over_cap(capsys):
+    code, out = run_cli(capsys, "simulate", "--code", "13_1", "--strategy", "truncated",
+                        "--decoder", "burst", "--l", "40", "--p", "0.03", "--mu", "0.5")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "resource-limit"
