@@ -10,7 +10,7 @@ from .classical import (BurstCapability, CyclicCode, LinearCode,
                         binary_dual_containing, classical_burst_capability,
                         cyclic_from_poly, hermitian_dual_containing,
                         linear_code, rs_burst_capability, rs_mds)
-from .gf import (GF2, GF4, ExtField2, ExtField4, Poly, UnsupportedDegreeError,
+from .gf import (GF2, GF4, ExtField, Poly, UnsupportedDegreeError,
                  berlekamp_factor, ext2_field_build, ext_field_build, f4_add,
                  f4_conj, f4_inv, f4_mul, poly_divmod, poly_gcd, xn_minus_1)
 from .qtpc import (DispersalReport, InterleaverMap, QtpcSpec, deinterleave,
@@ -25,6 +25,6 @@ from .stabilizer import (CommutationError, F4Vector, ResourceLimitError,
                          StabilizerCode, SymplecticVector, additive_code,
                          burst_length, css_construct, f4_symplectic_map,
                          hermitian_construct, symplectic_f4_map,
-                         symplectic_ip, trace_ip)
+                         symplectic_ip)
 
 __version__ = "0.1.0"

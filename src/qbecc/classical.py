@@ -40,18 +40,6 @@ class LinearCode:
     def syndrome(self, vec: Sequence[int]) -> Tuple[int, ...]:
         return tuple(mat_mul_vec(self.field, self.check_rows, vec))
 
-    def codewords(self):
-        """All codewords; only safe for small codebooks."""
-        field = self.field
-        for coeffs in itertools.product(field.elements(), repeat=self.k):
-            word = [0] * self.n
-            for c, row in zip(coeffs, self.gen_rows):
-                if c:
-                    for j, g in enumerate(row):
-                        if g:
-                            word[j] ^= field.mul(c, g)
-            yield tuple(word)
-
 
 def linear_code(field, gen_rows: Sequence[Sequence[int]], n: Optional[int] = None) -> LinearCode:
     """Build a code from spanning rows; reduces to a basis and derives H."""

@@ -16,14 +16,13 @@ from typing import List, Optional, Sequence
 
 from .burst import no_cloning_check, qrb, quantum_burst_capability
 from .channel import sweep, sweep_to_csv
-from .classical import (classical_burst_capability, cyclic_from_poly,
-                        rs_burst_capability, rs_mds)
-from .gf import GF2, GF4, ext_field_build
+from .classical import classical_burst_capability, rs_burst_capability, rs_mds
+from .gf import GF4, ext_field_build
 from .qtpc import InterleaverMap, dispersal_report, qtpc_construct
 from .registry import registry_entry
-from .search import (GenPolyError, SearchPlan, build_registry_code, genpoly_to_poly,
-                     parse_genpoly, records_to_csv, reproduce_table1, search)
-from .stabilizer import ResourceLimitError, css_construct, hermitian_construct
+from .search import (GenPolyError, SearchPlan, build_code, build_registry_code,
+                     cyclic_code, records_to_csv, reproduce_table1, search)
+from .stabilizer import ResourceLimitError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -58,16 +57,7 @@ def _cmd_analyze(args) -> int:
         raise UsageError("css construction needs --poly2")
     if construction == "hermitian" and args.poly2:
         raise UsageError("--poly2 is only meaningful with --construction css")
-    if construction == "hermitian":
-        spec = parse_genpoly(args.poly, args.n)
-        code = cyclic_from_poly(genpoly_to_poly(spec, GF4), args.n).base
-        stab = hermitian_construct(code)
-    else:
-        s1 = parse_genpoly(args.poly, args.n)
-        s2 = parse_genpoly(args.poly2, args.n)
-        c1 = cyclic_from_poly(genpoly_to_poly(s1, GF2), args.n).base
-        c2 = cyclic_from_poly(genpoly_to_poly(s2, GF2), args.n).base
-        stab = css_construct(c1, c2)
+    stab = build_code(construction, args.n, (args.poly, args.poly2))
     analysis = quantum_burst_capability(stab)
     out = {
         "n": stab.n, "k": stab.k, "l": analysis.l,
@@ -132,8 +122,7 @@ def _cmd_tensor(args) -> int:
         n2, l2 = int(n2_s), int(l2_s)
     except ValueError:
         raise UsageError(f"--rs expects 'n2,l2', got {args.rs!r}") from None
-    spec = parse_genpoly(args.c1_poly, args.c1_n)
-    c1 = cyclic_from_poly(genpoly_to_poly(spec, GF4), args.c1_n).base
+    c1 = cyclic_code(args.c1_poly, args.c1_n, GF4)
     rho1 = c1.n - c1.k
     c2 = rs_mds(n2, l2, ext_field_build(rho1))
     stab, qspec = qtpc_construct(c1, c2)

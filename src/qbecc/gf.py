@@ -1,4 +1,4 @@
-"""Exact arithmetic for GF(2), GF(4), GF(4^m), and univariate polynomials.
+"""Exact arithmetic for GF(2), GF(4), GF(2^m), GF(4^m), and polynomials.
 
 Element encodings (all characteristic 2, so addition is always XOR):
 
@@ -6,17 +6,17 @@ Element encodings (all characteristic 2, so addition is always XOR):
 * GF(4): ints 0, 1, 2, 3 standing for 0, 1, w, w^2 where w is a generator
   (w^2 = w + 1).  The two bits of the code are the coordinates in the
   basis {1, w}: code 3 = 0b11 = 1 + w = w^2.
-* GF(4^m): ints 0 .. 4^m-1, packed base-4 digit vectors (2 bits per GF(4)
-  coefficient, lowest degree first) in the power basis of a fixed
-  irreducible modulus.  Multiplication runs on log/antilog tables.
+* GF(q^m), q = 2 or 4: ints 0 .. q^m-1, packed digit vectors (1 or 2 bits
+  per base-field coefficient, lowest degree first) in the power basis of a
+  fixed irreducible modulus.  Multiplication runs on log/antilog tables.
 
 The moduli below are pinned constants so every build expands extension
-field elements into identical GF(4) coordinate matrices.
+field elements into identical base-field coordinate matrices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .linalg import mat_nullspace
 
@@ -111,10 +111,9 @@ class UnsupportedDegreeError(ValueError):
     """Requested extension degree has no pinned modulus."""
 
 
-# Irreducible moduli over GF(4) (coefficients lowest degree first, leading
-# coefficient 1 omitted is NOT: full coefficient list including x^m term).
-# Chosen so the class of x is a multiplicative generator.
-_EXT_MODULI = {
+# Irreducible moduli over GF(4), coefficients lowest degree first including
+# the x^m term.  Chosen so the class of x is a multiplicative generator.
+_EXT4_MODULI = {
     1: (2, 1),
     2: (2, 1, 1),
     3: (2, 1, 1, 1),
@@ -125,31 +124,52 @@ _EXT_MODULI = {
     8: (2, 0, 0, 0, 0, 2, 0, 2, 1),
 }
 
+# Primitive polynomials over GF(2), bit i = coefficient of x^i.
+_EXT2_MODULI = {
+    1: 0b11,
+    2: 0b111,
+    3: 0b1011,
+    4: 0b10011,
+    5: 0b100101,
+    6: 0b1000011,
+    7: 0b10001001,
+    8: 0b100011101,
+    9: 0b1000010001,
+    10: 0b10000001001,
+    11: 0b100000000101,
+    12: 0b1000001010011,
+}
 
-class ExtField4:
-    """GF(4^m) with packed-digit element ints and log/antilog tables."""
+_EXT_MODULI = {
+    GF4: _EXT4_MODULI,
+    GF2: {m: tuple((mask >> i) & 1 for i in range(m + 1))
+          for m, mask in _EXT2_MODULI.items()},
+}
 
-    def __init__(self, m: int):
-        if m not in _EXT_MODULI:
+
+class ExtField:
+    """GF(q^m) over base = GF(2) or GF(4): elements are ints packing the m
+    base-field coordinates in the power basis (lowest degree first, 1 or 2
+    bits each); multiplication via log/antilog tables, x primitive."""
+
+    def __init__(self, base, m: int):
+        if base not in _EXT_MODULI:
+            raise ValueError(f"extension fields are built over GF(2) or GF(4), not {base!r}")
+        q = base.order
+        if m not in _EXT_MODULI[base]:
             raise UnsupportedDegreeError(
-                f"no pinned modulus for GF(4^{m}); supported m: {sorted(_EXT_MODULI)}")
+                f"no pinned modulus for GF({q}^{m}); supported m: {sorted(_EXT_MODULI[base])}")
+        self.base = base
         self.m = m
-        self.order = 4 ** m
-        self.modulus = _EXT_MODULI[m]
-        self.name = f"GF(4^{m})"
-        # packed low part of the modulus: x^m = sum of lower terms (char 2)
-        low = 0
-        for i in range(m):
-            low |= self.modulus[i] << (2 * i)
-        self._xm_images = tuple(_scale_packed(low, c, m) for c in range(4))
-        self._build_tables()
-
-    def _mul_by_x(self, e: int) -> int:
-        top = (e >> (2 * (self.m - 1))) & 3
-        rest = (e & ((1 << (2 * (self.m - 1))) - 1)) << 2
-        return rest ^ self._xm_images[top]
-
-    def _build_tables(self) -> None:
+        self.width = q.bit_length() - 1  # bits per coordinate
+        self.order = q ** m
+        self.modulus = _EXT_MODULI[base][m]
+        self.name = f"GF({q}^{m})"
+        # x * e: shift every coordinate up one degree and fold the top one
+        # back through x^m = sum of the lower modulus terms (char 2)
+        xm_images = [self.from_digits(base.mul(c, d) for d in self.modulus[:m])
+                     for c in base.elements()]
+        top_shift = self.width * (m - 1)
         n = self.order - 1
         exp = [0] * (2 * n)
         log = [0] * self.order
@@ -157,11 +177,10 @@ class ExtField4:
         for i in range(n):
             exp[i] = val
             log[val] = i
-            val = self._mul_by_x(val)
+            val = ((val << self.width) & n) ^ xm_images[val >> top_shift]
         if val != 1:
-            raise AssertionError(f"x is not primitive for modulus of GF(4^{self.m})")
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
+            raise AssertionError(f"x is not primitive for modulus of {self.name}")
+        exp[n:] = exp[:n]
         self._exp = exp
         self._log = log
 
@@ -197,17 +216,19 @@ class ExtField4:
         return range(self.order)
 
     def digits(self, e: int) -> Tuple[int, ...]:
-        """GF(4) coordinates of e in the power basis, lowest degree first."""
-        return tuple((e >> (2 * i)) & 3 for i in range(self.m))
+        """Base-field coordinates of e in the power basis, lowest degree first."""
+        mask = self.base.order - 1
+        return tuple((e >> (self.width * i)) & mask for i in range(self.m))
 
-    def from_digits(self, digits: Sequence[int]) -> int:
+    def from_digits(self, digits: Iterable[int]) -> int:
+        mask = self.base.order - 1
         e = 0
         for i, d in enumerate(digits):
-            e |= (d & 3) << (2 * i)
+            e |= (d & mask) << (self.width * i)
         return e
 
     def mult_matrix(self, e: int) -> List[List[int]]:
-        """m x m GF(4) matrix of y -> e*y in the power basis (column j = e*x^j)."""
+        """m x m base-field matrix of y -> e*y in the power basis (column j = e*x^j)."""
         cols = [self.digits(self.mul(e, self._exp[j])) for j in range(self.m)]
         return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
 
@@ -215,118 +236,14 @@ class ExtField4:
         return self.name
 
 
-def _scale_packed(packed: int, c: int, m: int) -> int:
-    """Multiply every 2-bit GF(4) digit of a packed vector by the scalar c."""
-    out = 0
-    for i in range(m):
-        d = (packed >> (2 * i)) & 3
-        out |= _F4_MUL[d][c] << (2 * i)
-    return out
-
-
-def ext_field_build(m: int) -> ExtField4:
+def ext_field_build(m: int) -> ExtField:
     """Field object for GF(4^m); raises UnsupportedDegreeError outside the table."""
-    return ExtField4(m)
+    return ExtField(GF4, m)
 
 
-# Primitive polynomials over GF(2), bit i = coefficient of x^i.
-_EXT2_MODULI = {
-    1: 0b11,
-    2: 0b111,
-    3: 0b1011,
-    4: 0b10011,
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10001001,
-    8: 0b100011101,
-    9: 0b1000010001,
-    10: 0b10000001001,
-    11: 0b100000000101,
-    12: 0b1000001010011,
-}
-
-
-class ExtField2:
-    """GF(2^m): elements are ints whose bits are GF(2) coordinates in the
-    power basis; multiplication via log/antilog tables, x primitive."""
-
-    def __init__(self, m: int):
-        if m not in _EXT2_MODULI:
-            raise UnsupportedDegreeError(
-                f"no pinned modulus for GF(2^{m}); supported m: {sorted(_EXT2_MODULI)}")
-        self.m = m
-        self.order = 1 << m
-        self.modulus = _EXT2_MODULI[m]
-        self.name = f"GF(2^{m})"
-        n = self.order - 1
-        exp = [0] * (2 * n)
-        log = [0] * self.order
-        val = 1
-        for i in range(n):
-            exp[i] = val
-            log[val] = i
-            val <<= 1
-            if val & self.order:
-                val ^= self.modulus
-        if val != 1:
-            raise AssertionError(f"x is not primitive for modulus of GF(2^{self.m})")
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
-        self._exp = exp
-        self._log = log
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self.name}")
-        return self._exp[self.order - 1 - self._log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
-
-    @property
-    def generator(self) -> int:
-        return self._exp[1]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def digits(self, e: int) -> Tuple[int, ...]:
-        """GF(2) coordinates of e, lowest degree first."""
-        return tuple((e >> i) & 1 for i in range(self.m))
-
-    def from_digits(self, digits: Sequence[int]) -> int:
-        e = 0
-        for i, d in enumerate(digits):
-            e |= (d & 1) << i
-        return e
-
-    def mult_matrix(self, e: int) -> List[List[int]]:
-        """m x m GF(2) matrix of y -> e*y in the power basis."""
-        cols = [self.digits(self.mul(e, self._exp[j])) for j in range(self.m)]
-        return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-def ext2_field_build(m: int) -> ExtField2:
+def ext2_field_build(m: int) -> ExtField:
     """Field object for GF(2^m); raises UnsupportedDegreeError outside the table."""
-    return ExtField2(m)
+    return ExtField(GF2, m)
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +452,7 @@ def berlekamp_factor(f: Poly) -> List[Poly]:
 __all__ = [
     "f4_add", "f4_mul", "f4_inv", "f4_conj",
     "GF2", "GF4", "BinaryField", "QuaternaryField",
-    "ExtField4", "ext_field_build", "ExtField2", "ext2_field_build",
+    "ExtField", "ext_field_build", "ext2_field_build",
     "UnsupportedDegreeError",
     "Poly", "poly_divmod", "poly_gcd", "poly_powmod", "xn_minus_1",
     "berlekamp_factor",

@@ -23,9 +23,9 @@ from typing import List, Tuple
 
 from .classical import (LinearCode, binary_dual_containing,
                         hermitian_dual_containing)
-from .gf import GF2, GF4, ExtField2, ExtField4, f4_conj, f4_mul
-from .linalg import mat_nullspace, mat_rank
-from .stabilizer import StabilizerCode, _f4_row_to_packed_ab, css_construct
+from .gf import GF2, GF4
+from .linalg import mat_rank
+from .stabilizer import StabilizerCode, _css_stabilizer, _hermitian_stabilizer
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,9 @@ def tensor_check_matrix(c1: LinearCode, c2: LinearCode) -> List[List[int]]:
     base = c1.field
     rho1 = c1.n - c1.k
     field2 = c2.field
-    if base is GF4:
-        wanted = ExtField4
-    elif base is GF2:
-        wanted = ExtField2
-    else:
+    if base is not GF2 and base is not GF4:
         raise ValueError("inner code must be over GF(2) or GF(4)")
-    if not isinstance(field2, wanted) or field2.m != rho1:
+    if getattr(field2, "base", None) is not base or field2.m != rho1:
         raise ValueError(
             f"outer code field must be the degree-{rho1} extension of {base!r}")
     rows: List[List[int]] = []
@@ -102,30 +98,15 @@ def qtpc_construct(c1: LinearCode, c2: LinearCode) -> Tuple[StabilizerCode, Qtpc
     if mat_rank(c1.field, expanded) != rho1 * rho2:
         raise AssertionError("expanded check matrix has deficient rank")
     if c1.field is GF4:
-        stab = _hermitian_from_check(n, expanded)
+        stab = _hermitian_stabilizer(n, expanded)
     else:
-        gen = mat_nullspace(GF2, expanded, n)
-        tpc = LinearCode(GF2, n, n - rho1 * rho2,
-                         tuple(tuple(r) for r in gen),
-                         tuple(tuple(r) for r in expanded))
-        stab = css_construct(tpc, tpc)
+        stab = _css_stabilizer(n, expanded, expanded)
     spec = QtpcSpec(c1.n, c1.k, c2.n, c2.k, rho1, rho2,
                     tuple(tuple(r) for r in expanded),
                     (n, n - 2 * rho1 * rho2))
     if stab.params != spec.params:
         raise AssertionError(f"constructed {stab.params}, expected {spec.params}")
     return stab, spec
-
-
-def _hermitian_from_check(n: int, check_rows) -> StabilizerCode:
-    """Stabilizer from {conj(h), w*conj(h)} over the check rows; the
-    StabilizerCode constructor verifies self-orthogonality."""
-    rows = []
-    for h in check_rows:
-        g = [f4_conj(x) for x in h]
-        rows.append(_f4_row_to_packed_ab(g, n))
-        rows.append(_f4_row_to_packed_ab([f4_mul(2, x) for x in g], n))
-    return StabilizerCode(n, rows)
 
 
 # ----------------------------------------------------------------------
@@ -207,18 +188,8 @@ def dispersal_report(imap: InterleaverMap, burst_len: int,
                            aligned_only)
 
 
-def affected_columns(imap: InterleaverMap, start: int, burst_len: int) -> List[int]:
-    """Column indices touched by one stream window, in stream order."""
-    cols = []
-    for t in range(start, min(start + burst_len, imap.size)):
-        _, col = deinterleave(imap, t)
-        if col not in cols:
-            cols.append(col)
-    return cols
-
-
 __all__ = [
     "QtpcSpec", "tensor_check_matrix", "qtpc_construct",
     "InterleaverMap", "interleave", "deinterleave",
-    "DispersalReport", "dispersal_report", "affected_columns",
+    "DispersalReport", "dispersal_report",
 ]

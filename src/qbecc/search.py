@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .burst import BurstAnalysis, qrb, quantum_burst_capability
-from .classical import cyclic_from_poly
+from .classical import LinearCode, cyclic_from_poly
 from .gf import GF2, GF4, Poly, berlekamp_factor, f4_conj, xn_minus_1
 from .registry import RegistryEntry, load_registry
 from .stabilizer import StabilizerCode, css_construct, hermitian_construct
@@ -71,6 +71,34 @@ def genpoly_to_poly(spec: GenPolySpec, field_obj) -> Poly:
     for c, e in spec.terms:
         coeffs[e] = c
     return Poly(field_obj, coeffs)
+
+
+def cyclic_code(text: str, n: int, field_obj) -> LinearCode:
+    """The length-n cyclic code over field_obj generated by generator text."""
+    return cyclic_from_poly(genpoly_to_poly(parse_genpoly(text, n), field_obj), n).base
+
+
+_CONSTRUCTION_FIELDS = {"hermitian": (GF4,), "css": (GF2, GF2)}
+
+
+def build_code(construction: str, n: int,
+               genpolys: Sequence[Optional[str]]) -> StabilizerCode:
+    """Stabilizer code from generator texts: one GF(4) generator for the
+    Hermitian construction, two binary generators (C1, C2) for CSS.  Empty
+    texts are skipped, so a record's (genpoly1, "") pair builds as is."""
+    fields = _CONSTRUCTION_FIELDS.get(construction)
+    if fields is None:
+        raise ValueError(f"unknown construction {construction!r}")
+    genpolys = [text for text in genpolys if text]
+    if len(genpolys) != len(fields):
+        raise ValueError(f"{construction} construction takes {len(fields)} "
+                         f"generator(s), got {len(genpolys)}")
+    codes = [cyclic_code(text, n, f) for text, f in zip(genpolys, fields)]
+    # constructors are looked up as module globals at call time (not stored
+    # in a table), so a wrapper installed on this module sees every call
+    if construction == "hermitian":
+        return hermitian_construct(*codes)
+    return css_construct(*codes)
 
 
 def poly_to_genpoly(p: Poly, n: int) -> GenPolySpec:
@@ -171,9 +199,8 @@ def search(plan: SearchPlan) -> SearchOutcome:
     Dual containment is decided on the generator polynomials by
     divisibility of x^n - 1, so no matrix is built for a rejected
     candidate; the cyclic codes of the survivors are built on demand (once
-    per binary divisor), and the constructors re-check containment on the
-    matrices.  Deterministic for a fixed plan; budget exhaustion stops
-    early and marks the outcome incomplete.
+    per binary divisor).  Deterministic for a fixed plan; budget
+    exhaustion stops early and marks the outcome incomplete.
     """
     started = time.monotonic()
     analyzed = 0
@@ -251,17 +278,7 @@ def records_to_csv(records: Sequence[SearchRecord]) -> str:
 
 def build_registry_code(entry: RegistryEntry) -> StabilizerCode:
     """Stabilizer code reconstructed from a registry entry's generators."""
-    if entry.construction == "hermitian":
-        spec = parse_genpoly(entry.genpolys[0], entry.n)
-        code = cyclic_from_poly(genpoly_to_poly(spec, GF4), entry.n).base
-        return hermitian_construct(code)
-    if entry.construction == "css":
-        s1 = parse_genpoly(entry.genpolys[0], entry.n)
-        s2 = parse_genpoly(entry.genpolys[1], entry.n)
-        c1 = cyclic_from_poly(genpoly_to_poly(s1, GF2), entry.n).base
-        c2 = cyclic_from_poly(genpoly_to_poly(s2, GF2), entry.n).base
-        return css_construct(c1, c2)
-    raise ValueError(f"unknown construction {entry.construction!r}")
+    return build_code(entry.construction, entry.n, entry.genpolys)
 
 
 @dataclass(frozen=True)
@@ -303,7 +320,8 @@ def reproduce_table1(entries: Optional[Sequence[RegistryEntry]] = None) -> Table
 
 __all__ = [
     "GenPolyError", "GenPolySpec", "parse_genpoly", "format_genpoly",
-    "genpoly_to_poly", "poly_to_genpoly", "enumerate_cyclic_generators",
+    "genpoly_to_poly", "cyclic_code", "build_code", "poly_to_genpoly",
+    "enumerate_cyclic_generators",
     "SearchPlan", "SearchRecord", "SearchOutcome", "search",
     "records_to_csv", "CSV_HEADER",
     "build_registry_code", "RowReport", "Table1Report", "reproduce_table1",

@@ -22,8 +22,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classical import LinearCode, binary_dual_containing, hermitian_dual_containing
-from .gf import f4_conj, f4_mul
+from .classical import LinearCode
+from .gf import GF2, GF4, f4_conj, f4_mul
 from .linalg import gf2_in_span, gf2_nullspace, gf2_reduce_vector, gf2_row_reduce
 
 
@@ -80,16 +80,6 @@ def symplectic_ip(u: SymplecticVector, v: SymplecticVector) -> int:
     if u.n != v.n:
         raise ValueError(f"length mismatch: {u.n} != {v.n}")
     return ((u.a & v.b).bit_count() ^ (u.b & v.a).bit_count()) & 1
-
-
-def trace_ip(u: F4Vector, v: F4Vector) -> int:
-    """Sum of u_i v_i^2 + u_i^2 v_i, an element of GF(2)."""
-    if u.n != v.n:
-        raise ValueError(f"length mismatch: {u.n} != {v.n}")
-    acc = 0
-    for x, y in zip(u.symbols(), v.symbols()):
-        acc ^= f4_mul(x, f4_conj(y)) ^ f4_mul(f4_conj(x), y)
-    return acc
 
 
 def f4_symplectic_map(v: F4Vector) -> SymplecticVector:
@@ -172,10 +162,9 @@ class StabilizerCode:
     and containment tests run against that basis.
     """
 
-    def __init__(self, n: int, rows: Sequence[int], _validated: bool = False):
+    def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
-        if not _validated:
-            _check_self_orthogonal(n, rows)
+        _check_self_orthogonal(n, rows)
         reduced, pivots = gf2_row_reduce(rows)
         self.basis: Tuple[int, ...] = tuple(reduced)
         self._pivots: Tuple[int, ...] = tuple(pivots)
@@ -292,11 +281,43 @@ def additive_code(n: int, rows: Sequence[int] | Iterable[SymplecticVector]) -> S
 
 
 def _f4_row_to_packed_ab(row: Sequence[int], n: int) -> int:
+    """Packed symplectic int of a GF(4) row; a binary row is all X part."""
     a = b = 0
     for i, c in enumerate(row):
         a |= (c & 1) << i
         b |= ((c >> 1) & 1) << i
     return a | (b << n)
+
+
+# The two row builders below are the only construction path: the
+# commutation check of StabilizerCode is what decides dual containment.
+
+def _hermitian_stabilizer(n: int, check_rows) -> StabilizerCode:
+    """Stabilizer spanned by {conj(h), w*conj(h)} over GF(4) check rows h.
+
+    For a GF(4)-linear code, trace-symplectic and Hermitian
+    self-orthogonality agree (Calderbank, Rains, Shor and Sloane, IEEE T-IT
+    1998, Thm. 3), so these rows commute exactly when the code contains its
+    Hermitian dual; otherwise CommutationError.
+    """
+    rows = []
+    for h in check_rows:
+        g = [f4_conj(x) for x in h]
+        rows.append(_f4_row_to_packed_ab(g, n))
+        rows.append(_f4_row_to_packed_ab([f4_mul(2, x) for x in g], n))
+    return StabilizerCode(n, rows)
+
+
+def _css_stabilizer(n: int, x_checks, z_checks) -> StabilizerCode:
+    """Stabilizer with X-type rows from x_checks and Z-type rows from z_checks.
+
+    The rows commute exactly when H_x H_z^T = 0, that is when the dual of
+    the code checked by z_checks lies in the code checked by x_checks;
+    otherwise CommutationError.
+    """
+    rows = [_f4_row_to_packed_ab(h, n) for h in x_checks]  # (a|0)
+    rows += [_f4_row_to_packed_ab(h, n) << n for h in z_checks]  # (0|b)
+    return StabilizerCode(n, rows)
 
 
 def hermitian_construct(code: LinearCode) -> StabilizerCode:
@@ -305,15 +326,12 @@ def hermitian_construct(code: LinearCode) -> StabilizerCode:
     The stabilizer is the additive span of {g, w*g} over the generators g of
     the Hermitian dual (conjugated parity-check rows), mapped symplectically.
     """
-    if not hermitian_dual_containing(code):
-        raise ValueError("code is not Hermitian dual containing")
-    n = code.n
-    rows = []
-    for h in code.check_rows:
-        g = [f4_conj(x) for x in h]
-        rows.append(_f4_row_to_packed_ab(g, n))
-        rows.append(_f4_row_to_packed_ab([f4_mul(2, x) for x in g], n))
-    stab = StabilizerCode(n, rows)
+    if code.field is not GF4:
+        raise ValueError("Hermitian dual containment is defined over GF(4)")
+    try:
+        stab = _hermitian_stabilizer(code.n, code.check_rows)
+    except CommutationError as exc:
+        raise ValueError("code is not Hermitian dual containing") from exc
     if stab.k != 2 * code.k - code.n:
         raise AssertionError("Hermitian construction produced wrong dimension")
     return stab
@@ -321,18 +339,15 @@ def hermitian_construct(code: LinearCode) -> StabilizerCode:
 
 def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
     """[[n, k1+k2-n]] CSS stabilizer code from binary codes with C2-dual in C1."""
-    if not binary_dual_containing(c2, c1):
-        raise ValueError("CSS precondition failed: dual of C2 is not inside C1")
-    n = c1.n
-    rows = []
-    for h in c1.check_rows:
-        bits = sum(1 << i for i, x in enumerate(h) if x)
-        rows.append(bits)  # X-type row (a|0)
-    for h in c2.check_rows:
-        bits = sum(1 << i for i, x in enumerate(h) if x)
-        rows.append(bits << n)  # Z-type row (0|b)
-    stab = StabilizerCode(n, rows)
-    if stab.k != c1.k + c2.k - n:
+    if c1.field is not GF2 or c2.field is not GF2:
+        raise ValueError("dual containment check requires binary codes")
+    if c1.n != c2.n:
+        raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
+    try:
+        stab = _css_stabilizer(c1.n, c1.check_rows, c2.check_rows)
+    except CommutationError as exc:
+        raise ValueError("CSS precondition failed: dual of C2 is not inside C1") from exc
+    if stab.k != c1.k + c2.k - c1.n:
         raise AssertionError("CSS construction produced wrong dimension")
     return stab
 
@@ -340,6 +355,6 @@ def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
 __all__ = [
     "SymplecticVector", "F4Vector", "StabilizerCode", "LabelTable",
     "CommutationError", "ResourceLimitError",
-    "symplectic_ip", "trace_ip", "f4_symplectic_map", "symplectic_f4_map",
+    "symplectic_ip", "f4_symplectic_map", "symplectic_f4_map",
     "burst_length", "additive_code", "hermitian_construct", "css_construct",
 ]

@@ -156,3 +156,19 @@ def test_simulate_truncated_span_over_cap(capsys):
                         "--decoder", "burst", "--l", "40", "--p", "0.03", "--mu", "0.5")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "resource-limit"
+
+
+def test_analyze_hermitian_rejection_pinned(capsys):
+    code, out = run_cli(capsys, "analyze", "--n", "3", "--poly", "1^1 1^0")
+    assert code == 2
+    assert out == ('{\n  "error": {\n    "type": "ValueError",\n'
+                   '    "message": "code is not Hermitian dual containing"\n  }\n}\n')
+
+
+def test_analyze_css_rejection_pinned(capsys):
+    code, out = run_cli(capsys, "analyze", "--n", "3", "--construction", "css",
+                        "--poly", "1^2 1^1 1^0", "--poly2", "1^2 1^1 1^0")
+    assert code == 2
+    assert out == ('{\n  "error": {\n    "type": "ValueError",\n'
+                   '    "message": "CSS precondition failed: dual of C2 is not inside C1"'
+                   '\n  }\n}\n')

@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbecc.gf import (GF2, GF4, Poly, UnsupportedDegreeError, berlekamp_factor,
-                      ext2_field_build, ext_field_build, f4_add, f4_conj,
-                      f4_inv, f4_mul, poly_divmod, poly_gcd, xn_minus_1)
+from qbecc.gf import (GF2, GF4, ExtField, Poly, UnsupportedDegreeError,
+                      berlekamp_factor, ext2_field_build, ext_field_build,
+                      f4_add, f4_conj, f4_inv, f4_mul, poly_divmod, poly_gcd,
+                      xn_minus_1)
 
 W, W2 = 2, 3  # codes for w and w^2
 
@@ -109,6 +111,47 @@ def test_ext_field_unsupported_degree():
         ext_field_build(9)
     with pytest.raises(UnsupportedDegreeError):
         ext_field_build(0)
+
+
+# SHA-256 of " ".join(str(g^i) for i in 0 .. q^m - 2), g the class of x,
+# recorded from the separate GF(4^m) and GF(2^m) classes before they merged.
+EXP_TABLE_SHA256 = {
+    (4, 1): "7c8f5059290305cec8323d79521f0353c9ac308b60cb4c1976340d0ce4a121d5",
+    (4, 2): "1050901a030e523be20cd12172a4f6a2ca3a13af58fec52d814f308d8894a1c4",
+    (4, 3): "9402250495fd2f9393835b43e46a26f22ef1f1785170810e25b47958e1520239",
+    (4, 4): "cc3a151a8b9861264a30a5d74d4efea5e97fe29a949ce4985ccd81d414053b81",
+    (4, 5): "dc79c9e98ab143528bfec174147f5e45a735801c54d0877d68690d564e8c0dd1",
+    (4, 6): "81dec26b9875988f0da1b9db1fffd701047b95cdbf3feb0d61213dc28d616bce",
+    (4, 7): "50a9738311f8de146d2d6be7f04d1a4bd2cb0af1d96164762348e4a979052ec0",
+    (4, 8): "84fa60b7a1d7f3e1be5425e317d96d2b18d0081c47916144120e972645ab67fb",
+    (2, 1): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    (2, 2): "7c8f5059290305cec8323d79521f0353c9ac308b60cb4c1976340d0ce4a121d5",
+    (2, 3): "85539c43cced041399d52df40b32630a071bfa8b2c4dd98cde88e2fc2b99baa8",
+    (2, 4): "4b857ef705b5ef00ce3337b5977864c4a54d83beeca0da951b714de246df22bd",
+    (2, 5): "836fea476e66f1b15823aa5bda76898eb00d19679896feadf1b5bb704254fbb5",
+    (2, 6): "26e2e38eb5362977ffaade2a42d56a9aee209bb1dfc5b35599c97081f70d5ab6",
+    (2, 7): "cb2fa13d15c075d5a50556c2981c06b926f266a501ca012c319738baf821a8a9",
+    (2, 8): "1273d2a1c5f202c4d714406d7e8e887da47fc5ef45f16a74debca963fb784803",
+    (2, 9): "b4cc667a96ca17a536782669afd4e45135f372bb132a84ffe15f1159dfedf534",
+    (2, 10): "44457ed293b1624ce8699ddd8d7e0554a79116d2e63aa0ce00dec185254930d2",
+    (2, 11): "00b1869c99353e82f20c8021d1e45b803ad7471037ef216e59f3da9d9640d228",
+    (2, 12): "5fe907bf07a47c0b28ec0634ffa54b6d4ee8e773a06cf6c00f9f3e0585084813",
+}
+
+
+@pytest.mark.parametrize("q,m", sorted(EXP_TABLE_SHA256))
+def test_ext_field_exp_table_pinned(q, m):
+    F = ext_field_build(m) if q == 4 else ext2_field_build(m)
+    assert F.base is (GF4 if q == 4 else GF2) and F.order == q ** m
+    text = " ".join(str(F.pow(F.generator, i)) for i in range(F.order - 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXP_TABLE_SHA256[(q, m)]
+
+
+def test_ext_field_rejects_other_bases():
+    with pytest.raises(ValueError):
+        ExtField(ext_field_build(2), 2)
+    with pytest.raises(UnsupportedDegreeError):
+        ext2_field_build(13)
 
 
 def test_ext2_field_m1_matches_gf2():

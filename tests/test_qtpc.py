@@ -1,11 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.gf import GF4, Poly, ext_field_build
 from qbecc.linalg import mat_rank
-from qbecc.qtpc import (InterleaverMap, affected_columns, deinterleave,
-                        dispersal_report, interleave, qtpc_construct,
-                        tensor_check_matrix)
+from qbecc.qtpc import (InterleaverMap, deinterleave, dispersal_report,
+                        interleave, qtpc_construct, tensor_check_matrix)
 
 W = 2
 
@@ -36,11 +38,24 @@ def test_tensor_example_dimensions_and_rank():
     assert mat_rank(GF4, expanded) == 24
 
 
+def test_tensor_example_rows_pinned():
+    # recorded before the extension-field classes merged
+    rows = tensor_check_matrix(C1, rs_mds(6, 2, ext_field_build(6)))
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "2c9a38b3018061538d6931b30a779158b37902852fbbd5c439a21970375b6250")
+
+
 def test_tensor_field_degree_mismatch():
     F = ext_field_build(2)
     c2 = rs_mds(4, 1, F)
     with pytest.raises(ValueError):
         tensor_check_matrix(C1, c2)
+
+
+def test_tensor_field_base_mismatch():
+    from qbecc.gf import ext2_field_build
+    with pytest.raises(ValueError):
+        tensor_check_matrix(C1, rs_mds(6, 2, ext2_field_build(6)))
 
 
 def test_qtpc_example_params():
@@ -198,6 +213,16 @@ def test_dispersal_unaligned_full_burst_measured():
     rep = dispersal_report(imap, 6)
     assert rep.max_affected_subblocks == 3
     assert rep.max_inner_burst <= 3
+
+
+def affected_columns(imap, start, burst_len):
+    """Oracle: column indices touched by one stream window, in stream order."""
+    cols = []
+    for t in range(start, min(start + burst_len, imap.size)):
+        _, col = deinterleave(imap, t)
+        if col not in cols:
+            cols.append(col)
+    return cols
 
 
 def test_affected_columns_cyclically_consecutive():

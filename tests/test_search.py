@@ -8,11 +8,12 @@ from qbecc.classical import (binary_dual_containing, cyclic_from_poly,
                              hermitian_dual_containing)
 from qbecc.gf import GF2, GF4, Poly
 from qbecc.registry import load_registry, registry_entry
-from qbecc.search import (GenPolyError, SearchPlan, build_registry_code,
-                          enumerate_cyclic_generators, format_genpoly,
+from qbecc.search import (GenPolyError, SearchPlan, build_code, build_registry_code,
+                          cyclic_code, enumerate_cyclic_generators, format_genpoly,
                           genpoly_to_poly, parse_genpoly, poly_to_genpoly,
                           records_to_csv, reproduce_table1, search)
 from qbecc.search import _css_dual_containing, _hermitian_dual_containing
+from qbecc.stabilizer import css_construct, hermitian_construct
 
 W = 2
 
@@ -133,6 +134,27 @@ def test_registry_unknown_id():
         registry_entry("99_9")
 
 
+def test_build_code_matches_hand_built_codes():
+    herm = build_code("hermitian", 15, ["1^6 2^3 1^0"])
+    assert herm.basis == hermitian_construct(
+        cyclic_from_poly(Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15).base).basis
+    assert cyclic_code("1^6 2^3 1^0", 15, GF4) == cyclic_from_poly(
+        Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15).base
+    css = build_code("css", 21, ["1^6 1^4 1^1 1^0", "1^6 1^4 1^2 1^1 1^0"])
+    assert css.params == (21, 9)
+
+
+def test_build_code_rejects_bad_input():
+    with pytest.raises(ValueError, match="unknown construction"):
+        build_code("steane", 7, ["1^0"])
+    with pytest.raises(ValueError, match="takes 2 generator"):
+        build_code("css", 7, ["1^3 1^1 1^0", ""])
+    with pytest.raises(ValueError, match="takes 1 generator"):
+        build_code("hermitian", 7, ["1^3 1^1 1^0", "1^1 1^0"])
+    with pytest.raises(GenPolyError):
+        build_code("css", 7, ["1^3 1^1 1^0", "2^3 1^0"])
+
+
 def test_reproduce_quick_rows():
     entries = [e for e in load_registry() if e.n <= 17]
     report = reproduce_table1(entries)
@@ -149,16 +171,28 @@ def test_registry_parsed_once():
 # Divisibility filters against the matrix predicates
 # ----------------------------------------------------------------------
 
+def _constructs(construct, *codes) -> bool:
+    """False iff the constructor rejects its input with ValueError."""
+    try:
+        construct(*codes)
+    except ValueError:
+        return False
+    return True
+
+
 def test_divisibility_filters_match_matrix_predicates():
-    # every odd n <= 31 with at most 64 binary divisors (so not n = 31)
+    # every odd n <= 31 with at most 64 binary divisors (so not n = 31); the
+    # constructors, gated only by the commutation check, must agree too
     cases = passed = 0
     for n in range(3, 32, 2):
         binary = enumerate_cyclic_generators(n, GF2)
         if len(binary) > 64:
             continue
         for g in enumerate_cyclic_generators(n, GF4):
-            want = hermitian_dual_containing(cyclic_from_poly(g, n).base)
+            code = cyclic_from_poly(g, n).base
+            want = hermitian_dual_containing(code)
             assert _hermitian_dual_containing(g, n) == want, (n, g)
+            assert _constructs(hermitian_construct, code) == want, (n, g)
             cases += 1
             passed += want
         codes = [cyclic_from_poly(g, n).base for g in binary]
@@ -166,6 +200,7 @@ def test_divisibility_filters_match_matrix_predicates():
             for j, g2 in enumerate(binary):
                 want = binary_dual_containing(codes[j], codes[i])
                 assert _css_dual_containing(g1, g2, n) == want, (n, g1, g2)
+                assert _constructs(css_construct, codes[i], codes[j]) == want, (n, g1, g2)
                 cases += 1
                 passed += want
     assert cases > 6000 and 0 < passed < cases

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_self_orthogonal_code
 from qbecc.classical import cyclic_from_poly, linear_code
-from qbecc.gf import GF2, GF4, Poly
+from qbecc.gf import GF2, GF4, Poly, f4_conj, f4_mul
 from qbecc.stabilizer import (CommutationError, F4Vector, ResourceLimitError,
                               StabilizerCode, SymplecticVector, additive_code,
                               burst_length, css_construct, f4_symplectic_map,
                               hermitian_construct, symplectic_f4_map,
-                              symplectic_ip, trace_ip)
+                              symplectic_ip)
 
 W = 2
 
@@ -42,6 +42,16 @@ def test_symplectic_ip_examples():
 def test_symplectic_ip_length_mismatch():
     with pytest.raises(ValueError):
         symplectic_ip(SymplecticVector(1, 1, 0), SymplecticVector(2, 1, 0))
+
+
+def trace_ip(u: F4Vector, v: F4Vector) -> int:
+    """Oracle: the trace inner product sum of u_i v_i^2 + u_i^2 v_i over GF(2)."""
+    if u.n != v.n:
+        raise ValueError(f"length mismatch: {u.n} != {v.n}")
+    acc = 0
+    for x, y in zip(u.symbols(), v.symbols()):
+        acc ^= f4_mul(x, f4_conj(y)) ^ f4_mul(f4_conj(x), y)
+    return acc
 
 
 def test_trace_ip_examples():
