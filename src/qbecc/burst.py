@@ -5,27 +5,25 @@ distinct error vectors of burst length <= l have a sum outside
 dual(C) \\ C.  Equivalently: whenever two bursts share a syndrome, their
 sum must lie in the stabilizer itself (a harmless, degenerate collision).
 
-The production engine enumerates every burst once, computes all syndromes
-as packed uint64 words with vectorized XOR folding from the code's cached
-label table, and sorts them.  The bursts whose syndrome occurs more than
-once are then resolved in one vectorized pass: each gets its 2k logical
-label bits from the same table, and a collision is harmful exactly when
-a burst's logical bits differ from those of the first burst sharing its
-syndrome.  A naive all-pairs oracle is kept alongside for
-cross-validation at small sizes.
+Two bursts of length <= l differ by a vector on the union of two length-l
+windows, and every such vector splits into two such bursts (Reiger's
+argument).  So a level fails iff some union supports an element of
+dual(C) \\ C, and is degenerate iff some union supports a nonzero element
+of C.  The engine decides both by GF(2) elimination of the union's label
+columns (syndrome bits above logical bits; the label map is injective
+modulo C), so no burst is enumerated.  A naive all-pairs oracle is kept
+alongside for cross-validation at small sizes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .linalg import gf2_nullspace
 from .stabilizer import F4Vector, ResourceLimitError, StabilizerCode
-
-MAX_BURSTS_PER_LEVEL = 1 << 27
 
 
 def qrb(n: int, k: int) -> int:
@@ -106,105 +104,96 @@ def enumerate_bursts(n: int, l: int) -> Iterator[F4Vector]:
 
 
 # ----------------------------------------------------------------------
-# Syndrome-hash engine
+# Window-rank engine
 # ----------------------------------------------------------------------
 
-def _level_syndromes(n: int, l: int, syn: np.ndarray) -> np.ndarray:
-    """Syndromes of every burst of length <= l, index 0 the zero vector,
-    then the enumerate_bursts order; syn is the uint64 [position, symbol]
-    table of single-coordinate syndromes."""
-    windows = _window_lengths(n, l) if l > 0 else []
-    out = np.zeros(1 + sum(3 * 4 ** (w - 1) for _, w in windows), dtype=np.uint64)
-    base = 1
-    for s, w in windows:
-        arr = syn[s, 1:4]
-        for t in range(1, w):
-            arr = (arr[:, None] ^ syn[s + t][None, :]).reshape(-1)
-        out[base:base + arr.size] = arr
-        base += arr.size
-    return out
+def _label_columns(code: StabilizerCode) -> List[int]:
+    """Label of X (column 2i) and Z (column 2i+1) at each position i: the
+    r syndrome bits high, the 2k logical bits low, from the label table."""
+    tab = code.label_table()
+
+    def as_int(words: np.ndarray) -> int:
+        return int.from_bytes(words.tobytes(), "little")
+
+    return [(as_int(tab.syndrome[i, c]) << 2 * code.k) | as_int(tab.logical[i, c])
+            for i in range(code.n) for c in (1, 2)]
 
 
-def _index_to_vector(n: int, l: int, idx: int) -> Tuple[int, Tuple[int, int]]:
-    if idx == 0:
-        return 0, (0, 0)
-    base = 1
-    for s, w in _window_lengths(n, l):
-        cnt = 3 * 4 ** (w - 1)
-        if idx < base + cnt:
-            return _burst_vector(s, w, idx - base)
-        base += cnt
-    raise IndexError(idx)
+def _insert(basis: Dict[int, int], columns: Iterable[int], shift: int,
+            logical_bits: int) -> Tuple[Optional[int], bool]:
+    """Reduce each column against an msb-keyed GF(2) basis and add what is
+    left as a new pivot.  Bits below shift are bookkeeping; the label sits
+    above them.  Returns (failure, dependent): failure is the first reduced
+    column whose label is nonzero with no syndrome bit (a logical pivot),
+    or None; dependent is True if a column reduced to a zero label."""
+    dependent = False
+    for v in columns:
+        while v >> shift:
+            pivot = basis.get(v.bit_length())
+            if pivot is None:
+                break
+            v ^= pivot
+        label = v >> shift
+        if not label:
+            dependent = True
+        elif not label >> logical_bits:
+            return v, dependent
+        else:
+            basis[v.bit_length()] = v
+    return None, dependent
 
 
-def _burst_labels(n: int, l: int, logical: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Logical label words [len(idx), words] of the bursts at the given
-    level-l enumeration indices: the vectorized form of _index_to_vector."""
-    windows = _window_lengths(n, l)
-    starts = np.array([s for s, _ in windows], dtype=np.int64)
-    widths = np.array([w for _, w in windows], dtype=np.int64)
-    bases = np.cumsum(np.concatenate(([1], 3 * 4 ** (widths[:-1] - 1))))
-    win = np.maximum(np.searchsorted(bases, idx, side="right") - 1, 0)
-    start, width, c = starts[win], widths[win], idx - bases[win]
-    labels = np.zeros((idx.size, logical.shape[2]), dtype=np.uint64)
-    for t in range(l):
-        inside = (idx > 0) & (t < width)
-        digit = c >> np.where(inside, 2 * (width - 1 - t), 0)
-        digit = digit + 1 if t == 0 else digit & 3
-        labels ^= logical[np.minimum(start + t, n - 1), np.where(inside, digit, 0)]
-    return labels
+def _window_pairs(n: int, l: int) -> List[Tuple[int, range]]:
+    """Each s1 with its s2 range: the pairs of windows [s1, s1+l), [s2, s2+l)
+    whose unions contain every union of two length-l windows.  An
+    overlapping pair spans an interval that lies in the union of [s1, s1+l)
+    and [s1+l, s1+2l), or in [n-2l, n) near the end."""
+    if 2 * l > n:
+        return [(0, range(n - l, n - l + 1))]
+    return [(s1, range(s1 + l, n - l + 1)) for s1 in range(n - 2 * l + 1)]
 
 
-def _colliding(syns: np.ndarray, dup_vals: np.ndarray) -> np.ndarray:
-    """Ascending indices of the syndromes found in the sorted dup_vals, in
-    blocks so the temporaries stay small next to syns."""
-    block = 1 << 20
-    hits = []
-    for lo in range(0, syns.size, block):
-        part = syns[lo:lo + block]
-        pos = np.searchsorted(dup_vals, part)
-        np.minimum(pos, dup_vals.size - 1, out=pos)
-        hits.append(np.flatnonzero(dup_vals[pos] == part) + lo)
-    return np.concatenate(hits)
-
-
-def _check_level_hash(code: StabilizerCode, l: int):
-    n = code.n
+def _check_level_rank(code: StabilizerCode, columns: List[int], l: int):
+    """(ok, degenerate, witness, unions ranked) of level l, given the code's
+    label columns; on failure the witness is a callable that builds it, so
+    only the level just above the answer pays for one."""
     if l == 0:
         return True, False, None, 0
-    total = burst_count(n, l)
-    if total > MAX_BURSTS_PER_LEVEL:
-        raise ResourceLimitError(
-            f"level {l} needs {total} bursts, limit {MAX_BURSTS_PER_LEVEL}")
-    tab = code.label_table()
-    if tab.syndrome.shape[2] > 1:
-        raise ResourceLimitError(f"{code.r} syndrome bits exceed one 64-bit word")
-    syns = _level_syndromes(n, l, tab.syndrome[:, :, 0])
-    s_sorted = np.sort(syns)
-    dup_mask = s_sorted[1:] == s_sorted[:-1]
-    if not dup_mask.any():
-        return True, False, None, 0
-    dup_vals = np.unique(s_sorted[1:][dup_mask])
-    del s_sorted, dup_mask
-    # colliding bursts grouped by ascending syndrome, each group in
-    # enumeration order; the first member of a group stands for the group
-    hit = _colliding(syns, dup_vals)
-    hit = hit[np.argsort(syns[hit], kind="stable")]
-    hs = syns[hit]
-    first = np.ones(hit.size, dtype=bool)
-    first[1:] = hs[1:] != hs[:-1]
-    rep = np.flatnonzero(first)[np.cumsum(first) - 1]
-    labels = _burst_labels(n, l, tab.logical, hit)
-    # same syndrome: the sum lies in dual(C), and in C iff the labels agree
-    harmful = np.flatnonzero((labels != labels[rep]).any(axis=1))
-    if harmful.size == 0:
-        pairs = int(hit.size - first.sum())
-        return True, pairs > 0, None, pairs
-    f = int(harmful[0])
-    pairs = f + 1 - int(first[:f + 1].sum())
-    rep_f4, _ = _index_to_vector(n, l, int(hit[rep[f]]))
-    f4, _ = _index_to_vector(n, l, int(hit[f]))
-    return False, pairs > 1, (F4Vector(n, rep_f4), F4Vector(n, f4)), pairs
+    logical_bits = 2 * code.k
+    degenerate = False
+    unions = 0
+    for s1, s2_range in _window_pairs(code.n, l):
+        w1: Dict[int, int] = {}
+        failure, dependent = _insert(w1, columns[2 * s1:2 * (s1 + l)], 0, logical_bits)
+        degenerate |= dependent
+        for s2 in s2_range:
+            unions += 1
+            if failure is None:
+                rest = columns[2 * max(s2, s1 + l):2 * (s2 + l)]
+                failure, dependent = _insert(dict(w1), rest, 0, logical_bits)
+                degenerate |= dependent
+            if failure is not None:
+                return (False, degenerate,
+                        functools.partial(_union_witness, code, columns, l, s1, s2), unions)
+    return True, degenerate, None, unions
+
+
+def _union_witness(code: StabilizerCode, columns: List[int], l: int,
+                   s1: int, s2: int) -> Tuple[F4Vector, F4Vector]:
+    """Two distinct bursts of length <= l, on [s1, s1+l) and [s2, s2+l),
+    whose sum is in dual(C) \\ C: the null vector outside C that the
+    union's elimination found, each column tracked by one low bit."""
+    positions = [*range(s1, s1 + l), *range(max(s2, s1 + l), s2 + l)]
+    cols = [2 * p + z for p in positions for z in (0, 1)]
+    m = len(cols)
+    failure, _ = _insert({}, [(columns[c] << m) | (1 << j) for j, c in enumerate(cols)],
+                         m, 2 * code.k)
+    assert failure is not None, "the union holds no logical operator"
+    parts = [0, 0]
+    for j, c in enumerate(cols):
+        if (failure >> j) & 1:
+            parts[j >= 2 * l] |= (1 + (c & 1)) << (2 * (c >> 1))
+    return F4Vector(code.n, parts[0]), F4Vector(code.n, parts[1])
 
 
 # ----------------------------------------------------------------------
@@ -236,21 +225,28 @@ def _check_level_oracle(code: StabilizerCode, l: int):
     return True, degenerate, None, pairs
 
 
-def quantum_burst_capability(code: StabilizerCode, method: str = "syndrome-hash") -> BurstAnalysis:
+def quantum_burst_capability(code: StabilizerCode, method: str = "window-rank") -> BurstAnalysis:
     """Largest correctable burst length, degeneracy flag, and witness.
 
     Candidates descend from the (n-k)/4 ceiling; the first passing level is
     the capability, and the witness (if any) certifies failure one above it.
     """
-    check = {"syndrome-hash": _check_level_hash, "oracle": _check_level_oracle}[method]
+    if method == "window-rank":
+        check = functools.partial(_check_level_rank, code, _label_columns(code))
+    elif method == "oracle":
+        check = functools.partial(_check_level_oracle, code)
+    else:
+        raise KeyError(method)
     n, k = code.n, code.k
     ceiling = qrb(n, k)
     witness = None
     total_pairs = 0
     for cand in range(ceiling, -1, -1):
-        ok, degenerate, wit, pairs = check(code, cand)
+        ok, degenerate, wit, pairs = check(cand)
         total_pairs += pairs
         if ok:
+            if callable(witness):
+                witness = witness()
             analysis = BurstAnalysis(n, k, cand, degenerate, witness, total_pairs, method)
             assert check_qrb(analysis)
             assert k < 1 or no_cloning_check(n, analysis.l)
@@ -261,36 +257,18 @@ def quantum_burst_capability(code: StabilizerCode, method: str = "syndrome-hash"
 
 def located_burst_check(code: StabilizerCode, start: int, span: int) -> bool:
     """True iff every pair of errors supported on [start, start+span) has a
-    sum outside dual(C) \\ C.
-
-    The sums of such pairs are exactly the vectors supported on the window,
-    so this reduces to: the window-supported subspace of dual(C) lies in C.
-    """
+    sum outside dual(C) \\ C: the one-window case of the level check, as the
+    sums of such pairs are exactly the vectors supported on the window."""
     n = code.n
     if span < 0 or start < 0 or start + span > n:
         raise ValueError(f"window [{start}, {start + span}) outside length {n}")
-    if span == 0:
-        return True
-    constraints = []
-    for sw in code._swapped:
-        row = 0
-        for t in range(span):
-            pos = start + t
-            row |= ((sw >> pos) & 1) << (2 * t)            # a variable
-            row |= ((sw >> (n + pos)) & 1) << (2 * t + 1)  # b variable
-        constraints.append(row)
-    for sol in gf2_nullspace(constraints, 2 * span):
-        a = b = 0
-        for t in range(span):
-            a |= ((sol >> (2 * t)) & 1) << (start + t)
-            b |= ((sol >> (2 * t + 1)) & 1) << (start + t)
-        if not code.contains(a | (b << n)):
-            return False
-    return True
+    window = _label_columns(code)[2 * start:2 * (start + span)]
+    failure, _ = _insert({}, window, 0, 2 * code.k)
+    return failure is None
 
 
 __all__ = [
     "BurstAnalysis", "qrb", "check_qrb", "no_cloning_check",
     "burst_count", "enumerate_bursts", "quantum_burst_capability",
-    "located_burst_check", "MAX_BURSTS_PER_LEVEL",
+    "located_burst_check",
 ]

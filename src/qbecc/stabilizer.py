@@ -150,11 +150,6 @@ def _contribution_words(vectors: Sequence[int], n: int) -> np.ndarray:
     return table
 
 
-def _sweight_packed(packed: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return ((packed & mask) | (packed >> n)).bit_count()
-
-
 class StabilizerCode:
     """Self-orthogonal GF(2)-linear code C in symplectic representation.
 
@@ -227,37 +222,51 @@ class StabilizerCode:
     def min_distance(self, limit: int = 1 << 28, include_stabilizer: bool = False) -> int:
         """Minimum symplectic weight over the dual, excluding stabilizer
         elements unless include_stabilizer (then only the zero vector is
-        excluded)."""
+        excluded).
+
+        dual_basis() lists the r stabilizer rows first, so an element lies
+        in the stabilizer iff its coefficients on the 2k logical rows are
+        all zero.  The span of the first rows is built once as an array and
+        offset by the span of the others, a block of offsets at a time.
+        """
         dual = self.dual_basis()
-        dim = len(dual)
-        if 1 << dim > limit:
-            raise ResourceLimitError(
-                f"dual enumeration needs 2^{dim} = {1 << dim} elements, limit {limit}")
-        skip_membership = None
-        if not include_stabilizer:
-            if self.r <= 22:
-                skip_membership = set()
-                v = 0
-                skip_membership.add(0)
-                for i in range(1, 1 << self.r):
-                    v ^= self.basis[(i & -i).bit_length() - 1]
-                    skip_membership.add(v)
-        best = 2 * self.n
-        v = 0
-        n = self.n
-        for i in range(1, 1 << dim):
-            v ^= dual[(i & -i).bit_length() - 1]
-            w = _sweight_packed(v, n)
-            if w >= best:
-                continue
-            if not include_stabilizer:
-                if skip_membership is not None:
-                    if v in skip_membership:
-                        continue
-                elif self.contains(v):
-                    continue
-            best = w
+        dim, n, r = len(dual), self.n, self.r
+        if 1 << dim > limit or 2 * n > 64:
+            raise ResourceLimitError(f"dual enumeration needs 2^{dim} = {1 << dim} "
+                                     f"elements of {2 * n} bits, limit {limit} of 64 bits")
+        low = min(dim, _SPAN_BITS)
+        block = _xor_span(dual[:low])
+        offsets = _xor_span(dual[low:])
+        # logical coefficients nonzero, from the index bits of each span
+        block_logical = (np.arange(block.size) >> min(r, low)) != 0
+        offset_logical = (np.arange(offsets.size) >> max(0, r - low)) != 0
+        mask = np.uint64((1 << n) - 1)
+        best = 2 * n
+        step = max(1, _SPAN_ELEMENTS // block.size)
+        for lo in range(0, offsets.size, step):
+            elems = offsets[lo:lo + step, None] ^ block[None, :]
+            if include_stabilizer:
+                keep = elems != 0
+            else:
+                keep = offset_logical[lo:lo + step, None] | block_logical[None, :]
+            if keep.any():
+                weights = np.bitwise_count((elems & mask) | (elems >> np.uint64(n)))
+                best = min(best, int(weights[keep].min()))
         return best
+
+
+# min_distance's spans have at most 2^_SPAN_BITS elements; it scores
+# _SPAN_ELEMENTS elements at a time
+_SPAN_BITS, _SPAN_ELEMENTS = 16, 1 << 20
+
+
+def _xor_span(vectors: Sequence[int]) -> np.ndarray:
+    """uint64 array of all 2^len(vectors) XOR combinations; bit j of the
+    index selects vectors[j]."""
+    span = np.zeros(1, dtype=np.uint64)
+    for v in vectors:
+        span = np.concatenate((span, span ^ np.uint64(v)))
+    return span
 
 
 def _swap_halves(packed: int, n: int) -> int:

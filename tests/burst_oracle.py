@@ -1,0 +1,113 @@
+"""The syndrome-hash level check that the window-rank engine replaced,
+kept as a reference: it enumerates every burst of length <= l, sorts their
+uint64 syndromes and tells the colliding bursts apart by their logical
+label bits.  Its results are pinned in data/burst_pins.json."""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+
+from qbecc.burst import _burst_vector, _window_lengths, burst_count
+from qbecc.stabilizer import F4Vector, ResourceLimitError, StabilizerCode
+
+MAX_BURSTS_PER_LEVEL = 1 << 27
+
+
+def level_syndromes(n: int, l: int, syn: np.ndarray) -> np.ndarray:
+    """Syndromes of every burst of length <= l, index 0 the zero vector,
+    then the enumerate_bursts order; syn is the uint64 [position, symbol]
+    table of single-coordinate syndromes."""
+    windows = _window_lengths(n, l) if l > 0 else []
+    out = np.zeros(1 + sum(3 * 4 ** (w - 1) for _, w in windows), dtype=np.uint64)
+    base = 1
+    for s, w in windows:
+        arr = syn[s, 1:4]
+        for t in range(1, w):
+            arr = (arr[:, None] ^ syn[s + t][None, :]).reshape(-1)
+        out[base:base + arr.size] = arr
+        base += arr.size
+    return out
+
+
+def _index_to_vector(n: int, l: int, idx: int) -> Tuple[int, Tuple[int, int]]:
+    if idx == 0:
+        return 0, (0, 0)
+    base = 1
+    for s, w in _window_lengths(n, l):
+        cnt = 3 * 4 ** (w - 1)
+        if idx < base + cnt:
+            return _burst_vector(s, w, idx - base)
+        base += cnt
+    raise IndexError(idx)
+
+
+def _burst_labels(n: int, l: int, logical: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Logical label words [len(idx), words] of the bursts at the given
+    level-l enumeration indices: the vectorized form of _index_to_vector."""
+    windows = _window_lengths(n, l)
+    starts = np.array([s for s, _ in windows], dtype=np.int64)
+    widths = np.array([w for _, w in windows], dtype=np.int64)
+    bases = np.cumsum(np.concatenate(([1], 3 * 4 ** (widths[:-1] - 1))))
+    win = np.maximum(np.searchsorted(bases, idx, side="right") - 1, 0)
+    start, width, c = starts[win], widths[win], idx - bases[win]
+    labels = np.zeros((idx.size, logical.shape[2]), dtype=np.uint64)
+    for t in range(l):
+        inside = (idx > 0) & (t < width)
+        digit = c >> np.where(inside, 2 * (width - 1 - t), 0)
+        digit = digit + 1 if t == 0 else digit & 3
+        labels ^= logical[np.minimum(start + t, n - 1), np.where(inside, digit, 0)]
+    return labels
+
+
+def _colliding(syns: np.ndarray, dup_vals: np.ndarray) -> np.ndarray:
+    """Ascending indices of the syndromes found in the sorted dup_vals, in
+    blocks so the temporaries stay small next to syns."""
+    block = 1 << 20
+    hits = []
+    for lo in range(0, syns.size, block):
+        part = syns[lo:lo + block]
+        pos = np.searchsorted(dup_vals, part)
+        np.minimum(pos, dup_vals.size - 1, out=pos)
+        hits.append(np.flatnonzero(dup_vals[pos] == part) + lo)
+    return np.concatenate(hits)
+
+
+def check_level_hash(code: StabilizerCode, l: int):
+    n = code.n
+    if l == 0:
+        return True, False, None, 0
+    total = burst_count(n, l)
+    if total > MAX_BURSTS_PER_LEVEL:
+        raise ResourceLimitError(
+            f"level {l} needs {total} bursts, limit {MAX_BURSTS_PER_LEVEL}")
+    tab = code.label_table()
+    if tab.syndrome.shape[2] > 1:
+        raise ResourceLimitError(f"{code.r} syndrome bits exceed one 64-bit word")
+    syns = level_syndromes(n, l, tab.syndrome[:, :, 0])
+    s_sorted = np.sort(syns)
+    dup_mask = s_sorted[1:] == s_sorted[:-1]
+    if not dup_mask.any():
+        return True, False, None, 0
+    dup_vals = np.unique(s_sorted[1:][dup_mask])
+    del s_sorted, dup_mask
+    # colliding bursts grouped by ascending syndrome, each group in
+    # enumeration order; the first member of a group stands for the group
+    hit = _colliding(syns, dup_vals)
+    hit = hit[np.argsort(syns[hit], kind="stable")]
+    hs = syns[hit]
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = hs[1:] != hs[:-1]
+    rep = np.flatnonzero(first)[np.cumsum(first) - 1]
+    labels = _burst_labels(n, l, tab.logical, hit)
+    # same syndrome: the sum lies in dual(C), and in C iff the labels agree
+    harmful = np.flatnonzero((labels != labels[rep]).any(axis=1))
+    if harmful.size == 0:
+        pairs = int(hit.size - first.sum())
+        return True, pairs > 0, None, pairs
+    f = int(harmful[0])
+    pairs = f + 1 - int(first[:f + 1].sum())
+    rep_f4, _ = _index_to_vector(n, l, int(hit[rep[f]]))
+    f4, _ = _index_to_vector(n, l, int(hit[f]))
+    return False, pairs > 1, (F4Vector(n, rep_f4), F4Vector(n, f4)), pairs

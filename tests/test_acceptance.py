@@ -50,7 +50,7 @@ def random_code_analyses():
     while len(out) < 200:
         n = rng.randrange(2, 9)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, min(n + 1, 8)))
-        fast = quantum_burst_capability(code, method="syndrome-hash")
+        fast = quantum_burst_capability(code, method="window-rank")
         slow = quantum_burst_capability(code, method="oracle")
         out.append((code, fast, slow))
     return out
@@ -147,7 +147,7 @@ def test_criterion_4_oracle_equivalence(random_code_analyses):
     assert len(random_code_analyses) >= 200
     for code, fast, slow in random_code_analyses:
         assert (fast.l, fast.degenerate) == (slow.l, slow.degenerate), code.params
-    print(f"\nACCEPTANCE 4 (oracle equivalence): PASS - syndrome-hash == "
+    print(f"\nACCEPTANCE 4 (oracle equivalence): PASS - window-rank == "
           f"all-pairs oracle on (l, degenerate) for {len(random_code_analyses)} "
           f"random self-orthogonal codes with n <= 8")
 

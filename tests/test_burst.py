@@ -2,18 +2,20 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_self_orthogonal_code
 from qbecc.burst import (burst_count, check_qrb, enumerate_bursts,
                          located_burst_check, no_cloning_check, qrb,
                          quantum_burst_capability)
-from qbecc.burst import _check_level_hash, _check_level_oracle, _level_syndromes
+from qbecc.burst import _check_level_oracle, _check_level_rank, _label_columns
+from burst_oracle import check_level_hash, level_syndromes
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF2, GF4, Poly
 from qbecc.linalg import gf2_nullspace
 from qbecc.registry import load_registry
-from qbecc.search import build_registry_code
+from qbecc.search import build_code, build_registry_code
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
                               additive_code, burst_length, css_construct,
                               f4_symplectic_map, hermitian_construct)
@@ -28,6 +30,10 @@ FIVE_QUBIT = additive_code(5, [
 def _build_13_1() -> StabilizerCode:
     from qbecc.stabilizer import hermitian_construct
     return hermitian_construct(cyclic_from_poly(Poly(GF4, (1, W, 0, 3, 0, W, 1)), 13).base)
+
+
+def _rank_check(code, l):
+    return _check_level_rank(code, _label_columns(code), l)
 
 
 def test_qrb_examples():
@@ -72,14 +78,14 @@ def test_numpy_syndromes_match_iterator_order():
         n = rng.randrange(2, 8)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
         l = rng.randrange(0, n + 1)
-        syns = _level_syndromes(n, l, code.label_table().syndrome[:, :, 0])
+        syns = level_syndromes(n, l, code.label_table().syndrome[:, :, 0])
         expected = [code.syndrome(f4_symplectic_map(v).packed)
                     for v in enumerate_bursts(n, l)]
         assert expected == syns.tolist()
 
 
 def test_five_qubit_capability():
-    for method in ("syndrome-hash", "oracle"):
+    for method in ("window-rank", "oracle"):
         analysis = quantum_burst_capability(FIVE_QUBIT, method=method)
         assert analysis.l == 1
         assert not analysis.degenerate
@@ -116,7 +122,7 @@ def test_oracle_equivalence_random_codes():
     for _ in range(60):
         n = rng.randrange(2, 9)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, min(n + 1, 8)))
-        fast = quantum_burst_capability(code, method="syndrome-hash")
+        fast = quantum_burst_capability(code, method="window-rank")
         slow = quantum_burst_capability(code, method="oracle")
         assert (fast.l, fast.degenerate) == (slow.l, slow.degenerate)
         agree += 1
@@ -129,9 +135,13 @@ def test_monotonicity_of_levels():
         n = rng.randrange(3, 8)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
         analysis = quantum_burst_capability(code)
-        for l in range(analysis.l + 1):
-            ok, _, _, _ = _check_level_hash(code, l)
-            assert ok
+        passing = [_rank_check(code, l)[0] for l in range(n + 1)]
+        # every level up to the capability passes, and once a level fails
+        # every longer one does
+        assert all(passing[:analysis.l + 1])
+        assert passing == sorted(passing, reverse=True)
+        if analysis.l < qrb(code.n, code.k):
+            assert not passing[analysis.l + 1]
 
 
 def test_bounds_always_hold_on_random_codes():
@@ -194,7 +204,7 @@ def test_located_burst_13_1_double_span_windows():
 
 
 # ----------------------------------------------------------------------
-# Vectorized level check against the slow paths
+# Level checks against the slow paths
 # ----------------------------------------------------------------------
 
 def _random_css_code(rng, n, rx, rz, short):
@@ -223,17 +233,20 @@ def _assert_valid_witness(code, l, witness):
     assert code.in_dual(u) and not code.contains(u)
 
 
-def _compare_with_oracle(code, l):
-    ok, degenerate, witness, pairs = _check_level_hash(code, l)
+def _compare_with_oracle(code, l, checks=(_rank_check, check_level_hash)):
+    """Level checks (by default window-rank and syndrome-hash) against the
+    all-pairs oracle."""
     slow_ok, slow_degenerate, _, _ = _check_level_oracle(code, l)
-    assert ok == slow_ok
-    if ok:
-        # with no failure both engines have seen every collision
-        assert degenerate == slow_degenerate
-        assert witness is None
-    else:
-        _assert_valid_witness(code, l, witness)
-        assert pairs >= 1
+    for check in checks:
+        ok, degenerate, witness, pairs = check(code, l)
+        assert ok == slow_ok
+        if ok:
+            # with no failure every engine has seen every collision
+            assert degenerate == slow_degenerate
+            assert witness is None
+        else:
+            _assert_valid_witness(code, l, witness() if callable(witness) else witness)
+            assert pairs >= 1
 
 
 def test_level_check_matches_oracle_small_codes():
@@ -247,6 +260,79 @@ def test_level_check_matches_oracle_small_codes():
             _compare_with_oracle(code, l)
 
 
+def _two_window_cover(n):
+    """Per support mask on n positions, the least l such that two windows
+    of length l cover it (0 for the empty mask)."""
+    cover = []
+    for mask in range(1 << n):
+        pos = [i for i in range(n) if (mask >> i) & 1]
+        spans = [max(pos[j - 1] - pos[0] + 1 if j else 0,
+                     pos[-1] - pos[j] + 1 if j < len(pos) else 0)
+                 for j in range(len(pos) + 1)]
+        cover.append(min(spans))
+    return np.array(cover)
+
+
+def _dual_oracle(code, cover):
+    """(ok, degenerate) of every level 0..n from the elements of the dual:
+    a level fails iff some element outside C fits in two of its windows,
+    and is degenerate iff some nonzero element of C does."""
+    n, r = code.n, code.r
+    elems = np.zeros(1, dtype=np.int64)
+    for v in code.dual_basis():
+        elems = np.concatenate((elems, elems ^ v))
+    fits = cover[(elems & ((1 << n) - 1)) | (elems >> n)]
+    index = np.arange(elems.size)
+    logical = fits[index >> r != 0]
+    stabilizer = fits[(index >> r == 0) & (index != 0)]
+    return [(not (logical <= l).any(), bool((stabilizer <= l).any()))
+            for l in range(n + 1)]
+
+
+def _union_count(n, l):
+    """Window unions ranked by a passing level: pairs s1 <= n-2l, s2 in
+    [s1+l, n-l], or the whole code once the windows must overlap."""
+    if l == 0:
+        return 0
+    if 2 * l > n:
+        return 1
+    return (n - 2 * l + 1) * (n - 2 * l + 2) // 2
+
+
+def test_rank_check_matches_dual_oracle_every_level():
+    # every level 0..n, so also l > n/2 where the two windows overlap; the
+    # all-pairs oracle joins in wherever its pair count stays small
+    rng = random.Random(515)
+    covers = {n: _two_window_cover(n) for n in range(2, 10)}
+    checked = overlapping = 0
+    for _ in range(220):
+        n = rng.randrange(2, 10)
+        code = random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+        expected = _dual_oracle(code, covers[n])
+        for l in range(n + 1):
+            ok, degenerate, witness, unions = _rank_check(code, l)
+            assert ok == expected[l][0], (n, l)
+            if ok:
+                assert degenerate == expected[l][1], (n, l)
+                assert unions == _union_count(n, l)
+            else:
+                _assert_valid_witness(code, l, witness())
+            if burst_count(n, l) <= 300:
+                _compare_with_oracle(code, l)
+            checked += 1
+            overlapping += 2 * l > n
+    assert checked >= 1000 and overlapping >= 400
+
+
+def test_checked_pairs_closed_form_41_1():
+    # 41_1 saturates its ceiling, so the walk ranks one level, which passes
+    code = build_registry_code({e.id: e for e in load_registry()}["41_1"])
+    analysis = quantum_burst_capability(code)
+    assert (analysis.l, analysis.degenerate, analysis.witness) == (10, True, None)
+    assert analysis.checked_pairs == _union_count(41, 10) == 253
+    assert analysis.method == "window-rank"
+
+
 def test_level_check_matches_oracle_multiword_labels():
     # 2k > 64: the logical label bits span two or more uint64 words
     rng = random.Random(7070)
@@ -256,10 +342,15 @@ def test_level_check_matches_oracle_multiword_labels():
             code = _random_css_code(rng, n, rx, rz, short)
             assert 2 * code.k > 64
             _compare_with_oracle(code, 1)
-            ok, degenerate, _, _ = _check_level_hash(code, 1)
+            ok, degenerate, _, _ = check_level_hash(code, 1)
             seen_ok += ok
             seen_degenerate += degenerate
             seen_fail += not ok
+            fast = quantum_burst_capability(code)
+            for l in range(fast.l + 2):
+                hash_ok, hash_degenerate, _, _ = check_level_hash(code, l)
+                rank_ok, rank_degenerate, _, _ = _rank_check(code, l)
+                assert rank_ok == hash_ok and (not rank_ok or rank_degenerate == hash_degenerate)
     assert seen_ok and seen_degenerate and seen_fail
 
 
@@ -268,13 +359,30 @@ def test_level_check_refuses_wide_syndromes():
     code = _random_css_code(rng, 80, 33, 33, False)
     assert code.r > 64
     with pytest.raises(ResourceLimitError):
-        _check_level_hash(code, 1)
+        check_level_hash(code, 1)
 
 
-# Recorded with the per-pair collision walk that the vectorized check
-# replaced: (l, degenerate, checked_pairs, witness) for every search code
-# of odd length 3..21, every registry row with n < 41, and every level up
-# to 60000 bursts of 43 random codes (13 of them with 2k > 64).
+def test_wide_syndromes_analyzed():
+    # the code the syndrome-hash check refuses above, now analyzed
+    rng = random.Random(65)
+    code = _random_css_code(rng, 80, 33, 33, False)
+    analysis = quantum_burst_capability(code)
+    assert (code.r, analysis.l, analysis.degenerate) == (66, 12, False)
+    _compare_with_oracle(code, 1, checks=(_rank_check,))
+    _assert_valid_witness(code, 13, analysis.witness)
+    # a saturating [[71,1]] CSS code from the binary quadratic-residue code
+    qr = "1^35 1^34 1^31 1^30 1^28 1^27 1^22 1^18 1^11 1^10 1^9 1^8 1^7 1^2 1^0"
+    code = build_code("css", 71, (qr, qr))
+    analysis = quantum_burst_capability(code)
+    assert (code.r, analysis.l, analysis.degenerate, analysis.witness) == (70, 17, False, None)
+
+
+# Recorded with the per-pair collision walk of the syndrome-hash engine:
+# (l, degenerate, checked_pairs, witness) for every search code of odd
+# length 3..21, every registry row with n < 41, and every level up to
+# 60000 bursts of 43 random codes (13 of them with 2k > 64).  The
+# window-rank engine must agree on (l, degenerate) and give a valid
+# witness; its checked_pairs count window unions instead.
 PINS = json.loads((Path(__file__).parent / "data" / "burst_pins.json").read_text())
 
 
@@ -290,9 +398,13 @@ def _witness_ints(witness):
     return None if witness is None else [witness[0].packed, witness[1].packed]
 
 
-def _summary(analysis):
-    return [analysis.l, analysis.degenerate, analysis.checked_pairs,
-            _witness_ints(analysis.witness)]
+def _assert_matches_pin(code, want, at):
+    l, degenerate, _, witness = want
+    analysis = quantum_burst_capability(code)
+    assert (analysis.l, analysis.degenerate) == (l, degenerate), at
+    assert (analysis.witness is None) == (witness is None), at
+    if witness is not None:
+        _assert_valid_witness(code, l + 1, analysis.witness)
 
 
 def test_pinned_search_codes():
@@ -303,15 +415,14 @@ def test_pinned_search_codes():
         else:
             code = css_construct(cyclic_from_poly(_poly(g1, GF2), n).base,
                                  cyclic_from_poly(_poly(g2, GF2), n).base)
-        assert _summary(quantum_burst_capability(code)) == want, (n, g1, g2)
+        _assert_matches_pin(code, want, (n, g1, g2))
 
 
 def test_pinned_registry_rows():
     entries = {e.id: e for e in load_registry()}
     assert len(PINS["registry"]) == 14
     for entry_id, *want in PINS["registry"]:
-        code = build_registry_code(entries[entry_id])
-        assert _summary(quantum_burst_capability(code)) == want, entry_id
+        _assert_matches_pin(build_registry_code(entries[entry_id]), want, entry_id)
 
 
 def test_pinned_random_levels():
@@ -319,5 +430,7 @@ def test_pinned_random_levels():
         code = StabilizerCode(case["n"], [int(row, 16) for row in case["rows"]])
         assert code.k == case["k"]
         for l, *want in case["levels"]:
-            ok, degenerate, witness, pairs = _check_level_hash(code, l)
+            ok, degenerate, witness, pairs = check_level_hash(code, l)
             assert [ok, degenerate, pairs, _witness_ints(witness)] == want, (case["n"], l)
+            rank_ok, rank_degenerate, _, _ = _rank_check(code, l)
+            assert rank_ok == ok and (not ok or rank_degenerate == degenerate), (case["n"], l)

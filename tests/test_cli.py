@@ -29,6 +29,16 @@ def test_analyze_css_21_9(capsys):
     assert "distance" not in payload
 
 
+def test_analyze_wide_syndrome(capsys):
+    # r = 70 > 64 syndrome bits: the analyzer exited 3 on this code before
+    qr = "1^35 1^34 1^31 1^30 1^28 1^27 1^22 1^18 1^11 1^10 1^9 1^8 1^7 1^2 1^0"
+    code, out = run_cli(capsys, "analyze", "--n", "71", "--construction", "css",
+                        "--poly", qr, "--poly2", qr)
+    assert code == 0
+    assert json.loads(out) == {"n": 71, "k": 1, "l": 17, "qrb": 17,
+                               "saturates": True, "degenerate": False}
+
+
 def test_analyze_malformed_poly(capsys):
     code, out = run_cli(capsys, "analyze", "--n", "15", "--poly", "1^6 1^6")
     assert code == 2

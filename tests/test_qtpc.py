@@ -3,11 +3,13 @@ import json
 
 import pytest
 
+from qbecc.burst import quantum_burst_capability
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.gf import GF4, Poly, ext_field_build
 from qbecc.linalg import mat_rank
 from qbecc.qtpc import (InterleaverMap, deinterleave, dispersal_report,
                         interleave, qtpc_construct, tensor_check_matrix)
+from qbecc.stabilizer import burst_length, f4_symplectic_map
 
 W = 2
 
@@ -64,6 +66,18 @@ def test_qtpc_example_params():
     assert spec.params == (90, 42)
     assert stab.params == (90, 42)
     assert spec.rho1 == 6 and spec.rho2 == 4
+
+
+def test_qtpc_example_burst_capability():
+    # the burst analyzer refused this code before (9.98e8 bursts at l = 12)
+    stab, _ = qtpc_construct(C1, rs_mds(6, 2, ext_field_build(6)))
+    analysis = quantum_burst_capability(stab)
+    assert (analysis.l, analysis.degenerate) == (3, False)
+    e1, e2 = analysis.witness
+    assert e1 != e2
+    assert burst_length(e1) <= 4 and burst_length(e2) <= 4
+    u = f4_symplectic_map(e1 + e2).packed
+    assert stab.in_dual(u) and not stab.contains(u)
 
 
 def test_qtpc_family_formula():

@@ -114,6 +114,21 @@ def test_search_records_revalidate():
             (record.k, record.l, record.degenerate)
 
 
+@pytest.mark.parametrize("n", [25, 29, 35, 41])
+def test_search_contains_registry_rows(n):
+    # cross-checks the search against the registry, not just a rebuild
+    rows = [e for e in load_registry() if e.n == n]
+    assert rows
+    outcome = search(SearchPlan((n,), tuple({e.construction for e in rows})))
+    assert outcome.complete
+    found = {(r.construction, r.genpoly1, r.genpoly2): (r.k, r.l, r.degenerate)
+             for r in outcome.records}
+    for entry in rows:
+        g1, g2 = (*entry.genpolys, "")[:2]
+        assert found[(entry.construction, g1, g2)] == \
+            (entry.k, entry.l, entry.degenerate), entry.id
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         SearchPlan((7,), ("hermitian",), max_seconds=0)

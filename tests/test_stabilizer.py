@@ -218,6 +218,74 @@ def test_min_distance_limit():
         code.min_distance(limit=4)
 
 
+def min_distance_walk(code, include_stabilizer=False):
+    """The Gray-code walk over all 2^(n+k) dual elements that min_distance
+    replaced, kept as its reference."""
+    dual = code.dual_basis()
+    skip_membership = None
+    if not include_stabilizer:
+        if code.r <= 22:
+            skip_membership = set()
+            v = 0
+            skip_membership.add(0)
+            for i in range(1, 1 << code.r):
+                v ^= code.basis[(i & -i).bit_length() - 1]
+                skip_membership.add(v)
+    n = code.n
+    best = 2 * n
+    v = 0
+    for i in range(1, 1 << len(dual)):
+        v ^= dual[(i & -i).bit_length() - 1]
+        w = ((v & ((1 << n) - 1)) | (v >> n)).bit_count()
+        if w >= best:
+            continue
+        if not include_stabilizer:
+            if skip_membership is not None:
+                if v in skip_membership:
+                    continue
+            elif code.contains(v):
+                continue
+        best = w
+    return best
+
+
+def test_min_distance_matches_walk_on_registry_rows():
+    from qbecc.registry import load_registry
+    from qbecc.search import build_registry_code
+    checked = 0
+    for entry in load_registry():
+        if entry.n + entry.k > 18:
+            continue
+        code = build_registry_code(entry)
+        for include in (False, True):
+            assert code.min_distance(include_stabilizer=include) == \
+                min_distance_walk(code, include), (entry.id, include)
+        checked += 1
+    assert checked == 4
+
+
+@pytest.mark.parametrize("span_bits, span_elements", [(16, 1 << 20), (3, 16)])
+def test_min_distance_matches_walk_on_random_codes(monkeypatch, span_bits, span_elements):
+    # small span sizes force the blocked path: stabilizer rows among the
+    # offsets and several blocks of offsets
+    import qbecc.stabilizer as stabilizer
+    monkeypatch.setattr(stabilizer, "_SPAN_BITS", span_bits)
+    monkeypatch.setattr(stabilizer, "_SPAN_ELEMENTS", span_elements)
+    rng = random.Random(span_bits)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        code = random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+        for include in (False, True):
+            assert code.min_distance(include_stabilizer=include) == \
+                min_distance_walk(code, include), (n, code.r, include)
+
+
+def test_min_distance_refuses_wide_elements():
+    code = random_self_orthogonal_code(random.Random(33), 33, 33)
+    with pytest.raises(ResourceLimitError):
+        code.min_distance(limit=1 << 40)
+
+
 def test_dual_basis_shape_and_orthogonality():
     code = five_qubit_code()
     dual = code.dual_basis()
