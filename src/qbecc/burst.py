@@ -1,4 +1,5 @@
-"""Quantum burst-error capability analysis and the bound predicates.
+"""Burst-error capability of quantum and classical codes, and the bound
+predicates.
 
 The capability of a stabilizer code is the largest l such that any two
 distinct error vectors of burst length <= l have a sum outside
@@ -11,19 +12,18 @@ argument).  So a level fails iff some union supports an element of
 dual(C) \\ C, and is degenerate iff some union supports a nonzero element
 of C.  The engine decides both by GF(2) elimination of the union's label
 columns (syndrome bits above logical bits; the label map is injective
-modulo C), so no burst is enumerated.  A naive all-pairs oracle is kept
-alongside for cross-validation at small sizes.
+modulo C), so no burst is enumerated.  A classical code is the case with
+no stabilizer: its level holds iff no nonzero codeword lies on a union.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .stabilizer import F4Vector, ResourceLimitError, StabilizerCode
+from .classical import LinearCode
+from .stabilizer import F4Vector, StabilizerCode
 
 
 def qrb(n: int, k: int) -> int:
@@ -46,7 +46,6 @@ class BurstAnalysis:
     degenerate: bool
     witness: Optional[Tuple[F4Vector, F4Vector]]
     checked_pairs: int
-    method: str
 
     @property
     def saturates(self) -> bool:
@@ -57,50 +56,12 @@ def check_qrb(analysis: BurstAnalysis) -> bool:
     return analysis.l <= qrb(analysis.n, analysis.k)
 
 
-# ----------------------------------------------------------------------
-# Burst enumeration
-# ----------------------------------------------------------------------
-
-def _window_lengths(n: int, l: int) -> List[Tuple[int, int]]:
-    return [(s, min(l, n - s)) for s in range(n)]
-
-
 def burst_count(n: int, l: int) -> int:
-    """Number of vectors enumerate_bursts(n, l) yields (zero included)."""
+    """Number of vectors of burst length <= l on n positions, zero included:
+    per start s, 3 * 4^(w-1) bursts whose window [s, s+w) has w = min(l, n-s)."""
     if l == 0:
         return 1
-    return 1 + sum(3 * 4 ** (w - 1) for _, w in _window_lengths(n, l))
-
-
-def _burst_vector(s: int, w: int, c: int) -> Tuple[int, int]:
-    """(packed_f4, packed_ab) of the burst with window start s and content
-    index c; the first symbol is c // 4^(w-1) + 1, remaining digits base 4
-    big-endian."""
-    first = (c >> (2 * (w - 1))) + 1
-    f4 = first << (2 * s)
-    a = (first & 1) << s
-    b = (first >> 1) << s
-    for t in range(1, w):
-        d = (c >> (2 * (w - 1 - t))) & 3
-        pos = s + t
-        f4 |= d << (2 * pos)
-        a |= (d & 1) << pos
-        b |= (d >> 1) << pos
-    return f4, (a, b)
-
-
-def enumerate_bursts(n: int, l: int) -> Iterator[F4Vector]:
-    """Yield the zero vector, then every vector of burst length in [1, l]
-    exactly once, keyed by its first nonzero coordinate."""
-    if not 0 <= l <= n:
-        raise ValueError(f"burst bound {l} outside [0, {n}]")
-    yield F4Vector(n, 0)
-    if l == 0:
-        return
-    for s, w in _window_lengths(n, l):
-        for c in range(3 * 4 ** (w - 1)):
-            f4, _ = _burst_vector(s, w, c)
-            yield F4Vector(n, f4)
+    return 1 + sum(3 * 4 ** (min(l, n - s) - 1) for s in range(n))
 
 
 # ----------------------------------------------------------------------
@@ -110,12 +71,8 @@ def enumerate_bursts(n: int, l: int) -> Iterator[F4Vector]:
 def _label_columns(code: StabilizerCode) -> List[int]:
     """Label of X (column 2i) and Z (column 2i+1) at each position i: the
     r syndrome bits high, the 2k logical bits low, from the label table."""
-    tab = code.label_table()
-
-    def as_int(words: np.ndarray) -> int:
-        return int.from_bytes(words.tobytes(), "little")
-
-    return [(as_int(tab.syndrome[i, c]) << 2 * code.k) | as_int(tab.logical[i, c])
+    syndrome, logical = code.label_table().ints()
+    return [(syndrome[i][c] << 2 * code.k) | logical[i][c]
             for i in range(code.n) for c in (1, 2)]
 
 
@@ -143,14 +100,42 @@ def _insert(basis: Dict[int, int], columns: Iterable[int], shift: int,
     return None, dependent
 
 
-def _window_pairs(n: int, l: int) -> List[Tuple[int, range]]:
+def _window_pairs(n: int, l: int, end_around: bool = False) -> List[Tuple[int, range]]:
     """Each s1 with its s2 range: the pairs of windows [s1, s1+l), [s2, s2+l)
     whose unions contain every union of two length-l windows.  An
     overlapping pair spans an interval that lies in the union of [s1, s1+l)
-    and [s1+l, s1+2l), or in [n-2l, n) near the end."""
+    and [s1+l, s1+2l), or in [n-2l, n) near the end.  With end_around the
+    windows are cyclic (positions mod n, 2l <= n): s2 - s1 runs over
+    [l, n/2], as a pair at distance d > n/2 is the pair from s2 at n - d."""
+    if end_around:
+        return [(s1, range(s1 + l, s1 + n // 2 + 1)) for s1 in range(n)]
     if 2 * l > n:
         return [(0, range(n - l, n - l + 1))]
     return [(s1, range(s1 + l, n - l + 1)) for s1 in range(n - 2 * l + 1)]
+
+
+def _rank_unions(columns: Sequence[int], width: int, l: int, logical_bits: int,
+                 pairs: List[Tuple[int, range]]):
+    """Eliminate every union of the window pairs, width columns per
+    position (columns[width*p:width*(p+1)] belong to position p).  Returns
+    (failure, (s1, s2), degenerate, unions ranked): failure as _insert
+    reports it for the first union that has one, or None; degenerate if
+    some column of a ranked union reduced to a zero label."""
+    degenerate = False
+    unions = 0
+    for s1, s2_range in pairs:
+        w1: Dict[int, int] = {}
+        failure, dependent = _insert(w1, columns[width * s1:width * (s1 + l)], 0, logical_bits)
+        degenerate |= dependent
+        for s2 in s2_range:
+            unions += 1
+            if failure is None:
+                rest = columns[width * max(s2, s1 + l):width * (s2 + l)]
+                failure, dependent = _insert(dict(w1), rest, 0, logical_bits)
+                degenerate |= dependent
+            if failure is not None:
+                return failure, (s1, s2), degenerate, unions
+    return None, None, degenerate, unions
 
 
 def _check_level_rank(code: StabilizerCode, columns: List[int], l: int):
@@ -159,95 +144,46 @@ def _check_level_rank(code: StabilizerCode, columns: List[int], l: int):
     only the level just above the answer pays for one."""
     if l == 0:
         return True, False, None, 0
-    logical_bits = 2 * code.k
-    degenerate = False
-    unions = 0
-    for s1, s2_range in _window_pairs(code.n, l):
-        w1: Dict[int, int] = {}
-        failure, dependent = _insert(w1, columns[2 * s1:2 * (s1 + l)], 0, logical_bits)
-        degenerate |= dependent
-        for s2 in s2_range:
-            unions += 1
-            if failure is None:
-                rest = columns[2 * max(s2, s1 + l):2 * (s2 + l)]
-                failure, dependent = _insert(dict(w1), rest, 0, logical_bits)
-                degenerate |= dependent
-            if failure is not None:
-                return (False, degenerate,
-                        functools.partial(_union_witness, code, columns, l, s1, s2), unions)
-    return True, degenerate, None, unions
+    failure, pair, degenerate, unions = _rank_unions(
+        columns, 2, l, 2 * code.k, _window_pairs(code.n, l))
+    if failure is None:
+        return True, degenerate, None, unions
+    return (False, degenerate,
+            functools.partial(_union_witness, code, columns, l, *pair), unions)
 
 
 def _union_witness(code: StabilizerCode, columns: List[int], l: int,
                    s1: int, s2: int) -> Tuple[F4Vector, F4Vector]:
     """Two distinct bursts of length <= l, on [s1, s1+l) and [s2, s2+l),
     whose sum is in dual(C) \\ C: the null vector outside C that the
-    union's elimination found, each column tracked by one low bit."""
-    positions = [*range(s1, s1 + l), *range(max(s2, s1 + l), s2 + l)]
-    cols = [2 * p + z for p in positions for z in (0, 1)]
-    m = len(cols)
-    failure, _ = _insert({}, [(columns[c] << m) | (1 << j) for j, c in enumerate(cols)],
-                         m, 2 * code.k)
+    union's elimination finds when column j carries tracking bit j below
+    its label.  Column 2i+z is symbol 1 << z at position i, so the tracking
+    bits are the null vector in F4Vector packing."""
+    m = 2 * code.n
+    tracked = [(c << m) | (1 << j) for j, c in enumerate(columns)]
+    union = tracked[2 * s1:2 * (s1 + l)] + tracked[2 * max(s2, s1 + l):2 * (s2 + l)]
+    failure, _ = _insert({}, union, m, 2 * code.k)
     assert failure is not None, "the union holds no logical operator"
-    parts = [0, 0]
-    for j, c in enumerate(cols):
-        if (failure >> j) & 1:
-            parts[j >= 2 * l] |= (1 + (c & 1)) << (2 * (c >> 1))
-    return F4Vector(code.n, parts[0]), F4Vector(code.n, parts[1])
+    null = failure & ((1 << m) - 1)
+    first = null & ((1 << 2 * (s1 + l)) - 1)
+    return F4Vector(code.n, first), F4Vector(code.n, null ^ first)
 
 
-# ----------------------------------------------------------------------
-# All-pairs oracle
-# ----------------------------------------------------------------------
-
-def _check_level_oracle(code: StabilizerCode, l: int):
-    n = code.n
-    if l == 0:
-        return True, False, None, 0
-    if burst_count(n, l) > 20000:
-        raise ResourceLimitError("oracle method is for small codes only")
-    vecs = [(0, 0)]
-    for s, w in _window_lengths(n, l):
-        for c in range(3 * 4 ** (w - 1)):
-            f4, (a, b) = _burst_vector(s, w, c)
-            vecs.append((f4, a | (b << n)))
-    degenerate = False
-    pairs = 0
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            u = vecs[i][1] ^ vecs[j][1]
-            pairs += 1
-            if code.in_dual(u):
-                if not code.contains(u):
-                    witness = (F4Vector(n, vecs[i][0]), F4Vector(n, vecs[j][0]))
-                    return False, degenerate, witness, pairs
-                degenerate = True
-    return True, degenerate, None, pairs
-
-
-def quantum_burst_capability(code: StabilizerCode, method: str = "window-rank") -> BurstAnalysis:
+def quantum_burst_capability(code: StabilizerCode) -> BurstAnalysis:
     """Largest correctable burst length, degeneracy flag, and witness.
 
     Candidates descend from the (n-k)/4 ceiling; the first passing level is
     the capability, and the witness (if any) certifies failure one above it.
     """
-    if method == "window-rank":
-        check = functools.partial(_check_level_rank, code, _label_columns(code))
-    elif method == "oracle":
-        check = functools.partial(_check_level_oracle, code)
-    else:
-        raise KeyError(method)
+    columns = _label_columns(code)
     n, k = code.n, code.k
-    ceiling = qrb(n, k)
     witness = None
     total_pairs = 0
-    for cand in range(ceiling, -1, -1):
-        ok, degenerate, wit, pairs = check(cand)
+    for cand in range(qrb(n, k), -1, -1):
+        ok, degenerate, wit, pairs = _check_level_rank(code, columns, cand)
         total_pairs += pairs
         if ok:
-            if callable(witness):
-                witness = witness()
-            analysis = BurstAnalysis(n, k, cand, degenerate, witness, total_pairs, method)
+            analysis = BurstAnalysis(n, k, cand, degenerate, witness and witness(), total_pairs)
             assert check_qrb(analysis)
             assert k < 1 or no_cloning_check(n, analysis.l)
             return analysis
@@ -267,8 +203,62 @@ def located_burst_check(code: StabilizerCode, start: int, span: int) -> bool:
     return failure is None
 
 
+# ----------------------------------------------------------------------
+# Classical codes
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BurstCapability:
+    l: int
+    end_around: bool
+    witness: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+
+
+def classical_burst_capability(code: LinearCode, end_around: bool = False) -> BurstCapability:
+    """Largest l, up to the Reiger ceiling (n-k)/2, with all bursts of
+    length <= l having distinct syndromes (cyclic bursts if end_around).
+
+    The columns are the GF(2) images of the check-matrix columns (column i
+    times each field element 1 << t, symbols packed `bits` bits each), so
+    GF(2) independence is GF(q) independence.  Image j carries tracking
+    bit j as its logical bit: a union fails when an image reduces to a
+    zero syndrome, and the failure's tracking bits are a codeword on the
+    union.  Its part on the first window and the rest are the witness.
+    """
+    field, n = code.field, code.n
+    bits = field.order.bit_length() - 1
+    images = [sum(field.mul(1 << t, h[i]) << (bits * j) for j, h in enumerate(code.check_rows))
+              for i in range(n) for t in range(bits)]
+    # a second copy makes every cyclic window a slice
+    images *= 2 if end_around else 1
+    m = len(images)
+    columns = [(h << m) | (1 << j) for j, h in enumerate(images)]
+
+    def symbols(v: int) -> Tuple[int, ...]:
+        v |= v >> (bits * n)
+        return tuple((v >> (bits * i)) & (field.order - 1) for i in range(n))
+
+    ceiling = (n - code.k) // 2
+    for l in range(1, ceiling + 1):
+        failure, pair, _, _ = _rank_unions(columns, bits, l, m, _window_pairs(n, l, end_around))
+        if failure is not None:
+            null = failure & ((1 << m) - 1)
+            first = null & ((1 << bits * (pair[0] + l)) - 1)
+            return BurstCapability(l - 1, end_around, (symbols(first), symbols(null ^ first)))
+    return BurstCapability(ceiling, end_around)
+
+
+def rs_burst_capability(code: LinearCode) -> BurstCapability:
+    """Burst capability of an MDS code from its distance: l = (d-1)//2 = (n-k)//2.
+
+    Any pattern of that many symbol errors is correctable, so bursts are
+    covered with end-around included; no elimination needed.
+    """
+    return BurstCapability((code.n - code.k) // 2, end_around=True)
+
+
 __all__ = [
     "BurstAnalysis", "qrb", "check_qrb", "no_cloning_check",
-    "burst_count", "enumerate_bursts", "quantum_burst_capability",
-    "located_burst_check",
+    "burst_count", "quantum_burst_capability", "located_burst_check",
+    "BurstCapability", "classical_burst_capability", "rs_burst_capability",
 ]

@@ -168,13 +168,9 @@ def label_contrib(code: StabilizerCode) -> List[List[int]]:
     XOR-additive over coordinates and constant on cosets of the stabilizer.
     This is the code's label table with each entry joined into one int.
     """
-    tab = code.label_table()
-
-    def as_int(words: np.ndarray) -> int:
-        return int.from_bytes(words.tobytes(), "little")
-
-    return [[as_int(tab.syndrome[i, c]) | (as_int(tab.logical[i, c]) << code.r)
-             for c in range(4)] for i in range(code.n)]
+    syndrome, logical = code.label_table().ints()
+    return [[syndrome[i][c] | (logical[i][c] << code.r) for c in range(4)]
+            for i in range(code.n)]
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Classical linear and cyclic codes over GF(2), GF(4), and GF(4^m).
 
 Codes are stored by explicit generator and parity-check matrices (rows as
-tuples of field-element ints).  Burst-correction capability is decided by
-one engine: syndrome distinctness over every burst pattern.
+tuples of field-element ints).  Their burst-correction capability is
+decided in qbecc.burst, by the window-rank elimination that also decides
+the quantum one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -92,66 +92,6 @@ def cyclic_from_poly(g: Poly, n: int) -> CyclicCode:
     return CyclicCode(linear_code(field, rows, n), g)
 
 
-@dataclass(frozen=True)
-class BurstCapability:
-    l: int
-    end_around: bool
-    witness: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-
-
-def _burst_patterns(order: int, n: int, span: int, end_around: bool):
-    """Vectors of burst length exactly `span` (cyclic windows if end_around)."""
-    nonzero = range(1, order)
-    if span == 1:
-        for s in range(n):
-            for c in nonzero:
-                vec = [0] * n
-                vec[s] = c
-                yield tuple(vec)
-        return
-    starts = range(n) if end_around else range(n - span + 1)
-    seen = set() if end_around else None
-    for s in starts:
-        for first in nonzero:
-            for middle in itertools.product(range(order), repeat=span - 2):
-                for last in nonzero:
-                    vec = [0] * n
-                    vec[s] = first
-                    for i, c in enumerate(middle):
-                        vec[(s + 1 + i) % n] = c
-                    vec[(s + span - 1) % n] = last
-                    t = tuple(vec)
-                    if seen is not None:
-                        if t in seen:
-                            continue
-                        seen.add(t)
-                    yield t
-
-
-def classical_burst_capability(code: LinearCode, end_around: bool = False) -> BurstCapability:
-    """Largest l with all bursts of length <= l having distinct syndromes."""
-    n, k = code.n, code.k
-    cap = (n - k) // 2  # Reiger bound ceiling
-    syndromes = {code.syndrome([0] * n): tuple([0] * n)}
-    witness = None
-    achieved = 0
-    for span in range(1, cap + 1):
-        failed = False
-        for vec in _burst_patterns(code.field.order, n, span, end_around):
-            syn = code.syndrome(vec)
-            other = syndromes.get(syn)
-            if other is not None:
-                witness = (other, vec)
-                failed = True
-                break
-            syndromes[syn] = vec
-        if failed:
-            break
-        achieved = span
-    assert achieved <= cap
-    return BurstCapability(achieved, end_around, witness)
-
-
 def rs_mds(n2: int, l2: int, field) -> LinearCode:
     """[n2, n2-2*l2, 2*l2+1] Reed-Solomon code over an extension field.
 
@@ -176,15 +116,6 @@ def rs_mds(n2: int, l2: int, field) -> LinearCode:
             row.append(1 if i == k - 1 else 0)
         rows.append(row)
     return linear_code(field, rows, n2)
-
-
-def rs_burst_capability(code: LinearCode) -> BurstCapability:
-    """Burst capability of an MDS code from its distance: l = (d-1)//2 = (n-k)//2.
-
-    Any pattern of that many symbol errors is correctable, so bursts are
-    covered with end-around included; no enumeration needed.
-    """
-    return BurstCapability((code.n - code.k) // 2, end_around=True)
 
 
 def hermitian_dual_containing(code: LinearCode) -> bool:
@@ -212,8 +143,7 @@ def binary_dual_containing(c2: LinearCode, c1: LinearCode) -> bool:
 
 
 __all__ = [
-    "LinearCode", "CyclicCode", "BurstCapability", "InvalidGeneratorError",
-    "linear_code", "cyclic_from_poly", "classical_burst_capability",
-    "rs_mds", "rs_burst_capability",
+    "LinearCode", "CyclicCode", "InvalidGeneratorError",
+    "linear_code", "cyclic_from_poly", "rs_mds",
     "hermitian_dual_containing", "binary_dual_containing",
 ]

@@ -14,9 +14,10 @@ import math
 import sys
 from typing import List, Optional, Sequence
 
-from .burst import no_cloning_check, qrb, quantum_burst_capability
+from .burst import (classical_burst_capability, no_cloning_check, qrb,
+                    quantum_burst_capability, rs_burst_capability)
 from .channel import sweep, sweep_to_csv
-from .classical import classical_burst_capability, rs_burst_capability, rs_mds
+from .classical import rs_mds
 from .gf import GF4, ext_field_build
 from .qtpc import InterleaverMap, dispersal_report, qtpc_construct
 from .registry import registry_entry
@@ -134,7 +135,7 @@ def _cmd_tensor(args) -> int:
         "self_orthogonal": True,  # verified during construction
     }
     if args.dispersal:
-        l1 = args.l1 or classical_burst_capability(c1).l
+        l1 = classical_burst_capability(c1).l if args.l1 is None else args.l1
         if l1 <= 0 or qspec.n1 % l1 != 0:
             raise UsageError(f"subblock height {l1} must divide n1={qspec.n1}")
         imap = InterleaverMap(qspec.n1, qspec.n2, l1)

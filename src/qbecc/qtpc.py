@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .classical import (LinearCode, binary_dual_containing,
-                        hermitian_dual_containing)
+from .classical import LinearCode
 from .gf import GF2, GF4
 from .linalg import mat_rank
-from .stabilizer import StabilizerCode, _css_stabilizer, _hermitian_stabilizer
+from .stabilizer import (StabilizerCode, _css_stabilizer, _hermitian_stabilizer,
+                         css_construct, hermitian_construct)
 
 
 @dataclass(frozen=True)
@@ -81,25 +81,21 @@ def qtpc_construct(c1: LinearCode, c2: LinearCode) -> Tuple[StabilizerCode, Qtpc
     matrix.  A GF(4) inner code must be Hermitian dual containing; a binary
     inner code must contain its own dual.
 
+    The inner code is gated by building its own stabilizer, whose
+    commutation check decides dual containment (ValueError otherwise).
     Self-orthogonality of the result is verified by construction of the
     stabilizer, not assumed.
     """
-    if c1.field is GF4:
-        if not hermitian_dual_containing(c1):
-            raise ValueError("inner code is not Hermitian dual containing")
-    elif c1.field is GF2:
-        if not binary_dual_containing(c1, c1):
-            raise ValueError("inner code does not contain its dual")
-    else:
-        raise ValueError("inner code must be over GF(2) or GF(4)")
     expanded = tensor_check_matrix(c1, c2)
     rho1, rho2 = c1.n - c1.k, c2.n - c2.k
     n = c1.n * c2.n
     if mat_rank(c1.field, expanded) != rho1 * rho2:
         raise AssertionError("expanded check matrix has deficient rank")
     if c1.field is GF4:
+        hermitian_construct(c1)
         stab = _hermitian_stabilizer(n, expanded)
     else:
+        css_construct(c1, c1)
         stab = _css_stabilizer(n, expanded, expanded)
     spec = QtpcSpec(c1.n, c1.k, c2.n, c2.k, rho1, rho2,
                     tuple(tuple(r) for r in expanded),

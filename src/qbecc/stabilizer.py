@@ -18,7 +18,7 @@ symplectic form; all analysis predicates live on that representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +127,15 @@ class LabelTable(NamedTuple):
     """
     syndrome: np.ndarray
     logical: np.ndarray
+
+    def ints(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """(syndrome, logical): each half as ints indexed [position][symbol],
+        bit j of an int being bit j of that half."""
+        def joined(words: np.ndarray) -> List[List[int]]:
+            raw, size = words.tobytes(), 8 * words.shape[2]
+            flat = [int.from_bytes(raw[o:o + size], "little") for o in range(0, len(raw), size)]
+            return [flat[i:i + 4] for i in range(0, len(flat), 4)]
+        return joined(self.syndrome), joined(self.logical)
 
 
 def _contribution_words(vectors: Sequence[int], n: int) -> np.ndarray:

@@ -1,18 +1,113 @@
-"""The syndrome-hash level check that the window-rank engine replaced,
-kept as a reference: it enumerates every burst of length <= l, sorts their
-uint64 syndromes and tells the colliding bursts apart by their logical
-label bits.  Its results are pinned in data/burst_pins.json."""
+"""Reference level checks for the window-rank engine of qbecc.burst, each
+built on an explicit enumeration of the bursts of length <= l.
+
+* The all-pairs oracle tests every pair of bursts for a sum in
+  dual(C) \\ C; oracle_capability walks the levels with it.
+* The syndrome-hash check is the engine that the window-rank one replaced:
+  it sorts the bursts' uint64 syndromes and tells the colliding bursts
+  apart by their logical label bits.  Its results are pinned in
+  data/burst_pins.json.
+"""
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from qbecc.burst import _burst_vector, _window_lengths, burst_count
+from qbecc.burst import BurstAnalysis, burst_count, qrb
 from qbecc.stabilizer import F4Vector, ResourceLimitError, StabilizerCode
 
 MAX_BURSTS_PER_LEVEL = 1 << 27
+
+
+# ----------------------------------------------------------------------
+# Burst enumeration
+# ----------------------------------------------------------------------
+
+def _window_lengths(n: int, l: int) -> List[Tuple[int, int]]:
+    return [(s, min(l, n - s)) for s in range(n)]
+
+
+def _burst_vector(s: int, w: int, c: int) -> Tuple[int, Tuple[int, int]]:
+    """(packed_f4, (a, b)) of the burst with window start s and content
+    index c; the first symbol is c // 4^(w-1) + 1, remaining digits base 4
+    big-endian."""
+    first = (c >> (2 * (w - 1))) + 1
+    f4 = first << (2 * s)
+    a = (first & 1) << s
+    b = (first >> 1) << s
+    for t in range(1, w):
+        d = (c >> (2 * (w - 1 - t))) & 3
+        pos = s + t
+        f4 |= d << (2 * pos)
+        a |= (d & 1) << pos
+        b |= (d >> 1) << pos
+    return f4, (a, b)
+
+
+def enumerate_bursts(n: int, l: int) -> Iterator[F4Vector]:
+    """Yield the zero vector, then every vector of burst length in [1, l]
+    exactly once, keyed by its first nonzero coordinate; burst_count(n, l)
+    vectors in all."""
+    if not 0 <= l <= n:
+        raise ValueError(f"burst bound {l} outside [0, {n}]")
+    yield F4Vector(n, 0)
+    if l == 0:
+        return
+    for s, w in _window_lengths(n, l):
+        for c in range(3 * 4 ** (w - 1)):
+            f4, _ = _burst_vector(s, w, c)
+            yield F4Vector(n, f4)
+
+
+# ----------------------------------------------------------------------
+# All-pairs oracle
+# ----------------------------------------------------------------------
+
+def check_level_oracle(code: StabilizerCode, l: int):
+    """(ok, degenerate, witness, pairs tested) of level l, from every pair
+    of bursts of length <= l."""
+    n = code.n
+    if l == 0:
+        return True, False, None, 0
+    if burst_count(n, l) > 20000:
+        raise ResourceLimitError("the all-pairs oracle is for small codes only")
+    vecs = [(0, 0)]
+    for s, w in _window_lengths(n, l):
+        for c in range(3 * 4 ** (w - 1)):
+            f4, (a, b) = _burst_vector(s, w, c)
+            vecs.append((f4, a | (b << n)))
+    degenerate = False
+    pairs = 0
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            u = vecs[i][1] ^ vecs[j][1]
+            pairs += 1
+            if code.in_dual(u):
+                if not code.contains(u):
+                    witness = (F4Vector(n, vecs[i][0]), F4Vector(n, vecs[j][0]))
+                    return False, degenerate, witness, pairs
+                degenerate = True
+    return True, degenerate, None, pairs
+
+
+def oracle_capability(code: StabilizerCode) -> BurstAnalysis:
+    """quantum_burst_capability's level walk over check_level_oracle."""
+    witness = None
+    total = 0
+    for cand in range(qrb(code.n, code.k), -1, -1):
+        ok, degenerate, wit, pairs = check_level_oracle(code, cand)
+        total += pairs
+        if ok:
+            return BurstAnalysis(code.n, code.k, cand, degenerate, witness, total)
+        witness = wit
+    raise AssertionError("level 0 cannot fail")
+
+
+# ----------------------------------------------------------------------
+# Syndrome-hash check
+# ----------------------------------------------------------------------
 
 
 def level_syndromes(n: int, l: int, syn: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from burst_oracle import oracle_capability
 from conftest import random_self_orthogonal_code
 from qbecc.burst import located_burst_check, no_cloning_check, qrb, quantum_burst_capability
 from qbecc.channel import (ChannelModel, build_decoder, entanglement_fidelity,
@@ -50,8 +51,8 @@ def random_code_analyses():
     while len(out) < 200:
         n = rng.randrange(2, 9)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, min(n + 1, 8)))
-        fast = quantum_burst_capability(code, method="window-rank")
-        slow = quantum_burst_capability(code, method="oracle")
+        fast = quantum_burst_capability(code)
+        slow = oracle_capability(code)
         out.append((code, fast, slow))
     return out
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import random_self_orthogonal_code
-from qbecc.burst import (burst_count, check_qrb, enumerate_bursts,
-                         located_burst_check, no_cloning_check, qrb,
-                         quantum_burst_capability)
-from qbecc.burst import _check_level_oracle, _check_level_rank, _label_columns
-from burst_oracle import check_level_hash, level_syndromes
+from qbecc.burst import (burst_count, check_qrb, located_burst_check,
+                         no_cloning_check, qrb, quantum_burst_capability)
+from qbecc.burst import _check_level_rank, _label_columns
+from burst_oracle import (check_level_hash, check_level_oracle, enumerate_bursts,
+                          level_syndromes, oracle_capability)
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF2, GF4, Poly
 from qbecc.linalg import gf2_nullspace
@@ -85,8 +85,7 @@ def test_numpy_syndromes_match_iterator_order():
 
 
 def test_five_qubit_capability():
-    for method in ("window-rank", "oracle"):
-        analysis = quantum_burst_capability(FIVE_QUBIT, method=method)
+    for analysis in (quantum_burst_capability(FIVE_QUBIT), oracle_capability(FIVE_QUBIT)):
         assert analysis.l == 1
         assert not analysis.degenerate
         assert analysis.saturates
@@ -122,8 +121,8 @@ def test_oracle_equivalence_random_codes():
     for _ in range(60):
         n = rng.randrange(2, 9)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, min(n + 1, 8)))
-        fast = quantum_burst_capability(code, method="window-rank")
-        slow = quantum_burst_capability(code, method="oracle")
+        fast = quantum_burst_capability(code)
+        slow = oracle_capability(code)
         assert (fast.l, fast.degenerate) == (slow.l, slow.degenerate)
         agree += 1
     assert agree == 60
@@ -236,7 +235,7 @@ def _assert_valid_witness(code, l, witness):
 def _compare_with_oracle(code, l, checks=(_rank_check, check_level_hash)):
     """Level checks (by default window-rank and syndrome-hash) against the
     all-pairs oracle."""
-    slow_ok, slow_degenerate, _, _ = _check_level_oracle(code, l)
+    slow_ok, slow_degenerate, _, _ = check_level_oracle(code, l)
     for check in checks:
         ok, degenerate, witness, pairs = check(code, l)
         assert ok == slow_ok
@@ -330,7 +329,6 @@ def test_checked_pairs_closed_form_41_1():
     analysis = quantum_burst_capability(code)
     assert (analysis.l, analysis.degenerate, analysis.witness) == (10, True, None)
     assert analysis.checked_pairs == _union_count(41, 10) == 253
-    assert analysis.method == "window-rank"
 
 
 def test_level_check_matches_oracle_multiword_labels():

@@ -1,13 +1,15 @@
 import itertools
+import random
 
 import pytest
 
+from qbecc.burst import classical_burst_capability, rs_burst_capability
 from qbecc.classical import (InvalidGeneratorError, binary_dual_containing,
-                             classical_burst_capability, cyclic_from_poly,
-                             hermitian_dual_containing, linear_code,
-                             rs_burst_capability, rs_mds)
+                             cyclic_from_poly, hermitian_dual_containing,
+                             linear_code, rs_mds)
 from qbecc.gf import GF2, GF4, Poly, ext_field_build
 from qbecc.linalg import mat_mul_vec
+from qbecc.search import enumerate_cyclic_generators
 
 W = 2
 
@@ -128,6 +130,84 @@ def test_burst_capability_reiger_ceiling():
     for g, n in [(G_15_9, 15), (Poly(GF2, (1, 1, 1)), 3)]:
         code = cyclic_from_poly(g, n).base
         assert classical_burst_capability(code).l <= (code.n - code.k) // 2
+
+
+def _cyclic_span(vec, end_around):
+    """Burst length of vec; with end_around the shortest over rotations."""
+    n = len(vec)
+    spans = []
+    for r in range(n if end_around else 1):
+        support = [i for i in range(n) if vec[(i + r) % n]]
+        spans.append(support[-1] - support[0] + 1 if support else 0)
+    return min(spans)
+
+
+def _random_cyclic_codes(seed, count):
+    """Random cyclic codes over GF(2) and GF(4): an odd length n <= 15 and
+    a field drawn first, then a divisor of x^n - 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        field = rng.choice((GF2, GF4))
+        n = rng.randrange(3, 16, 2)
+        yield cyclic_from_poly(rng.choice(enumerate_cyclic_generators(n, field)), n).base
+
+
+def test_burst_capability_matches_oracle_random_cyclic():
+    # the window-rank kernel against the all-pairs oracle
+    fields = set()
+    for code in _random_cyclic_codes(606, 60):
+        fields.add(code.field)
+        for end_around in (False, True):
+            cap = classical_burst_capability(code, end_around=end_around)
+            assert cap.end_around == end_around
+            assert cap.l == _oracle_capability(code, end_around), (code.params, end_around)
+    assert fields == {GF2, GF4}
+
+
+def _assert_valid_classical_witness(code, cap):
+    u, v = cap.witness
+    assert len(u) == len(v) == code.n
+    assert u != v
+    assert code.syndrome(u) == code.syndrome(v)
+    assert _cyclic_span(u, cap.end_around) <= cap.l + 1
+    assert _cyclic_span(v, cap.end_around) <= cap.l + 1
+
+
+def test_burst_capability_witness():
+    seen = {False: 0, True: 0}
+    for code in _random_cyclic_codes(707, 40):
+        for end_around in (False, True):
+            cap = classical_burst_capability(code, end_around=end_around)
+            if cap.l < (code.n - code.k) // 2:
+                _assert_valid_classical_witness(code, cap)
+                seen[end_around] += 1
+            else:
+                assert cap.witness is None
+    assert seen[False] >= 5 and seen[True] >= 5
+
+
+def test_burst_capability_witness_across_the_end():
+    # the only short codeword sits on positions 7 and 0, so the failing
+    # union of end-around windows is the one that wraps
+    for field, tail in ((GF2, 1), (GF4, W)):
+        code = linear_code(field, [[1, 0, 0, 0, 0, 0, 0, tail]])
+        plain = classical_burst_capability(code)
+        assert plain.l == 0
+        _assert_valid_classical_witness(code, plain)
+        cap = classical_burst_capability(code, end_around=True)
+        assert cap.l == 0
+        _assert_valid_classical_witness(code, cap)
+        assert sorted(cap.witness) == [(0,) * 7 + (tail,), (1,) + (0,) * 7]
+
+
+def test_burst_capability_extension_field_mds():
+    # an MDS code corrects every pattern of (n-k)/2 symbol errors, so the
+    # kernel over GF(4^m) column images must reach the Reiger ceiling
+    for m, n2, l2 in [(2, 6, 2), (3, 7, 3), (6, 6, 2)]:
+        code = rs_mds(n2, l2, ext_field_build(m))
+        for end_around in (False, True):
+            cap = classical_burst_capability(code, end_around=end_around)
+            assert (cap.l, cap.witness) == (rs_burst_capability(code).l, None)
 
 
 # ----------------------------------------------------------------------

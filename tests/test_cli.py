@@ -87,13 +87,20 @@ def test_tensor_example(capsys):
     assert payload["self_orthogonal"] is True
     assert payload["dispersal"]["aligned"]["max_subblocks"] <= 2
     assert payload["dispersal"]["aligned"]["max_inner_burst"] <= 3
+    # l1 measured on the inner code, l2 from the outer code's distance
+    assert (payload["dispersal"]["l1"], payload["dispersal"]["l2"]) == (3, 2)
 
 
 def test_tensor_bad_l1(capsys):
-    code, out = run_cli(capsys, "tensor", "--c1-poly", "1^6 2^3 1^0",
-                        "--c1-n", "15", "--rs", "6,2", "--dispersal", "6",
-                        "--l1", "4")
-    assert code == 2
+    # 4 does not divide n1 = 15; an explicit 0 is refused as well, not
+    # replaced by the measured height
+    for l1 in ("4", "0"):
+        code, out = run_cli(capsys, "tensor", "--c1-poly", "1^6 2^3 1^0",
+                            "--c1-n", "15", "--rs", "6,2", "--dispersal", "6",
+                            "--l1", l1)
+        assert code == 2
+        assert f"subblock height {l1} " in json.loads(out)["error"]["message"]
+
 
 
 def test_simulate_p0(capsys):

@@ -233,3 +233,14 @@ def test_search_csv_matches_benchmark_reference():
         assert len(lines) == reference[str(n)]["records"], n
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == reference[str(n)]["sha256"], n
+
+
+def test_search_module_not_shadowed():
+    # the package re-exports must leave qbecc.search bound to the module
+    import types
+
+    import qbecc
+    import qbecc.search as search_module
+    assert isinstance(search_module, types.ModuleType)
+    assert qbecc.search is search_module
+    assert callable(search_module.search)
