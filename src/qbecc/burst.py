@@ -69,11 +69,8 @@ def burst_count(n: int, l: int) -> int:
 # ----------------------------------------------------------------------
 
 def _label_columns(code: StabilizerCode) -> List[int]:
-    """Label of X (column 2i) and Z (column 2i+1) at each position i: the
-    r syndrome bits high, the 2k logical bits low, from the label table."""
-    syndrome, logical = code.label_table().ints()
-    return [(syndrome[i][c] << 2 * code.k) | logical[i][c]
-            for i in range(code.n) for c in (1, 2)]
+    """Label of X (column 2i) and Z (column 2i+1) at each position i."""
+    return [label for labels in code.label_ints() for label in labels[1:3]]
 
 
 def _insert(basis: Dict[int, int], columns: Iterable[int], shift: int,

@@ -17,12 +17,15 @@ Each decoder entry then claims exactly one coset's mass, so one mass per
 
 Error patterns are uint8 arrays [patterns, n] of Pauli symbols, produced a
 weight class or a span class at a time by one enumerator; their labels are
-XOR folds of the code's label table.  Decoder tables keep the first pattern
-of each syndrome in priority order and store its label once.  The truncated
-engine scores an explicit pattern set (every pattern up to a weight cap,
-plus the heavier bursts up to a span cap) with chain products over the same
-arrays and brackets the fidelity from below, with the unenumerated mass as
-the residual.  Pattern sets and transfer buffers are capped in bytes.
+XOR folds of the code's labels (StabilizerCode.label_ints, the syndrome
+above the logical bits), one 64-bit word each.  A decoder table keeps the
+first pattern of each syndrome in priority order, and its recoveries'
+labels as one sorted array: a pattern is decoded correctly iff its label is
+in that array.  The truncated engine scores an explicit pattern set (every
+pattern up to a weight cap, plus the heavier bursts up to a span cap) with
+chain products over the same arrays and brackets the fidelity from below,
+with the unenumerated mass as the residual.  Pattern sets and transfer
+buffers are capped in bytes.
 """
 
 from __future__ import annotations
@@ -143,9 +146,17 @@ def _pattern_class(n: int, kind: str, size: int) -> np.ndarray:
     return out[np.lexsort(out.T[::-1])]
 
 
+def _label_words(code: StabilizerCode) -> np.ndarray:
+    """uint64 [n, 4]: label_contrib with each label in one word."""
+    if code.n + code.k > 64:
+        raise ResourceLimitError(
+            f"coset labels of {code.n + code.k} bits exceed one 64-bit word")
+    return np.array(label_contrib(code), dtype=np.uint64)
+
+
 def _fold(words: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """uint64 [m, words]: XOR over positions of a label-table half
-    (syndrome or logical) at each row's symbols."""
+    """uint64 [m]: the label of each row, the XOR over positions of the
+    label words at its symbols."""
     out = words[0][patterns[:, 0]]
     for i in range(1, patterns.shape[1]):
         out ^= words[i][patterns[:, i]]
@@ -160,17 +171,12 @@ def _packed_ints(patterns: np.ndarray) -> List[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in raw]
 
 
-def label_contrib(code: StabilizerCode) -> List[List[int]]:
-    """Per-position, per-symbol contribution to the coset label.
-
-    Bit j of the label of an error is its symplectic inner product with the
-    j-th dual-basis vector; the first r bits are the syndrome.  Labels are
+def label_contrib(code: StabilizerCode) -> Sequence[Sequence[int]]:
+    """Per-position, per-symbol contribution to the coset label, indexed
+    [i][c]: the r syndrome bits above the 2k logical bits.  Labels are
     XOR-additive over coordinates and constant on cosets of the stabilizer.
-    This is the code's label table with each entry joined into one int.
     """
-    syndrome, logical = code.label_table().ints()
-    return [[syndrome[i][c] | (logical[i][c] << code.r) for c in range(4)]
-            for i in range(code.n)]
+    return code.label_ints()
 
 
 # ----------------------------------------------------------------------
@@ -183,22 +189,13 @@ class DecoderTable:
     mode: str  # "random" | "burst" | "combined"
     t: int
     l: int
-    entries: Dict[int, int]  # syndrome -> packed GF(4) recovery
-    # the recoveries' labels, sorted by syndrome: uint64 [E] and [E, words]
-    syndromes: np.ndarray = field(repr=False, compare=False)
-    logicals: np.ndarray = field(repr=False, compare=False)
-
-    def describe(self) -> str:
-        if self.mode == "random":
-            return f"random(t={self.t})"
-        if self.mode == "burst":
-            return f"burst(l={self.l})"
-        return f"combined(t={self.t},l={self.l})"
+    entries: Dict[int, int]  # syndrome -> packed GF(4) recovery, first claim first
+    # uint64 [E]: the recoveries' labels, sorted (so sorted by syndrome)
+    labels: np.ndarray = field(repr=False, compare=False)
 
 
 def build_decoder(code: StabilizerCode, mode: str,
-                  t: Optional[int] = None, l: Optional[int] = None,
-                  syndrome_limit: int = 1 << 32) -> DecoderTable:
+                  t: Optional[int] = None, l: Optional[int] = None) -> DecoderTable:
     """Fill a syndrome table in priority order: weights 0..t first
     (lexicographic within a weight class), then bursts of span 2..l for the
     syndromes still unclaimed.  random mode skips the burst pass; burst mode
@@ -206,9 +203,6 @@ def build_decoder(code: StabilizerCode, mode: str,
     claimed."""
     if mode not in ("random", "burst", "combined"):
         raise ValueError(f"unknown decoder mode {mode!r}")
-    if 1 << (2 * code.r) > syndrome_limit:
-        raise ResourceLimitError(
-            f"syndrome space 4^{code.r} exceeds the limit {syndrome_limit}")
     if mode == "random":
         if t is None:
             raise ValueError("random mode needs the weight radius t")
@@ -222,29 +216,20 @@ def build_decoder(code: StabilizerCode, mode: str,
             raise ValueError("combined mode needs both t and l")
     if t < 0 or l < 0:
         raise ValueError(f"t={t} and l={l} must be non-negative")
-    n = code.n
-    tab = code.label_table()
-    claimed = np.zeros(1 << code.r, dtype=bool)
+    words, shift = _label_words(code), 2 * code.k
     entries: Dict[int, int] = {}
-    syndromes, logicals = [], []
-    for kind, size in _classes(n, t, l):
-        if len(entries) == len(claimed):
+    labels = np.zeros(0, dtype=np.uint64)
+    for kind, size in _classes(code.n, t, l):
+        if len(entries) == 1 << code.r:
             break
-        patterns = _pattern_class(n, kind, size)
-        unique, first = np.unique(_fold(tab.syndrome, patterns)[:, 0], return_index=True)
-        new = ~claimed[unique]
-        claimed[unique[new]] = True
-        order = np.argsort(first[new])  # keep the first-claim order
-        syn, recoveries = unique[new][order], patterns[first[new][order]]
-        if not np.array_equal(_fold(tab.syndrome, recoveries)[:, 0], syn):
-            raise AssertionError("decoder entry filed under a foreign syndrome")
-        entries.update(zip(syn.tolist(), _packed_ints(recoveries)))
-        syndromes.append(syn)
-        logicals.append(_fold(tab.logical, recoveries))
-    syndromes = np.concatenate(syndromes)
-    by_syndrome = np.argsort(syndromes)
-    return DecoderTable(code, mode, t, l, entries, syndromes[by_syndrome],
-                        np.concatenate(logicals)[by_syndrome])
+        patterns = _pattern_class(code.n, kind, size)
+        folded = _fold(words, patterns)
+        syndromes, first = np.unique(folded >> shift, return_index=True)
+        # the first pattern of each unclaimed syndrome, in enumeration order
+        first = np.sort(first[~np.isin(syndromes, labels >> shift, assume_unique=True)])
+        entries.update(zip((folded[first] >> shift).tolist(), _packed_ints(patterns[first])))
+        labels = np.union1d(labels, folded[first])
+    return DecoderTable(code, mode, t, l, entries, labels)
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +293,7 @@ def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
     n = code.n
     classes = _classes(n, w_max, span)
     _check_patterns(n, sum(_class_size(n, *c) for c in classes), "the truncated pattern set")
-    tab = code.label_table()
-    last = len(table.syndromes) - 1
+    words = _label_words(code)
     probs, successes = [], []
     for kind, size in classes:
         patterns = _pattern_class(n, kind, size)
@@ -318,11 +302,9 @@ def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
         prob = _chain_probs(patterns, ch)
         probs.append(prob)
         # decoding succeeds iff the recovery filed under the pattern's
-        # syndrome carries the pattern's own label
-        syn = _fold(tab.syndrome, patterns)[:, 0]
-        at = np.minimum(np.searchsorted(table.syndromes, syn), last)
-        successes.append(prob[(table.syndromes[at] == syn)
-                              & (table.logicals[at] == _fold(tab.logical, patterns)).all(axis=1)])
+        # syndrome carries the pattern's own label, that is iff the label
+        # is in the table (which holds one label per syndrome)
+        successes.append(prob[np.isin(_fold(words, patterns), table.labels)])
     ef = math.fsum(np.concatenate(successes).tolist())
     residual = max(0.0, 1.0 - math.fsum(np.concatenate(probs).tolist()))
     return EfResult(ef, residual, False)
@@ -339,12 +321,9 @@ def _fidelities(code: StabilizerCode, tables: Sequence[DecoderTable],
                 f"exact strategy needs 4^{code.n} = {4 ** code.n} error mass terms, "
                 f"limit {limit}")
         mass = _label_mass(code, ch)
-        results = []
-        for table in tables:
-            labels = (table.syndromes.astype(np.intp)
-                      | table.logicals[:, 0].astype(np.intp) << code.r)
-            results.append(EfResult(min(math.fsum(mass[labels].tolist()), 1.0), 0.0, True))
-        return results
+        return [EfResult(min(math.fsum(mass[table.labels.astype(np.intp)].tolist()), 1.0),
+                         0.0, True)
+                for table in tables]
     if strategy != "truncated":
         raise ValueError(f"unknown strategy {strategy!r}")
     return [_truncated(code, table, ch, w_max,
@@ -382,11 +361,6 @@ class SweepPoint:
     exact: bool
 
 
-def _sweep_task(args) -> List[EfResult]:
-    code, tables, strategy, p, mu, w_max, limit = args
-    return _fidelities(code, tables, ChannelModel(p, mu), strategy, w_max, None, limit)
-
-
 def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
           modes: Sequence[str], p_grid: Sequence[float], mu_grid: Sequence[float],
           strategy: str = "exact", w_max: int = 4,
@@ -395,15 +369,19 @@ def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
     order; deterministic and independent of the worker count.  A task is
     one (code, p, mu) and scores every mode's table."""
     grid = [(p, mu) for p in p_grid for mu in mu_grid]
-    tables, tasks = [], []
-    for code_id, code, t, l in code_specs:
-        tables.append([build_decoder(code, mode, t=t, l=l) for mode in modes])
-        tasks += [(code, tables[-1], strategy, p, mu, w_max, limit) for p, mu in grid]
-    if workers <= 1 or len(tasks) <= 1:
-        results = [_sweep_task(task) for task in tasks]
+    tables = [[build_decoder(code, mode, t=t, l=l) for mode in modes]
+              for _, code, t, l in code_specs]
+    # _fidelities' arguments, one column each, one task per (code, p, mu)
+    columns = ([spec[1] for spec in code_specs for _ in grid],
+               [tabs for tabs in tables for _ in grid],
+               [ChannelModel(p, mu) for _ in code_specs for p, mu in grid],
+               itertools.repeat(strategy), itertools.repeat(w_max),
+               itertools.repeat(None), itertools.repeat(limit))
+    if workers <= 1 or len(columns[0]) <= 1:
+        results = list(map(_fidelities, *columns))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, tasks))
+            results = list(pool.map(_fidelities, *columns))
     points = []
     for c, (code_id, *_) in enumerate(code_specs):
         block = results[c * len(grid):(c + 1) * len(grid)]

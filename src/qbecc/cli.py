@@ -193,11 +193,11 @@ def _cmd_simulate(args) -> int:
         stab = build_registry_code(entry)
         t = args.t
         if t is None:
-            if 1 << (stab.n + stab.k) > (1 << 26):
-                raise UsageError(
-                    f"{code_id}: distance enumeration too large to derive t; pass --t")
-            d = stab.min_distance()
-            t = (d - 1) // 2
+            try:
+                t = (stab.min_distance() - 1) // 2
+            except ResourceLimitError:
+                raise UsageError(f"{code_id}: distance enumeration too large to "
+                                 "derive t; pass --t") from None
         l = args.l if args.l is not None else entry.l
         specs.append((code_id, stab, t, l))
     modes = args.decoder.split(",")

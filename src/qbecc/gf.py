@@ -337,9 +337,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def monic(self) -> "Poly":
         if self.is_zero or self.coeffs[-1] == 1:
             return self

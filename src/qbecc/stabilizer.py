@@ -120,22 +120,14 @@ class LabelTable(NamedTuple):
     """Coset-label contributions of single-coordinate errors, as read-only
     uint64 arrays indexed [position, symbol, word].
 
-    Bit j of an error's label is its symplectic inner product with
-    dual_basis()[j]; labels are XOR-additive over positions.  syndrome
-    holds bits 0..r-1 (the syndrome), logical the 2k bits that follow,
-    each packed little-endian into ceil(bits/64) words (at least one).
+    Bit j of syndrome is the symplectic inner product with dual_basis()[j]
+    (the r stabilizer rows), bit j of logical that with dual_basis()[r + j]
+    (the 2k logical rows); both are XOR-additive over positions and packed
+    little-endian into ceil(bits/64) words (at least one).
+    StabilizerCode.label_ints joins them into the coset label.
     """
     syndrome: np.ndarray
     logical: np.ndarray
-
-    def ints(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """(syndrome, logical): each half as ints indexed [position][symbol],
-        bit j of an int being bit j of that half."""
-        def joined(words: np.ndarray) -> List[List[int]]:
-            raw, size = words.tobytes(), 8 * words.shape[2]
-            flat = [int.from_bytes(raw[o:o + size], "little") for o in range(0, len(raw), size)]
-            return [flat[i:i + 4] for i in range(0, len(flat), 4)]
-        return joined(self.syndrome), joined(self.logical)
 
 
 def _contribution_words(vectors: Sequence[int], n: int) -> np.ndarray:
@@ -178,10 +170,6 @@ class StabilizerCode:
         self._swapped = tuple(_swap_halves(row, n) for row in reduced)
         self._dual_basis: Optional[Tuple[int, ...]] = None
         self._label_table: Optional[LabelTable] = None
-
-    @classmethod
-    def from_vectors(cls, n: int, vectors: Iterable[SymplecticVector]) -> "StabilizerCode":
-        return cls(n, [v.packed for v in vectors])
 
     @property
     def params(self) -> Tuple[int, int]:
@@ -228,6 +216,16 @@ class StabilizerCode:
                 _contribution_words(dual[self.r:], self.n))
         return self._label_table
 
+    def label_ints(self) -> Tuple[Tuple[int, ...], ...]:
+        """The coset label of symbol c at position i as one int, indexed
+        [i][c]: the r syndrome bits above the 2k logical bits of
+        label_table().  Labels of errors are XOR sums of these, and the
+        syndrome of a label is label >> 2k."""
+        tab = self.label_table()
+        flat = [(s << 2 * self.k) | g for s, g in
+                zip(_word_ints(tab.syndrome), _word_ints(tab.logical))]
+        return tuple(tuple(flat[i:i + 4]) for i in range(0, len(flat), 4))
+
     def min_distance(self, limit: int = 1 << 28, include_stabilizer: bool = False) -> int:
         """Minimum symplectic weight over the dual, excluding stabilizer
         elements unless include_stabilizer (then only the zero vector is
@@ -267,6 +265,13 @@ class StabilizerCode:
 # min_distance's spans have at most 2^_SPAN_BITS elements; it scores
 # _SPAN_ELEMENTS elements at a time
 _SPAN_BITS, _SPAN_ELEMENTS = 16, 1 << 20
+
+
+def _word_ints(words: np.ndarray) -> List[int]:
+    """Each [position, symbol] entry of a label-table half as one int, in
+    row-major order."""
+    raw, size = words.tobytes(), 8 * words.shape[2]
+    return [int.from_bytes(raw[o:o + size], "little") for o in range(0, len(raw), size)]
 
 
 def _xor_span(vectors: Sequence[int]) -> np.ndarray:

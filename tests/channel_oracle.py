@@ -62,13 +62,12 @@ def packed(symbols: Sequence[int]) -> int:
 def decoder_entries(code, t: int, l: int) -> Dict[int, int]:
     """First pattern of each syndrome over weights 0..t, then spans 2..l."""
     contrib = label_contrib(code)
-    smask = (1 << code.r) - 1
     entries: Dict[int, int] = {}
     classes = itertools.chain(
         (vec for w in range(t + 1) for vec in weight_class(code.n, w)),
         (vec for s in range(2, l + 1) for vec in span_class(code.n, s)))
     for vec in classes:
-        syn = vector_label(contrib, vec) & smask
+        syn = vector_label(contrib, vec) >> 2 * code.k
         if syn not in entries:
             entries[syn] = packed(vec)
     return entries
@@ -92,7 +91,7 @@ def truncated_ef(code, entries: Dict[int, int], ch: ChannelModel,
         prob = error_prob(vec, ch)
         total.append(prob)
         lbl = vector_label(contrib, vec)
-        if entry_labels.get(lbl & ((1 << code.r) - 1)) == lbl:
+        if entry_labels.get(lbl >> 2 * code.k) == lbl:
             success.append(prob)
     return math.fsum(success), max(0.0, 1.0 - math.fsum(total))
 

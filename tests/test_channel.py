@@ -14,7 +14,7 @@ from qbecc.channel import (ChannelModel, EfResult, build_decoder,
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF4, Poly
 from qbecc.registry import load_registry, registry_entry
-from qbecc.search import build_registry_code
+from qbecc.search import build_code, build_registry_code
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, additive_code,
                               f4_symplectic_map, hermitian_construct)
 
@@ -116,7 +116,7 @@ def test_decoder_soundness():
         table = build_decoder(CODE_13_1, mode, **kwargs)
         for syn, packed in table.entries.items():
             symbols = tuple((packed >> (2 * i)) & 3 for i in range(13))
-            assert oracle.vector_label(contrib, symbols) & ((1 << CODE_13_1.r) - 1) == syn
+            assert oracle.vector_label(contrib, symbols) >> 2 * CODE_13_1.k == syn
 
 
 def test_decoder_combined_extends_random():
@@ -280,19 +280,18 @@ def test_pattern_classes_match_generators(n):
                               _rows(oracle.span_class(n, span), n)), span
 
 
-SMALL_SYNDROME_ROWS = [e.id for e in load_registry() if e.n - e.k <= 16]
-
-
-@pytest.mark.parametrize("code_id", SMALL_SYNDROME_ROWS)
+@pytest.mark.parametrize("code_id", [e.id for e in load_registry()])
 def test_decoder_matches_per_pattern_table(code_id):
     entry = registry_entry(code_id)
     code = build_registry_code(entry)
-    for mode, t, l in [("random", 2, 0), ("burst", 1, entry.l),
-                       ("combined", 2, entry.l)]:
+    # past 16 syndrome bits, (t, l) = (1, 2) keeps the oracle loop small
+    radius, span = (2, entry.l) if code.r <= 16 else (1, 2)
+    for mode, t, l in [("random", radius, 0), ("burst", 1, span),
+                       ("combined", radius, span)]:
         table = build_decoder(code, mode, t=t, l=l)
         expected = oracle.decoder_entries(code, t, l)
         assert list(table.entries.items()) == list(expected.items()), mode
-        assert table.syndromes.tolist() == sorted(expected)
+        assert (table.labels >> 2 * code.k).tolist() == sorted(expected)
 
 
 def test_decoder_stops_once_every_syndrome_is_claimed():
@@ -320,6 +319,25 @@ def test_truncated_matches_per_pattern_loop():
                                             w_max=w_max)
                 assert (got.ef_lower, got.residual) == \
                     oracle.truncated_ef(code, table.entries, ch, w_max, entry.l)
+
+
+def test_truncated_23_1_matches_per_pattern_loop():
+    # r = 22 syndrome bits, the smallest registry row past 16
+    entry = registry_entry("23_1")
+    code = build_registry_code(entry)
+    table = build_decoder(code, "combined", t=1, l=entry.l)
+    ch = ChannelModel(0.03, 0.5)
+    got = entanglement_fidelity(code, table, ch, strategy="truncated", w_max=1)
+    assert (got.ef_lower, got.residual) == \
+        oracle.truncated_ef(code, table.entries, ch, 1, entry.l)
+
+
+def test_decoder_refuses_labels_over_one_word():
+    # [[71,1]]: labels of n + k = 72 bits
+    qr = "1^35 1^34 1^31 1^30 1^28 1^27 1^22 1^18 1^11 1^10 1^9 1^8 1^7 1^2 1^0"
+    code = build_code("css", 71, (qr, qr))
+    with pytest.raises(ResourceLimitError, match="64-bit word"):
+        build_decoder(code, "random", t=1)
 
 
 def test_label_mass_matches_gather():

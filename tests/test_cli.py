@@ -168,6 +168,26 @@ def test_simulate_radius_past_full_table(capsys):
     assert out40 == out4
 
 
+def test_simulate_distance_too_large_needs_t(capsys):
+    # 21_9: the dual has 2^30 elements, over min_distance's 2^28
+    code, out = run_cli(capsys, "simulate", "--code", "21_9", "--p", "0.03", "--mu", "0.5")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "UsageError",
+        "message": "21_9: distance enumeration too large to derive t; pass --t"}
+
+
+def test_simulate_wide_syndrome_truncated(capsys):
+    # r = 22 syndrome bits: the decoder table is a sorted label array
+    code, out = run_cli(capsys, "simulate", "--code", "23_1", "--strategy", "truncated",
+                        "--decoder", "random,burst,combined", "--p", "0.03", "--mu", "0.5")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(row[0], row[1]) for row in rows] == \
+        [("23_1", "random"), ("23_1", "burst"), ("23_1", "combined")]
+    assert all(row[7] == "false" for row in rows)
+
+
 def test_simulate_truncated_span_over_cap(capsys):
     code, out = run_cli(capsys, "simulate", "--code", "13_1", "--strategy", "truncated",
                         "--decoder", "burst", "--l", "40", "--p", "0.03", "--mu", "0.5")
