@@ -12,8 +12,13 @@ errors one by one: errors are binned by their coset of the stabilizer group
 (a 2^(n+k)-valued linear label), and the full probability mass per coset is
 pushed through the qubit chain as a transfer recursion, XOR-ing a qubit's
 label contribution into the state index by flipping axes of a (2,)*D view.
-Each decoder entry then claims exactly one coset's mass, so one mass per
-(code, p, mu) scores every decoder table of that code.
+The recursion starts after the longest prefix of qubits whose X and Z
+labels are linearly independent: the prefixes there have distinct labels,
+so each label row holds at most one nonzero and a transfer step would only
+multiply it by one conditional probability; that mass is scattered
+directly from the prefixes' left-to-right chain products instead, with
+the same floats.  Each decoder entry then claims exactly one coset's mass,
+so one mass per (code, p, mu) scores every decoder table of that code.
 
 Error patterns are uint8 arrays [patterns, n] of Pauli symbols, produced a
 weight class or a span class at a time by one enumerator; their labels are
@@ -38,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .linalg import gf2_rank
 from .stabilizer import F4Vector, ResourceLimitError, StabilizerCode
 
 DEFAULT_EXACT_LIMIT = 4 ** 13
@@ -200,7 +206,8 @@ def build_decoder(code: StabilizerCode, mode: str,
     (lexicographic within a weight class), then bursts of span 2..l for the
     syndromes still unclaimed.  random mode skips the burst pass; burst mode
     caps the weight pass at 1.  Enumeration stops once every syndrome is
-    claimed."""
+    claimed; a class over the byte cap that the walk is bound to reach is
+    refused before any class is enumerated."""
     if mode not in ("random", "burst", "combined"):
         raise ValueError(f"unknown decoder mode {mode!r}")
     if mode == "random":
@@ -217,9 +224,19 @@ def build_decoder(code: StabilizerCode, mode: str,
     if t < 0 or l < 0:
         raise ValueError(f"t={t} and l={l} must be non-negative")
     words, shift = _label_words(code), 2 * code.k
+    classes = _classes(code.n, t, l)
+    # each pattern claims at most one syndrome, so a walk whose earlier
+    # classes hold fewer than 2^r patterns must reach every class up to there
+    before = 0
+    for kind, size in classes:
+        if before >= 1 << code.r:
+            break
+        count = _class_size(code.n, kind, size)
+        _check_patterns(code.n, count, f"the {kind}-{size} class")
+        before += count
     entries: Dict[int, int] = {}
     labels = np.zeros(0, dtype=np.uint64)
-    for kind, size in _classes(code.n, t, l):
+    for kind, size in classes:
         if len(entries) == 1 << code.r:
             break
         patterns = _pattern_class(code.n, kind, size)
@@ -265,8 +282,29 @@ def _xor_permute(src: np.ndarray, c: int, dim: int, out: np.ndarray) -> None:
     np.copyto(out.reshape(shape), np.flip(src.reshape(shape), axis=flips))
 
 
+def _independent_prefix(contrib: Sequence[Sequence[int]]) -> int:
+    """The largest m whose X and Z labels on qubits 0..m-1 are linearly
+    independent, so that the 4^m Pauli prefixes there have distinct labels
+    (a label is linear in the X and Z parts of the error)."""
+    m = 0
+    while m < len(contrib) and gf2_rank(
+            [c for row in contrib[:m + 1] for c in row[1:3]]) == 2 * m + 2:
+        m += 1
+    return m
+
+
 def _label_mass(code: StabilizerCode, ch: ChannelModel) -> np.ndarray:
-    """Probability mass of every stabilizer-coset label over all 4^n errors."""
+    """Probability mass of every stabilizer-coset label over all 4^n errors.
+
+    mass[label, s] holds the prefixes with that label whose last symbol is
+    s; a transfer step pushes it through one more qubit.  While the prefixes
+    have distinct labels (the first m = _independent_prefix qubits), each
+    row of mass has at most one nonzero, so a step's gemv returns that entry
+    times cond[k, s], rounded once, whatever the kernel's summation order.
+    The mass after max(1, m) qubits is therefore scattered directly from the
+    left-to-right chain products of its prefixes, and only the remaining
+    qubits run transfer steps: the same floats as n - 1 steps.
+    """
     dim = code.n + code.k
     n_labels = 1 << dim
     if 32 * n_labels > MAX_ARRAY_BYTES:
@@ -275,17 +313,33 @@ def _label_mass(code: StabilizerCode, ch: ChannelModel) -> np.ndarray:
             f"buffer, over the {MAX_ARRAY_BYTES}-byte cap")
     contrib = label_contrib(code)
     cond = _cond_table(ch)
-    # mass[label, s]: prefixes with that label whose last symbol is s
+    start = max(1, _independent_prefix(contrib))
+    # mass before the prefix arrays, so that the heap they free is where the
+    # transfer buffers land: the peak RSS stays that of the transfer steps
     mass = np.zeros((n_labels, 4), dtype=np.float64)
-    new = np.empty_like(mass)
-    for s, prob in enumerate(ch.marginals):
-        mass[contrib[0][s], s] += prob
-    for i in range(1, code.n):
+    # the prefixes' chain products and their mass.ravel() index, label * 4
+    # + last symbol; distinct, so one scatter places them
+    words = np.array(contrib, dtype=np.intp)
+    prob, index = np.array(ch.marginals), words[0].copy()
+    for i in range(1, start):
+        prob = (prob.reshape(-1, 4)[:, :, None] * cond).ravel()
+        index = (index[:, None] ^ words[i]).ravel()
+    index <<= 2
+    index.reshape(-1, 4)[:] |= np.arange(4)
+    mass.reshape(-1)[index] = prob
+    del prob, index
+    new, col = np.empty_like(mass), np.empty(n_labels, dtype=np.float64)
+    for i in range(start, code.n):
         for s in range(4):
-            _xor_permute(mass @ cond[:, s], contrib[i][s], dim, new[:, s])
+            np.matmul(mass, cond[:, s], out=col)
+            _xor_permute(col, contrib[i][s], dim, new[:, s])
         mass, new = new, mass
+    del new
     # the left-to-right order of mass.sum(axis=1), one column at a time
-    return mass[:, 0] + mass[:, 1] + mass[:, 2] + mass[:, 3]
+    np.add(mass[:, 0], mass[:, 1], out=col)
+    col += mass[:, 2]
+    col += mass[:, 3]
+    return col
 
 
 def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,

@@ -15,8 +15,8 @@ from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF4, Poly
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import build_code, build_registry_code
-from qbecc.stabilizer import (F4Vector, ResourceLimitError, additive_code,
-                              f4_symplectic_map, hermitian_construct)
+from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
+                              additive_code, f4_symplectic_map, hermitian_construct)
 
 W = 2
 
@@ -340,17 +340,97 @@ def test_decoder_refuses_labels_over_one_word():
         build_decoder(code, "random", t=1)
 
 
+def _pauli_code(n, *rows):
+    """A stabilizer code from Pauli strings such as "ZZII"."""
+    return additive_code(n, [f4_symplectic_map(F4Vector.from_symbols(
+        ["IXZY".index(c) for c in row])) for row in rows])
+
+
+X0_IN_STABILIZER = _pauli_code(4, "XIII", "IZZI")  # labels of X0 and I0 agree
+Z0Z1_X2X3 = _pauli_code(4, "ZZII", "IIXX")  # Z1 has the label of Z0
+NO_STABILIZER = StabilizerCode(3, [])  # k = n: every Pauli its own label
+
+
 def test_label_mass_matches_gather():
     codes = [CODE_13_1, build_registry_code(registry_entry("17_1a")), FIVE_QUBIT]
+    # prefixes of 0, 1 and n qubits: the last has no transfer step
+    for code, m in [(X0_IN_STABILIZER, 0), (Z0Z1_X2X3, 1), (NO_STABILIZER, 3)]:
+        assert channel._independent_prefix(label_contrib(code)) == m
+        codes.append(code)
     rng = random.Random(77)
     for _ in range(8):
         n = rng.randrange(2, 9)
         codes.append(random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1)))
     for code in codes:
-        for p, mu in [(0.03, 0.5), (0.2, 0.0), (0.07, 0.95)]:
+        for p, mu in [(0.03, 0.5), (0.2, 0.0), (0.07, 0.95), (0.0, 1.0)]:
             ch = ChannelModel(p, mu)
             assert np.array_equal(channel._label_mass(code, ch),
                                   oracle.label_mass(code, ch))
+
+
+def test_independent_prefix_matches_distinct_labels():
+    # m is the longest prefix whose 4^m Pauli strings have distinct labels
+    rng = random.Random(78)
+    codes = [X0_IN_STABILIZER, Z0Z1_X2X3, NO_STABILIZER, FIVE_QUBIT]
+    codes += [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+              for n in [rng.randrange(1, 7) for _ in range(40)]]
+    for code in codes:
+        contrib = label_contrib(code)
+        m = channel._independent_prefix(contrib)
+
+        def distinct(j):
+            labels = [oracle.vector_label(contrib, sym)
+                      for sym in itertools.product(range(4), repeat=j)]
+            return len(set(labels)) == len(labels)
+
+        assert distinct(m)
+        assert m == code.n or not distinct(m + 1)
+
+
+@pytest.mark.parametrize("code_id", [e.id for e in load_registry()])
+def test_registry_prefix_is_half_the_label_bits(code_id):
+    code = build_registry_code(registry_entry(code_id))
+    assert channel._independent_prefix(label_contrib(code)) == (code.n + code.k) // 2
+
+
+def _count_pattern_classes(monkeypatch):
+    calls = []
+    enumerate_class = channel._pattern_class
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_class(*args)
+
+    monkeypatch.setattr(channel, "_pattern_class", counted)
+    return calls
+
+
+def test_decoder_refuses_before_enumerating(monkeypatch):
+    # 41_1: the classes before span 10 hold 6,553,600 patterns, fewer than
+    # 2^40 syndromes, so the walk is bound to reach the over-cap span-10 class
+    code = build_registry_code(registry_entry("41_1"))
+    calls = _count_pattern_classes(monkeypatch)
+    with pytest.raises(ResourceLimitError,
+                       match="the span-10 class needs 18874368 patterns of 41"):
+        build_decoder(code, "combined", t=1, l=10)
+    assert calls == []
+
+
+def test_decoder_claims_every_syndrome_before_an_over_cap_class(monkeypatch):
+    # 13_1 claims all 2^12 syndromes within weight 4; weight 5 is over the cap
+    calls = _count_pattern_classes(monkeypatch)
+    monkeypatch.setattr(channel, "MAX_ARRAY_BYTES", 1 << 20)
+    with pytest.raises(ResourceLimitError):
+        channel._pattern_class(13, "weight", 5)
+    table = build_decoder(CODE_13_1, "random", t=5)
+    assert table.entries == oracle.decoder_entries(CODE_13_1, 4, 0)
+    assert [size for _, _, size in calls[1:]] == [0, 1, 2, 3, 4]
+    # weight 3 over the cap: 742 lighter patterns cannot claim 4096 syndromes
+    monkeypatch.setattr(channel, "MAX_ARRAY_BYTES", 1 << 16)
+    del calls[:]
+    with pytest.raises(ResourceLimitError, match="the weight-3 class"):
+        build_decoder(CODE_13_1, "random", t=5)
+    assert calls == []
 
 
 def test_byte_cap_refuses_large_sets(monkeypatch):
