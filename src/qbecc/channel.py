@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -434,6 +433,7 @@ def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
     if workers <= 1 or len(columns[0]) <= 1:
         results = list(map(_fidelities, *columns))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fidelities, *columns))
     points = []

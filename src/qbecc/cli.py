@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 
 from .burst import (classical_burst_capability, no_cloning_check, qrb,
                     quantum_burst_capability, rs_burst_capability)
-from .channel import sweep, sweep_to_csv
 from .classical import rs_mds
 from .gf import GF4, ext_field_build
 from .qtpc import InterleaverMap, dispersal_report, qtpc_construct
@@ -184,6 +183,7 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _cmd_simulate(args) -> int:
+    from .channel import sweep, sweep_to_csv  # numpy, loaded only here
     for flag, value in (("--w-max", args.w_max), ("--t", args.t), ("--l", args.l)):
         if value is not None and value < 0:
             raise UsageError(f"{flag} must be non-negative, got {value}")

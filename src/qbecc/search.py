@@ -158,6 +158,8 @@ class SearchPlan:
     max_candidates: Optional[int] = None
 
     def __post_init__(self):
+        if any(n < 1 for n in self.n_values):
+            raise ValueError(f"code lengths must be at least 1, got {min(self.n_values)}")
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("time budget must be positive")
         if self.max_candidates is not None and self.max_candidates <= 0:

@@ -13,18 +13,23 @@ symbol code and the b-bit (Z part) is the high bit.  Packed int layouts:
 
 Stabilizer codes are GF(2)-linear self-orthogonal subspaces under the
 symplectic form; all analysis predicates live on that representation.
+The coset label of a single-qubit error (StabilizerCode.label_ints) is its
+inner products with the rows of the symplectic dual, found by transposing
+those rows bit by bit on Python ints, so any number of rows fits and
+numpy is imported only by min_distance, which works on arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4, f4_conj, f4_mul
 from .linalg import gf2_in_span, gf2_nullspace, gf2_reduce_vector, gf2_row_reduce
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CommutationError(ValueError):
@@ -116,41 +121,6 @@ def burst_length(v) -> int:
     return last - first + 1
 
 
-class LabelTable(NamedTuple):
-    """Coset-label contributions of single-coordinate errors, as read-only
-    uint64 arrays indexed [position, symbol, word].
-
-    Bit j of syndrome is the symplectic inner product with dual_basis()[j]
-    (the r stabilizer rows), bit j of logical that with dual_basis()[r + j]
-    (the 2k logical rows); both are XOR-additive over positions and packed
-    little-endian into ceil(bits/64) words (at least one).
-    StabilizerCode.label_ints joins them into the coset label.
-    """
-    syndrome: np.ndarray
-    logical: np.ndarray
-
-
-def _contribution_words(vectors: Sequence[int], n: int) -> np.ndarray:
-    """uint64 [n, 4, words]: bit j of entry [i, c] is the symplectic inner
-    product of symbol c at position i with vectors[j]."""
-    m = len(vectors)
-    nbytes = (2 * n + 7) // 8
-    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in vectors),
-                        dtype=np.uint8).reshape(m, nbytes)
-    bits = np.unpackbits(raw, axis=1, count=2 * n, bitorder="little")
-    a, b = bits[:, :n], bits[:, n:]
-    words = max(1, -(-m // 64))
-    # <e, v> = e_a v_b + e_b v_a, where symbol c has e_a = c & 1, e_b = c >> 1
-    per_symbol = np.zeros((64 * words, n, 4), dtype=np.uint8)
-    per_symbol[:m, :, 1] = b
-    per_symbol[:m, :, 2] = a
-    per_symbol[:m, :, 3] = a ^ b
-    packed = np.packbits(per_symbol, axis=0, bitorder="little")
-    table = np.ascontiguousarray(packed.transpose(1, 2, 0)).view("<u8")
-    table.flags.writeable = False
-    return table
-
-
 class StabilizerCode:
     """Self-orthogonal GF(2)-linear code C in symplectic representation.
 
@@ -169,7 +139,7 @@ class StabilizerCode:
         # syndrome rows with halves pre-swapped: <u,v>_s = parity(swap(u) & v)
         self._swapped = tuple(_swap_halves(row, n) for row in reduced)
         self._dual_basis: Optional[Tuple[int, ...]] = None
-        self._label_table: Optional[LabelTable] = None
+        self._label_ints: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def params(self) -> Tuple[int, int]:
@@ -206,25 +176,28 @@ class StabilizerCode:
             self._dual_basis = tuple(chosen)
         return self._dual_basis
 
-    def label_table(self) -> LabelTable:
-        """Per-(position, symbol) syndrome and logical label bits, built
-        once from dual_basis()."""
-        if self._label_table is None:
-            dual = self.dual_basis()
-            self._label_table = LabelTable(
-                _contribution_words(dual[:self.r], self.n),
-                _contribution_words(dual[self.r:], self.n))
-        return self._label_table
-
     def label_ints(self) -> Tuple[Tuple[int, ...], ...]:
         """The coset label of symbol c at position i as one int, indexed
-        [i][c]: the r syndrome bits above the 2k logical bits of
-        label_table().  Labels of errors are XOR sums of these, and the
-        syndrome of a label is label >> 2k."""
-        tab = self.label_table()
-        flat = [(s << 2 * self.k) | g for s, g in
-                zip(_word_ints(tab.syndrome), _word_ints(tab.logical))]
-        return tuple(tuple(flat[i:i + 4]) for i in range(0, len(flat), 4))
+        [i][c]: the r syndrome bits above the 2k logical bits.  Labels of
+        errors are XOR sums of these, and the syndrome of a label is
+        label >> 2k.
+
+        Bit j is the symplectic inner product with row j of
+        dual[r:] + dual[:r] (dual = dual_basis()).  For a row v = a | b << n
+        that is b[i] for X, a[i] for Z and a[i] ^ b[i] for Y, so the labels
+        are the rows transposed: set bit p of row j sets bit j of the Z
+        label at p (p < n) or of the X label at p - n.  Built once.
+        """
+        if self._label_ints is None:
+            n, dual = self.n, self.dual_basis()
+            cols = [0] * (2 * n)  # Z labels, then X labels
+            for j, v in enumerate(dual[self.r:] + dual[:self.r]):
+                while v:
+                    low = v & -v
+                    cols[low.bit_length() - 1] |= 1 << j
+                    v ^= low
+            self._label_ints = tuple((0, x, z, x ^ z) for z, x in zip(cols[:n], cols[n:]))
+        return self._label_ints
 
     def min_distance(self, limit: int = 1 << 28, include_stabilizer: bool = False) -> int:
         """Minimum symplectic weight over the dual, excluding stabilizer
@@ -236,6 +209,7 @@ class StabilizerCode:
         all zero.  The span of the first rows is built once as an array and
         offset by the span of the others, a block of offsets at a time.
         """
+        import numpy as np
         dual = self.dual_basis()
         dim, n, r = len(dual), self.n, self.r
         if 1 << dim > limit or 2 * n > 64:
@@ -267,16 +241,10 @@ class StabilizerCode:
 _SPAN_BITS, _SPAN_ELEMENTS = 16, 1 << 20
 
 
-def _word_ints(words: np.ndarray) -> List[int]:
-    """Each [position, symbol] entry of a label-table half as one int, in
-    row-major order."""
-    raw, size = words.tobytes(), 8 * words.shape[2]
-    return [int.from_bytes(raw[o:o + size], "little") for o in range(0, len(raw), size)]
-
-
 def _xor_span(vectors: Sequence[int]) -> np.ndarray:
     """uint64 array of all 2^len(vectors) XOR combinations; bit j of the
     index selects vectors[j]."""
+    import numpy as np
     span = np.zeros(1, dtype=np.uint64)
     for v in vectors:
         span = np.concatenate((span, span ^ np.uint64(v)))
@@ -376,7 +344,7 @@ def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
 
 
 __all__ = [
-    "SymplecticVector", "F4Vector", "StabilizerCode", "LabelTable",
+    "SymplecticVector", "F4Vector", "StabilizerCode",
     "CommutationError", "ResourceLimitError",
     "symplectic_ip", "f4_symplectic_map", "symplectic_f4_map",
     "burst_length", "additive_code", "hermitian_construct", "css_construct",

@@ -17,6 +17,7 @@ import numpy as np
 
 from qbecc.burst import BurstAnalysis, burst_count, qrb
 from qbecc.stabilizer import F4Vector, ResourceLimitError, StabilizerCode
+from label_oracle import label_table
 
 MAX_BURSTS_PER_LEVEL = 1 << 27
 
@@ -177,7 +178,7 @@ def check_level_hash(code: StabilizerCode, l: int):
     if total > MAX_BURSTS_PER_LEVEL:
         raise ResourceLimitError(
             f"level {l} needs {total} bursts, limit {MAX_BURSTS_PER_LEVEL}")
-    tab = code.label_table()
+    tab = label_table(code)
     if tab.syndrome.shape[2] > 1:
         raise ResourceLimitError(f"{code.r} syndrome bits exceed one 64-bit word")
     syns = level_syndromes(n, l, tab.syndrome[:, :, 0])

@@ -5,15 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_self_orthogonal_code
+from conftest import random_css_code, random_self_orthogonal_code
 from qbecc.burst import (burst_count, check_qrb, located_burst_check,
                          no_cloning_check, qrb, quantum_burst_capability)
 from qbecc.burst import _check_level_rank, _label_columns
 from burst_oracle import (check_level_hash, check_level_oracle, enumerate_bursts,
                           level_syndromes, oracle_capability)
+from label_oracle import label_table
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF2, GF4, Poly
-from qbecc.linalg import gf2_nullspace
 from qbecc.registry import load_registry
 from qbecc.search import build_code, build_registry_code
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
@@ -78,7 +78,7 @@ def test_numpy_syndromes_match_iterator_order():
         n = rng.randrange(2, 8)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
         l = rng.randrange(0, n + 1)
-        syns = level_syndromes(n, l, code.label_table().syndrome[:, :, 0])
+        syns = level_syndromes(n, l, label_table(code).syndrome[:, :, 0])
         expected = [code.syndrome(f4_symplectic_map(v).packed)
                     for v in enumerate_bursts(n, l)]
         assert expected == syns.tolist()
@@ -206,24 +206,6 @@ def test_located_burst_13_1_double_span_windows():
 # Level checks against the slow paths
 # ----------------------------------------------------------------------
 
-def _random_css_code(rng, n, rx, rz, short):
-    """CSS code with rx random X rows and rz Z rows from their kernel;
-    with short, the first X row acts on two neighbours only, which makes
-    degenerate collisions."""
-    xs = [rng.getrandbits(n) for _ in range(rx)]
-    if short:
-        xs[0] = 3 << rng.randrange(n - 1)
-    kernel = gf2_nullspace(xs, n)
-    zs = []
-    for _ in range(rz):
-        z = 0
-        for v in kernel:
-            if rng.random() < 0.5:
-                z ^= v
-        zs.append(z << n)
-    return StabilizerCode(n, [r for r in xs + zs if r])
-
-
 def _assert_valid_witness(code, l, witness):
     e1, e2 = witness
     assert e1 != e2
@@ -337,7 +319,7 @@ def test_level_check_matches_oracle_multiword_labels():
     seen_ok = seen_degenerate = seen_fail = 0
     for n, rx, rz in [(70, 2, 2), (64, 14, 14), (66, 12, 12), (72, 13, 13)]:
         for short in (False, True):
-            code = _random_css_code(rng, n, rx, rz, short)
+            code = random_css_code(rng, n, rx, rz, short)
             assert 2 * code.k > 64
             _compare_with_oracle(code, 1)
             ok, degenerate, _, _ = check_level_hash(code, 1)
@@ -354,7 +336,7 @@ def test_level_check_matches_oracle_multiword_labels():
 
 def test_level_check_refuses_wide_syndromes():
     rng = random.Random(65)
-    code = _random_css_code(rng, 80, 33, 33, False)
+    code = random_css_code(rng, 80, 33, 33, False)
     assert code.r > 64
     with pytest.raises(ResourceLimitError):
         check_level_hash(code, 1)
@@ -363,7 +345,7 @@ def test_level_check_refuses_wide_syndromes():
 def test_wide_syndromes_analyzed():
     # the code the syndrome-hash check refuses above, now analyzed
     rng = random.Random(65)
-    code = _random_css_code(rng, 80, 33, 33, False)
+    code = random_css_code(rng, 80, 33, 33, False)
     analysis = quantum_burst_capability(code)
     assert (code.r, analysis.l, analysis.degenerate) == (66, 12, False)
     _compare_with_oracle(code, 1, checks=(_rank_check,))

@@ -77,6 +77,13 @@ def test_search_even_only_range(capsys):
     assert "error" in json.loads(out)
 
 
+def test_search_negative_length_rejected(capsys):
+    code, out = run_cli(capsys, "search", "--min-n", "-3", "--max-n", "3")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "code lengths must be at least 1, got -3"}
+
+
 def test_tensor_example(capsys):
     code, out = run_cli(capsys, "tensor", "--c1-poly", "1^6 2^3 1^0",
                         "--c1-n", "15", "--rs", "6,2", "--dispersal", "6")

@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_self_orthogonal_code
+from conftest import random_css_code, random_self_orthogonal_code
+from label_oracle import label_ints as oracle_label_ints, label_table
 from qbecc.classical import cyclic_from_poly, linear_code
 from qbecc.gf import GF2, GF4, Poly, f4_conj, f4_mul
+from qbecc.registry import load_registry
+from qbecc.search import build_registry_code
 from qbecc.stabilizer import (CommutationError, F4Vector, ResourceLimitError,
                               StabilizerCode, SymplecticVector, additive_code,
                               burst_length, css_construct, f4_symplectic_map,
@@ -303,11 +306,13 @@ def test_label_table_matches_inner_products():
     cases = [(rng.randrange(2, 12), None) for _ in range(20)] + [(45, 10), (70, 4)]
     for n, r in cases:
         code = random_self_orthogonal_code(rng, n, r if r else rng.randrange(0, n))
-        tab = code.label_table()
+        tab = label_table(code)
         assert tab.syndrome.shape == (n, 4, max(1, -(-code.r // 64)))
         assert tab.logical.shape == (n, 4, max(1, -(-2 * code.k // 64)))
-        assert code.label_table() is tab  # cached
+        assert label_table(code) is tab  # cached
         assert not tab.logical.flags.writeable
+        labels = code.label_ints()
+        assert code.label_ints() is labels  # cached
         dual = code.dual_basis()
         for i in range(n):
             for c in range(4):
@@ -318,6 +323,21 @@ def test_label_table_matches_inner_products():
                 logical = sum(bit << j for j, bit in enumerate(bits[code.r:]))
                 assert _words_int(tab.syndrome[i, c]) == syndrome
                 assert _words_int(tab.logical[i, c]) == logical
+                assert labels[i][c] == (syndrome << 2 * code.k) | logical
+
+
+def test_label_ints_match_oracle_table():
+    # every registry row, random codes, and CSS codes with r > 64 or 2k > 64
+    codes = [build_registry_code(entry) for entry in load_registry()]
+    rng = random.Random(99)
+    for _ in range(150):
+        n = rng.randrange(1, 80)
+        codes.append(random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1)))
+    for n, rx, rz in [(80, 33, 33), (90, 50, 30), (70, 2, 2), (100, 20, 10)]:
+        codes.append(random_css_code(rng, n, rx, rz, False))
+    assert any(code.r > 64 for code in codes) and any(2 * code.k > 64 for code in codes)
+    for code in codes:
+        assert code.label_ints() == oracle_label_ints(code), code.params
 
 
 def _words_int(words) -> int:
