@@ -15,7 +15,7 @@ _EXPORTS = {
     "channel": ("ChannelModel", "DecoderTable", "EfResult", "SweepPoint",
                 "build_decoder", "cond_prob", "entanglement_fidelity",
                 "error_prob", "sweep", "sweep_to_csv"),
-    "classical": ("CyclicCode", "LinearCode", "binary_dual_containing",
+    "classical": ("LinearCode", "binary_dual_containing",
                   "cyclic_from_poly", "hermitian_dual_containing",
                   "linear_code", "rs_mds"),
     "gf": ("GF2", "GF4", "ExtField", "Poly", "UnsupportedDegreeError",

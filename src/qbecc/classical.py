@@ -56,25 +56,7 @@ def linear_code(field, gen_rows: Sequence[Sequence[int]], n: Optional[int] = Non
                       tuple(tuple(h) for h in check))
 
 
-@dataclass(frozen=True)
-class CyclicCode:
-    base: LinearCode
-    gen_poly: Poly
-
-    @property
-    def field(self):
-        return self.base.field
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-
-def cyclic_from_poly(g: Poly, n: int) -> CyclicCode:
+def cyclic_from_poly(g: Poly, n: int) -> LinearCode:
     """Cyclic code of length n generated by g; g must divide x^n - 1."""
     field = g.field
     if g.is_zero:
@@ -89,7 +71,7 @@ def cyclic_from_poly(g: Poly, n: int) -> CyclicCode:
         for i, c in enumerate(g.coeffs):
             row[shift + i] = c
         rows.append(row)
-    return CyclicCode(linear_code(field, rows, n), g)
+    return linear_code(field, rows, n)
 
 
 def rs_mds(n2: int, l2: int, field) -> LinearCode:
@@ -143,7 +125,7 @@ def binary_dual_containing(c2: LinearCode, c1: LinearCode) -> bool:
 
 
 __all__ = [
-    "LinearCode", "CyclicCode", "InvalidGeneratorError",
+    "LinearCode", "InvalidGeneratorError",
     "linear_code", "cyclic_from_poly", "rs_mds",
     "hermitian_dual_containing", "binary_dual_containing",
 ]

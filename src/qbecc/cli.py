@@ -215,6 +215,9 @@ def _cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_bounds(args) -> int:
+    if args.n < 1 or not 0 <= args.k <= args.n or args.l < 0:
+        raise UsageError(f"bounds needs n >= 1, 0 <= k <= n and l >= 0, "
+                         f"got n={args.n}, k={args.k}, l={args.l}")
     q = qrb(args.n, args.k)
     _emit({
         "qrb": q,

@@ -2,8 +2,10 @@
 
 Candidates are built from monic divisors of x^n - 1: single GF(4)
 generators through the Hermitian construction, and pairs of binary
-generators through the CSS construction.  Every candidate that passes its
-dual-containment precondition, decided by polynomial divisibility, is
+generators through the CSS construction.  A divisor is a subset of the
+irreducible factors of x^n - 1, kept as a bitmask, so dual containment is
+decided by one AND of two masks.  Every candidate that passes it reaches
+the constructors through the same function as a registry row, and is
 analyzed and recorded.
 """
 
@@ -15,11 +17,11 @@ import io
 import re
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .burst import BurstAnalysis, qrb, quantum_burst_capability
 from .classical import LinearCode, cyclic_from_poly
-from .gf import GF2, GF4, Poly, berlekamp_factor, f4_conj, xn_minus_1
+from .gf import GF2, GF4, Poly, berlekamp_factor, xn_minus_1
 from .registry import RegistryEntry, load_registry
 from .stabilizer import StabilizerCode, css_construct, hermitian_construct
 
@@ -75,7 +77,7 @@ def genpoly_to_poly(spec: GenPolySpec, field_obj) -> Poly:
 
 def cyclic_code(text: str, n: int, field_obj) -> LinearCode:
     """The length-n cyclic code over field_obj generated by generator text."""
-    return cyclic_from_poly(genpoly_to_poly(parse_genpoly(text, n), field_obj), n).base
+    return cyclic_from_poly(genpoly_to_poly(parse_genpoly(text, n), field_obj), n)
 
 
 _CONSTRUCTION_FIELDS = {"hermitian": (GF4,), "css": (GF2, GF2)}
@@ -93,7 +95,11 @@ def build_code(construction: str, n: int,
     if len(genpolys) != len(fields):
         raise ValueError(f"{construction} construction takes {len(fields)} "
                          f"generator(s), got {len(genpolys)}")
-    codes = [cyclic_code(text, n, f) for text, f in zip(genpolys, fields)]
+    return _construct(construction,
+                      [cyclic_code(text, n, f) for text, f in zip(genpolys, fields)])
+
+
+def _construct(construction: str, codes: Sequence[LinearCode]) -> StabilizerCode:
     # constructors are looked up as module globals at call time (not stored
     # in a table), so a wrapper installed on this module sees every call
     if construction == "hermitian":
@@ -107,43 +113,48 @@ def poly_to_genpoly(p: Poly, n: int) -> GenPolySpec:
     return GenPolySpec(n, terms)
 
 
-def enumerate_cyclic_generators(n: int, field_obj) -> List[Poly]:
-    """Every monic divisor of x^n - 1, from the irreducible factorization,
-    sorted by (degree, coefficients)."""
+def _divisors(n: int, field_obj) -> List[Tuple[Poly, int, int]]:
+    """Every monic divisor g of x^n - 1 as (g, S, S'), sorted by (degree,
+    coefficients).  S is the mask of g's irreducible factors and S' the mask
+    of its mirror: the conjugate reciprocal over GF(4), the reciprocal over
+    GF(2) (conjugation is the identity there).  Divisors of x^n - 1 have a
+    nonzero constant term, so mirroring a factor keeps its degree and gives
+    another factor."""
     if n % 2 == 0:
         raise ValueError(f"length {n} shares a factor with the field characteristic")
     factors = berlekamp_factor(xn_minus_1(n, field_obj))
-    divisors = []
-    for mask in range(1 << len(factors)):
-        prod = Poly.one(field_obj)
-        for i, f in enumerate(factors):
-            if (mask >> i) & 1:
-                prod = prod * f
-        divisors.append(prod)
-    divisors.sort(key=lambda p: (p.degree, p.coeffs))
+    index = {f: i for i, f in enumerate(factors)}
+    mirror = [index[Poly(field_obj, map(field_obj.conj, reversed(f.coeffs))).monic()]
+              for f in factors]
+    divisors = [(Poly.one(field_obj), 0, 0)]
+    for i, f in enumerate(factors):
+        divisors += [(g * f, s | 1 << i, m | 1 << mirror[i]) for g, s, m in divisors]
+    divisors.sort(key=lambda d: (d[0].degree, d[0].coeffs))
     return divisors
 
 
-# Dual containment of cyclic codes read off their generators (Calderbank,
-# Rains, Shor and Sloane, IEEE T-IT 1998; Aly, Klappenecker and Sarvepalli,
-# IEEE T-IT 2007).  Divisors of x^n - 1 have a nonzero constant term, so
-# reversing the coefficients keeps the degree.
-
-def _divides_xn_minus_1(p: Poly, n: int) -> bool:
-    return (xn_minus_1(n, p.field) % p).is_zero
+def enumerate_cyclic_generators(n: int, field_obj) -> List[Poly]:
+    """Every monic divisor of x^n - 1, from the irreducible factorization,
+    sorted by (degree, coefficients)."""
+    return [g for g, _, _ in _divisors(n, field_obj)]
 
 
-def _hermitian_dual_containing(g: Poly, n: int) -> bool:
-    """The Hermitian dual of <g> lies in <g> iff g times its conjugate
-    reciprocal divides x^n - 1."""
-    conj_reciprocal = Poly(GF4, [f4_conj(c) for c in reversed(g.coeffs)])
-    return _divides_xn_minus_1(g * conj_reciprocal, n)
+def _candidates(n: int, construction: str) -> Iterator[Tuple[Poly, ...]]:
+    """The generators of every dual-containing candidate of length n, in
+    (degree, coefficients) order.
 
-
-def _css_dual_containing(g1: Poly, g2: Poly, n: int) -> bool:
-    """The dual of <g2> lies in <g1> iff g1 times the reciprocal of g2
-    divides x^n - 1."""
-    return _divides_xn_minus_1(g1 * Poly(g2.field, reversed(g2.coeffs)), n)
+    x^n - 1 is squarefree for odd n, so a product of divisors divides it iff
+    they share no factor (Calderbank, Rains, Shor and Sloane, IEEE T-IT 1998;
+    Aly, Klappenecker and Sarvepalli, IEEE T-IT 2007).  The Hermitian dual of
+    <g> lies in <g> iff g times its conjugate reciprocal divides x^n - 1:
+    S & S' == 0.  The dual of <g2> lies in <g1> iff g1 times the reciprocal
+    of g2 divides it: S1 & S2' == 0, taken for g1 <= g2 in divisor order.
+    """
+    if construction == "hermitian":
+        return ((g,) for g, s, m in _divisors(n, GF4) if not s & m)
+    divisors = _divisors(n, GF2)
+    return ((g1, g2) for i, (g1, s1, _) in enumerate(divisors)
+            for g2, _, m2 in divisors[i:] if not s1 & m2)
 
 
 # ----------------------------------------------------------------------
@@ -196,67 +207,39 @@ def _record(analysis: BurstAnalysis, construction: str, g1: str, g2: str = "") -
 
 
 def search(plan: SearchPlan) -> SearchOutcome:
-    """Analyze every dual-containment-passing cyclic candidate in the plan.
+    """Analyze every dual-containing cyclic candidate in the plan.
 
-    Dual containment is decided on the generator polynomials by
-    divisibility of x^n - 1, so no matrix is built for a rejected
-    candidate; the cyclic codes of the survivors are built on demand (once
-    per binary divisor).  Deterministic for a fixed plan; budget
-    exhaustion stops early and marks the outcome incomplete.
+    For each length, the Hermitian candidates come first, then the CSS
+    pairs, each in divisor order (see _candidates).  Dual containment is
+    decided on factor masks, so nothing is built for a rejected candidate;
+    a binary generator's cyclic code is built once per length.
+    Deterministic for a fixed plan; a budget that runs out before a
+    candidate stops the search and marks the outcome incomplete.
     """
     started = time.monotonic()
-    analyzed = 0
     records: List[SearchRecord] = []
-    complete = True
 
-    def budget_left() -> bool:
-        if plan.max_seconds is not None and time.monotonic() - started > plan.max_seconds:
-            return False
-        if plan.max_candidates is not None and analyzed >= plan.max_candidates:
-            return False
-        return True
+    def outcome(complete: bool) -> SearchOutcome:
+        records.sort(key=lambda r: (r.n, -r.k, -r.l, r.construction, r.genpoly1, r.genpoly2))
+        return SearchOutcome(tuple(records), complete)
 
     for n in plan.n_values:
-        if "hermitian" in plan.constructions:
-            for g in enumerate_cyclic_generators(n, GF4):
-                if 2 * (n - g.degree) < n:
-                    continue  # dimension too small to contain the dual
-                if not budget_left():
-                    complete = False
-                    break
-                if not _hermitian_dual_containing(g, n):
-                    continue
-                code = cyclic_from_poly(g, n).base
-                analysis = quantum_burst_capability(hermitian_construct(code))
-                analyzed += 1
-                records.append(_record(analysis, "hermitian",
-                                       format_genpoly(poly_to_genpoly(g, n))))
-            if not complete:
-                break
-        if "css" in plan.constructions:
-            divisors = enumerate_cyclic_generators(n, GF2)
-            binary_code = functools.cache(lambda i: cyclic_from_poly(divisors[i], n).base)
-            for i in range(len(divisors)):
-                if not complete:
-                    break
-                for j in range(i, len(divisors)):
-                    if not budget_left():
-                        complete = False
-                        break
-                    if not _css_dual_containing(divisors[i], divisors[j], n):
-                        continue
-                    analysis = quantum_burst_capability(
-                        css_construct(binary_code(i), binary_code(j)))
-                    analyzed += 1
-                    records.append(_record(
-                        analysis, "css",
-                        format_genpoly(poly_to_genpoly(divisors[i], n)),
-                        format_genpoly(poly_to_genpoly(divisors[j], n))))
-            if not complete:
-                break
-
-    records.sort(key=lambda r: (r.n, -r.k, -r.l, r.construction, r.genpoly1, r.genpoly2))
-    return SearchOutcome(tuple(records), complete)
+        for construction in _CONSTRUCTION_FIELDS:
+            if construction not in plan.constructions:
+                continue
+            # a binary divisor serves many CSS pairs, a Hermitian generator
+            # one candidate: caching its code would only hold memory
+            code = functools.cache(cyclic_from_poly) if construction == "css" else cyclic_from_poly
+            for gens in _candidates(n, construction):
+                if ((plan.max_candidates is not None and len(records) >= plan.max_candidates)
+                        or (plan.max_seconds is not None
+                            and time.monotonic() - started > plan.max_seconds)):
+                    return outcome(False)
+                analysis = quantum_burst_capability(
+                    _construct(construction, [code(g, n) for g in gens]))
+                records.append(_record(analysis, construction, *(
+                    format_genpoly(poly_to_genpoly(g, n)) for g in gens)))
+    return outcome(True)
 
 
 CSV_HEADER = ["n", "k", "l", "qrb", "saturates", "degenerate",

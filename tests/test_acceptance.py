@@ -267,7 +267,7 @@ def test_criterion_8_bracket_consistency(figure_data, bracket_data):
 def test_criterion_9_qtpc_example():
     t0 = time.monotonic()
     spec = parse_genpoly("1^6 2^3 1^0", 15)
-    c1 = cyclic_from_poly(genpoly_to_poly(spec, GF4), 15).base
+    c1 = cyclic_from_poly(genpoly_to_poly(spec, GF4), 15)
     c2 = rs_mds(6, 2, ext_field_build(6))
     stab, qspec = qtpc_construct(c1, c2)
     assert qspec.params == (90, 42)

@@ -29,7 +29,7 @@ FIVE_QUBIT = additive_code(5, [
 
 def _build_13_1() -> StabilizerCode:
     from qbecc.stabilizer import hermitian_construct
-    return hermitian_construct(cyclic_from_poly(Poly(GF4, (1, W, 0, 3, 0, W, 1)), 13).base)
+    return hermitian_construct(cyclic_from_poly(Poly(GF4, (1, W, 0, 3, 0, W, 1)), 13))
 
 
 def _rank_check(code, l):
@@ -104,7 +104,7 @@ def test_witness_validity():
     from qbecc.gf import GF2
     g1 = Poly(GF2, (1, 1, 0, 0, 1, 0, 1))
     g2 = Poly(GF2, (1, 1, 1, 0, 1, 0, 1))
-    code = css_construct(cyclic_from_poly(g1, 21).base, cyclic_from_poly(g2, 21).base)
+    code = css_construct(cyclic_from_poly(g1, 21), cyclic_from_poly(g2, 21))
     analysis = quantum_burst_capability(code)
     assert analysis.l == 2 and qrb(21, 9) == 3
     e1, e2 = analysis.witness
@@ -391,10 +391,10 @@ def test_pinned_search_codes():
     assert len(PINS["search"]) == 636
     for n, construction, g1, g2, *want in PINS["search"]:
         if construction == "hermitian":
-            code = hermitian_construct(cyclic_from_poly(_poly(g1, GF4), n).base)
+            code = hermitian_construct(cyclic_from_poly(_poly(g1, GF4), n))
         else:
-            code = css_construct(cyclic_from_poly(_poly(g1, GF2), n).base,
-                                 cyclic_from_poly(_poly(g2, GF2), n).base)
+            code = css_construct(cyclic_from_poly(_poly(g1, GF2), n),
+                                 cyclic_from_poly(_poly(g2, GF2), n))
         _assert_matches_pin(code, want, (n, g1, g2))
 
 

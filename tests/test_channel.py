@@ -25,7 +25,7 @@ FIVE_QUBIT = additive_code(5, [
     [(1, 2, 2, 1, 0), (0, 1, 2, 2, 1), (1, 0, 1, 2, 2), (2, 1, 0, 1, 2)]])
 
 CODE_13_1 = hermitian_construct(
-    cyclic_from_poly(Poly(GF4, (1, W, 0, 3, 0, W, 1)), 13).base)
+    cyclic_from_poly(Poly(GF4, (1, W, 0, 3, 0, W, 1)), 13))
 
 
 def test_channel_model_validation():

@@ -31,18 +31,18 @@ def codewords(code):
 
 def test_cyclic_15_9():
     code = cyclic_from_poly(G_15_9, 15)
-    assert code.base.params == (15, 9)
+    assert code.params == (15, 9)
 
 
 def test_cyclic_unit_generator_full_space():
     code = cyclic_from_poly(Poly.one(GF2), 7)
-    assert code.base.params == (7, 7)
-    assert code.base.check_rows == ()
+    assert code.params == (7, 7)
+    assert code.check_rows == ()
 
 
 def test_cyclic_single_parity():
     code = cyclic_from_poly(Poly(GF2, (1, 1)), 3)
-    assert code.base.params == (3, 2)
+    assert code.params == (3, 2)
 
 
 def test_cyclic_invalid_generator():
@@ -52,18 +52,18 @@ def test_cyclic_invalid_generator():
 
 def test_generator_check_orthogonality():
     for g, n in [(G_15_9, 15), (Poly(GF2, (1, 1, 0, 1)), 7)]:
-        code = cyclic_from_poly(g, n).base
+        code = cyclic_from_poly(g, n)
         for h in code.check_rows:
             assert not any(mat_mul_vec(code.field, code.gen_rows, h))
 
 
 def test_burst_capability_15_9_is_3():
-    code = cyclic_from_poly(G_15_9, 15).base
+    code = cyclic_from_poly(G_15_9, 15)
     assert classical_burst_capability(code).l == 3
 
 
 def test_burst_capability_repetition():
-    code = cyclic_from_poly(Poly(GF2, (1, 1, 1)), 3).base  # [3,1] repetition
+    code = cyclic_from_poly(Poly(GF2, (1, 1, 1)), 3)  # [3,1] repetition
     assert code.params == (3, 1)
     assert classical_burst_capability(code).l == 1
 
@@ -71,7 +71,7 @@ def test_burst_capability_repetition():
 def test_burst_capability_7_3():
     # frozen from the all-pairs oracle below
     g = Poly(GF2, (1, 1)) * Poly(GF2, (1, 1, 0, 1))
-    code = cyclic_from_poly(g, 7).base
+    code = cyclic_from_poly(g, 7)
     assert code.params == (7, 3)
     cap = classical_burst_capability(code)
     assert cap.l == 2
@@ -119,7 +119,7 @@ def _oracle_capability(code, end_around):
 
 def test_burst_capability_end_around_not_larger():
     for g, n in [(G_15_9, 15), (Poly(GF2, (1, 1)) * Poly(GF2, (1, 1, 0, 1)), 7)]:
-        code = cyclic_from_poly(g, n).base
+        code = cyclic_from_poly(g, n)
         plain = classical_burst_capability(code, end_around=False)
         cyc = classical_burst_capability(code, end_around=True)
         assert cyc.l <= plain.l
@@ -128,7 +128,7 @@ def test_burst_capability_end_around_not_larger():
 
 def test_burst_capability_reiger_ceiling():
     for g, n in [(G_15_9, 15), (Poly(GF2, (1, 1, 1)), 3)]:
-        code = cyclic_from_poly(g, n).base
+        code = cyclic_from_poly(g, n)
         assert classical_burst_capability(code).l <= (code.n - code.k) // 2
 
 
@@ -149,7 +149,7 @@ def _random_cyclic_codes(seed, count):
     for _ in range(count):
         field = rng.choice((GF2, GF4))
         n = rng.randrange(3, 16, 2)
-        yield cyclic_from_poly(rng.choice(enumerate_cyclic_generators(n, field)), n).base
+        yield cyclic_from_poly(rng.choice(enumerate_cyclic_generators(n, field)), n)
 
 
 def test_burst_capability_matches_oracle_random_cyclic():
@@ -262,13 +262,13 @@ def test_rs_mds_extended_length():
 # ----------------------------------------------------------------------
 
 def test_hermitian_dual_containing_15_9():
-    code = cyclic_from_poly(G_15_9, 15).base
+    code = cyclic_from_poly(G_15_9, 15)
     assert hermitian_dual_containing(code)
 
 
 def test_hermitian_dual_containing_small_dimension():
     g = G_15_9 * Poly(GF4, (1, 1)) * Poly(GF4, (W, 1)) * Poly(GF4, (3, 1))
-    code = cyclic_from_poly(g, 15).base
+    code = cyclic_from_poly(g, 15)
     # k = 6 < 15/2 is impossible by dimension count
     assert code.k < 15 / 2
     assert not hermitian_dual_containing(code)
@@ -280,7 +280,7 @@ def test_hermitian_dual_containing_full_space():
 
 
 def test_hermitian_dual_containing_wrong_field():
-    code = cyclic_from_poly(Poly(GF2, (1, 1)), 3).base
+    code = cyclic_from_poly(Poly(GF2, (1, 1)), 3)
     with pytest.raises(ValueError):
         hermitian_dual_containing(code)
 
@@ -306,12 +306,12 @@ def test_binary_dual_containing_full_and_zero():
     ham = linear_code(GF2, HAMMING_ROWS)
     assert binary_dual_containing(ham, linear_code(GF2, [[1 if j == i else 0 for j in range(7)] for i in range(7)]))
     # dual of the full space is the zero code, contained everywhere
-    proper = cyclic_from_poly(Poly(GF2, (1, 1)), 5).base
+    proper = cyclic_from_poly(Poly(GF2, (1, 1)), 5)
     assert binary_dual_containing(full, proper)
 
 
 def test_binary_dual_containing_length_mismatch():
-    a = cyclic_from_poly(Poly(GF2, (1, 1)), 3).base
-    b = cyclic_from_poly(Poly(GF2, (1, 1)), 5).base
+    a = cyclic_from_poly(Poly(GF2, (1, 1)), 3)
+    b = cyclic_from_poly(Poly(GF2, (1, 1)), 5)
     with pytest.raises(ValueError):
         binary_dual_containing(a, b)

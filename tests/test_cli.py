@@ -60,6 +60,15 @@ def test_bounds(capsys):
     assert json.loads(out)["no_cloning_ok"] is False
 
 
+def test_bounds_rejects_impossible_parameters(capsys):
+    for n, k, l in ((-3, 1, 3), (3, 5, 1), (13, 1, -2)):
+        code, out = run_cli(capsys, "bounds", "--n", str(n), "--k", str(k), "--l", str(l))
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "UsageError",
+            "message": f"bounds needs n >= 1, 0 <= k <= n and l >= 0, got n={n}, k={k}, l={l}"}
+
+
 def test_search_small_range(capsys, tmp_path):
     out_path = tmp_path / "records.csv"
     code, _ = run_cli(capsys, "search", "--min-n", "13", "--max-n", "15",

@@ -13,7 +13,7 @@ from qbecc.stabilizer import burst_length, f4_symplectic_map
 
 W = 2
 
-C1 = cyclic_from_poly(Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15).base  # [15, 9]
+C1 = cyclic_from_poly(Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15)  # [15, 9]
 
 
 def test_tensor_all_ones_outer_row():
@@ -95,7 +95,7 @@ def test_qtpc_trivial_outer():
 
 
 def test_qtpc_rejects_non_dual_containing_inner():
-    bad = cyclic_from_poly(Poly(GF4, (1, 1)), 3).base
+    bad = cyclic_from_poly(Poly(GF4, (1, 1)), 3)
     with pytest.raises(ValueError):
         qtpc_construct(bad, rs_mds(4, 1, ext_field_build(1)))
 
@@ -129,7 +129,7 @@ def test_qtpc_binary_branch_rejects_non_dual_containing():
     from qbecc.gf import GF2, ext2_field_build
     from qbecc.classical import cyclic_from_poly as cfp
     from qbecc.gf import GF2 as _g2, Poly as _poly
-    rep = cfp(_poly(_g2, (1, 1, 1)), 3).base  # [3,1]: dual is bigger
+    rep = cfp(_poly(_g2, (1, 1, 1)), 3)  # [3,1]: dual is bigger
     with pytest.raises(ValueError):
         qtpc_construct(rep, rs_mds(4, 1, ext2_field_build(2)))
 

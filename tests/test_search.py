@@ -4,15 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from divisibility_oracle import _css_dual_containing, _hermitian_dual_containing
 from qbecc.classical import (binary_dual_containing, cyclic_from_poly,
                              hermitian_dual_containing)
 from qbecc.gf import GF2, GF4, Poly
 from qbecc.registry import load_registry, registry_entry
+from qbecc.search import _candidates, _divisors
 from qbecc.search import (GenPolyError, SearchPlan, build_code, build_registry_code,
                           cyclic_code, enumerate_cyclic_generators, format_genpoly,
                           genpoly_to_poly, parse_genpoly, poly_to_genpoly,
                           records_to_csv, reproduce_table1, search)
-from qbecc.search import _css_dual_containing, _hermitian_dual_containing
 from qbecc.stabilizer import css_construct, hermitian_construct
 
 W = 2
@@ -152,9 +153,9 @@ def test_registry_unknown_id():
 def test_build_code_matches_hand_built_codes():
     herm = build_code("hermitian", 15, ["1^6 2^3 1^0"])
     assert herm.basis == hermitian_construct(
-        cyclic_from_poly(Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15).base).basis
+        cyclic_from_poly(Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15)).basis
     assert cyclic_code("1^6 2^3 1^0", 15, GF4) == cyclic_from_poly(
-        Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15).base
+        Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15)
     css = build_code("css", 21, ["1^6 1^4 1^1 1^0", "1^6 1^4 1^2 1^1 1^0"])
     assert css.params == (21, 9)
 
@@ -200,25 +201,99 @@ def test_divisibility_filters_match_matrix_predicates():
     # constructors, gated only by the commutation check, must agree too
     cases = passed = 0
     for n in range(3, 32, 2):
-        binary = enumerate_cyclic_generators(n, GF2)
+        binary = _divisors(n, GF2)
         if len(binary) > 64:
             continue
-        for g in enumerate_cyclic_generators(n, GF4):
-            code = cyclic_from_poly(g, n).base
+        hermitian = []
+        for g, s, m in _divisors(n, GF4):
+            code = cyclic_from_poly(g, n)
             want = hermitian_dual_containing(code)
+            assert (not s & m) == want, (n, g)
             assert _hermitian_dual_containing(g, n) == want, (n, g)
             assert _constructs(hermitian_construct, code) == want, (n, g)
+            hermitian += [(g,)] * want
             cases += 1
             passed += want
-        codes = [cyclic_from_poly(g, n).base for g in binary]
-        for i, g1 in enumerate(binary):
-            for j, g2 in enumerate(binary):
+        codes = [cyclic_from_poly(g, n) for g, _, _ in binary]
+        css = []
+        for i, (g1, s1, _) in enumerate(binary):
+            for j, (g2, _, m2) in enumerate(binary):
                 want = binary_dual_containing(codes[j], codes[i])
+                assert (not s1 & m2) == want, (n, g1, g2)
                 assert _css_dual_containing(g1, g2, n) == want, (n, g1, g2)
                 assert _constructs(css_construct, codes[i], codes[j]) == want, (n, g1, g2)
+                css += [(g1, g2)] * (want and i <= j)
                 cases += 1
                 passed += want
+        assert list(_candidates(n, "hermitian")) == hermitian, n
+        assert list(_candidates(n, "css")) == css, n
     assert cases > 6000 and 0 < passed < cases
+
+
+@pytest.mark.parametrize("field", [GF2, GF4])
+def test_mirror_mask_is_the_reciprocal_factor_mask(field):
+    for n in range(1, 42, 2):
+        divisors = _divisors(n, field)
+        assert [g for g, _, _ in divisors] == enumerate_cyclic_generators(n, field)
+        mask = {g: s for g, s, _ in divisors}
+        factors = {s: g for g, s, _ in divisors if s.bit_count() == 1}
+        mirror = {s: m for _, s, m in divisors if s in factors}
+        # the mirror permutes the factors and is its own inverse
+        assert sorted(mirror.values()) == sorted(factors)
+        assert all(mirror[mirror[s]] == s for s in mirror), n
+        for g, s, m in divisors:
+            assert all((g % factors[b]).is_zero == bool(s & b) for b in factors), (n, g)
+            reciprocal = Poly(field, [field.conj(c) for c in reversed(g.coeffs)])
+            assert mask[reciprocal.monic()] == m, (n, g)
+
+
+def test_hermitian_survivors_have_room_for_their_dual():
+    # disjoint masks imply deg g + deg g' <= n, so the dual's dimension
+    # deg g never exceeds the code's n - deg g
+    survivors = 0
+    for n in range(1, 42, 2):
+        for (g,) in _candidates(n, "hermitian"):
+            assert 2 * g.degree <= n, (n, g)
+            survivors += 1
+    assert survivors == 241
+
+
+def _oracle_candidates(n, constructions):
+    """Generator texts of the dual-containing candidates in search order,
+    from the divisibility oracle."""
+    def text(g):
+        return format_genpoly(poly_to_genpoly(g, n))
+
+    out = []
+    if "hermitian" in constructions:
+        out += [(text(g), "") for g in enumerate_cyclic_generators(n, GF4)
+                if _hermitian_dual_containing(g, n)]
+    if "css" in constructions:
+        binary = enumerate_cyclic_generators(n, GF2)
+        out += [(text(g1), text(g2)) for i, g1 in enumerate(binary)
+                for g2 in binary[i:] if _css_dual_containing(g1, g2, n)]
+    return out
+
+
+@pytest.mark.parametrize("n", [15, 21])
+@pytest.mark.parametrize("constructions", [("hermitian",), ("css",), ("hermitian", "css")])
+def test_search_budget_takes_candidates_in_oracle_order(n, constructions):
+    expected = _oracle_candidates(n, constructions)
+    for budget in (1, 5, 27, 40):
+        outcome = search(SearchPlan((n,), constructions, max_candidates=budget))
+        assert sorted((r.genpoly1, r.genpoly2) for r in outcome.records) == \
+            sorted(expected[:budget]), budget
+        assert outcome.complete == (budget >= len(expected)), budget
+
+
+@pytest.mark.parametrize("n", [15, 21])
+def test_search_budget_complete_iff_every_survivor_analyzed(n):
+    survivors = len(_oracle_candidates(n, ("hermitian",)))
+    assert survivors == 27
+    exact = search(SearchPlan((n,), ("hermitian",), max_candidates=survivors))
+    assert exact.complete and len(exact.records) == survivors
+    short = search(SearchPlan((n,), ("hermitian",), max_candidates=survivors - 1))
+    assert not short.complete and len(short.records) == survivors - 1
 
 
 # ----------------------------------------------------------------------
