@@ -14,6 +14,12 @@ of C.  The engine decides both by GF(2) elimination of the union's label
 columns (syndrome bits above logical bits; the label map is injective
 modulo C), so no burst is enumerated.  A classical code is the case with
 no stabilizer: its level holds iff no nonzero codeword lies on a union.
+
+A code whose stabilizer is invariant under the cyclic shift of positions
+(StabilizerCode.is_cyclic, true of every cyclic construction) ranks only
+the unions [0, l) + [d, d+l) with d in [l, n/2]: a union at distance d is
+the shift of the one from 0, and of [0, l) + [n-d, n-d+l) (Peterson and
+Weldon's shift argument for classical cyclic burst codes).
 """
 
 from __future__ import annotations
@@ -141,8 +147,10 @@ def _check_level_rank(code: StabilizerCode, columns: List[int], l: int):
     only the level just above the answer pays for one."""
     if l == 0:
         return True, False, None, 0
-    failure, pair, degenerate, unions = _rank_unions(
-        columns, 2, l, 2 * code.k, _window_pairs(code.n, l))
+    n = code.n
+    pairs = (_window_pairs(n, l, end_around=True)[:1] if 2 * l <= n and code.is_cyclic()
+             else _window_pairs(n, l))
+    failure, pair, degenerate, unions = _rank_unions(columns, 2, l, 2 * code.k, pairs)
     if failure is None:
         return True, degenerate, None, unions
     return (False, degenerate,

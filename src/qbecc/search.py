@@ -171,6 +171,8 @@ class SearchPlan:
     def __post_init__(self):
         if any(n < 1 for n in self.n_values):
             raise ValueError(f"code lengths must be at least 1, got {min(self.n_values)}")
+        if any(n % 2 == 0 for n in self.n_values):
+            raise ValueError("even lengths share a factor with the field characteristic")
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("time budget must be positive")
         if self.max_candidates is not None and self.max_candidates <= 0:

@@ -139,6 +139,7 @@ class StabilizerCode:
         # syndrome rows with halves pre-swapped: <u,v>_s = parity(swap(u) & v)
         self._swapped = tuple(_swap_halves(row, n) for row in reduced)
         self._dual_basis: Optional[Tuple[int, ...]] = None
+        self._cyclic: Optional[bool] = None
         self._label_ints: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
@@ -157,15 +158,32 @@ class StabilizerCode:
     def in_dual(self, packed: int) -> bool:
         return self.syndrome(packed) == 0
 
+    def is_cyclic(self) -> bool:
+        """True iff the cyclic shift of positions (i -> i+1 mod n on the X
+        and Z halves alike) maps the stabilizer to itself: every basis row,
+        rotated by one, stays in the span.  The shift preserves the
+        symplectic form, so dual(C) \\ C is then invariant too.  Tested once.
+        """
+        if self._cyclic is None:
+            n = self.n
+            # the top bit of each half wraps to that half's bit 0
+            tops = (1 << (n - 1)) | (1 << (2 * n - 1))
+            self._cyclic = all(self.contains(((row & ~tops) << 1) | ((row & tops) >> (n - 1)))
+                               for row in self.basis)
+        return self._cyclic
+
     def dual_basis(self) -> Tuple[int, ...]:
         """Basis of the symplectic dual: the r stabilizer rows first, then
-        2k completion vectors (logical representatives)."""
+        2k completion vectors (logical representatives), the first nullspace
+        vectors independent of the rows before them."""
         if self._dual_basis is None:
             full = gf2_nullspace(self._swapped, 2 * self.n)
             chosen = list(self.basis)
             reduced = list(self.basis)
             pivots = list(self._pivots)
             for vec in full:
+                if len(chosen) == self.n + self.k:
+                    break
                 residual = gf2_reduce_vector(vec, reduced, pivots)
                 if residual:
                     chosen.append(vec)

@@ -8,17 +8,19 @@ import pytest
 from conftest import random_css_code, random_self_orthogonal_code
 from qbecc.burst import (burst_count, check_qrb, located_burst_check,
                          no_cloning_check, qrb, quantum_burst_capability)
-from qbecc.burst import _check_level_rank, _label_columns
+from qbecc.burst import _check_level_rank, _label_columns, _rank_unions, _window_pairs
 from burst_oracle import (check_level_hash, check_level_oracle, enumerate_bursts,
                           level_syndromes, oracle_capability)
 from label_oracle import label_table
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF2, GF4, Poly
+from qbecc.linalg import gf2_rank
 from qbecc.registry import load_registry
-from qbecc.search import build_code, build_registry_code
+from qbecc.search import _candidates, _construct, build_code, build_registry_code
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
-                              additive_code, burst_length, css_construct,
-                              f4_symplectic_map, hermitian_construct)
+                              SymplecticVector, additive_code, burst_length,
+                              css_construct, f4_symplectic_map, hermitian_construct,
+                              symplectic_f4_map)
 
 W = 2
 
@@ -270,14 +272,30 @@ def _dual_oracle(code, cover):
             for l in range(n + 1)]
 
 
-def _union_count(n, l):
+def _union_count(n, l, cyclic=False):
     """Window unions ranked by a passing level: pairs s1 <= n-2l, s2 in
-    [s1+l, n-l], or the whole code once the windows must overlap."""
+    [s1+l, n-l], or for a shift-invariant code s1 = 0, s2 in [l, n//2], or
+    the whole code once the windows must overlap."""
     if l == 0:
         return 0
     if 2 * l > n:
         return 1
+    if cyclic:
+        return n // 2 - l + 1
     return (n - 2 * l + 1) * (n - 2 * l + 2) // 2
+
+
+def _rotate(n, row):
+    """Packed symplectic row with symbol i moved to position i+1 mod n,
+    through the GF(4) symbols."""
+    symbols = symplectic_f4_map(SymplecticVector.from_packed(n, row)).symbols()
+    return f4_symplectic_map(F4Vector.from_symbols(symbols[-1:] + symbols[:-1])).packed
+
+
+def _shift_invariant(code):
+    """The rotated stabilizer rows add nothing to its rank."""
+    rotated = [_rotate(code.n, row) for row in code.basis]
+    return gf2_rank(list(code.basis) + rotated) == code.r
 
 
 def test_rank_check_matches_dual_oracle_every_level():
@@ -290,12 +308,13 @@ def test_rank_check_matches_dual_oracle_every_level():
         n = rng.randrange(2, 10)
         code = random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
         expected = _dual_oracle(code, covers[n])
+        cyclic = _shift_invariant(code)
         for l in range(n + 1):
             ok, degenerate, witness, unions = _rank_check(code, l)
             assert ok == expected[l][0], (n, l)
             if ok:
                 assert degenerate == expected[l][1], (n, l)
-                assert unions == _union_count(n, l)
+                assert unions == _union_count(n, l, cyclic)
             else:
                 _assert_valid_witness(code, l, witness())
             if burst_count(n, l) <= 300:
@@ -310,7 +329,111 @@ def test_checked_pairs_closed_form_41_1():
     code = build_registry_code({e.id: e for e in load_registry()}["41_1"])
     analysis = quantum_burst_capability(code)
     assert (analysis.l, analysis.degenerate, analysis.witness) == (10, True, None)
-    assert analysis.checked_pairs == _union_count(41, 10) == 253
+    assert analysis.checked_pairs == _union_count(41, 10, cyclic=True) == 11
+
+
+# ----------------------------------------------------------------------
+# Shift-invariant codes rank only the unions from position 0
+# ----------------------------------------------------------------------
+
+def _all_window_check(code, l):
+    """(ok, degenerate) of level l over every window union: the path of a
+    code that is not shift-invariant."""
+    failure, _, degenerate, _ = _rank_unions(
+        _label_columns(code), 2, l, 2 * code.k, _window_pairs(code.n, l))
+    return failure is None, degenerate
+
+
+def _random_cyclic_codes(rng, per_construction):
+    """Random Hermitian and CSS search candidates of every odd n <= 21."""
+    for n in range(3, 22, 2):
+        for construction in ("hermitian", "css"):
+            candidates = list(_candidates(n, construction))
+            for gens in rng.sample(candidates, min(per_construction, len(candidates))):
+                yield _construct(construction, [cyclic_from_poly(g, n) for g in gens])
+
+
+def _swap_positions(n, row, i, j):
+    """Packed symplectic row with positions i and j exchanged."""
+    for p, q in ((i, j), (n + i, n + j)):
+        if ((row >> p) ^ (row >> q)) & 1:
+            row ^= (1 << p) | (1 << q)
+    return row
+
+
+def test_shift_path_matches_all_windows_on_cyclic_codes():
+    rng = random.Random(1111)
+    covers = {n: _two_window_cover(n) for n in (3, 5, 7, 9)}
+    codes = levels = overlapping = failing = 0
+    for code in _random_cyclic_codes(rng, 4):
+        n = code.n
+        assert code.is_cyclic() and _shift_invariant(code)
+        expected = _dual_oracle(code, covers[n]) if n < 10 else None
+        columns = _label_columns(code)
+        for l in range(n + 1):
+            ok, degenerate, witness, unions = _rank_check(code, l)
+            all_ok, all_degenerate = _all_window_check(code, l)
+            assert ok == all_ok, (n, l)
+            if expected:
+                assert ok == expected[l][0], (n, l)
+            if ok:
+                assert degenerate == all_degenerate, (n, l)
+                assert not expected or degenerate == expected[l][1], (n, l)
+                assert unions == _union_count(n, l, cyclic=True), (n, l)
+            else:
+                _assert_valid_witness(code, l, witness())
+                failing += 1
+            if 1 <= l <= n // 2:
+                # every end-around union is a shift of one from position 0,
+                # so wrapped windows add no failing union
+                failure, _, end_degenerate, _ = _rank_unions(
+                    columns * 2, 2, l, 2 * code.k, _window_pairs(n, l, end_around=True))
+                assert (failure is None) == ok, (n, l)
+                assert not ok or end_degenerate == degenerate, (n, l)
+            levels += 1
+            overlapping += 2 * l > n
+        codes += 1
+    assert (codes, levels, overlapping, failing) == (65, 874, 437, 638)
+
+
+def test_is_cyclic_matches_rotation_oracle_and_is_cached():
+    rng = random.Random(3333)
+    codes = [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+             for n in rng.choices(range(1, 12), k=150)]
+    codes += list(_random_cyclic_codes(rng, 1))
+    codes += [build_registry_code(entry) for entry in load_registry()]
+    seen = set()
+    for code in codes:
+        cyclic = code.is_cyclic()
+        assert cyclic == _shift_invariant(code), (code.n, code.basis)
+        seen.add(cyclic)
+        # tested once: a second call does not look at the stabilizer again
+        code.contains = None
+        assert code.is_cyclic() is cyclic
+    assert seen == {False, True}
+
+
+def test_swapped_positions_take_the_all_window_path():
+    rng = random.Random(2222)
+    swapped_codes = 0
+    for code in _random_cyclic_codes(rng, 6):
+        n = code.n
+        i, j = rng.sample(range(n), 2)
+        swapped = StabilizerCode(n, [_swap_positions(n, row, i, j) for row in code.basis])
+        assert swapped.is_cyclic() == _shift_invariant(swapped)
+        if swapped.is_cyclic():
+            continue  # codes fixed by every permutation, such as r = 0
+        for l in range(n + 1):
+            ok, degenerate, witness, unions = _rank_check(swapped, l)
+            all_ok, all_degenerate = _all_window_check(swapped, l)
+            assert ok == all_ok, (n, l)
+            if ok:
+                assert degenerate == all_degenerate, (n, l)
+                assert unions == _union_count(n, l), (n, l)
+            else:
+                _assert_valid_witness(swapped, l, witness())
+        swapped_codes += 1
+    assert swapped_codes == 49
 
 
 def test_level_check_matches_oracle_multiword_labels():

@@ -137,6 +137,20 @@ def test_plan_validation():
         SearchPlan((7,), ("weird",))
 
 
+def test_plan_rejects_even_lengths_before_any_analysis(monkeypatch):
+    import qbecc.search as search_module
+
+    def analyze(code):
+        raise AssertionError("no code is analyzed for a plan with an even length")
+
+    monkeypatch.setattr(search_module, "quantum_burst_capability", analyze)
+    for n_values in [(21, 4), (2,), (7, 9, 10)]:
+        with pytest.raises(ValueError, match="even length"):
+            search(SearchPlan(n_values))
+    with pytest.raises(AssertionError):
+        search(SearchPlan((7,)))
+
+
 def test_registry_loads_15_rows():
     entries = load_registry()
     assert len(entries) == 15

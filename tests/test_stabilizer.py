@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_css_code, random_self_orthogonal_code
+from conftest import random_css_code, random_self_orthogonal_code, swap_halves
 from label_oracle import label_ints as oracle_label_ints, label_table
 from qbecc.classical import cyclic_from_poly, linear_code
 from qbecc.gf import GF2, GF4, Poly, f4_conj, f4_mul
+from qbecc.linalg import gf2_nullspace, gf2_reduce_vector
 from qbecc.registry import load_registry
 from qbecc.search import build_registry_code
 from qbecc.stabilizer import (CommutationError, F4Vector, ResourceLimitError,
@@ -298,6 +299,25 @@ def test_dual_basis_shape_and_orthogonality():
         sv = SymplecticVector.from_packed(code.n, v)
         for row in code.basis:
             assert symplectic_ip(sv, SymplecticVector.from_packed(code.n, row)) == 0
+
+
+def test_dual_basis_stops_at_its_dimension():
+    # the completions are the first nullspace vectors independent of the
+    # rows before them: the same as a pass over the whole nullspace
+    rng = random.Random(4096)
+    codes = [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+             for n in rng.choices(range(1, 30), k=80)]
+    codes += [build_registry_code(entry) for entry in load_registry()]
+    for code in codes:
+        chosen, reduced, pivots = list(code.basis), list(code.basis), list(code._pivots)
+        swapped = [swap_halves(row, code.n) for row in code.basis]
+        for vec in gf2_nullspace(swapped, 2 * code.n):
+            residual = gf2_reduce_vector(vec, reduced, pivots)
+            if residual:
+                chosen.append(vec)
+                reduced.append(residual)
+                pivots.append((residual & -residual).bit_length() - 1)
+        assert code.dual_basis() == tuple(chosen), (code.n, code.r)
 
 
 def test_label_table_matches_inner_products():
