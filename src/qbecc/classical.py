@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .gf import GF2, GF4, Poly, xn_minus_1
-from .linalg import mat_in_rowspan, mat_mul_vec, mat_nullspace, mat_row_reduce
+from .gf import GF2, GF4, Poly
+from .linalg import f4_bit_planes, mat_in_rowspan, mat_mul_vec, mat_nullspace, mat_row_reduce
 
 
 class InvalidGeneratorError(ValueError):
@@ -28,6 +28,15 @@ class LinearCode:
     check_rows: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.field is GF2 or self.field is GF4:
+            # on bit planes: (a0 + a1 w)(b0 + b1 w) = (a0 b0 + a1 b1) + (a0 b1 + a1 b0 + a1 b1) w
+            gens = [f4_bit_planes(g) for g in self.gen_rows]
+            for b0, b1 in map(f4_bit_planes, self.check_rows):
+                for a0, a1 in gens:
+                    if (((a0 & b0) ^ (a1 & b1)).bit_count() & 1
+                            or ((a0 & b1) ^ (a1 & (b0 ^ b1))).bit_count() & 1):
+                        raise AssertionError("generator and check matrices are not orthogonal")
+            return
         for h in self.check_rows:
             syn = mat_mul_vec(self.field, self.gen_rows, h)
             if any(syn):
@@ -57,21 +66,38 @@ def linear_code(field, gen_rows: Sequence[Sequence[int]], n: Optional[int] = Non
 
 
 def cyclic_from_poly(g: Poly, n: int) -> LinearCode:
-    """Cyclic code of length n generated by g; g must divide x^n - 1."""
+    """Cyclic code of length n generated by g; g must divide x^n - 1.
+
+    Both matrices are written down in systematic form, with no elimination.
+    The first k positions of a nonzero codeword a*g are not all zero (the
+    lowest term of a survives, as g(0) != 0), so the reduced row-echelon
+    generator rows are x^p + x^k s_p for p < k, where x^k s_p = x^p mod g.
+    As x^n = 1 mod g, s_p = x^(n-k+p) mod g: the remainders of one walk
+    through the powers of x, which also tests divisibility, as it must end
+    at x^n = 1.  The check rows are the canonical nullspace basis of those
+    rows: the check row of parity position k + j holds coefficient j of
+    every s_p, then a 1 at k + j (char 2: -c = c).
+    """
     field = g.field
     if g.is_zero:
         raise InvalidGeneratorError("zero polynomial cannot generate a cyclic code")
     g = g.monic()
-    if not (xn_minus_1(n, field) % g).is_zero:
+    r = g.degree
+    k = n - r
+    mul, low = field.mul, g.coeffs[:r]  # x^r = low mod g
+    rem, parities = list(low), []
+    for _ in range(k):
+        parities.append(tuple(rem))
+        rem.insert(0, 0)
+        lead = rem.pop()
+        if lead:
+            rem = [c ^ mul(lead, x) for c, x in zip(rem, low)]
+    if k < 0 or rem != ([1] + [0] * r)[:r]:
         raise InvalidGeneratorError(f"{g!r} does not divide x^{n} - 1 over {field!r}")
-    k = n - g.degree
-    rows = []
-    for shift in range(k):
-        row = [0] * n
-        for i, c in enumerate(g.coeffs):
-            row[shift + i] = c
-        rows.append(row)
-    return linear_code(field, rows, n)
+    gen = tuple((0,) * p + (1,) + (0,) * (k - 1 - p) + s for p, s in enumerate(parities))
+    check = tuple(tuple(s[j] for s in parities) + (0,) * j + (1,) + (0,) * (r - 1 - j)
+                  for j in range(r))
+    return LinearCode(field, n, k, gen, check)
 
 
 def rs_mds(n2: int, l2: int, field) -> LinearCode:

@@ -18,7 +18,6 @@ from .burst import (classical_burst_capability, no_cloning_check, qrb,
                     quantum_burst_capability, rs_burst_capability)
 from .classical import rs_mds
 from .gf import GF4, ext_field_build
-from .qtpc import InterleaverMap, dispersal_report, qtpc_construct
 from .registry import registry_entry
 from .search import (GenPolyError, SearchPlan, build_code, build_registry_code,
                      cyclic_code, records_to_csv, reproduce_table1, search)
@@ -41,8 +40,11 @@ def _emit(obj) -> None:
 
 def _write_output(text: str, path: Optional[str]) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -117,6 +119,7 @@ def _cmd_search(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_tensor(args) -> int:
+    from .qtpc import InterleaverMap, dispersal_report, qtpc_construct  # only tensor uses it
     try:
         n2_s, l2_s = args.rs.split(",")
         n2, l2 = int(n2_s), int(l2_s)

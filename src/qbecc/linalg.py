@@ -73,6 +73,19 @@ def gf2_nullspace(rows: Sequence[int], ncols: int) -> List[int]:
     return basis
 
 
+# a GF(4) symbol as a byte -> its low bit (1 part, X), its high bit (w part, Z)
+_LOW_DIGIT = bytes.maketrans(bytes(range(4)), b"0101")
+_HIGH_DIGIT = bytes.maketrans(bytes(range(4)), b"0011")
+
+
+def f4_bit_planes(row: Sequence[int]) -> Tuple[int, int]:
+    """A GF(2) or GF(4) row as two packed GF(2) rows: the low and the high
+    bits of its symbols.  Read from its last symbol, the row spells each
+    plane in binary."""
+    symbols = bytes(reversed(row))
+    return int(symbols.translate(_LOW_DIGIT), 2), int(symbols.translate(_HIGH_DIGIT), 2)
+
+
 # ----------------------------------------------------------------------
 # Generic dense matrices: rows are lists of field-element ints
 # ----------------------------------------------------------------------
@@ -156,5 +169,6 @@ def mat_mul_vec(field, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> Lis
 
 __all__ = [
     "gf2_row_reduce", "gf2_rank", "gf2_reduce_vector", "gf2_in_span", "gf2_nullspace",
+    "f4_bit_planes",
     "mat_row_reduce", "mat_rank", "mat_in_rowspan", "mat_nullspace", "mat_mul_vec",
 ]

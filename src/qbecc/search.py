@@ -4,9 +4,10 @@ Candidates are built from monic divisors of x^n - 1: single GF(4)
 generators through the Hermitian construction, and pairs of binary
 generators through the CSS construction.  A divisor is a subset of the
 irreducible factors of x^n - 1, kept as a bitmask, so dual containment is
-decided by one AND of two masks.  Every candidate that passes it reaches
-the constructors through the same function as a registry row, and is
-analyzed and recorded.
+decided by one AND of two masks.  The Hermitian survivors of that test are
+enumerated directly, one choice per pair of mirror factors, so no other
+GF(4) divisor is built.  Every candidate reaches the constructors through
+the same function as a registry row, and is analyzed and recorded.
 """
 
 from __future__ import annotations
@@ -113,19 +114,26 @@ def poly_to_genpoly(p: Poly, n: int) -> GenPolySpec:
     return GenPolySpec(n, terms)
 
 
-def _divisors(n: int, field_obj) -> List[Tuple[Poly, int, int]]:
-    """Every monic divisor g of x^n - 1 as (g, S, S'), sorted by (degree,
-    coefficients).  S is the mask of g's irreducible factors and S' the mask
-    of its mirror: the conjugate reciprocal over GF(4), the reciprocal over
-    GF(2) (conjugation is the identity there).  Divisors of x^n - 1 have a
-    nonzero constant term, so mirroring a factor keeps its degree and gives
-    another factor."""
+def _factors(n: int, field_obj) -> Tuple[List[Poly], List[int]]:
+    """The irreducible factors of x^n - 1 in (degree, coefficients) order,
+    and for each one the index of its mirror: the conjugate reciprocal over
+    GF(4), the reciprocal over GF(2) (conjugation is the identity there).
+    Divisors of x^n - 1 have a nonzero constant term, so mirroring a factor
+    keeps its degree and gives another factor; mirroring twice gives it back."""
     if n % 2 == 0:
         raise ValueError(f"length {n} shares a factor with the field characteristic")
     factors = berlekamp_factor(xn_minus_1(n, field_obj))
     index = {f: i for i, f in enumerate(factors)}
     mirror = [index[Poly(field_obj, map(field_obj.conj, reversed(f.coeffs))).monic()]
               for f in factors]
+    return factors, mirror
+
+
+def _divisors(n: int, field_obj) -> List[Tuple[Poly, int, int]]:
+    """Every monic divisor g of x^n - 1 as (g, S, S'), sorted by (degree,
+    coefficients).  S is the mask of g's irreducible factors and S' the mask
+    of its mirror."""
+    factors, mirror = _factors(n, field_obj)
     divisors = [(Poly.one(field_obj), 0, 0)]
     for i, f in enumerate(factors):
         divisors += [(g * f, s | 1 << i, m | 1 << mirror[i]) for g, s, m in divisors]
@@ -139,6 +147,19 @@ def enumerate_cyclic_generators(n: int, field_obj) -> List[Poly]:
     return [g for g, _, _ in _divisors(n, field_obj)]
 
 
+def _survivor_masks(mirror: Sequence[int]) -> List[int]:
+    """Every factor mask S with S & S' == 0, for the mirror map of _factors.
+
+    A factor that is its own mirror can never be in S, and each pair
+    {i, mirror[i]} of distinct factors contributes neither, i or mirror[i],
+    so there are 3^pairs masks."""
+    masks = [0]
+    for i, j in enumerate(mirror):
+        if i < j:
+            masks += [s | 1 << b for b in (i, j) for s in masks]
+    return masks
+
+
 def _candidates(n: int, construction: str) -> Iterator[Tuple[Poly, ...]]:
     """The generators of every dual-containing candidate of length n, in
     (degree, coefficients) order.
@@ -147,11 +168,18 @@ def _candidates(n: int, construction: str) -> Iterator[Tuple[Poly, ...]]:
     they share no factor (Calderbank, Rains, Shor and Sloane, IEEE T-IT 1998;
     Aly, Klappenecker and Sarvepalli, IEEE T-IT 2007).  The Hermitian dual of
     <g> lies in <g> iff g times its conjugate reciprocal divides x^n - 1:
-    S & S' == 0.  The dual of <g2> lies in <g1> iff g1 times the reciprocal
-    of g2 divides it: S1 & S2' == 0, taken for g1 <= g2 in divisor order.
+    S & S' == 0, so only those survivors are built.  The dual of <g2> lies
+    in <g1> iff g1 times the reciprocal of g2 divides it: S1 & S2' == 0,
+    taken for g1 <= g2 in divisor order.
     """
     if construction == "hermitian":
-        return ((g,) for g, s, m in _divisors(n, GF4) if not s & m)
+        factors, mirror = _factors(n, GF4)
+        # a mask without its lowest factor is a smaller survivor, built first
+        gens = {0: Poly.one(GF4)}
+        for s in sorted(_survivor_masks(mirror))[1:]:
+            low = s & -s
+            gens[s] = gens[s ^ low] * factors[low.bit_length() - 1]
+        return ((g,) for g in sorted(gens.values(), key=lambda g: (g.degree, g.coeffs)))
     divisors = _divisors(n, GF2)
     return ((g1, g2) for i, (g1, s1, _) in enumerate(divisors)
             for g2, _, m2 in divisors[i:] if not s1 & m2)
@@ -173,8 +201,8 @@ class SearchPlan:
             raise ValueError(f"code lengths must be at least 1, got {min(self.n_values)}")
         if any(n % 2 == 0 for n in self.n_values):
             raise ValueError("even lengths share a factor with the field characteristic")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("time budget must be positive")
+        if self.max_seconds is not None and not self.max_seconds > 0:
+            raise ValueError("time budget must be positive")  # also rejects NaN
         if self.max_candidates is not None and self.max_candidates <= 0:
             raise ValueError("candidate budget must be positive")
         for c in self.constructions:
@@ -213,7 +241,7 @@ def search(plan: SearchPlan) -> SearchOutcome:
 
     For each length, the Hermitian candidates come first, then the CSS
     pairs, each in divisor order (see _candidates).  Dual containment is
-    decided on factor masks, so nothing is built for a rejected candidate;
+    decided on factor masks, so no code is built for a rejected candidate;
     a binary generator's cyclic code is built once per length.
     Deterministic for a fixed plan; a budget that runs out before a
     candidate stops the search and marks the outcome incomplete.

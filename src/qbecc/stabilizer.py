@@ -22,11 +22,11 @@ numpy is imported only by min_distance, which works on arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .classical import LinearCode
-from .gf import GF2, GF4, f4_conj, f4_mul
-from .linalg import gf2_in_span, gf2_nullspace, gf2_reduce_vector, gf2_row_reduce
+from .gf import GF2, GF4
+from .linalg import f4_bit_planes, gf2_in_span, gf2_row_reduce
 
 if TYPE_CHECKING:
     import numpy as np
@@ -175,20 +175,39 @@ class StabilizerCode:
     def dual_basis(self) -> Tuple[int, ...]:
         """Basis of the symplectic dual: the r stabilizer rows first, then
         2k completion vectors (logical representatives), the first nullspace
-        vectors independent of the rows before them."""
+        vectors independent of the rows before them.
+
+        The nullspace vector of free column f is the one vector of the dual
+        that is 1 at f and 0 at every other free column, so projecting onto
+        the free columns F maps the dual isomorphically onto GF(2)^F.  The
+        vector of f is then spanned by the stabilizer and the vectors of
+        smaller free columns iff some stabilizer row, projected, has its
+        highest bit at f: the completions are the vectors of the other f,
+        built by back-substitution without any reduction against the rows.
+        """
         if self._dual_basis is None:
-            full = gf2_nullspace(self._swapped, 2 * self.n)
+            reduced, pivots = gf2_row_reduce(self._swapped)
+            free = ((1 << 2 * self.n) - 1) ^ sum(1 << p for p in pivots)
+            tops: List[Tuple[int, int]] = []  # projected rows, by highest bit
+            for row in self.basis:
+                row &= free
+                for top, bit in tops:
+                    if row & bit:
+                        row ^= top
+                if row:
+                    tops.append((row, 1 << row.bit_length() - 1))
+            for _, bit in tops:
+                free ^= bit
             chosen = list(self.basis)
-            reduced = list(self.basis)
-            pivots = list(self._pivots)
-            for vec in full:
-                if len(chosen) == self.n + self.k:
-                    break
-                residual = gf2_reduce_vector(vec, reduced, pivots)
-                if residual:
-                    chosen.append(vec)
-                    reduced.append(residual)
-                    pivots.append((residual & -residual).bit_length() - 1)
+            rows = [(row, 1 << p) for row, p in zip(reduced, pivots)]
+            while free:
+                low = free & -free
+                free ^= low
+                vec = low
+                for row, bit in rows:
+                    if row & low:
+                        vec |= bit
+                chosen.append(vec)
             if len(chosen) != self.n + self.k:
                 raise AssertionError("symplectic dual has wrong dimension")
             self._dual_basis = tuple(chosen)
@@ -291,11 +310,8 @@ def additive_code(n: int, rows: Sequence[int] | Iterable[SymplecticVector]) -> S
 
 def _f4_row_to_packed_ab(row: Sequence[int], n: int) -> int:
     """Packed symplectic int of a GF(4) row; a binary row is all X part."""
-    a = b = 0
-    for i, c in enumerate(row):
-        a |= (c & 1) << i
-        b |= ((c >> 1) & 1) << i
-    return a | (b << n)
+    a, b = f4_bit_planes(row)
+    return a | b << n
 
 
 # The two row builders below are the only construction path: the
@@ -311,9 +327,9 @@ def _hermitian_stabilizer(n: int, check_rows) -> StabilizerCode:
     """
     rows = []
     for h in check_rows:
-        g = [f4_conj(x) for x in h]
-        rows.append(_f4_row_to_packed_ab(g, n))
-        rows.append(_f4_row_to_packed_ab([f4_mul(2, x) for x in g], n))
+        # on the bit planes (a, b) of h: conj(h) is (a ^ b, b), w*conj(h) is (b, a)
+        a, b = f4_bit_planes(h)
+        rows += [(a ^ b) | b << n, b | a << n]
     return StabilizerCode(n, rows)
 
 

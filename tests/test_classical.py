@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from cyclic_oracle import cyclic_from_poly_matrix
 from qbecc.burst import classical_burst_capability, rs_burst_capability
-from qbecc.classical import (InvalidGeneratorError, binary_dual_containing,
+from qbecc.classical import (InvalidGeneratorError, LinearCode, binary_dual_containing,
                              cyclic_from_poly, hermitian_dual_containing,
                              linear_code, rs_mds)
 from qbecc.gf import GF2, GF4, Poly, ext_field_build
@@ -48,6 +49,60 @@ def test_cyclic_single_parity():
 def test_cyclic_invalid_generator():
     with pytest.raises(InvalidGeneratorError):
         cyclic_from_poly(Poly(GF2, (1, 0, 1, 1)), 5)  # x^3+x^2+1 does not divide x^5-1
+
+
+def test_direct_build_matches_matrix_oracle():
+    # every divisor of x^n - 1 over GF(2) and GF(4), odd n <= 31: the
+    # systematic rows are the reduced generator rows and the nullspace basis
+    # of the matrix path, entry for entry, so both row spaces are equal
+    count = 0
+    for n in range(1, 32, 2):
+        for field in (GF2, GF4):
+            for g in enumerate_cyclic_generators(n, field):
+                direct = cyclic_from_poly(g, n)
+                assert direct == cyclic_from_poly_matrix(g, n), (n, g)
+                count += 1
+    assert count == 1748
+
+
+def test_direct_build_rejects_what_the_oracle_rejects():
+    # random polynomials, most of them not divisors, and even lengths too
+    rng = random.Random(31)
+    rejected = 0
+    for _ in range(2000):
+        field = rng.choice((GF2, GF4))
+        n = rng.randrange(1, 24)
+        coeffs = [rng.randrange(field.order) for _ in range(rng.randrange(0, n + 3))]
+        g = Poly(field, coeffs + [rng.randrange(1, field.order)])
+        outcomes = []
+        for build in (cyclic_from_poly, cyclic_from_poly_matrix):
+            try:
+                outcomes.append(build(g, n))
+            except InvalidGeneratorError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1], (n, g)
+        rejected += outcomes[0] is None
+    assert 1000 < rejected < 2000
+
+
+def test_orthogonality_assertion_matches_matrix_products():
+    # the bit-plane check of GF(2) and GF(4) rows against the field products
+    rng = random.Random(44)
+    fired = {GF2: 0, GF4: 0}
+    for _ in range(400):
+        field = rng.choice((GF2, GF4))
+        n = rng.randrange(1, 12)
+        gens, checks = ([tuple(rng.randrange(field.order) for _ in range(n))
+                         for _ in range(rng.randrange(0, 3))] for _ in range(2))
+        want = any(any(mat_mul_vec(field, gens, h)) for h in checks)
+        try:
+            LinearCode(field, n, len(gens), tuple(gens), tuple(checks))
+        except AssertionError:
+            fired[field] += 1
+            assert want, (field, gens, checks)
+        else:
+            assert not want, (field, gens, checks)
+    assert all(40 < count < 160 for count in fired.values()), fired
 
 
 def test_generator_check_orthogonality():

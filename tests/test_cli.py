@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qbecc.cli import main
 
 
@@ -225,3 +227,29 @@ def test_analyze_css_rejection_pinned(capsys):
     assert out == ('{\n  "error": {\n    "type": "ValueError",\n'
                    '    "message": "CSS precondition failed: dual of C2 is not inside C1"'
                    '\n  }\n}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--min-n", "13", "--max-n", "13", "--construction", "hermitian"),
+    ("simulate", "--code", "13_1", "--decoder", "random", "--p", "0", "--mu", "0"),
+])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code, out = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "UsageError"
+    assert error["message"] == f"cannot write --output {path}: No such file or directory"
+    assert not path.parent.exists()
+
+
+def test_search_nan_budget_exits_2_and_inf_runs(capsys):
+    code, out = run_cli(capsys, "search", "--min-n", "7", "--max-n", "7",
+                        "--max-seconds", "nan")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "time budget must be positive"}
+    code, out = run_cli(capsys, "search", "--min-n", "7", "--max-n", "7",
+                        "--max-seconds", "inf")
+    assert code == 0
+    assert out.startswith("n,k,l,qrb")

@@ -16,6 +16,7 @@ TENSOR = ["tensor", "--c1-poly", "1^6 2^3 1^0", "--c1-n", "15",
 # (argv, a module the call must not load)
 COLD_START = [
     (["search", "--min-n", "13", "--max-n", "13"], "numpy"),
+    (["search", "--min-n", "13", "--max-n", "13"], "qbecc.qtpc"),
     (["search", "--reproduce-table1"], "numpy"),
     (TENSOR, "numpy"),
     (["bounds", "--n", "13", "--k", "1", "--l", "3"], "numpy"),

@@ -1,15 +1,18 @@
+import functools
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from divisibility_oracle import _css_dual_containing, _hermitian_dual_containing
+from cyclic_oracle import cyclic_from_poly_matrix
+from divisibility_oracle import (_css_dual_containing, _hermitian_dual_containing,
+                                 filtered_hermitian_divisors)
 from qbecc.classical import (binary_dual_containing, cyclic_from_poly,
                              hermitian_dual_containing)
 from qbecc.gf import GF2, GF4, Poly
 from qbecc.registry import load_registry, registry_entry
-from qbecc.search import _candidates, _divisors
+from qbecc.search import _candidates, _construct, _divisors, _factors, _survivor_masks
 from qbecc.search import (GenPolyError, SearchPlan, build_code, build_registry_code,
                           cyclic_code, enumerate_cyclic_generators, format_genpoly,
                           genpoly_to_poly, parse_genpoly, poly_to_genpoly,
@@ -135,6 +138,15 @@ def test_plan_validation():
         SearchPlan((7,), ("hermitian",), max_seconds=0)
     with pytest.raises(ValueError):
         SearchPlan((7,), ("weird",))
+
+
+def test_plan_rejects_nan_budget_and_accepts_inf():
+    # nan <= 0 is False, so a NaN budget used to pass and never fire
+    with pytest.raises(ValueError, match="time budget must be positive"):
+        SearchPlan((7,), ("hermitian",), max_seconds=float("nan"))
+    outcome = search(SearchPlan((7,), ("hermitian",), max_seconds=float("inf")))
+    assert outcome.complete
+    assert outcome.records == search(SearchPlan((7,), ("hermitian",))).records
 
 
 def test_plan_rejects_even_lengths_before_any_analysis(monkeypatch):
@@ -270,6 +282,72 @@ def test_hermitian_survivors_have_room_for_their_dual():
             assert 2 * g.degree <= n, (n, g)
             survivors += 1
     assert survivors == 241
+
+
+def _mirror_mask(s, mirror):
+    return sum(1 << mirror[i] for i in range(len(mirror)) if s >> i & 1)
+
+
+def test_hermitian_survivors_number_3_to_the_mirror_pairs():
+    # counted on factor masks, with no code built: one of neither, f or f'
+    # per mirror pair, and no factor that is its own mirror
+    pinned = {45: 243, 51: 729, 63: 19683, 85: 177147, 93: 19683}
+    brute = 0
+    for n in range(1, 100, 2):
+        _, mirror = _factors(n, GF4)
+        pairs = sum(i < j for i, j in enumerate(mirror))
+        masks = _survivor_masks(mirror)
+        assert len(masks) == len(set(masks)) == 3 ** pairs, n
+        assert pinned.get(n, len(masks)) == len(masks), n
+        fixed = sum(1 << i for i, j in enumerate(mirror) if i == j)
+        assert not any(s & fixed for s in masks), n
+        if len(mirror) <= 16:  # every subset of the factors
+            assert sorted(masks) == [s for s in range(1 << len(mirror))
+                                     if not s & _mirror_mask(s, mirror)], n
+            brute += 1
+        else:
+            assert all(not s & _mirror_mask(s, mirror) for s in masks[::97]), n
+    assert brute > 40
+
+
+def test_hermitian_candidates_match_the_filtered_divisor_list():
+    for n in range(1, 42, 2):
+        expected = filtered_hermitian_divisors(n)
+        assert expected == [(g,) for g in enumerate_cyclic_generators(n, GF4)
+                            if _hermitian_dual_containing(g, n)], n
+        assert list(_candidates(n, "hermitian")) == expected, n
+
+
+def _constructed(construction, codes):
+    """The stabilizer code's (basis, labels), or None when the constructor
+    rejects the codes."""
+    try:
+        stab = _construct(construction, codes)
+    except ValueError:
+        return None
+    return stab.basis, stab.label_ints()
+
+
+def test_direct_builds_construct_like_the_matrix_oracle():
+    # every GF(4) divisor, every CSS candidate, and every ordered pair of
+    # binary divisors for n <= 15, built from the direct and the matrix rows
+    built = rejected = 0
+    for n in range(1, 32, 2):
+        cases = [("hermitian", (g,)) for g in enumerate_cyclic_generators(n, GF4)]
+        binary = enumerate_cyclic_generators(n, GF2)
+        if n <= 15:
+            cases += [("css", (g1, g2)) for g1 in binary for g2 in binary]
+        else:
+            cases += [("css", gens) for gens in _candidates(n, "css")]
+        direct_code = functools.cache(cyclic_from_poly)
+        oracle_code = functools.cache(cyclic_from_poly_matrix)
+        for construction, gens in cases:
+            direct = _constructed(construction, [direct_code(g, n) for g in gens])
+            oracle = _constructed(construction, [oracle_code(g, n) for g in gens])
+            assert direct == oracle, (n, construction, gens)
+            built += direct is not None
+            rejected += direct is None
+    assert built > 1500 and rejected > 1000
 
 
 def _oracle_candidates(n, constructions):

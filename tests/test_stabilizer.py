@@ -9,7 +9,7 @@ from qbecc.classical import cyclic_from_poly, linear_code
 from qbecc.gf import GF2, GF4, Poly, f4_conj, f4_mul
 from qbecc.linalg import gf2_nullspace, gf2_reduce_vector
 from qbecc.registry import load_registry
-from qbecc.search import build_registry_code
+from qbecc.search import _candidates, _construct, build_registry_code
 from qbecc.stabilizer import (CommutationError, F4Vector, ResourceLimitError,
                               StabilizerCode, SymplecticVector, additive_code,
                               burst_length, css_construct, f4_symplectic_map,
@@ -308,6 +308,16 @@ def test_dual_basis_stops_at_its_dimension():
     codes = [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
              for n in rng.choices(range(1, 30), k=80)]
     codes += [build_registry_code(entry) for entry in load_registry()]
+    # every search candidate of the benchmark lengths, and CSS codes with
+    # r > 64 or 2k > 64
+    codes += [_construct(construction, [cyclic_from_poly(g, n) for g in gens])
+              for n in range(13, 24, 2) for construction in ("hermitian", "css")
+              for gens in _candidates(n, construction)]
+    wide = [random_css_code(rng, n, rx, rz, False)
+            for n, rx, rz in [(80, 33, 33), (90, 50, 30), (70, 2, 2), (100, 20, 10)]]
+    assert any(code.r > 64 for code in wide) and any(2 * code.k > 64 for code in wide)
+    codes += wide
+    assert len(codes) == 80 + 15 + 601 + 4
     for code in codes:
         chosen, reduced, pivots = list(code.basis), list(code.basis), list(code._pivots)
         swapped = [swap_halves(row, code.n) for row in code.basis]
