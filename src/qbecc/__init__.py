@@ -25,14 +25,13 @@ _EXPORTS = {
              "dispersal_report", "interleave", "qtpc_construct",
              "tensor_check_matrix"),
     "registry": ("RegistryEntry", "load_registry", "registry_entry"),
-    "search": ("GenPolySpec", "SearchPlan", "SearchRecord", "SearchOutcome",
+    "search": ("SearchPlan", "SearchRecord", "SearchOutcome",
                "build_registry_code", "enumerate_cyclic_generators",
                "format_genpoly", "parse_genpoly", "records_to_csv",
                "reproduce_table1"),
     "stabilizer": ("CommutationError", "F4Vector", "ResourceLimitError",
-                   "StabilizerCode", "SymplecticVector", "additive_code",
-                   "burst_length", "css_construct", "f4_symplectic_map",
-                   "hermitian_construct", "symplectic_f4_map", "symplectic_ip"),
+                   "StabilizerCode", "additive_code", "burst_length",
+                   "css_construct", "hermitian_construct"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -55,12 +55,8 @@ def linear_code(field, gen_rows: Sequence[Sequence[int]], n: Optional[int] = Non
     if n is None:
         n = len(gen_rows[0])
     reduced, _ = mat_row_reduce(field, gen_rows)
-    k = len(reduced)
-    if k == 0:
-        reduced = []
-    check = mat_nullspace(field, reduced, n) if k else [
-        [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return LinearCode(field, n, k,
+    check = mat_nullspace(field, reduced, n)
+    return LinearCode(field, n, len(reduced),
                       tuple(tuple(r) for r in reduced),
                       tuple(tuple(h) for h in check))
 

@@ -31,54 +31,39 @@ class GenPolyError(ValueError):
     """Malformed generator polynomial text."""
 
 
-@dataclass(frozen=True)
-class GenPolySpec:
-    n: int
-    terms: Tuple[Tuple[int, int], ...]  # (coefficient code, exponent), decreasing exponent
-
-
 _TOKEN = re.compile(r"^([123])\^(\d+)$")
 
 
-def parse_genpoly(text: str, n: int) -> GenPolySpec:
-    """Parse whitespace-separated C^E tokens (C in 1..3, exponents unique < n)."""
+def parse_genpoly(text: str, n: int, field_obj) -> Poly:
+    """Parse whitespace-separated C^E tokens (C in 1..3, exponents unique
+    < n) into a polynomial over field_obj; over GF(2) every C must be 1."""
     tokens = text.split()
     if not tokens:
         raise GenPolyError("empty generator polynomial")
-    terms = []
-    seen = set()
+    coeffs = {}
     for tok in tokens:
         m = _TOKEN.match(tok)
         if not m:
             raise GenPolyError(f"malformed token {tok!r} (expected C^E with C in 1..3)")
         coef, exp = int(m.group(1)), int(m.group(2))
-        if exp in seen:
+        if exp in coeffs:
             raise GenPolyError(f"duplicate exponent {exp}")
         if exp >= n:
             raise GenPolyError(f"exponent {exp} not below code length {n}")
-        seen.add(exp)
-        terms.append((coef, exp))
-    terms.sort(key=lambda t: -t[1])
-    return GenPolySpec(n, tuple(terms))
-
-
-def format_genpoly(spec: GenPolySpec) -> str:
-    return " ".join(f"{c}^{e}" for c, e in spec.terms)
-
-
-def genpoly_to_poly(spec: GenPolySpec, field_obj) -> Poly:
-    if field_obj is GF2 and any(c != 1 for c, _ in spec.terms):
+        coeffs[exp] = coef
+    if field_obj is GF2 and any(c != 1 for c in coeffs.values()):
         raise GenPolyError("binary generator polynomial must have all coefficients 1")
-    deg = spec.terms[0][1]
-    coeffs = [0] * (deg + 1)
-    for c, e in spec.terms:
-        coeffs[e] = c
-    return Poly(field_obj, coeffs)
+    return Poly(field_obj, [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
+
+
+def format_genpoly(p: Poly) -> str:
+    """The C^E text of a polynomial, by decreasing exponent."""
+    return " ".join(f"{c}^{e}" for e in range(p.degree, -1, -1) if (c := p.coeffs[e]))
 
 
 def cyclic_code(text: str, n: int, field_obj) -> LinearCode:
     """The length-n cyclic code over field_obj generated by generator text."""
-    return cyclic_from_poly(genpoly_to_poly(parse_genpoly(text, n), field_obj), n)
+    return cyclic_from_poly(parse_genpoly(text, n, field_obj), n)
 
 
 _CONSTRUCTION_FIELDS = {"hermitian": (GF4,), "css": (GF2, GF2)}
@@ -106,12 +91,6 @@ def _construct(construction: str, codes: Sequence[LinearCode]) -> StabilizerCode
     if construction == "hermitian":
         return hermitian_construct(*codes)
     return css_construct(*codes)
-
-
-def poly_to_genpoly(p: Poly, n: int) -> GenPolySpec:
-    terms = tuple((c, e) for e in range(p.degree, -1, -1)
-                  if (c := p.coeffs[e]) != 0)
-    return GenPolySpec(n, terms)
 
 
 def _factors(n: int, field_obj) -> Tuple[List[Poly], List[int]]:
@@ -268,7 +247,7 @@ def search(plan: SearchPlan) -> SearchOutcome:
                 analysis = quantum_burst_capability(
                     _construct(construction, [code(g, n) for g in gens]))
                 records.append(_record(analysis, construction, *(
-                    format_genpoly(poly_to_genpoly(g, n)) for g in gens)))
+                    format_genpoly(g) for g in gens)))
     return outcome(True)
 
 
@@ -334,8 +313,7 @@ def reproduce_table1(entries: Optional[Sequence[RegistryEntry]] = None) -> Table
 
 
 __all__ = [
-    "GenPolyError", "GenPolySpec", "parse_genpoly", "format_genpoly",
-    "genpoly_to_poly", "cyclic_code", "build_code", "poly_to_genpoly",
+    "GenPolyError", "parse_genpoly", "format_genpoly", "cyclic_code", "build_code",
     "enumerate_cyclic_generators",
     "SearchPlan", "SearchRecord", "SearchOutcome", "search",
     "records_to_csv", "CSV_HEADER",

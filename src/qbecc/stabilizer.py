@@ -1,22 +1,22 @@
-"""Symplectic / GF(4) representation of Pauli errors and stabilizer codes.
+"""Pauli errors and stabilizer codes, packed as GF(4) symbols.
 
-A Pauli error on n qubits, phases aside, is a vector (a|b) in GF(2)^2n or
-equivalently a GF(4)^n vector under the fixed bijection
+A Pauli error on n qubits, phases aside, is a GF(4)^n vector under the
+fixed bijection
 
     X <-> 1,   Z <-> w,   Y <-> w^2
 
-so that per coordinate the a-bit (X part) is the low bit of the GF(4)
-symbol code and the b-bit (Z part) is the high bit.  Packed int layouts:
+and is packed into one int with symbol i at bits 2i (X part) and 2i+1
+(Z part), the F4Vector.packed layout.  It is the only packing here: a
+window of qubits is a contiguous bit range, and stabilizer rows, syndromes
+and burst witnesses are all such ints.  Two Paulis commute iff their
+symplectic inner product, the parity of u & v with the X and Z bit of
+every symbol of one swapped, is zero.
 
-* F4Vector.packed: symbol i occupies bits [2i, 2i+1].
-* symplectic packed int: a in bits [0, n), b in bits [n, 2n).
-
-Stabilizer codes are GF(2)-linear self-orthogonal subspaces under the
-symplectic form; all analysis predicates live on that representation.
-The coset label of a single-qubit error (StabilizerCode.label_ints) is its
-inner products with the rows of the symplectic dual, found by transposing
-those rows bit by bit on Python ints, so any number of rows fits and
-numpy is imported only by min_distance, which works on arrays.
+Stabilizer codes are GF(2)-linear self-orthogonal subspaces under that
+form.  The coset label of a single-qubit error (StabilizerCode.label_ints)
+is its inner products with the rows of the symplectic dual, found by
+transposing those rows bit by bit on Python ints, so any number of rows
+fits and numpy is imported only by min_distance, which works on arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4
-from .linalg import f4_bit_planes, gf2_in_span, gf2_row_reduce
+from .linalg import gf2_in_span, gf2_row_reduce
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,27 +38,6 @@ class CommutationError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """Requested enumeration exceeds the configured limit."""
-
-
-@dataclass(frozen=True)
-class SymplecticVector:
-    n: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        mask = (1 << self.n) - 1
-        if self.a & ~mask or self.b & ~mask:
-            raise ValueError("vector bits exceed declared length")
-
-    @property
-    def packed(self) -> int:
-        return self.a | (self.b << self.n)
-
-    @classmethod
-    def from_packed(cls, n: int, packed: int) -> "SymplecticVector":
-        mask = (1 << n) - 1
-        return cls(n, packed & mask, packed >> n)
 
 
 @dataclass(frozen=True)
@@ -80,39 +59,8 @@ class F4Vector:
         return F4Vector(self.n, self.packed ^ other.packed)
 
 
-def symplectic_ip(u: SymplecticVector, v: SymplecticVector) -> int:
-    """a.b' + a'.b over GF(2); zero iff the Pauli operators commute."""
-    if u.n != v.n:
-        raise ValueError(f"length mismatch: {u.n} != {v.n}")
-    return ((u.a & v.b).bit_count() ^ (u.b & v.a).bit_count()) & 1
-
-
-def f4_symplectic_map(v: F4Vector) -> SymplecticVector:
-    a = b = 0
-    for i in range(v.n):
-        c = (v.packed >> (2 * i)) & 3
-        a |= (c & 1) << i
-        b |= (c >> 1) << i
-    return SymplecticVector(v.n, a, b)
-
-
-def symplectic_f4_map(v: SymplecticVector) -> F4Vector:
-    packed = 0
-    for i in range(v.n):
-        c = ((v.a >> i) & 1) | (((v.b >> i) & 1) << 1)
-        packed |= c << (2 * i)
-    return F4Vector(v.n, packed)
-
-
-def burst_length(v) -> int:
+def burst_length(v: F4Vector) -> int:
     """Span from first to last non-identity coordinate; 0 for the zero vector."""
-    if isinstance(v, SymplecticVector):
-        mask = v.a | v.b
-        if mask == 0:
-            return 0
-        first = (mask & -mask).bit_length() - 1
-        last = mask.bit_length() - 1
-        return last - first + 1
     p = v.packed
     if p == 0:
         return 0
@@ -122,22 +70,26 @@ def burst_length(v) -> int:
 
 
 class StabilizerCode:
-    """Self-orthogonal GF(2)-linear code C in symplectic representation.
+    """Self-orthogonal GF(2)-linear code C of packed Pauli rows.
 
     basis holds the canonical (reduced row-echelon) packed rows; syndromes
-    and containment tests run against that basis.
+    and containment tests run against that basis.  A row with a bit at or
+    above 2n raises ValueError.
     """
 
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
-        _check_self_orthogonal(n, rows)
+        if any(row >> 2 * n for row in rows):
+            raise ValueError(f"row bits exceed the {2 * n} bits of length {n}")
+        self._x_bits = (4 ** n - 1) // 3  # 0b0101...: the X bit of every symbol
+        _check_self_orthogonal(rows, self._x_bits)
         reduced, pivots = gf2_row_reduce(rows)
         self.basis: Tuple[int, ...] = tuple(reduced)
         self._pivots: Tuple[int, ...] = tuple(pivots)
         self.r = len(reduced)
         self.k = n - self.r
-        # syndrome rows with halves pre-swapped: <u,v>_s = parity(swap(u) & v)
-        self._swapped = tuple(_swap_halves(row, n) for row in reduced)
+        # syndrome rows with X and Z pre-swapped: <u,v>_s = parity(swap(u) & v)
+        self._swapped = tuple(_swap_xz(row, self._x_bits) for row in reduced)
         self._dual_basis: Optional[Tuple[int, ...]] = None
         self._cyclic: Optional[bool] = None
         self._label_ints: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -159,16 +111,15 @@ class StabilizerCode:
         return self.syndrome(packed) == 0
 
     def is_cyclic(self) -> bool:
-        """True iff the cyclic shift of positions (i -> i+1 mod n on the X
-        and Z halves alike) maps the stabilizer to itself: every basis row,
-        rotated by one, stays in the span.  The shift preserves the
-        symplectic form, so dual(C) \\ C is then invariant too.  Tested once.
+        """True iff the cyclic shift of positions (i -> i+1 mod n) maps the
+        stabilizer to itself: every basis row, rotated by one symbol (two
+        bits), stays in the span.  The shift preserves the symplectic form,
+        so dual(C) \\ C is then invariant too.  Tested once.
         """
         if self._cyclic is None:
-            n = self.n
-            # the top bit of each half wraps to that half's bit 0
-            tops = (1 << (n - 1)) | (1 << (2 * n - 1))
-            self._cyclic = all(self.contains(((row & ~tops) << 1) | ((row & tops) >> (n - 1)))
+            m = 2 * self.n
+            full = (1 << m) - 1
+            self._cyclic = all(self.contains(((row << 2) & full) | (row >> (m - 2)))
                                for row in self.basis)
         return self._cyclic
 
@@ -220,26 +171,26 @@ class StabilizerCode:
         label >> 2k.
 
         Bit j is the symplectic inner product with row j of
-        dual[r:] + dual[:r] (dual = dual_basis()).  For a row v = a | b << n
-        that is b[i] for X, a[i] for Z and a[i] ^ b[i] for Y, so the labels
-        are the rows transposed: set bit p of row j sets bit j of the Z
-        label at p (p < n) or of the X label at p - n.  Built once.
+        dual[r:] + dual[:r] (dual = dual_basis()).  For a row v that is the
+        Z bit 2i+1 of v for X at i, the X bit 2i for Z, and their sum for Y,
+        so the labels are the rows transposed: set bit p of row j sets bit
+        j of the Z label at p // 2 (p even) or of the X label (p odd).
+        Built once.
         """
         if self._label_ints is None:
-            n, dual = self.n, self.dual_basis()
-            cols = [0] * (2 * n)  # Z labels, then X labels
+            dual = self.dual_basis()
+            cols = [0] * (2 * self.n)
             for j, v in enumerate(dual[self.r:] + dual[:self.r]):
                 while v:
                     low = v & -v
                     cols[low.bit_length() - 1] |= 1 << j
                     v ^= low
-            self._label_ints = tuple((0, x, z, x ^ z) for z, x in zip(cols[:n], cols[n:]))
+            self._label_ints = tuple((0, x, z, x ^ z) for z, x in zip(cols[::2], cols[1::2]))
         return self._label_ints
 
-    def min_distance(self, limit: int = 1 << 28, include_stabilizer: bool = False) -> int:
+    def min_distance(self, limit: int = 1 << 28) -> int:
         """Minimum symplectic weight over the dual, excluding stabilizer
-        elements unless include_stabilizer (then only the zero vector is
-        excluded).
+        elements.
 
         dual_basis() lists the r stabilizer rows first, so an element lies
         in the stabilizer iff its coefficients on the 2k logical rows are
@@ -258,17 +209,14 @@ class StabilizerCode:
         # logical coefficients nonzero, from the index bits of each span
         block_logical = (np.arange(block.size) >> min(r, low)) != 0
         offset_logical = (np.arange(offsets.size) >> max(0, r - low)) != 0
-        mask = np.uint64((1 << n) - 1)
+        x_bits, one = np.uint64(self._x_bits), np.uint64(1)
         best = 2 * n
         step = max(1, _SPAN_ELEMENTS // block.size)
         for lo in range(0, offsets.size, step):
             elems = offsets[lo:lo + step, None] ^ block[None, :]
-            if include_stabilizer:
-                keep = elems != 0
-            else:
-                keep = offset_logical[lo:lo + step, None] | block_logical[None, :]
+            keep = offset_logical[lo:lo + step, None] | block_logical[None, :]
             if keep.any():
-                weights = np.bitwise_count((elems & mask) | (elems >> np.uint64(n)))
+                weights = np.bitwise_count((elems | elems >> one) & x_bits)
                 best = min(best, int(weights[keep].min()))
         return best
 
@@ -288,13 +236,13 @@ def _xor_span(vectors: Sequence[int]) -> np.ndarray:
     return span
 
 
-def _swap_halves(packed: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return (packed >> n) | ((packed & mask) << n)
+def _swap_xz(packed: int, x_bits: int) -> int:
+    """The X and Z bit of every symbol exchanged; x_bits is 0b0101..."""
+    return ((packed & x_bits) << 1) | ((packed >> 1) & x_bits)
 
 
-def _check_self_orthogonal(n: int, rows: Sequence[int]) -> None:
-    swapped = [_swap_halves(r, n) for r in rows]
+def _check_self_orthogonal(rows: Sequence[int], x_bits: int) -> None:
+    swapped = [_swap_xz(r, x_bits) for r in rows]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             if (swapped[i] & rows[j]).bit_count() & 1:
@@ -302,16 +250,21 @@ def _check_self_orthogonal(n: int, rows: Sequence[int]) -> None:
                     f"rows {i} and {j} anticommute (symplectic inner product 1)")
 
 
-def additive_code(n: int, rows: Sequence[int] | Iterable[SymplecticVector]) -> StabilizerCode:
-    """Stabilizer code from spanning symplectic rows; rejects anticommuting input."""
-    packed = [r.packed if isinstance(r, SymplecticVector) else r for r in rows]
-    return StabilizerCode(n, packed)
+def additive_code(n: int, rows: Iterable[int | F4Vector]) -> StabilizerCode:
+    """Stabilizer code from spanning packed rows; rejects anticommuting input."""
+    return StabilizerCode(n, [r.packed if isinstance(r, F4Vector) else r for r in rows])
 
 
-def _f4_row_to_packed_ab(row: Sequence[int], n: int) -> int:
-    """Packed symplectic int of a GF(4) row; a binary row is all X part."""
-    a, b = f4_bit_planes(row)
-    return a | b << n
+# a GF(4) symbol as a byte -> a base-4 digit: itself, its conjugate, and
+# w times its conjugate
+_SYMBOL, _CONJ, _W_CONJ = (bytes.maketrans(bytes(range(4)), digits)
+                           for digits in (b"0123", b"0132", b"0213"))
+
+
+def _packed_row(row: Sequence[int], table: bytes) -> int:
+    """The packed int of a GF(2) or GF(4) row with each symbol mapped by
+    table: read from its last symbol, the row spells the int in base 4."""
+    return int(bytes(reversed(row)).translate(table), 4)
 
 
 # The two row builders below are the only construction path: the
@@ -325,11 +278,7 @@ def _hermitian_stabilizer(n: int, check_rows) -> StabilizerCode:
     1998, Thm. 3), so these rows commute exactly when the code contains its
     Hermitian dual; otherwise CommutationError.
     """
-    rows = []
-    for h in check_rows:
-        # on the bit planes (a, b) of h: conj(h) is (a ^ b, b), w*conj(h) is (b, a)
-        a, b = f4_bit_planes(h)
-        rows += [(a ^ b) | b << n, b | a << n]
+    rows = [_packed_row(h, table) for h in check_rows for table in (_CONJ, _W_CONJ)]
     return StabilizerCode(n, rows)
 
 
@@ -340,8 +289,8 @@ def _css_stabilizer(n: int, x_checks, z_checks) -> StabilizerCode:
     the code checked by z_checks lies in the code checked by x_checks;
     otherwise CommutationError.
     """
-    rows = [_f4_row_to_packed_ab(h, n) for h in x_checks]  # (a|0)
-    rows += [_f4_row_to_packed_ab(h, n) << n for h in z_checks]  # (0|b)
+    rows = [_packed_row(h, _SYMBOL) for h in x_checks]  # X on the support of h
+    rows += [_packed_row(h, _SYMBOL) << 1 for h in z_checks]  # Z on the support of h
     return StabilizerCode(n, rows)
 
 
@@ -349,7 +298,7 @@ def hermitian_construct(code: LinearCode) -> StabilizerCode:
     """[[n, 2k-n]] stabilizer code from a Hermitian-dual-containing GF(4) code.
 
     The stabilizer is the additive span of {g, w*g} over the generators g of
-    the Hermitian dual (conjugated parity-check rows), mapped symplectically.
+    the Hermitian dual (conjugated parity-check rows), as packed rows.
     """
     if code.field is not GF4:
         raise ValueError("Hermitian dual containment is defined over GF(4)")
@@ -378,8 +327,6 @@ def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
 
 
 __all__ = [
-    "SymplecticVector", "F4Vector", "StabilizerCode",
-    "CommutationError", "ResourceLimitError",
-    "symplectic_ip", "f4_symplectic_map", "symplectic_f4_map",
+    "F4Vector", "StabilizerCode", "CommutationError", "ResourceLimitError",
     "burst_length", "additive_code", "hermitian_construct", "css_construct",
 ]

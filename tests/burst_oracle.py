@@ -6,7 +6,10 @@ built on an explicit enumeration of the bursts of length <= l.
 * The syndrome-hash check is the engine that the window-rank one replaced:
   it sorts the bursts' uint64 syndromes and tells the colliding bursts
   apart by their logical label bits.  Its results are pinned in
-  data/burst_pins.json.
+  data/burst_pins.json, recorded when stabilizer rows were packed as split
+  halves (X bits of positions 0..n-1, then Z bits): its syndromes are taken
+  against the reduced basis in that column order, so that the collision
+  groups come in the recorded order.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from qbecc.burst import BurstAnalysis, burst_count, qrb
+from qbecc.linalg import gf2_row_reduce
 from qbecc.stabilizer import F4Vector, ResourceLimitError, StabilizerCode
 from label_oracle import label_table
 
@@ -30,21 +34,14 @@ def _window_lengths(n: int, l: int) -> List[Tuple[int, int]]:
     return [(s, min(l, n - s)) for s in range(n)]
 
 
-def _burst_vector(s: int, w: int, c: int) -> Tuple[int, Tuple[int, int]]:
-    """(packed_f4, (a, b)) of the burst with window start s and content
-    index c; the first symbol is c // 4^(w-1) + 1, remaining digits base 4
+def _burst_vector(s: int, w: int, c: int) -> int:
+    """Packed F4Vector of the burst with window start s and content index
+    c; the first symbol is c // 4^(w-1) + 1, remaining digits base 4
     big-endian."""
-    first = (c >> (2 * (w - 1))) + 1
-    f4 = first << (2 * s)
-    a = (first & 1) << s
-    b = (first >> 1) << s
+    f4 = ((c >> (2 * (w - 1))) + 1) << (2 * s)
     for t in range(1, w):
-        d = (c >> (2 * (w - 1 - t))) & 3
-        pos = s + t
-        f4 |= d << (2 * pos)
-        a |= (d & 1) << pos
-        b |= (d >> 1) << pos
-    return f4, (a, b)
+        f4 |= ((c >> (2 * (w - 1 - t))) & 3) << (2 * (s + t))
+    return f4
 
 
 def enumerate_bursts(n: int, l: int) -> Iterator[F4Vector]:
@@ -58,8 +55,7 @@ def enumerate_bursts(n: int, l: int) -> Iterator[F4Vector]:
         return
     for s, w in _window_lengths(n, l):
         for c in range(3 * 4 ** (w - 1)):
-            f4, _ = _burst_vector(s, w, c)
-            yield F4Vector(n, f4)
+            yield F4Vector(n, _burst_vector(s, w, c))
 
 
 # ----------------------------------------------------------------------
@@ -74,20 +70,17 @@ def check_level_oracle(code: StabilizerCode, l: int):
         return True, False, None, 0
     if burst_count(n, l) > 20000:
         raise ResourceLimitError("the all-pairs oracle is for small codes only")
-    vecs = [(0, 0)]
-    for s, w in _window_lengths(n, l):
-        for c in range(3 * 4 ** (w - 1)):
-            f4, (a, b) = _burst_vector(s, w, c)
-            vecs.append((f4, a | (b << n)))
+    vecs = [0] + [_burst_vector(s, w, c) for s, w in _window_lengths(n, l)
+                  for c in range(3 * 4 ** (w - 1))]
     degenerate = False
     pairs = 0
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            u = vecs[i][1] ^ vecs[j][1]
+            u = vecs[i] ^ vecs[j]
             pairs += 1
             if code.in_dual(u):
                 if not code.contains(u):
-                    witness = (F4Vector(n, vecs[i][0]), F4Vector(n, vecs[j][0]))
+                    witness = (F4Vector(n, vecs[i]), F4Vector(n, vecs[j]))
                     return False, degenerate, witness, pairs
                 degenerate = True
     return True, degenerate, None, pairs
@@ -127,9 +120,9 @@ def level_syndromes(n: int, l: int, syn: np.ndarray) -> np.ndarray:
     return out
 
 
-def _index_to_vector(n: int, l: int, idx: int) -> Tuple[int, Tuple[int, int]]:
+def _index_to_vector(n: int, l: int, idx: int) -> int:
     if idx == 0:
-        return 0, (0, 0)
+        return 0
     base = 1
     for s, w in _window_lengths(n, l):
         cnt = 3 * 4 ** (w - 1)
@@ -170,6 +163,26 @@ def _colliding(syns: np.ndarray, dup_vals: np.ndarray) -> np.ndarray:
     return np.concatenate(hits)
 
 
+def _split_syndromes(code: StabilizerCode) -> np.ndarray:
+    """uint64 [position, symbol]: bit j is the symplectic inner product
+    with row j of the reduced row-echelon stabilizer basis in split-halves
+    column order."""
+    n = code.n
+    if code.r > 64:
+        raise ResourceLimitError(f"{code.r} syndrome bits exceed one 64-bit word")
+    split = [sum(((row >> 2 * i) & 1) << i | ((row >> 2 * i + 1) & 1) << (n + i)
+                 for i in range(n)) for row in code.basis]
+    table = [[0] * 4 for _ in range(n)]
+    for j, row in enumerate(gf2_row_reduce(split)[0]):
+        for i in range(n):
+            # <e, v> = e_x v_z + e_z v_x, where symbol c has e_x = c & 1, e_z = c >> 1
+            x, z = (row >> i) & 1, (row >> (n + i)) & 1
+            table[i][1] |= z << j
+            table[i][2] |= x << j
+            table[i][3] |= (x ^ z) << j
+    return np.array(table, dtype=np.uint64)
+
+
 def check_level_hash(code: StabilizerCode, l: int):
     n = code.n
     if l == 0:
@@ -178,10 +191,8 @@ def check_level_hash(code: StabilizerCode, l: int):
     if total > MAX_BURSTS_PER_LEVEL:
         raise ResourceLimitError(
             f"level {l} needs {total} bursts, limit {MAX_BURSTS_PER_LEVEL}")
+    syns = level_syndromes(n, l, _split_syndromes(code))
     tab = label_table(code)
-    if tab.syndrome.shape[2] > 1:
-        raise ResourceLimitError(f"{code.r} syndrome bits exceed one 64-bit word")
-    syns = level_syndromes(n, l, tab.syndrome[:, :, 0])
     s_sorted = np.sort(syns)
     dup_mask = s_sorted[1:] == s_sorted[:-1]
     if not dup_mask.any():
@@ -204,6 +215,6 @@ def check_level_hash(code: StabilizerCode, l: int):
         return True, pairs > 0, None, pairs
     f = int(harmful[0])
     pairs = f + 1 - int(first[:f + 1].sum())
-    rep_f4, _ = _index_to_vector(n, l, int(hit[rep[f]]))
-    f4, _ = _index_to_vector(n, l, int(hit[f]))
+    rep_f4 = _index_to_vector(n, l, int(hit[rep[f]]))
+    f4 = _index_to_vector(n, l, int(hit[f]))
     return False, pairs > 1, (F4Vector(n, rep_f4), F4Vector(n, f4)), pairs

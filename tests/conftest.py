@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import random
 
+from qbecc.gf import f4_conj, f4_mul
 from qbecc.linalg import gf2_nullspace
-from qbecc.stabilizer import StabilizerCode
+from qbecc.stabilizer import F4Vector, StabilizerCode
+
+
+def trace_ip(u: F4Vector, v: F4Vector) -> int:
+    """Oracle: the trace inner product sum of u_i v_i^2 + u_i^2 v_i over GF(2),
+    zero iff the Paulis commute."""
+    if u.n != v.n:
+        raise ValueError(f"length mismatch: {u.n} != {v.n}")
+    acc = 0
+    for x, y in zip(u.symbols(), v.symbols()):
+        acc ^= f4_mul(x, f4_conj(y)) ^ f4_mul(f4_conj(x), y)
+    return acc
 
 
 def swap_halves(packed: int, n: int) -> int:
@@ -13,8 +25,28 @@ def swap_halves(packed: int, n: int) -> int:
     return (packed >> n) | ((packed & mask) << n)
 
 
+def interleave_halves(split: int, n: int) -> int:
+    """A split-halves row (X bits in [0, n), Z bits in [n, 2n)) in the
+    packing of StabilizerCode: X of position i at bit 2i, Z at bit 2i+1."""
+    packed = 0
+    for i in range(n):
+        packed |= ((split >> i) & 1) << (2 * i) | ((split >> (n + i)) & 1) << (2 * i + 1)
+    return packed
+
+
+def swap_xz(packed: int, n: int) -> int:
+    """The X and Z bit of every position exchanged, in the packing of
+    StabilizerCode: the symplectic inner product of u and v is the parity
+    of swap_xz(u) & v."""
+    out = 0
+    for i in range(n):
+        out |= ((packed >> (2 * i + 1)) & 1) << (2 * i) | ((packed >> (2 * i)) & 1) << (2 * i + 1)
+    return out
+
+
 def random_self_orthogonal_code(rng: random.Random, n: int, target_rank: int) -> StabilizerCode:
-    """Greedy sampling of pairwise-commuting symplectic rows."""
+    """Greedy sampling of pairwise-commuting rows, drawn as split halves
+    and interleaved, so a seed draws the same code in either packing."""
     rows = []
     attempts = 0
     while len(rows) < target_rank and attempts < 200 * (target_rank + 1):
@@ -25,8 +57,7 @@ def random_self_orthogonal_code(rng: random.Random, n: int, target_rank: int) ->
         if any((swap_halves(r, n) & cand).bit_count() & 1 for r in rows):
             continue
         rows.append(cand)
-    code = StabilizerCode(n, rows)
-    return code
+    return StabilizerCode(n, [interleave_halves(r, n) for r in rows])
 
 
 def random_css_code(rng, n, rx, rz, short):
@@ -44,4 +75,4 @@ def random_css_code(rng, n, rx, rz, short):
             if rng.random() < 0.5:
                 z ^= v
         zs.append(z << n)
-    return StabilizerCode(n, [r for r in xs + zs if r])
+    return StabilizerCode(n, [interleave_halves(r, n) for r in xs + zs if r])

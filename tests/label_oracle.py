@@ -35,7 +35,7 @@ def _contribution_words(vectors: Sequence[int], n: int) -> np.ndarray:
     raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in vectors),
                         dtype=np.uint8).reshape(m, nbytes)
     bits = np.unpackbits(raw, axis=1, count=2 * n, bitorder="little")
-    a, b = bits[:, :n], bits[:, n:]
+    a, b = bits[:, 0::2], bits[:, 1::2]  # X and Z bit of each position
     words = max(1, -(-m // 64))
     # <e, v> = e_a v_b + e_b v_a, where symbol c has e_a = c & 1, e_b = c >> 1
     per_symbol = np.zeros((64 * words, n, 4), dtype=np.uint8)

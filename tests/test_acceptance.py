@@ -26,7 +26,7 @@ from qbecc.gf import GF4, ext_field_build
 from qbecc.linalg import mat_rank
 from qbecc.qtpc import InterleaverMap, deinterleave, dispersal_report, interleave, qtpc_construct
 from qbecc.registry import load_registry, registry_entry
-from qbecc.search import build_registry_code, genpoly_to_poly, parse_genpoly
+from qbecc.search import build_registry_code, parse_genpoly
 from qbecc.stabilizer import F4Vector
 
 MU_GRID = [round(0.05 * i, 2) for i in range(21)]
@@ -266,8 +266,7 @@ def test_criterion_8_bracket_consistency(figure_data, bracket_data):
 
 def test_criterion_9_qtpc_example():
     t0 = time.monotonic()
-    spec = parse_genpoly("1^6 2^3 1^0", 15)
-    c1 = cyclic_from_poly(genpoly_to_poly(spec, GF4), 15)
+    c1 = cyclic_from_poly(parse_genpoly("1^6 2^3 1^0", 15, GF4), 15)
     c2 = rs_mds(6, 2, ext_field_build(6))
     stab, qspec = qtpc_construct(c1, c2)
     assert qspec.params == (90, 42)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_css_code, random_self_orthogonal_code
+from conftest import interleave_halves, random_css_code, random_self_orthogonal_code
 from qbecc.burst import (burst_count, check_qrb, located_burst_check,
                          no_cloning_check, qrb, quantum_burst_capability)
 from qbecc.burst import _check_level_rank, _label_columns, _rank_unions, _window_pairs
@@ -18,14 +18,13 @@ from qbecc.linalg import gf2_rank
 from qbecc.registry import load_registry
 from qbecc.search import _candidates, _construct, build_code, build_registry_code
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
-                              SymplecticVector, additive_code, burst_length,
-                              css_construct, f4_symplectic_map, hermitian_construct,
-                              symplectic_f4_map)
+                              additive_code, burst_length, css_construct,
+                              hermitian_construct)
 
 W = 2
 
 FIVE_QUBIT = additive_code(5, [
-    f4_symplectic_map(F4Vector.from_symbols(s)) for s in
+    F4Vector.from_symbols(s) for s in
     [(1, 2, 2, 1, 0), (0, 1, 2, 2, 1), (1, 0, 1, 2, 2), (2, 1, 0, 1, 2)]])
 
 
@@ -81,8 +80,7 @@ def test_numpy_syndromes_match_iterator_order():
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
         l = rng.randrange(0, n + 1)
         syns = level_syndromes(n, l, label_table(code).syndrome[:, :, 0])
-        expected = [code.syndrome(f4_symplectic_map(v).packed)
-                    for v in enumerate_bursts(n, l)]
+        expected = [code.syndrome(v.packed) for v in enumerate_bursts(n, l)]
         assert expected == syns.tolist()
 
 
@@ -113,7 +111,7 @@ def test_witness_validity():
     assert burst_length(e1) <= analysis.l + 1
     assert burst_length(e2) <= analysis.l + 1
     assert e1 != e2
-    u = f4_symplectic_map(e1 + e2).packed
+    u = (e1 + e2).packed
     assert code.in_dual(u) and not code.contains(u)
 
 
@@ -167,9 +165,8 @@ def test_located_burst_check_five_qubit():
     assert not located_burst_check(FIVE_QUBIT, 0, 4)
     # oracle for the failing window: some pair supported inside breaks it
     found = False
-    for pa in range(4 ** 4):
-        u = f4_symplectic_map(F4Vector(5, pa)).packed
-        if u and FIVE_QUBIT.in_dual(u) and not FIVE_QUBIT.contains(u):
+    for u in range(1, 4 ** 4):
+        if FIVE_QUBIT.in_dual(u) and not FIVE_QUBIT.contains(u):
             found = True
             break
     assert found
@@ -189,8 +186,7 @@ def test_located_burst_check_matches_pair_oracle():
             packed = 0
             for t in range(span):
                 packed |= ((packed_win >> (2 * t)) & 3) << (2 * (start + t))
-            u = f4_symplectic_map(F4Vector(n, packed)).packed
-            if code.in_dual(u) and not code.contains(u):
+            if code.in_dual(packed) and not code.contains(packed):
                 direct = False
                 break
         assert subspace_ans == direct
@@ -212,7 +208,7 @@ def _assert_valid_witness(code, l, witness):
     e1, e2 = witness
     assert e1 != e2
     assert burst_length(e1) <= l and burst_length(e2) <= l
-    u = f4_symplectic_map(e1 + e2).packed
+    u = (e1 + e2).packed
     assert code.in_dual(u) and not code.contains(u)
 
 
@@ -264,7 +260,8 @@ def _dual_oracle(code, cover):
     elems = np.zeros(1, dtype=np.int64)
     for v in code.dual_basis():
         elems = np.concatenate((elems, elems ^ v))
-    fits = cover[(elems & ((1 << n) - 1)) | (elems >> n)]
+    support = sum(((elems >> 2 * i | elems >> 2 * i + 1) & 1) << i for i in range(n))
+    fits = cover[support]
     index = np.arange(elems.size)
     logical = fits[index >> r != 0]
     stabilizer = fits[(index >> r == 0) & (index != 0)]
@@ -286,10 +283,10 @@ def _union_count(n, l, cyclic=False):
 
 
 def _rotate(n, row):
-    """Packed symplectic row with symbol i moved to position i+1 mod n,
-    through the GF(4) symbols."""
-    symbols = symplectic_f4_map(SymplecticVector.from_packed(n, row)).symbols()
-    return f4_symplectic_map(F4Vector.from_symbols(symbols[-1:] + symbols[:-1])).packed
+    """Packed row with symbol i moved to position i+1 mod n, through the
+    GF(4) symbols."""
+    symbols = F4Vector(n, row).symbols()
+    return F4Vector.from_symbols(symbols[-1:] + symbols[:-1]).packed
 
 
 def _shift_invariant(code):
@@ -354,8 +351,8 @@ def _random_cyclic_codes(rng, per_construction):
 
 
 def _swap_positions(n, row, i, j):
-    """Packed symplectic row with positions i and j exchanged."""
-    for p, q in ((i, j), (n + i, n + j)):
+    """Packed row with positions i and j exchanged."""
+    for p, q in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
         if ((row >> p) ^ (row >> q)) & 1:
             row ^= (1 << p) | (1 << q)
     return row
@@ -528,9 +525,27 @@ def test_pinned_registry_rows():
         _assert_matches_pin(build_registry_code(entries[entry_id]), want, entry_id)
 
 
+def test_registry_witness_sums_go_straight_to_the_code():
+    # witnesses and stabilizer rows share one packing: no conversion between
+    witnesses = 0
+    for entry in load_registry():
+        code = build_registry_code(entry)
+        analysis = quantum_burst_capability(code)
+        if analysis.witness is None:
+            assert analysis.saturates, entry.id
+            continue
+        e1, e2 = analysis.witness
+        u = (e1 + e2).packed
+        assert code.in_dual(u) and not code.contains(u), entry.id
+        witnesses += 1
+    assert witnesses == 3
+
+
 def test_pinned_random_levels():
     for case in PINS["random"]:
-        code = StabilizerCode(case["n"], [int(row, 16) for row in case["rows"]])
+        # rows recorded as split halves: X bits, then Z bits
+        code = StabilizerCode(case["n"], [interleave_halves(int(row, 16), case["n"])
+                                          for row in case["rows"]])
         assert code.k == case["k"]
         for l, *want in case["levels"]:
             ok, degenerate, witness, pairs = check_level_hash(code, l)

@@ -16,12 +16,12 @@ from qbecc.gf import GF4, Poly
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import build_code, build_registry_code
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
-                              additive_code, f4_symplectic_map, hermitian_construct)
+                              additive_code, hermitian_construct)
 
 W = 2
 
 FIVE_QUBIT = additive_code(5, [
-    f4_symplectic_map(F4Vector.from_symbols(s)) for s in
+    F4Vector.from_symbols(s) for s in
     [(1, 2, 2, 1, 0), (0, 1, 2, 2, 1), (1, 0, 1, 2, 2), (2, 1, 0, 1, 2)]])
 
 CODE_13_1 = hermitian_construct(
@@ -146,13 +146,10 @@ def _ef_oracle(code, table, ch):
     total = []
     for sym in itertools.product(range(4), repeat=n):
         e = F4Vector.from_symbols(sym)
-        packed_ab = f4_symplectic_map(e).packed
-        syn = code.syndrome(packed_ab)
-        rec = table.entries.get(syn)
+        rec = table.entries.get(code.syndrome(e.packed))
         if rec is None:
             continue
-        rec_ab = f4_symplectic_map(F4Vector(n, rec)).packed
-        if code.contains(packed_ab ^ rec_ab):
+        if code.contains(e.packed ^ rec):
             total.append(error_prob(e, ch))
     return math.fsum(total)
 
@@ -342,8 +339,8 @@ def test_decoder_refuses_labels_over_one_word():
 
 def _pauli_code(n, *rows):
     """A stabilizer code from Pauli strings such as "ZZII"."""
-    return additive_code(n, [f4_symplectic_map(F4Vector.from_symbols(
-        ["IXZY".index(c) for c in row])) for row in rows])
+    return additive_code(n, [F4Vector.from_symbols(["IXZY".index(c) for c in row])
+                             for row in rows])
 
 
 X0_IN_STABILIZER = _pauli_code(4, "XIII", "IZZI")  # labels of X0 and I0 agree

@@ -327,6 +327,10 @@ def test_hermitian_dual_containing_small_dimension():
     # k = 6 < 15/2 is impossible by dimension count
     assert code.k < 15 / 2
     assert not hermitian_dual_containing(code)
+    # the zero code: no independent rows, identity check rows
+    zero = linear_code(GF4, [[0, 0, 0]])
+    assert (zero.k, zero.gen_rows, zero.check_rows) == (0, (), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert not hermitian_dual_containing(zero)
 
 
 def test_hermitian_dual_containing_full_space():

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,49 +16,41 @@ from qbecc.registry import load_registry, registry_entry
 from qbecc.search import _candidates, _construct, _divisors, _factors, _survivor_masks
 from qbecc.search import (GenPolyError, SearchPlan, build_code, build_registry_code,
                           cyclic_code, enumerate_cyclic_generators, format_genpoly,
-                          genpoly_to_poly, parse_genpoly, poly_to_genpoly,
-                          records_to_csv, reproduce_table1, search)
+                          parse_genpoly, records_to_csv, reproduce_table1, search)
 from qbecc.stabilizer import css_construct, hermitian_construct
 
 W = 2
 
 
 def test_parse_genpoly_table_row():
-    spec = parse_genpoly("1^6 2^3 1^0", 15)
-    assert spec.terms == ((1, 6), (2, 3), (1, 0))
-    assert genpoly_to_poly(spec, GF4) == Poly(GF4, (1, 0, 0, W, 0, 0, 1))
+    assert parse_genpoly("1^6 2^3 1^0", 15, GF4) == Poly(GF4, (1, 0, 0, W, 0, 0, 1))
+    assert parse_genpoly("1^0 2^3 1^6", 15, GF4) == Poly(GF4, (1, 0, 0, W, 0, 0, 1))
 
 
 def test_parse_genpoly_constant():
-    spec = parse_genpoly("1^0", 7)
-    assert genpoly_to_poly(spec, GF2) == Poly.one(GF2)
+    assert parse_genpoly("1^0", 7, GF2) == Poly.one(GF2)
 
 
 def test_parse_genpoly_errors():
-    with pytest.raises(GenPolyError):
-        parse_genpoly("1^6 1^6", 15)
-    with pytest.raises(GenPolyError):
-        parse_genpoly("4^2", 15)
-    with pytest.raises(GenPolyError):
-        parse_genpoly("1^15", 15)
-    with pytest.raises(GenPolyError):
-        parse_genpoly("", 15)
-    with pytest.raises(GenPolyError):
-        parse_genpoly("1^2 w^1", 15)
+    for text, message in [("1^6 1^6", "duplicate exponent 6"),
+                          ("4^2", "malformed token '4^2'"),
+                          ("1^15", "exponent 15 not below code length 15"),
+                          ("", "empty generator polynomial"),
+                          ("1^2 w^1", "malformed token 'w^1'")]:
+        with pytest.raises(GenPolyError, match=re.escape(message)):
+            parse_genpoly(text, 15, GF4)
 
 
 def test_parse_genpoly_roundtrip():
     for text, n in [("1^6 2^3 1^0", 15), ("1^8 3^7 3^5 3^4 3^3 3^1 1^0", 17)]:
-        spec = parse_genpoly(text, n)
-        assert format_genpoly(spec) == text
-        poly = genpoly_to_poly(spec, GF4)
-        assert format_genpoly(poly_to_genpoly(poly, n)) == text
+        assert format_genpoly(parse_genpoly(text, n, GF4)) == text
 
 
 def test_binary_genpoly_rejects_nonbinary_coefficients():
-    spec = parse_genpoly("2^1 1^0", 7)
-    with pytest.raises(GenPolyError):
-        genpoly_to_poly(spec, GF2)
+    assert parse_genpoly("2^1 1^0", 7, GF4) == Poly(GF4, (1, W))
+    with pytest.raises(GenPolyError, match="binary generator polynomial must have "
+                                           "all coefficients 1"):
+        parse_genpoly("2^1 1^0", 7, GF2)
 
 
 def test_enumerate_cyclic_generators_counts():
@@ -353,16 +346,13 @@ def test_direct_builds_construct_like_the_matrix_oracle():
 def _oracle_candidates(n, constructions):
     """Generator texts of the dual-containing candidates in search order,
     from the divisibility oracle."""
-    def text(g):
-        return format_genpoly(poly_to_genpoly(g, n))
-
     out = []
     if "hermitian" in constructions:
-        out += [(text(g), "") for g in enumerate_cyclic_generators(n, GF4)
+        out += [(format_genpoly(g), "") for g in enumerate_cyclic_generators(n, GF4)
                 if _hermitian_dual_containing(g, n)]
     if "css" in constructions:
         binary = enumerate_cyclic_generators(n, GF2)
-        out += [(text(g1), text(g2)) for i, g1 in enumerate(binary)
+        out += [(format_genpoly(g1), format_genpoly(g2)) for i, g1 in enumerate(binary)
                 for g2 in binary[i:] if _css_dual_containing(g1, g2, n)]
     return out
 

@@ -1,20 +1,20 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import random_css_code, random_self_orthogonal_code, swap_halves
+from conftest import (interleave_halves, random_css_code, random_self_orthogonal_code,
+                      swap_xz, trace_ip)
 from label_oracle import label_ints as oracle_label_ints, label_table
-from qbecc.classical import cyclic_from_poly, linear_code
-from qbecc.gf import GF2, GF4, Poly, f4_conj, f4_mul
+from qbecc import stabilizer
+from qbecc.classical import cyclic_from_poly, linear_code, rs_mds
+from qbecc.gf import GF2, GF4, Poly, ext_field_build
 from qbecc.linalg import gf2_nullspace, gf2_reduce_vector
+from qbecc.qtpc import qtpc_construct, tensor_check_matrix
 from qbecc.registry import load_registry
-from qbecc.search import _candidates, _construct, build_registry_code
+from qbecc.search import _candidates, _construct, build_registry_code, cyclic_code
 from qbecc.stabilizer import (CommutationError, F4Vector, ResourceLimitError,
-                              StabilizerCode, SymplecticVector, additive_code,
-                              burst_length, css_construct, f4_symplectic_map,
-                              hermitian_construct, symplectic_f4_map,
-                              symplectic_ip)
+                              StabilizerCode, additive_code, burst_length,
+                              css_construct, hermitian_construct)
 
 W = 2
 
@@ -26,36 +26,7 @@ FIVE_QUBIT_ROWS = [
 
 
 def five_qubit_code() -> StabilizerCode:
-    return additive_code(5, [f4_symplectic_map(v) for v in FIVE_QUBIT_ROWS])
-
-
-def test_symplectic_ip_examples():
-    u = SymplecticVector(2, 0b01, 0b10)
-    v = SymplecticVector(2, 0b10, 0b01)
-    assert symplectic_ip(u, v) == 0
-    x1 = SymplecticVector(1, 1, 0)
-    z1 = SymplecticVector(1, 0, 1)
-    assert symplectic_ip(x1, z1) == 1
-    rng = random.Random(3)
-    for _ in range(50):
-        n = rng.randrange(1, 10)
-        v = SymplecticVector(n, rng.getrandbits(n), rng.getrandbits(n))
-        assert symplectic_ip(v, v) == 0
-
-
-def test_symplectic_ip_length_mismatch():
-    with pytest.raises(ValueError):
-        symplectic_ip(SymplecticVector(1, 1, 0), SymplecticVector(2, 1, 0))
-
-
-def trace_ip(u: F4Vector, v: F4Vector) -> int:
-    """Oracle: the trace inner product sum of u_i v_i^2 + u_i^2 v_i over GF(2)."""
-    if u.n != v.n:
-        raise ValueError(f"length mismatch: {u.n} != {v.n}")
-    acc = 0
-    for x, y in zip(u.symbols(), v.symbols()):
-        acc ^= f4_mul(x, f4_conj(y)) ^ f4_mul(f4_conj(x), y)
-    return acc
+    return additive_code(5, FIVE_QUBIT_ROWS)
 
 
 def test_trace_ip_examples():
@@ -65,13 +36,13 @@ def test_trace_ip_examples():
 
 
 def test_trace_symplectic_consistency_exhaustive_small():
+    # the syndrome of u against the one-row code of v is their commutator
     for n in (1, 2, 3):
-        for pu in range(4 ** n):
-            u = F4Vector(n, pu)
-            for pv in range(4 ** n):
-                v = F4Vector(n, pv)
-                assert trace_ip(u, v) == symplectic_ip(f4_symplectic_map(u),
-                                                       f4_symplectic_map(v))
+        for pv in range(4 ** n):
+            v = F4Vector(n, pv)
+            code = StabilizerCode(n, [pv])
+            for pu in range(4 ** n):
+                assert trace_ip(F4Vector(n, pu), v) == code.syndrome(pu)
 
 
 def test_trace_symplectic_consistency_sampled():
@@ -80,22 +51,13 @@ def test_trace_symplectic_consistency_sampled():
         n = rng.randrange(1, 20)
         u = F4Vector(n, rng.getrandbits(2 * n))
         v = F4Vector(n, rng.getrandbits(2 * n))
-        assert trace_ip(u, v) == symplectic_ip(f4_symplectic_map(u), f4_symplectic_map(v))
-
-
-@given(st.integers(1, 16), st.data())
-@settings(derandomize=True, max_examples=200)
-def test_map_roundtrip(n, data):
-    packed = data.draw(st.integers(0, 4 ** n - 1))
-    v = F4Vector(n, packed)
-    assert symplectic_f4_map(f4_symplectic_map(v)) == v
+        assert trace_ip(u, v) == StabilizerCode(n, [v.packed]).syndrome(u.packed)
 
 
 def test_burst_length_examples():
     # X (x) I (x) Z (x) I (x) I
     v = F4Vector.from_symbols((1, 0, W, 0, 0))
     assert burst_length(v) == 3
-    assert burst_length(f4_symplectic_map(v)) == 3
     assert burst_length(F4Vector.from_symbols((0, 0, 0, 3, 0))) == 1
     assert burst_length(F4Vector(7, 0)) == 0
 
@@ -109,7 +71,6 @@ def test_burst_length_scalar_invariance():
         c = rng.choice((1, 2, 3))
         scaled = F4Vector.from_symbols([f4_mul(c, s) for s in v.symbols()])
         assert burst_length(scaled) == burst_length(v)
-        assert burst_length(f4_symplectic_map(v)) == burst_length(v)
 
 
 def test_additive_code_five_qubit():
@@ -123,9 +84,16 @@ def test_additive_code_empty():
     assert code.params == (4, 4)
 
 
+def test_rows_beyond_the_length_rejected():
+    for row in (1 << 6, 1 << 7 | 1, -1):
+        with pytest.raises(ValueError, match="exceed"):
+            StabilizerCode(3, [row])
+    assert StabilizerCode(3, [1 << 5]).params == (3, 2)  # Z on the last position
+
+
 def test_additive_code_rejects_anticommuting():
     with pytest.raises(CommutationError) as err:
-        additive_code(1, [SymplecticVector(1, 1, 0), SymplecticVector(1, 0, 1)])
+        additive_code(1, [F4Vector(1, 1), F4Vector(1, W)])  # X and Z
     assert "0" in str(err.value) and "1" in str(err.value)
 
 
@@ -133,9 +101,7 @@ def test_stabilizer_pairwise_orthogonality():
     code = five_qubit_code()
     for i, u in enumerate(code.basis):
         for v in code.basis[i:]:
-            su = SymplecticVector.from_packed(5, u)
-            sv = SymplecticVector.from_packed(5, v)
-            assert symplectic_ip(su, sv) == 0
+            assert trace_ip(F4Vector(5, u), F4Vector(5, v)) == 0
 
 
 def test_hermitian_construct_15_3():
@@ -187,6 +153,75 @@ def test_css_construct_full_space():
     assert stab.params == (5, 5)
 
 
+def _split_planes(row):
+    """The X and Z bit planes of a GF(2) or GF(4) row, position i at bit i."""
+    return (sum((c & 1) << i for i, c in enumerate(row)),
+            sum((c >> 1) << i for i, c in enumerate(row)))
+
+
+def split_hermitian_rows(n, check_rows):
+    """The rows {conj(h), w*conj(h)} in split halves (X bits, then Z bits),
+    as the Hermitian builder wrote them before the GF(4) symbol packing."""
+    rows = []
+    for h in check_rows:
+        a, b = _split_planes(h)
+        rows += [(a ^ b) | b << n, b | a << n]
+    return rows
+
+
+def split_css_rows(n, x_checks, z_checks):
+    """The CSS builder's split-halves rows: X-type, then Z-type."""
+    return ([_split_planes(h)[0] for h in x_checks]
+            + [_split_planes(h)[0] << n for h in z_checks])
+
+
+def test_rows_are_the_split_halves_rows_interleaved(monkeypatch):
+    built = []
+    real = stabilizer.StabilizerCode
+    monkeypatch.setattr(stabilizer, "StabilizerCode",
+                        lambda n, rows: built.append((n, rows)) or real(n, rows))
+
+    def check(build, n, split_rows):
+        try:
+            build()
+        except CommutationError:
+            pass
+        # the last code built: qtpc_construct builds its inner code's first
+        assert built[-1] == (n, [interleave_halves(r, n) for r in split_rows])
+        built.clear()
+
+    def check_cyclic(codes):
+        n = codes[0].n
+        if len(codes) == 1:
+            check(lambda: hermitian_construct(*codes), n,
+                  split_hermitian_rows(n, codes[0].check_rows))
+        else:
+            check(lambda: css_construct(*codes), n,
+                  split_css_rows(n, codes[0].check_rows, codes[1].check_rows))
+
+    for entry in load_registry():
+        fields = (GF4,) if entry.construction == "hermitian" else (GF2, GF2)
+        check_cyclic([cyclic_code(text, entry.n, field)
+                      for text, field in zip(entry.genpolys, fields)])
+    c1 = cyclic_code("1^6 2^3 1^0", 15, GF4)
+    c2 = rs_mds(6, 2, ext_field_build(6))
+    check(lambda: qtpc_construct(c1, c2), 90, split_hermitian_rows(90, tensor_check_matrix(c1, c2)))
+    # random search candidates, and random rows, commuting or not
+    rng = random.Random(1414)
+    for n in range(3, 22, 2):
+        for construction in ("hermitian", "css"):
+            candidates = list(_candidates(n, construction))
+            for gens in rng.sample(candidates, min(3, len(candidates))):
+                check_cyclic([cyclic_from_poly(g, n) for g in gens])
+    for _ in range(200):
+        n = rng.randrange(1, 40)
+        rows = [[rng.randrange(4) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
+        check(lambda: stabilizer._hermitian_stabilizer(n, rows), n, split_hermitian_rows(n, rows))
+        bits = [[c & 1 for c in row] for row in rows]
+        check(lambda: stabilizer._css_stabilizer(n, bits[:1], bits[1:]), n,
+              split_css_rows(n, bits[:1], bits[1:]))
+
+
 def test_css_construct_rejects():
     rep = cyclic_from_poly(Poly(GF2, (1, 1, 1)), 3)  # [3,1]
     parity = cyclic_from_poly(Poly(GF2, (1, 1)), 3)  # [3,2]
@@ -211,8 +246,7 @@ def test_min_distance_five_qubit():
                 v ^= dual[i]
         if code.contains(v):
             continue
-        a, b = v & ((1 << n) - 1), v >> n
-        best = min(best, (a | b).bit_count())
+        best = min(best, sum(s != 0 for s in F4Vector(n, v).symbols()))
     assert best == 3
 
 
@@ -222,33 +256,32 @@ def test_min_distance_limit():
         code.min_distance(limit=4)
 
 
-def min_distance_walk(code, include_stabilizer=False):
+def min_distance_walk(code):
     """The Gray-code walk over all 2^(n+k) dual elements that min_distance
     replaced, kept as its reference."""
     dual = code.dual_basis()
     skip_membership = None
-    if not include_stabilizer:
-        if code.r <= 22:
-            skip_membership = set()
-            v = 0
-            skip_membership.add(0)
-            for i in range(1, 1 << code.r):
-                v ^= code.basis[(i & -i).bit_length() - 1]
-                skip_membership.add(v)
+    if code.r <= 22:
+        skip_membership = set()
+        v = 0
+        skip_membership.add(0)
+        for i in range(1, 1 << code.r):
+            v ^= code.basis[(i & -i).bit_length() - 1]
+            skip_membership.add(v)
     n = code.n
+    x_bits = (4 ** n - 1) // 3  # the X bit of every position
     best = 2 * n
     v = 0
     for i in range(1, 1 << len(dual)):
         v ^= dual[(i & -i).bit_length() - 1]
-        w = ((v & ((1 << n) - 1)) | (v >> n)).bit_count()
+        w = ((v | v >> 1) & x_bits).bit_count()
         if w >= best:
             continue
-        if not include_stabilizer:
-            if skip_membership is not None:
-                if v in skip_membership:
-                    continue
-            elif code.contains(v):
+        if skip_membership is not None:
+            if v in skip_membership:
                 continue
+        elif code.contains(v):
+            continue
         best = w
     return best
 
@@ -261,9 +294,7 @@ def test_min_distance_matches_walk_on_registry_rows():
         if entry.n + entry.k > 18:
             continue
         code = build_registry_code(entry)
-        for include in (False, True):
-            assert code.min_distance(include_stabilizer=include) == \
-                min_distance_walk(code, include), (entry.id, include)
+        assert code.min_distance() == min_distance_walk(code), entry.id
         checked += 1
     assert checked == 4
 
@@ -279,9 +310,7 @@ def test_min_distance_matches_walk_on_random_codes(monkeypatch, span_bits, span_
     for _ in range(60):
         n = rng.randrange(1, 9)
         code = random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
-        for include in (False, True):
-            assert code.min_distance(include_stabilizer=include) == \
-                min_distance_walk(code, include), (n, code.r, include)
+        assert code.min_distance() == min_distance_walk(code), (n, code.r)
 
 
 def test_min_distance_refuses_wide_elements():
@@ -296,9 +325,8 @@ def test_dual_basis_shape_and_orthogonality():
     assert len(dual) == code.n + code.k
     assert dual[:code.r] == code.basis
     for v in dual:
-        sv = SymplecticVector.from_packed(code.n, v)
         for row in code.basis:
-            assert symplectic_ip(sv, SymplecticVector.from_packed(code.n, row)) == 0
+            assert trace_ip(F4Vector(code.n, v), F4Vector(code.n, row)) == 0
 
 
 def test_dual_basis_stops_at_its_dimension():
@@ -320,7 +348,7 @@ def test_dual_basis_stops_at_its_dimension():
     assert len(codes) == 80 + 15 + 601 + 4
     for code in codes:
         chosen, reduced, pivots = list(code.basis), list(code.basis), list(code._pivots)
-        swapped = [swap_halves(row, code.n) for row in code.basis]
+        swapped = [swap_xz(row, code.n) for row in code.basis]
         for vec in gf2_nullspace(swapped, 2 * code.n):
             residual = gf2_reduce_vector(vec, reduced, pivots)
             if residual:
@@ -346,9 +374,9 @@ def test_label_table_matches_inner_products():
         dual = code.dual_basis()
         for i in range(n):
             for c in range(4):
-                error = SymplecticVector(n, (c & 1) << i, (c >> 1) << i)
-                bits = [symplectic_ip(error, SymplecticVector.from_packed(n, v))
-                        for v in dual]
+                # the error is supported on position i alone
+                error = F4Vector(1, c)
+                bits = [trace_ip(error, F4Vector(1, (v >> 2 * i) & 3)) for v in dual]
                 syndrome = sum(bit << j for j, bit in enumerate(bits[:code.r]))
                 logical = sum(bit << j for j, bit in enumerate(bits[code.r:]))
                 assert _words_int(tab.syndrome[i, c]) == syndrome
