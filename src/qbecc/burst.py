@@ -24,7 +24,6 @@ Weldon's shift argument for classical cyclic burst codes).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -75,8 +74,12 @@ def burst_count(n: int, l: int) -> int:
 # ----------------------------------------------------------------------
 
 def _label_columns(code: StabilizerCode) -> List[int]:
-    """Label of X (column 2i) and Z (column 2i+1) at each position i."""
-    return [label for labels in code.label_ints() for label in labels[1:3]]
+    """Label of X (column 2i) and Z (column 2i+1) at each position i, above
+    2n tracking bits: column j carries bit j, so the tracking bits of a sum
+    of columns are its Pauli in F4Vector packing."""
+    m = 2 * code.n
+    labels = (label for labels in code.label_ints() for label in labels[1:3])
+    return [(label << m) | (1 << j) for j, label in enumerate(labels)]
 
 
 def _insert(basis: Dict[int, int], columns: Iterable[int], shift: int,
@@ -118,60 +121,51 @@ def _window_pairs(n: int, l: int, end_around: bool = False) -> List[Tuple[int, r
 
 
 def _rank_unions(columns: Sequence[int], width: int, l: int, logical_bits: int,
-                 pairs: List[Tuple[int, range]]):
+                 pairs: List[Tuple[int, range]], shift: int):
     """Eliminate every union of the window pairs, width columns per
     position (columns[width*p:width*(p+1)] belong to position p).  Returns
     (failure, (s1, s2), degenerate, unions ranked): failure as _insert
-    reports it for the first union that has one, or None; degenerate if
-    some column of a ranked union reduced to a zero label."""
+    (labels above shift) reports it for the first union that has one, or
+    None; degenerate if some column of a ranked union reduced to a zero label."""
     degenerate = False
     unions = 0
     for s1, s2_range in pairs:
         w1: Dict[int, int] = {}
-        failure, dependent = _insert(w1, columns[width * s1:width * (s1 + l)], 0, logical_bits)
+        failure, dependent = _insert(w1, columns[width * s1:width * (s1 + l)], shift, logical_bits)
         degenerate |= dependent
         for s2 in s2_range:
             unions += 1
             if failure is None:
                 rest = columns[width * max(s2, s1 + l):width * (s2 + l)]
-                failure, dependent = _insert(dict(w1), rest, 0, logical_bits)
+                failure, dependent = _insert(dict(w1), rest, shift, logical_bits)
                 degenerate |= dependent
             if failure is not None:
                 return failure, (s1, s2), degenerate, unions
     return None, None, degenerate, unions
 
 
+def _split(failure: int, bits: int, cut: int) -> Tuple[int, int]:
+    """The tracking bits (the low bits) of a failing column, a null vector
+    on a window union, cut at bit cut: its part on the first window, the rest."""
+    null = failure & ((1 << bits) - 1)
+    first = null & ((1 << cut) - 1)
+    return first, null ^ first
+
+
 def _check_level_rank(code: StabilizerCode, columns: List[int], l: int):
     """(ok, degenerate, witness, unions ranked) of level l, given the code's
-    label columns; on failure the witness is a callable that builds it, so
-    only the level just above the answer pays for one."""
+    label columns; a failure's witness is the null vector outside C that the
+    failing union's elimination found, split between its two windows."""
     if l == 0:
         return True, False, None, 0
     n = code.n
     pairs = (_window_pairs(n, l, end_around=True)[:1] if 2 * l <= n and code.is_cyclic()
              else _window_pairs(n, l))
-    failure, pair, degenerate, unions = _rank_unions(columns, 2, l, 2 * code.k, pairs)
+    failure, pair, degenerate, unions = _rank_unions(columns, 2, l, 2 * code.k, pairs, 2 * n)
     if failure is None:
         return True, degenerate, None, unions
-    return (False, degenerate,
-            functools.partial(_union_witness, code, columns, l, *pair), unions)
-
-
-def _union_witness(code: StabilizerCode, columns: List[int], l: int,
-                   s1: int, s2: int) -> Tuple[F4Vector, F4Vector]:
-    """Two distinct bursts of length <= l, on [s1, s1+l) and [s2, s2+l),
-    whose sum is in dual(C) \\ C: the null vector outside C that the
-    union's elimination finds when column j carries tracking bit j below
-    its label.  Column 2i+z is symbol 1 << z at position i, so the tracking
-    bits are the null vector in F4Vector packing."""
-    m = 2 * code.n
-    tracked = [(c << m) | (1 << j) for j, c in enumerate(columns)]
-    union = tracked[2 * s1:2 * (s1 + l)] + tracked[2 * max(s2, s1 + l):2 * (s2 + l)]
-    failure, _ = _insert({}, union, m, 2 * code.k)
-    assert failure is not None, "the union holds no logical operator"
-    null = failure & ((1 << m) - 1)
-    first = null & ((1 << 2 * (s1 + l)) - 1)
-    return F4Vector(code.n, first), F4Vector(code.n, null ^ first)
+    first, rest = _split(failure, 2 * n, 2 * (pair[0] + l))
+    return False, degenerate, (F4Vector(n, first), F4Vector(n, rest)), unions
 
 
 def quantum_burst_capability(code: StabilizerCode) -> BurstAnalysis:
@@ -188,7 +182,7 @@ def quantum_burst_capability(code: StabilizerCode) -> BurstAnalysis:
         ok, degenerate, wit, pairs = _check_level_rank(code, columns, cand)
         total_pairs += pairs
         if ok:
-            analysis = BurstAnalysis(n, k, cand, degenerate, witness and witness(), total_pairs)
+            analysis = BurstAnalysis(n, k, cand, degenerate, witness, total_pairs)
             assert check_qrb(analysis)
             assert k < 1 or no_cloning_check(n, analysis.l)
             return analysis
@@ -204,7 +198,7 @@ def located_burst_check(code: StabilizerCode, start: int, span: int) -> bool:
     if span < 0 or start < 0 or start + span > n:
         raise ValueError(f"window [{start}, {start + span}) outside length {n}")
     window = _label_columns(code)[2 * start:2 * (start + span)]
-    failure, _ = _insert({}, window, 0, 2 * code.k)
+    failure, _ = _insert({}, window, 2 * n, 2 * code.k)
     return failure is None
 
 
@@ -245,11 +239,10 @@ def classical_burst_capability(code: LinearCode, end_around: bool = False) -> Bu
 
     ceiling = (n - code.k) // 2
     for l in range(1, ceiling + 1):
-        failure, pair, _, _ = _rank_unions(columns, bits, l, m, _window_pairs(n, l, end_around))
+        failure, pair, _, _ = _rank_unions(columns, bits, l, m, _window_pairs(n, l, end_around), 0)
         if failure is not None:
-            null = failure & ((1 << m) - 1)
-            first = null & ((1 << bits * (pair[0] + l)) - 1)
-            return BurstCapability(l - 1, end_around, (symbols(first), symbols(null ^ first)))
+            first, rest = _split(failure, m, bits * (pair[0] + l))
+            return BurstCapability(l - 1, end_around, (symbols(first), symbols(rest)))
     return BurstCapability(ceiling, end_around)
 
 

@@ -414,6 +414,10 @@ class SweepPoint:
     exact: bool
 
 
+# thread-count variables of the BLAS builds numpy ships with
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
           modes: Sequence[str], p_grid: Sequence[float], mu_grid: Sequence[float],
           strategy: str = "exact", w_max: int = 4,
@@ -433,9 +437,24 @@ def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
     if workers <= 1 or len(columns[0]) <= 1:
         results = list(map(_fidelities, *columns))
     else:
+        import multiprocessing
+        import os
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fidelities, *columns))
+        # fresh interpreters load numpy with one BLAS thread each, as the
+        # workers share the CPUs; a spawned pool starts all its workers at
+        # once, so no more than there are tasks
+        saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(columns[0])),
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+                results = list(pool.map(_fidelities, *columns))
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
     points = []
     for c, (code_id, *_) in enumerate(code_specs):
         block = results[c * len(grid):(c + 1) * len(grid)]

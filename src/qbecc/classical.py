@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .gf import GF2, GF4, Poly
-from .linalg import f4_bit_planes, mat_in_rowspan, mat_mul_vec, mat_nullspace, mat_row_reduce
+from .linalg import _SYMBOL, _packed_row, mat_mul_vec, mat_nullspace, mat_row_reduce
 
 
 class InvalidGeneratorError(ValueError):
@@ -30,8 +30,10 @@ class LinearCode:
     def __post_init__(self):
         if self.field is GF2 or self.field is GF4:
             # on bit planes: (a0 + a1 w)(b0 + b1 w) = (a0 b0 + a1 b1) + (a0 b1 + a1 b0 + a1 b1) w
-            gens = [f4_bit_planes(g) for g in self.gen_rows]
-            for b0, b1 in map(f4_bit_planes, self.check_rows):
+            m = (4 ** self.n - 1) // 3  # 0b0101...: the low bit of every symbol
+            gens, checks = ([(p & m, (p >> 1) & m) for p in (_packed_row(r, _SYMBOL) for r in rows)]
+                            for rows in (self.gen_rows, self.check_rows))
+            for b0, b1 in checks:
                 for a0, a1 in gens:
                     if (((a0 & b0) ^ (a1 & b1)).bit_count() & 1
                             or ((a0 & b1) ^ (a1 & (b0 ^ b1))).bit_count() & 1):
@@ -123,27 +125,21 @@ def rs_mds(n2: int, l2: int, field) -> LinearCode:
 
 
 def hermitian_dual_containing(code: LinearCode) -> bool:
-    """True iff the Hermitian dual of a GF(4) code lies inside the code."""
+    """True iff the Hermitian dual of a GF(4) code, spanned by the conjugated
+    check rows, lies inside the code: every conj(h) has a zero syndrome."""
     if code.field is not GF4:
         raise ValueError("Hermitian dual containment is defined over GF(4)")
-    if 2 * code.k < code.n:
-        return False  # dual dimension n-k exceeds k
-    reduced, pivots = mat_row_reduce(GF4, code.gen_rows)
-    for h in code.check_rows:
-        conj_h = [GF4.conj(x) for x in h]
-        if not mat_in_rowspan(GF4, conj_h, reduced, pivots):
-            return False
-    return True
+    return not any(any(code.syndrome([GF4.conj(x) for x in h])) for h in code.check_rows)
 
 
 def binary_dual_containing(c2: LinearCode, c1: LinearCode) -> bool:
-    """True iff the dual of c2 is contained in c1 (both binary, same length)."""
+    """True iff the dual of c2, spanned by its check rows, lies in c1 (both
+    binary, same length): every such row has a zero c1 syndrome."""
     if c2.field is not GF2 or c1.field is not GF2:
         raise ValueError("dual containment check requires binary codes")
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
-    reduced, pivots = mat_row_reduce(GF2, c1.gen_rows)
-    return all(mat_in_rowspan(GF2, h, reduced, pivots) for h in c2.check_rows)
+    return not any(any(c1.syndrome(h)) for h in c2.check_rows)
 
 
 __all__ = [

@@ -80,7 +80,7 @@ def _cmd_search(args) -> int:
     if args.reproduce_table1:
         report = reproduce_table1()
         rows = []
-        for r in report.rows:
+        for r in report:
             exp, obs = r.expected, r.observed
             rows.append({
                 "id": r.entry_id,
@@ -93,9 +93,9 @@ def _cmd_search(args) -> int:
                 **({"note": r.note} if r.note else {}),
             })
         _emit({"rows": rows,
-               "matched": sum(r.match for r in report.rows),
-               "total": len(report.rows)})
-        return EXIT_OK if report.all_match else EXIT_MISMATCH
+               "matched": sum(r.match for r in report),
+               "total": len(report)})
+        return EXIT_OK if all(r.match for r in report) else EXIT_MISMATCH
     if args.min_n is None or args.max_n is None:
         raise UsageError("search needs --min-n and --max-n (or --reproduce-table1)")
     n_values = tuple(n for n in range(args.min_n, args.max_n + 1) if n % 2 == 1)
@@ -181,7 +181,7 @@ def _parse_grid(text: str) -> List[float]:
         raise UsageError("step must be positive")
     if hi < lo:
         raise UsageError(f"range {text!r} ends below its start")
-    count = int(round((hi - lo) / step)) + 1
+    count = math.floor((hi - lo) / step + 1e-9) + 1  # no point beyond end
     return [lo + i * step for i in range(count)]
 
 

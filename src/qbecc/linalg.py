@@ -4,7 +4,9 @@ Two engines live here.  GF(2) rows are packed into Python ints (bit i of a
 row int is column i), which keeps row operations at word speed for the
 syndrome-heavy stabilizer paths.  Everything else (GF(4), extension fields)
 uses plain lists of field-element ints with a field object supplying
-add/mul/inv; those matrices are small and cold.
+add/mul/inv; those matrices are small and cold.  A GF(2) or GF(4) list
+row packs into one int of two-bit symbols (_packed_row), the layout of
+stabilizer rows.
 """
 
 from __future__ import annotations
@@ -73,17 +75,17 @@ def gf2_nullspace(rows: Sequence[int], ncols: int) -> List[int]:
     return basis
 
 
-# a GF(4) symbol as a byte -> its low bit (1 part, X), its high bit (w part, Z)
-_LOW_DIGIT = bytes.maketrans(bytes(range(4)), b"0101")
-_HIGH_DIGIT = bytes.maketrans(bytes(range(4)), b"0011")
+# a GF(4) symbol as a byte -> a base-4 digit: itself, its conjugate, and
+# w times its conjugate
+_SYMBOL, _CONJ, _W_CONJ = (bytes.maketrans(bytes(range(4)), digits)
+                           for digits in (b"0123", b"0132", b"0213"))
 
 
-def f4_bit_planes(row: Sequence[int]) -> Tuple[int, int]:
-    """A GF(2) or GF(4) row as two packed GF(2) rows: the low and the high
-    bits of its symbols.  Read from its last symbol, the row spells each
-    plane in binary."""
-    symbols = bytes(reversed(row))
-    return int(symbols.translate(_LOW_DIGIT), 2), int(symbols.translate(_HIGH_DIGIT), 2)
+def _packed_row(row: Sequence[int], table: bytes) -> int:
+    """The packed int of a GF(2) or GF(4) row with each symbol mapped by
+    table, symbol i at bits 2i and 2i+1: read from its last symbol, the row
+    spells the int in base 4."""
+    return int(bytes(reversed(row)).translate(table), 4)
 
 
 # ----------------------------------------------------------------------
@@ -109,12 +111,7 @@ def mat_row_reduce(field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]
         row = work.pop(pivot_row)
         inv = field.inv(row[col])
         row = [field.mul(inv, x) for x in row]
-        for target in work:
-            c = target[col]
-            if c != 0:
-                for j in range(ncols):
-                    target[j] ^= field.mul(c, row[j])
-        for target in reduced:
+        for target in work + reduced:
             c = target[col]
             if c != 0:
                 for j in range(ncols):
@@ -127,17 +124,6 @@ def mat_row_reduce(field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]
 
 def mat_rank(field, rows: Sequence[Sequence[int]]) -> int:
     return len(mat_row_reduce(field, rows)[0])
-
-
-def mat_in_rowspan(field, vec: Sequence[int], reduced: Sequence[Sequence[int]],
-                   pivots: Sequence[int]) -> bool:
-    residual = list(vec)
-    for row, p in zip(reduced, pivots):
-        c = residual[p]
-        if c != 0:
-            for j in range(len(residual)):
-                residual[j] ^= field.mul(c, row[j])
-    return not any(residual)
 
 
 def mat_nullspace(field, rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
@@ -169,6 +155,5 @@ def mat_mul_vec(field, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> Lis
 
 __all__ = [
     "gf2_row_reduce", "gf2_rank", "gf2_reduce_vector", "gf2_in_span", "gf2_nullspace",
-    "f4_bit_planes",
-    "mat_row_reduce", "mat_rank", "mat_in_rowspan", "mat_nullspace", "mat_mul_vec",
+    "mat_row_reduce", "mat_rank", "mat_nullspace", "mat_mul_vec",
 ]

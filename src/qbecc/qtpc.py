@@ -6,10 +6,11 @@ extension field (check matrix H2) is the Kronecker product H2 (x) H1, with
 each extension-field entry expanded into its rho1 x rho1 base-field
 multiplication matrix in the pinned power basis.
 
-Two quantum branches: a GF(4) inner code that is Hermitian dual containing
-yields the stabilizer from {conj(h), w*conj(h)} over the expanded rows; a
-binary inner code containing its dual yields a CSS stabilizer on the
-expanded tensor code.  Both produce [[n1*n2, n1*n2 - 2*rho1*rho2]].
+The tensor code is a LinearCode like any other (check rows the expanded
+matrix, generator rows its nullspace) and becomes a stabilizer code
+through the constructors every cyclic code passes: the Hermitian one for
+a GF(4) inner code, CSS with itself for a binary one.  Both produce
+[[n1*n2, n1*n2 - 2*rho1*rho2]].
 
 The interleaver streams an n1 x n2 qubit array in row-groups of l1 rows,
 column segment by column segment, so that a short stream burst lands in few
@@ -23,9 +24,8 @@ from typing import List, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4
-from .linalg import mat_rank
-from .stabilizer import (StabilizerCode, _css_stabilizer, _hermitian_stabilizer,
-                         css_construct, hermitian_construct)
+from .linalg import mat_mul_vec, mat_nullspace
+from .stabilizer import StabilizerCode, css_construct, hermitian_construct
 
 
 @dataclass(frozen=True)
@@ -52,56 +52,30 @@ def tensor_check_matrix(c1: LinearCode, c2: LinearCode) -> List[List[int]]:
     if getattr(field2, "base", None) is not base or field2.m != rho1:
         raise ValueError(
             f"outer code field must be the degree-{rho1} extension of {base!r}")
-    rows: List[List[int]] = []
-    mult = {e: field2.mult_matrix(e) for e in {x for row in c2.check_rows for x in row}}
-    for h2_row in c2.check_rows:
-        blocks = []  # per outer coordinate: rho1 x n1 block M_e * H1
-        for e in h2_row:
-            m = mult[e]
-            block = [[0] * c1.n for _ in range(rho1)]
-            for r in range(rho1):
-                for t in range(rho1):
-                    c = m[r][t]
-                    if c:
-                        h1 = c1.check_rows[t]
-                        for col in range(c1.n):
-                            if h1[col]:
-                                block[r][col] ^= base.mul(c, h1[col])
-            blocks.append(block)
-        for r in range(rho1):
-            row: List[int] = []
-            for block in blocks:
-                row.extend(block[r])
-            rows.append(row)
-    return rows
+    # row r of M_e * H1 for each outer entry e: row r of M_e times the
+    # columns of H1
+    columns = list(zip(*c1.check_rows))
+    blocks = {e: [mat_mul_vec(base, columns, m_row) for m_row in field2.mult_matrix(e)]
+              for e in {x for row in c2.check_rows for x in row}}
+    return [[x for e in h2_row for x in blocks[e][r]]
+            for h2_row in c2.check_rows for r in range(rho1)]
 
 
 def qtpc_construct(c1: LinearCode, c2: LinearCode) -> Tuple[StabilizerCode, QtpcSpec]:
-    """[[n1*n2, n1*n2 - 2*rho1*rho2]] stabilizer code from the tensor check
-    matrix.  A GF(4) inner code must be Hermitian dual containing; a binary
-    inner code must contain its own dual.
+    """[[n1*n2, n1*n2 - 2*rho1*rho2]] stabilizer code of the tensor code.
 
-    The inner code is gated by building its own stabilizer, whose
-    commutation check decides dual containment (ValueError otherwise).
-    Self-orthogonality of the result is verified by construction of the
-    stabilizer, not assumed.
+    The constructor's commutation check decides dual containment of the
+    tensor code (ValueError otherwise), and its dimension check that the
+    expanded matrix has full rank rho1*rho2 (AssertionError otherwise).
     """
     expanded = tensor_check_matrix(c1, c2)
     rho1, rho2 = c1.n - c1.k, c2.n - c2.k
     n = c1.n * c2.n
-    if mat_rank(c1.field, expanded) != rho1 * rho2:
-        raise AssertionError("expanded check matrix has deficient rank")
-    if c1.field is GF4:
-        hermitian_construct(c1)
-        stab = _hermitian_stabilizer(n, expanded)
-    else:
-        css_construct(c1, c1)
-        stab = _css_stabilizer(n, expanded, expanded)
-    spec = QtpcSpec(c1.n, c1.k, c2.n, c2.k, rho1, rho2,
-                    tuple(tuple(r) for r in expanded),
-                    (n, n - 2 * rho1 * rho2))
-    if stab.params != spec.params:
-        raise AssertionError(f"constructed {stab.params}, expected {spec.params}")
+    tensor = LinearCode(c1.field, n, n - rho1 * rho2,
+                        tuple(map(tuple, mat_nullspace(c1.field, expanded, n))),
+                        tuple(map(tuple, expanded)))
+    stab = hermitian_construct(tensor) if c1.field is GF4 else css_construct(tensor, tensor)
+    spec = QtpcSpec(c1.n, c1.k, c2.n, c2.k, rho1, rho2, tensor.check_rows, stab.params)
     return stab, spec
 
 

@@ -185,7 +185,7 @@ class SearchPlan:
         if self.max_candidates is not None and self.max_candidates <= 0:
             raise ValueError("candidate budget must be positive")
         for c in self.constructions:
-            if c not in ("hermitian", "css"):
+            if c not in _CONSTRUCTION_FIELDS:
                 raise ValueError(f"unknown construction {c!r}")
 
 
@@ -285,16 +285,7 @@ class RowReport:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Table1Report:
-    rows: Tuple[RowReport, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.match for r in self.rows)
-
-
-def reproduce_table1(entries: Optional[Sequence[RegistryEntry]] = None) -> Table1Report:
+def reproduce_table1(entries: Optional[Sequence[RegistryEntry]] = None) -> Tuple[RowReport, ...]:
     """Rebuild each registry row from its generators, re-analyze, compare."""
     if entries is None:
         entries = load_registry()
@@ -309,7 +300,7 @@ def reproduce_table1(entries: Optional[Sequence[RegistryEntry]] = None) -> Table
         rows.append(RowReport(entry.id, expected, observed,
                               expected == observed, time.monotonic() - t0,
                               entry.note))
-    return Table1Report(tuple(rows))
+    return tuple(rows)
 
 
 __all__ = [
@@ -317,5 +308,5 @@ __all__ = [
     "enumerate_cyclic_generators",
     "SearchPlan", "SearchRecord", "SearchOutcome", "search",
     "records_to_csv", "CSV_HEADER",
-    "build_registry_code", "RowReport", "Table1Report", "reproduce_table1",
+    "build_registry_code", "RowReport", "reproduce_table1",
 ]

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4
-from .linalg import gf2_in_span, gf2_row_reduce
+from .linalg import _CONJ, _SYMBOL, _W_CONJ, _packed_row, gf2_in_span, gf2_row_reduce
 
 if TYPE_CHECKING:
     import numpy as np
@@ -253,18 +253,6 @@ def _check_self_orthogonal(rows: Sequence[int], x_bits: int) -> None:
 def additive_code(n: int, rows: Iterable[int | F4Vector]) -> StabilizerCode:
     """Stabilizer code from spanning packed rows; rejects anticommuting input."""
     return StabilizerCode(n, [r.packed if isinstance(r, F4Vector) else r for r in rows])
-
-
-# a GF(4) symbol as a byte -> a base-4 digit: itself, its conjugate, and
-# w times its conjugate
-_SYMBOL, _CONJ, _W_CONJ = (bytes.maketrans(bytes(range(4)), digits)
-                           for digits in (b"0123", b"0132", b"0213"))
-
-
-def _packed_row(row: Sequence[int], table: bytes) -> int:
-    """The packed int of a GF(2) or GF(4) row with each symbol mapped by
-    table: read from its last symbol, the row spells the int in base 4."""
-    return int(bytes(reversed(row)).translate(table), 4)
 
 
 # The two row builders below are the only construction path: the

@@ -224,7 +224,7 @@ def _compare_with_oracle(code, l, checks=(_rank_check, check_level_hash)):
             assert degenerate == slow_degenerate
             assert witness is None
         else:
-            _assert_valid_witness(code, l, witness() if callable(witness) else witness)
+            _assert_valid_witness(code, l, witness)
             assert pairs >= 1
 
 
@@ -313,7 +313,7 @@ def test_rank_check_matches_dual_oracle_every_level():
                 assert degenerate == expected[l][1], (n, l)
                 assert unions == _union_count(n, l, cyclic)
             else:
-                _assert_valid_witness(code, l, witness())
+                _assert_valid_witness(code, l, witness)
             if burst_count(n, l) <= 300:
                 _compare_with_oracle(code, l)
             checked += 1
@@ -337,7 +337,7 @@ def _all_window_check(code, l):
     """(ok, degenerate) of level l over every window union: the path of a
     code that is not shift-invariant."""
     failure, _, degenerate, _ = _rank_unions(
-        _label_columns(code), 2, l, 2 * code.k, _window_pairs(code.n, l))
+        _label_columns(code), 2, l, 2 * code.k, _window_pairs(code.n, l), 2 * code.n)
     return failure is None, degenerate
 
 
@@ -378,13 +378,13 @@ def test_shift_path_matches_all_windows_on_cyclic_codes():
                 assert not expected or degenerate == expected[l][1], (n, l)
                 assert unions == _union_count(n, l, cyclic=True), (n, l)
             else:
-                _assert_valid_witness(code, l, witness())
+                _assert_valid_witness(code, l, witness)
                 failing += 1
             if 1 <= l <= n // 2:
                 # every end-around union is a shift of one from position 0,
                 # so wrapped windows add no failing union
                 failure, _, end_degenerate, _ = _rank_unions(
-                    columns * 2, 2, l, 2 * code.k, _window_pairs(n, l, end_around=True))
+                    columns * 2, 2, l, 2 * code.k, _window_pairs(n, l, end_around=True), 2 * n)
                 assert (failure is None) == ok, (n, l)
                 assert not ok or end_degenerate == degenerate, (n, l)
             levels += 1
@@ -428,7 +428,7 @@ def test_swapped_positions_take_the_all_window_path():
                 assert degenerate == all_degenerate, (n, l)
                 assert unions == _union_count(n, l), (n, l)
             else:
-                _assert_valid_witness(swapped, l, witness())
+                _assert_valid_witness(swapped, l, witness)
         swapped_codes += 1
     assert swapped_codes == 49
 

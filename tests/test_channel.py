@@ -246,6 +246,39 @@ def test_sweep_workers_identical():
             [(c, m) for c in ("five", "13_1") for m in modes]
 
 
+def test_sweep_pool_capped_at_tasks_with_one_blas_thread(monkeypatch):
+    # a spawned pool starts all its workers at once: no more than the
+    # tasks, each loading numpy under one BLAS thread
+    import concurrent.futures
+    import os
+    seen = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, mp_context):
+            seen.append((max_workers, mp_context.get_start_method(),
+                         os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"]))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    specs = [("five", FIVE_QUBIT, 1, 2)]
+    serial = sweep(specs, ["combined"], [0.01, 0.03], [0.5], limit=4 ** 5)
+    parallel = sweep(specs, ["combined"], [0.01, 0.03], [0.5], limit=4 ** 5, workers=64)
+    assert sweep_to_csv(serial) == sweep_to_csv(parallel)
+    assert seen == [(2, "spawn", "1", "1")]
+    # the parent's environment is back as it was
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3" and "OMP_NUM_THREADS" not in os.environ
+
+
 def test_sweep_monotone_in_p_reported():
     # fidelity is expected to fall as p grows below 0.1, but only reported:
     # nothing guarantees monotonicity, so violations are printed, not failed

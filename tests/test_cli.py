@@ -154,6 +154,9 @@ def test_grid_parsing():
     log = _parse_grid("1e-5:log:1e-1")
     assert len(log) == 17
     assert abs(log[0] - 1e-5) < 1e-18 and abs(log[-1] - 0.1) < 1e-12
+    # a step that does not divide the range stops at the last point inside
+    assert _parse_grid("0.01:0.025:0.05") == [0.01, 0.035]
+    assert _parse_grid("0:0.6:1") == [0.0, 0.6]
 
 
 def test_search_odd_only_flag_removed(capsys):

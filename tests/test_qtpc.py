@@ -6,7 +6,7 @@ import pytest
 from conftest import trace_ip
 from qbecc.burst import quantum_burst_capability
 from qbecc.classical import cyclic_from_poly, rs_mds
-from qbecc.gf import GF4, Poly, ext_field_build
+from qbecc.gf import GF4, Poly, ext2_field_build, ext_field_build
 from qbecc.linalg import mat_rank
 from qbecc.qtpc import (InterleaverMap, deinterleave, dispersal_report,
                         interleave, qtpc_construct, tensor_check_matrix)
@@ -99,6 +99,22 @@ def test_qtpc_rejects_non_dual_containing_inner():
     bad = cyclic_from_poly(Poly(GF4, (1, 1)), 3)
     with pytest.raises(ValueError):
         qtpc_construct(bad, rs_mds(4, 1, ext_field_build(1)))
+
+
+def test_qtpc_rank_deficient_expansion_rejected(monkeypatch):
+    # the constructor's dimension check refuses a check matrix of rank
+    # below rho1 * rho2
+    from qbecc import qtpc
+
+    def deficient(c1, c2):
+        rows = tensor_check_matrix(c1, c2)
+        rows[1] = list(rows[0])
+        return rows
+    monkeypatch.setattr(qtpc, "tensor_check_matrix", deficient)
+    with pytest.raises(AssertionError):
+        qtpc_construct(C1, rs_mds(6, 2, ext_field_build(6)))
+    with pytest.raises(AssertionError):
+        qtpc_construct(_hamming(), rs_mds(6, 2, ext2_field_build(3)))
 
 
 HAMMING = None

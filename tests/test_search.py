@@ -193,8 +193,8 @@ def test_build_code_rejects_bad_input():
 def test_reproduce_quick_rows():
     entries = [e for e in load_registry() if e.n <= 17]
     report = reproduce_table1(entries)
-    assert len(report.rows) == 4
-    assert report.all_match
+    assert len(report) == 4
+    assert all(r.match for r in report)
 
 
 def test_registry_parsed_once():
