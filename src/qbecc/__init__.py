@@ -19,8 +19,7 @@ _EXPORTS = {
                   "cyclic_from_poly", "hermitian_dual_containing",
                   "linear_code", "rs_mds"),
     "gf": ("GF2", "GF4", "ExtField", "Poly", "UnsupportedDegreeError",
-           "berlekamp_factor", "ext2_field_build", "ext_field_build", "f4_add",
-           "f4_conj", "f4_inv", "f4_mul", "poly_divmod", "poly_gcd", "xn_minus_1"),
+           "berlekamp_factor", "poly_gcd", "xn_minus_1"),
     "qtpc": ("DispersalReport", "InterleaverMap", "QtpcSpec", "deinterleave",
              "dispersal_report", "interleave", "qtpc_construct",
              "tensor_check_matrix"),

@@ -111,9 +111,6 @@ def rs_mds(n2: int, l2: int, field) -> LinearCode:
     if not 0 <= l2 <= (n2 - 1) // 2:
         raise ValueError(f"burst target {l2} out of range [0, {(n2 - 1) // 2}]")
     k = n2 - 2 * l2
-    if l2 == 0:
-        return linear_code(field, [[1 if j == i else 0 for j in range(n2)]
-                                   for i in range(n2)], n2)
     points = list(range(min(n2, q)))
     rows = []
     for i in range(k):

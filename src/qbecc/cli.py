@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from .burst import (classical_burst_capability, no_cloning_check, qrb,
                     quantum_burst_capability, rs_burst_capability)
 from .classical import rs_mds
-from .gf import GF4, ext_field_build
+from .gf import GF4, ExtField
 from .registry import registry_entry
 from .search import (GenPolyError, SearchPlan, build_code, build_registry_code,
                      cyclic_code, records_to_csv, reproduce_table1, search)
@@ -127,7 +127,7 @@ def _cmd_tensor(args) -> int:
         raise UsageError(f"--rs expects 'n2,l2', got {args.rs!r}") from None
     c1 = cyclic_code(args.c1_poly, args.c1_n, GF4)
     rho1 = c1.n - c1.k
-    c2 = rs_mds(n2, l2, ext_field_build(rho1))
+    c2 = rs_mds(n2, l2, ExtField(GF4, rho1))
     stab, qspec = qtpc_construct(c1, c2)
     out = {
         "n1": qspec.n1, "k1": qspec.k1, "n2": qspec.n2, "k2": qspec.k2,

@@ -1,14 +1,14 @@
 """Exact arithmetic for GF(2), GF(4), GF(2^m), GF(4^m), and polynomials.
 
-Element encodings (all characteristic 2, so addition is always XOR):
+Element encodings (all characteristic 2, so addition is always XOR and no
+field object carries an add):
 
 * GF(2): ints 0, 1.
-* GF(4): ints 0, 1, 2, 3 standing for 0, 1, w, w^2 where w is a generator
-  (w^2 = w + 1).  The two bits of the code are the coordinates in the
-  basis {1, w}: code 3 = 0b11 = 1 + w = w^2.
 * GF(q^m), q = 2 or 4: ints 0 .. q^m-1, packed digit vectors (1 or 2 bits
   per base-field coefficient, lowest degree first) in the power basis of a
   fixed irreducible modulus.  Multiplication runs on log/antilog tables.
+* GF(4) is GF(2^2) in the power basis {1, x} of x^2 + x + 1: ints 0, 1,
+  2, 3 stand for 0, 1, w, w^2 with w = x, so code 3 = 0b11 = 1 + w = w^2.
 
 The moduli below are pinned constants so every build expands extension
 field elements into identical base-field coordinate matrices.
@@ -20,47 +20,12 @@ from typing import Iterable, List, Tuple
 
 from .linalg import mat_nullspace
 
-# GF(4) multiplication: nonzero codes 1,2,3 are w^0, w^1, w^2
-_F4_MUL = (
-    (0, 0, 0, 0),
-    (0, 1, 2, 3),
-    (0, 2, 3, 1),
-    (0, 3, 1, 2),
-)
-_F4_INV = (0, 1, 3, 2)  # index 0 unused
-_F4_CONJ = (0, 1, 3, 2)  # x -> x^2 swaps w and w^2
-
-
-def f4_add(x: int, y: int) -> int:
-    """Sum in GF(4)."""
-    return x ^ y
-
-
-def f4_mul(x: int, y: int) -> int:
-    """Product in GF(4)."""
-    return _F4_MUL[x][y]
-
-
-def f4_inv(x: int) -> int:
-    if x == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(4)")
-    return _F4_INV[x]
-
-
-def f4_conj(x: int) -> int:
-    """Conjugation x -> x^2, the nontrivial automorphism of GF(4)."""
-    return _F4_CONJ[x]
-
 
 class BinaryField:
     """GF(2) with the same element-int API as the larger fields."""
 
     order = 2
     name = "GF(2)"
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
 
     @staticmethod
     def mul(a: int, b: int) -> int:
@@ -84,27 +49,7 @@ class BinaryField:
         return self.name
 
 
-class QuaternaryField:
-    """GF(4) as a field object (element codes 0,1,2,3)."""
-
-    order = 4
-    name = "GF(4)"
-
-    add = staticmethod(f4_add)
-    mul = staticmethod(f4_mul)
-    inv = staticmethod(f4_inv)
-    conj = staticmethod(f4_conj)
-
-    @staticmethod
-    def elements() -> range:
-        return range(4)
-
-    def __repr__(self) -> str:
-        return self.name
-
-
 GF2 = BinaryField()
-GF4 = QuaternaryField()
 
 
 class UnsupportedDegreeError(ValueError):
@@ -140,8 +85,8 @@ _EXT2_MODULI = {
     12: 0b1000001010011,
 }
 
+# base field -> {degree: modulus}; GF(4) joins once it is built over GF(2)
 _EXT_MODULI = {
-    GF4: _EXT4_MODULI,
     GF2: {m: tuple((mask >> i) & 1 for i in range(m + 1))
           for m, mask in _EXT2_MODULI.items()},
 }
@@ -184,10 +129,6 @@ class ExtField:
         self._exp = exp
         self._log = log
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -207,10 +148,10 @@ class ExtField:
             return 0
         return self._exp[(self._log[a] * e) % (self.order - 1)]
 
-    @property
-    def generator(self) -> int:
-        """The class of x, a generator of the multiplicative group."""
-        return self._exp[1]
+    def conj(self, a: int) -> int:
+        """Frobenius a -> a^q over the base field GF(q); on GF(4) it swaps
+        w and w^2."""
+        return self.pow(a, self.base.order)
 
     def elements(self) -> range:
         return range(self.order)
@@ -236,14 +177,9 @@ class ExtField:
         return self.name
 
 
-def ext_field_build(m: int) -> ExtField:
-    """Field object for GF(4^m); raises UnsupportedDegreeError outside the table."""
-    return ExtField(GF4, m)
-
-
-def ext2_field_build(m: int) -> ExtField:
-    """Field object for GF(2^m); raises UnsupportedDegreeError outside the table."""
-    return ExtField(GF2, m)
+GF4 = ExtField(GF2, 2)
+GF4.name = "GF(4)"
+_EXT_MODULI[GF4] = _EXT4_MODULI
 
 
 # ----------------------------------------------------------------------
@@ -368,11 +304,6 @@ class Poly:
         return f"Poly<{' + '.join(terms)}>"
 
 
-def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    """Quotient and remainder with deg(r) < deg(b)."""
-    return divmod(a, b)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, a % b
@@ -447,10 +378,7 @@ def berlekamp_factor(f: Poly) -> List[Poly]:
 
 
 __all__ = [
-    "f4_add", "f4_mul", "f4_inv", "f4_conj",
-    "GF2", "GF4", "BinaryField", "QuaternaryField",
-    "ExtField", "ext_field_build", "ext2_field_build",
-    "UnsupportedDegreeError",
-    "Poly", "poly_divmod", "poly_gcd", "poly_powmod", "xn_minus_1",
+    "GF2", "GF4", "BinaryField", "ExtField", "UnsupportedDegreeError",
+    "Poly", "poly_gcd", "poly_powmod", "xn_minus_1",
     "berlekamp_factor",
 ]

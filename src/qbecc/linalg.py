@@ -4,7 +4,8 @@ Two engines live here.  GF(2) rows are packed into Python ints (bit i of a
 row int is column i), which keeps row operations at word speed for the
 syndrome-heavy stabilizer paths.  Everything else (GF(4), extension fields)
 uses plain lists of field-element ints with a field object supplying
-add/mul/inv; those matrices are small and cold.  A GF(2) or GF(4) list
+mul/inv (addition is XOR in characteristic 2); those matrices are small
+and cold.  A GF(2) or GF(4) list
 row packs into one int of two-bit symbols (_packed_row), the layout of
 stabilizer rows.
 """

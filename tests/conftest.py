@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from qbecc.gf import f4_conj, f4_mul
+from qbecc.gf import GF4
 from qbecc.linalg import gf2_nullspace
 from qbecc.stabilizer import F4Vector, StabilizerCode
 
@@ -16,7 +16,7 @@ def trace_ip(u: F4Vector, v: F4Vector) -> int:
         raise ValueError(f"length mismatch: {u.n} != {v.n}")
     acc = 0
     for x, y in zip(u.symbols(), v.symbols()):
-        acc ^= f4_mul(x, f4_conj(y)) ^ f4_mul(f4_conj(x), y)
+        acc ^= GF4.mul(x, GF4.conj(y)) ^ GF4.mul(GF4.conj(x), y)
     return acc
 
 

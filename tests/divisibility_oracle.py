@@ -11,7 +11,7 @@ the degree.
 
 from __future__ import annotations
 
-from qbecc.gf import GF4, Poly, f4_conj, xn_minus_1
+from qbecc.gf import GF4, Poly, xn_minus_1
 from qbecc.search import _divisors
 
 
@@ -22,7 +22,7 @@ def _divides_xn_minus_1(p: Poly, n: int) -> bool:
 def _hermitian_dual_containing(g: Poly, n: int) -> bool:
     """The Hermitian dual of <g> lies in <g> iff g times its conjugate
     reciprocal divides x^n - 1."""
-    conj_reciprocal = Poly(GF4, [f4_conj(c) for c in reversed(g.coeffs)])
+    conj_reciprocal = Poly(GF4, [GF4.conj(c) for c in reversed(g.coeffs)])
     return _divides_xn_minus_1(g * conj_reciprocal, n)
 
 

@@ -22,7 +22,7 @@ from qbecc.channel import (ChannelModel, build_decoder, entanglement_fidelity,
                            error_prob, sweep)
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.cli import _parse_grid
-from qbecc.gf import GF4, ext_field_build
+from qbecc.gf import GF4, ExtField
 from qbecc.linalg import mat_rank
 from qbecc.qtpc import InterleaverMap, deinterleave, dispersal_report, interleave, qtpc_construct
 from qbecc.registry import load_registry, registry_entry
@@ -267,7 +267,7 @@ def test_criterion_8_bracket_consistency(figure_data, bracket_data):
 def test_criterion_9_qtpc_example():
     t0 = time.monotonic()
     c1 = cyclic_from_poly(parse_genpoly("1^6 2^3 1^0", 15, GF4), 15)
-    c2 = rs_mds(6, 2, ext_field_build(6))
+    c2 = rs_mds(6, 2, ExtField(GF4, 6))
     stab, qspec = qtpc_construct(c1, c2)
     assert qspec.params == (90, 42)
     assert stab.params == (90, 42)

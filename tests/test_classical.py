@@ -8,7 +8,7 @@ from qbecc.burst import classical_burst_capability, rs_burst_capability
 from qbecc.classical import (InvalidGeneratorError, LinearCode, binary_dual_containing,
                              cyclic_from_poly, hermitian_dual_containing,
                              linear_code, rs_mds)
-from qbecc.gf import GF2, GF4, Poly, ext_field_build
+from qbecc.gf import GF2, GF4, ExtField, Poly
 from qbecc.linalg import mat_mul_vec
 from qbecc.search import enumerate_cyclic_generators
 
@@ -259,7 +259,7 @@ def test_burst_capability_extension_field_mds():
     # an MDS code corrects every pattern of (n-k)/2 symbol errors, so the
     # kernel over GF(4^m) column images must reach the Reiger ceiling
     for m, n2, l2 in [(2, 6, 2), (3, 7, 3), (6, 6, 2)]:
-        code = rs_mds(n2, l2, ext_field_build(m))
+        code = rs_mds(n2, l2, ExtField(GF4, m))
         for end_around in (False, True):
             cap = classical_burst_capability(code, end_around=end_around)
             assert (cap.l, cap.witness) == (rs_burst_capability(code).l, None)
@@ -270,7 +270,7 @@ def test_burst_capability_extension_field_mds():
 # ----------------------------------------------------------------------
 
 def test_rs_mds_example_params():
-    F = ext_field_build(6)
+    F = ExtField(GF4, 6)
     code = rs_mds(6, 2, F)
     assert code.params == (6, 2)
     assert rs_burst_capability(code).l == 2
@@ -278,13 +278,16 @@ def test_rs_mds_example_params():
 
 
 def test_rs_mds_l0_identity():
-    F = ext_field_build(2)
-    code = rs_mds(4, 0, F)
-    assert code.params == (4, 4)
+    # no checks: the Vandermonde rows reduce to the identity, over GF(4) too
+    for F, n2 in ((ExtField(GF4, 2), 4), (GF4, 5), (ExtField(GF4, 1), 3)):
+        code = rs_mds(n2, 0, F)
+        assert code.params == (n2, n2)
+        assert code.gen_rows == tuple(tuple(int(i == j) for j in range(n2)) for i in range(n2))
+        assert code.check_rows == ()
 
 
 def test_rs_mds_gf16_distance_exhaustive():
-    F = ext_field_build(2)
+    F = ExtField(GF4, 2)
     code = rs_mds(4, 1, F)
     assert code.params == (4, 2)
     weights = sorted(sum(1 for x in w if x) for w in codewords(code))
@@ -293,9 +296,11 @@ def test_rs_mds_gf16_distance_exhaustive():
 
 def test_rs_mds_singleton_equality_small():
     # every codebook up to 2^16 words is enumerated exactly
-    for m, n2, l2 in [(2, 4, 1), (2, 6, 2), (2, 5, 1), (3, 5, 2)]:
-        F = ext_field_build(m)
+    for F, n2, l2 in [(ExtField(GF4, 2), 4, 1), (ExtField(GF4, 2), 6, 2),
+                      (ExtField(GF4, 2), 5, 1), (ExtField(GF4, 3), 5, 2),
+                      (GF4, 5, 1), (GF4, 4, 1), (GF4, 5, 2)]:
         code = rs_mds(n2, l2, F)
+        assert code.params == (n2, n2 - 2 * l2)
         if F.order ** code.k > 1 << 16:
             continue
         d = min(sum(1 for x in w if x) for w in codewords(code) if any(w))
@@ -303,7 +308,7 @@ def test_rs_mds_singleton_equality_small():
 
 
 def test_rs_mds_extended_length():
-    F = ext_field_build(2)
+    F = ExtField(GF4, 2)
     code = rs_mds(17, 1, F)  # q + 1
     assert code.params == (17, 15)
     with pytest.raises(ValueError):

@@ -232,6 +232,14 @@ def test_analyze_css_rejection_pinned(capsys):
                    '\n  }\n}\n')
 
 
+def test_analyze_non_divisor_names_the_field(capsys):
+    code, out = run_cli(capsys, "analyze", "--n", "15", "--poly", "1^7 1^0")
+    assert code == 2
+    assert json.loads(out) == {"error": {
+        "type": "InvalidGeneratorError",
+        "message": "Poly<x^7 + 1> does not divide x^15 - 1 over GF(4)"}}
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "--min-n", "13", "--max-n", "13", "--construction", "hermitian"),
     ("simulate", "--code", "13_1", "--decoder", "random", "--p", "0", "--mu", "0"),

@@ -5,88 +5,119 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbecc.gf import (GF2, GF4, ExtField, Poly, UnsupportedDegreeError,
-                      berlekamp_factor, ext2_field_build, ext_field_build,
-                      f4_add, f4_conj, f4_inv, f4_mul, poly_divmod, poly_gcd,
-                      xn_minus_1)
+                      berlekamp_factor, poly_gcd, xn_minus_1)
 
 W, W2 = 2, 3  # codes for w and w^2
 
+# GF(4) by hand, nonzero codes 1, 2, 3 being w^0, w^1, w^2: the oracle for
+# GF4, which is GF(2^2) on the shared log/antilog tables
+_F4_MUL = (
+    (0, 0, 0, 0),
+    (0, 1, 2, 3),
+    (0, 2, 3, 1),
+    (0, 3, 1, 2),
+)
+_F4_INV = (0, 1, 3, 2)  # index 0 unused
+_F4_CONJ = (0, 1, 3, 2)  # x -> x^2 swaps w and w^2
+
+
+def _x_class(F):
+    """The class of x in F: the root of a linear modulus, else digits (0, 1)."""
+    return F.modulus[0] if F.m == 1 else F.from_digits((0, 1))
+
+
+def test_gf4_is_gf2_squared():
+    assert isinstance(GF4, ExtField) and GF4.base is GF2 and GF4.m == 2
+    assert GF4.modulus == (1, 1, 1) and GF4.order == 4  # x^2 + x + 1
+    assert repr(GF4) == "GF(4)" and _x_class(GF4) == W
+
+
+def test_gf4_matches_hand_tables():
+    for x in range(4):
+        assert GF4.conj(x) == _F4_CONJ[x]
+        for y in range(4):
+            assert GF4.mul(x, y) == _F4_MUL[x][y]
+    for x in range(1, 4):
+        assert GF4.inv(x) == _F4_INV[x]
+    with pytest.raises(ZeroDivisionError, match=r"in GF\(4\)$"):
+        GF4.inv(0)
+
 
 def test_f4_add_examples():
-    assert f4_add(W, W) == 0
-    assert f4_add(1, W) == W2
-    assert f4_add(0, W2) == W2
+    assert W ^ W == 0
+    assert 1 ^ W == W2 == GF4.mul(W, W)  # w^2 = w + 1
+    assert 0 ^ W2 == W2
 
 
 def test_f4_mul_examples():
-    assert f4_mul(W, W) == W2
-    assert f4_mul(W, W2) == 1
+    assert GF4.mul(W, W) == W2
+    assert GF4.mul(W, W2) == 1
     for x in range(4):
-        assert f4_mul(0, x) == 0
+        assert GF4.mul(0, x) == 0
 
 
 def test_f4_conj_examples():
-    assert f4_conj(W) == W2
-    assert f4_conj(1) == 1
-    assert f4_conj(0) == 0
+    assert GF4.conj(W) == W2
+    assert GF4.conj(1) == 1
+    assert GF4.conj(0) == 0
     for x in range(4):
-        assert f4_conj(f4_conj(x)) == x
-        assert f4_conj(x) == f4_mul(x, x)
+        assert GF4.conj(GF4.conj(x)) == x
+        assert GF4.conj(x) == GF4.mul(x, x)
 
 
 def test_f4_conj_is_field_automorphism():
     for x in range(4):
         for y in range(4):
-            assert f4_conj(f4_add(x, y)) == f4_add(f4_conj(x), f4_conj(y))
-            assert f4_conj(f4_mul(x, y)) == f4_mul(f4_conj(x), f4_conj(y))
+            assert GF4.conj(x ^ y) == GF4.conj(x) ^ GF4.conj(y)
+            assert GF4.conj(GF4.mul(x, y)) == GF4.mul(GF4.conj(x), GF4.conj(y))
 
 
 def test_f4_field_laws_exhaustive():
+    mul = GF4.mul
     for x in range(4):
         for y in range(4):
-            assert f4_add(x, y) == f4_add(y, x)
-            assert f4_mul(x, y) == f4_mul(y, x)
+            assert mul(x, y) == mul(y, x)
             for z in range(4):
-                assert f4_add(f4_add(x, y), z) == f4_add(x, f4_add(y, z))
-                assert f4_mul(f4_mul(x, y), z) == f4_mul(x, f4_mul(y, z))
-                assert f4_mul(x, f4_add(y, z)) == f4_add(f4_mul(x, y), f4_mul(x, z))
+                assert mul(mul(x, y), z) == mul(x, mul(y, z))
+                assert mul(x, y ^ z) == mul(x, y) ^ mul(x, z)
     for x in range(1, 4):
-        assert f4_mul(x, f4_inv(x)) == 1
+        assert mul(x, GF4.inv(x)) == 1
 
 
 def test_ext_field_m1_matches_f4():
-    F = ext_field_build(1)
+    F = ExtField(GF4, 1)
     for x in range(4):
+        assert F.conj(x) == x  # GF(4^1) is GF(4) over itself
         for y in range(4):
-            assert F.add(x, y) == f4_add(x, y)
-            assert F.mul(x, y) == f4_mul(x, y)
+            assert F.mul(x, y) == _F4_MUL[x][y]
     for x in range(1, 4):
-        assert F.inv(x) == f4_inv(x)
+        assert F.inv(x) == _F4_INV[x]
 
 
 def test_ext_field_gf16_laws_exhaustive():
-    F = ext_field_build(2)
+    F = ExtField(GF4, 2)
     for x in F.elements():
         for y in F.elements():
             assert F.mul(x, y) == F.mul(y, x)
             for z in F.elements():
                 assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
-                assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+                assert F.mul(x, y ^ z) == F.mul(x, y) ^ F.mul(x, z)
     for x in range(1, F.order):
         assert F.mul(x, F.inv(x)) == 1
 
 
 def test_ext_field_gf16_frobenius_fixed_points():
-    # x -> x^4 must fix exactly the embedded GF(4)
-    F = ext_field_build(2)
+    # x -> x^4 must fix exactly the embedded GF(4), and conj is that map
+    F = ExtField(GF4, 2)
     fixed = [x for x in F.elements() if F.pow(x, 4) == x]
     assert len(fixed) == 4
+    assert all(F.conj(x) == F.pow(x, 4) for x in F.elements())
 
 
 def test_ext_field_gf4096_generator_order():
     # multiplicative order of the generator is 4095 = 3^2 * 5 * 7 * 13
-    F = ext_field_build(6)
-    g = F.generator
+    F = ExtField(GF4, 6)
+    g = _x_class(F)
     assert F.pow(g, 4095) == 1
     for q in (3, 5, 7, 13):
         assert F.pow(g, 4095 // q) != 1
@@ -94,13 +125,13 @@ def test_ext_field_gf4096_generator_order():
 
 @pytest.mark.parametrize("m", [3, 6])
 def test_ext_field_sampled_laws(m):
-    F = ext_field_build(m)
+    F = ExtField(GF4, m)
     rng = random.Random(1234 + m)
     for _ in range(10_000):
         x, y, z = (rng.randrange(F.order) for _ in range(3))
         assert F.mul(x, y) == F.mul(y, x)
         assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
-        assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+        assert F.mul(x, y ^ z) == F.mul(x, y) ^ F.mul(x, z)
     for _ in range(1000):
         x = rng.randrange(1, F.order)
         assert F.mul(x, F.inv(x)) == 1
@@ -108,9 +139,9 @@ def test_ext_field_sampled_laws(m):
 
 def test_ext_field_unsupported_degree():
     with pytest.raises(UnsupportedDegreeError):
-        ext_field_build(9)
+        ExtField(GF4, 9)
     with pytest.raises(UnsupportedDegreeError):
-        ext_field_build(0)
+        ExtField(GF4, 0)
 
 
 # SHA-256 of " ".join(str(g^i) for i in 0 .. q^m - 2), g the class of x,
@@ -141,44 +172,45 @@ EXP_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("q,m", sorted(EXP_TABLE_SHA256))
 def test_ext_field_exp_table_pinned(q, m):
-    F = ext_field_build(m) if q == 4 else ext2_field_build(m)
+    F = ExtField(GF4 if q == 4 else GF2, m)
     assert F.base is (GF4 if q == 4 else GF2) and F.order == q ** m
-    text = " ".join(str(F.pow(F.generator, i)) for i in range(F.order - 1))
+    text = " ".join(str(F.pow(_x_class(F), i)) for i in range(F.order - 1))
     assert hashlib.sha256(text.encode()).hexdigest() == EXP_TABLE_SHA256[(q, m)]
 
 
 def test_ext_field_rejects_other_bases():
     with pytest.raises(ValueError):
-        ExtField(ext_field_build(2), 2)
+        ExtField(ExtField(GF4, 2), 2)
     with pytest.raises(UnsupportedDegreeError):
-        ext2_field_build(13)
+        ExtField(GF2, 13)
 
 
 def test_ext2_field_m1_matches_gf2():
-    F = ext2_field_build(1)
+    F = ExtField(GF2, 1)
     for x in range(2):
+        assert F.conj(x) == GF2.conj(x) == x
         for y in range(2):
-            assert F.add(x, y) == GF2.add(x, y)
             assert F.mul(x, y) == GF2.mul(x, y)
 
 
 def test_ext2_field_gf8_laws_exhaustive():
-    F = ext2_field_build(3)
+    F = ExtField(GF2, 3)
     for x in F.elements():
         for y in F.elements():
             assert F.mul(x, y) == F.mul(y, x)
             for z in F.elements():
                 assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
-                assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+                assert F.mul(x, y ^ z) == F.mul(x, y) ^ F.mul(x, z)
     for x in range(1, F.order):
         assert F.mul(x, F.inv(x)) == 1
 
 
 @pytest.mark.parametrize("m", sorted(range(1, 13)))
 def test_ext2_field_generator_primitive(m):
-    F = ext2_field_build(m)
+    F = ExtField(GF2, m)
+    g = _x_class(F)
     order = F.order - 1
-    assert F.pow(F.generator, order) == 1
+    assert F.pow(g, order) == 1
     q = 2
     rest = order
     prime_factors = set()
@@ -188,11 +220,11 @@ def test_ext2_field_generator_primitive(m):
             rest //= q
         q += 1
     for q in prime_factors:
-        assert F.pow(F.generator, order // q) != 1
+        assert F.pow(g, order // q) != 1
 
 
 def test_ext2_field_mult_matrix_is_linear_action():
-    F = ext2_field_build(4)
+    F = ExtField(GF2, 4)
     rng = random.Random(9)
     for _ in range(100):
         e = rng.randrange(F.order)
@@ -207,7 +239,7 @@ def test_ext2_field_mult_matrix_is_linear_action():
 
 
 def test_ext_field_mult_matrix_is_linear_action():
-    F = ext_field_build(3)
+    F = ExtField(GF4, 3)
     rng = random.Random(7)
     for _ in range(100):
         e = rng.randrange(F.order)
@@ -217,15 +249,15 @@ def test_ext_field_mult_matrix_is_linear_action():
         prod = [0] * F.m
         for i in range(F.m):
             for j in range(F.m):
-                prod[i] ^= f4_mul(m[i][j], yd[j])
+                prod[i] ^= GF4.mul(m[i][j], yd[j])
         assert F.from_digits(prod) == F.mul(e, y)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 @settings(derandomize=True)
 def test_f4_hypothesis_ring_axioms(x, y, z):
-    assert f4_mul(x, f4_add(y, z)) == f4_add(f4_mul(x, y), f4_mul(x, z))
-    assert f4_add(x, x) == 0
+    assert GF4.mul(x, y ^ z) == GF4.mul(x, y) ^ GF4.mul(x, z)
+    assert GF4.mul(x, GF4.conj(x)) in (0, 1)  # the norm lies in GF(2)
 
 
 # ----------------------------------------------------------------------
@@ -235,27 +267,27 @@ def test_f4_hypothesis_ring_axioms(x, y, z):
 def test_poly_divmod_binary_square():
     a = Poly(GF2, (1, 0, 1))      # x^2 + 1
     b = Poly(GF2, (1, 1))         # x + 1
-    q, r = poly_divmod(a, b)
+    q, r = divmod(a, b)
     assert q == Poly(GF2, (1, 1)) and r.is_zero
 
 
 def test_poly_divmod_table_row_divisor():
     # x^15 - 1 must be divisible by x^6 + w x^3 + 1 for the [15, 9] code to exist
     g = Poly(GF4, (1, 0, 0, W, 0, 0, 1))
-    q, r = poly_divmod(xn_minus_1(15, GF4), g)
+    q, r = divmod(xn_minus_1(15, GF4), g)
     assert r.is_zero
     assert q * g == xn_minus_1(15, GF4)
 
 
 def test_poly_divmod_self():
     a = Poly(GF4, (W, 1, W2))
-    q, r = poly_divmod(a, a)
+    q, r = divmod(a, a)
     assert q == Poly.one(GF4) and r.is_zero
 
 
 def test_poly_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
-        poly_divmod(Poly.one(GF4), Poly.zero(GF4))
+        divmod(Poly.one(GF4), Poly.zero(GF4))
 
 
 @pytest.mark.parametrize("field", [GF2, GF4])
@@ -266,7 +298,7 @@ def test_poly_divmod_roundtrip_random(field):
         b = Poly(field, [rng.randrange(field.order) for _ in range(rng.randrange(1, 8))])
         if b.is_zero:
             continue
-        q, r = poly_divmod(a, b)
+        q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
 

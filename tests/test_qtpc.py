@@ -6,7 +6,7 @@ import pytest
 from conftest import trace_ip
 from qbecc.burst import quantum_burst_capability
 from qbecc.classical import cyclic_from_poly, rs_mds
-from qbecc.gf import GF4, Poly, ext2_field_build, ext_field_build
+from qbecc.gf import GF2, GF4, ExtField, Poly
 from qbecc.linalg import mat_rank
 from qbecc.qtpc import (InterleaverMap, deinterleave, dispersal_report,
                         interleave, qtpc_construct, tensor_check_matrix)
@@ -18,7 +18,7 @@ C1 = cyclic_from_poly(Poly(GF4, (1, 0, 0, W, 0, 0, 1)), 15)  # [15, 9]
 
 
 def test_tensor_all_ones_outer_row():
-    F = ext_field_build(C1.n - C1.k)
+    F = ExtField(GF4, C1.n - C1.k)
 
     class Outer:  # stub outer code with a single all-ones check row
         field = F
@@ -34,7 +34,7 @@ def test_tensor_all_ones_outer_row():
 
 
 def test_tensor_example_dimensions_and_rank():
-    F = ext_field_build(6)
+    F = ExtField(GF4, 6)
     c2 = rs_mds(6, 2, F)
     expanded = tensor_check_matrix(C1, c2)
     assert len(expanded) == 24 and len(expanded[0]) == 90
@@ -43,26 +43,41 @@ def test_tensor_example_dimensions_and_rank():
 
 def test_tensor_example_rows_pinned():
     # recorded before the extension-field classes merged
-    rows = tensor_check_matrix(C1, rs_mds(6, 2, ext_field_build(6)))
+    rows = tensor_check_matrix(C1, rs_mds(6, 2, ExtField(GF4, 6)))
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
         "2c9a38b3018061538d6931b30a779158b37902852fbbd5c439a21970375b6250")
 
 
 def test_tensor_field_degree_mismatch():
-    F = ext_field_build(2)
+    F = ExtField(GF4, 2)
     c2 = rs_mds(4, 1, F)
     with pytest.raises(ValueError):
         tensor_check_matrix(C1, c2)
 
 
 def test_tensor_field_base_mismatch():
-    from qbecc.gf import ext2_field_build
     with pytest.raises(ValueError):
-        tensor_check_matrix(C1, rs_mds(6, 2, ext2_field_build(6)))
+        tensor_check_matrix(C1, rs_mds(6, 2, ExtField(GF2, 6)))
+
+
+def test_tensor_gf4_outer_of_binary_inner():
+    # GF4 is GF(2^2), the degree-2 extension of a binary inner code with rho1 = 2
+    rep = cyclic_from_poly(Poly(GF2, (1, 1, 1)), 3)  # [3, 1]
+    expanded = tensor_check_matrix(rep, rs_mds(5, 1, GF4))
+    assert len(expanded) == 2 * 2 and len(expanded[0]) == 3 * 5
+    assert expanded == tensor_check_matrix(rep, rs_mds(5, 1, ExtField(GF2, 2)))
+
+
+def test_tensor_gf4_outer_of_gf4_inner_refused():
+    # rho1 = 2 = GF4.m, but GF4 extends GF(2), not the inner field GF(4)
+    inner = cyclic_from_poly(Poly(GF4, (W, 3, 1)), 3)  # (x + 1)(x + w)
+    with pytest.raises(ValueError, match=r"^outer code field must be the "
+                                         r"degree-2 extension of GF\(4\)$"):
+        tensor_check_matrix(inner, rs_mds(5, 1, GF4))
 
 
 def test_qtpc_example_params():
-    F = ext_field_build(6)
+    F = ExtField(GF4, 6)
     stab, spec = qtpc_construct(C1, rs_mds(6, 2, F))
     assert spec.params == (90, 42)
     assert stab.params == (90, 42)
@@ -71,7 +86,7 @@ def test_qtpc_example_params():
 
 def test_qtpc_example_burst_capability():
     # the burst analyzer refused this code before (9.98e8 bursts at l = 12)
-    stab, _ = qtpc_construct(C1, rs_mds(6, 2, ext_field_build(6)))
+    stab, _ = qtpc_construct(C1, rs_mds(6, 2, ExtField(GF4, 6)))
     analysis = quantum_burst_capability(stab)
     assert (analysis.l, analysis.degenerate) == (3, False)
     e1, e2 = analysis.witness
@@ -83,14 +98,14 @@ def test_qtpc_example_burst_capability():
 
 def test_qtpc_family_formula():
     # [[15 n2, 15 n2 - 24 l2]] for the [15,9] inner code
-    F = ext_field_build(6)
+    F = ExtField(GF4, 6)
     for n2, l2 in [(4, 1), (6, 2)]:
         stab, spec = qtpc_construct(C1, rs_mds(n2, l2, F))
         assert spec.params == (15 * n2, 15 * n2 - 24 * l2)
 
 
 def test_qtpc_trivial_outer():
-    F = ext_field_build(6)
+    F = ExtField(GF4, 6)
     stab, spec = qtpc_construct(C1, rs_mds(6, 0, F))
     assert spec.params == (90, 90)
 
@@ -98,7 +113,7 @@ def test_qtpc_trivial_outer():
 def test_qtpc_rejects_non_dual_containing_inner():
     bad = cyclic_from_poly(Poly(GF4, (1, 1)), 3)
     with pytest.raises(ValueError):
-        qtpc_construct(bad, rs_mds(4, 1, ext_field_build(1)))
+        qtpc_construct(bad, rs_mds(4, 1, ExtField(GF4, 1)))
 
 
 def test_qtpc_rank_deficient_expansion_rejected(monkeypatch):
@@ -112,9 +127,9 @@ def test_qtpc_rank_deficient_expansion_rejected(monkeypatch):
         return rows
     monkeypatch.setattr(qtpc, "tensor_check_matrix", deficient)
     with pytest.raises(AssertionError):
-        qtpc_construct(C1, rs_mds(6, 2, ext_field_build(6)))
+        qtpc_construct(C1, rs_mds(6, 2, ExtField(GF4, 6)))
     with pytest.raises(AssertionError):
-        qtpc_construct(_hamming(), rs_mds(6, 2, ext2_field_build(3)))
+        qtpc_construct(_hamming(), rs_mds(6, 2, ExtField(GF2, 3)))
 
 
 HAMMING = None
@@ -133,9 +148,8 @@ def _hamming():
 
 
 def test_qtpc_binary_branch():
-    from qbecc.gf import GF2, ext2_field_build
     ham = _hamming()
-    c2 = rs_mds(6, 2, ext2_field_build(3))
+    c2 = rs_mds(6, 2, ExtField(GF2, 3))
     stab, spec = qtpc_construct(ham, c2)
     assert spec.params == (42, 18)
     assert stab.params == (42, 18)
@@ -143,18 +157,16 @@ def test_qtpc_binary_branch():
 
 
 def test_qtpc_binary_branch_rejects_non_dual_containing():
-    from qbecc.gf import GF2, ext2_field_build
     from qbecc.classical import cyclic_from_poly as cfp
     from qbecc.gf import GF2 as _g2, Poly as _poly
     rep = cfp(_poly(_g2, (1, 1, 1)), 3)  # [3,1]: dual is bigger
     with pytest.raises(ValueError):
-        qtpc_construct(rep, rs_mds(4, 1, ext2_field_build(2)))
+        qtpc_construct(rep, rs_mds(4, 1, ExtField(GF2, 2)))
 
 
 def test_binary_tensor_all_ones_outer_row():
-    from qbecc.gf import ext2_field_build
     ham = _hamming()
-    F = ext2_field_build(3)
+    F = ExtField(GF2, 3)
 
     class Outer:
         field = F
@@ -170,7 +182,7 @@ def test_binary_tensor_all_ones_outer_row():
 
 def test_qtpc_stabilizer_self_orthogonal():
     # StabilizerCode construction verifies commutation; double-check a sample
-    F = ext_field_build(6)
+    F = ExtField(GF4, 6)
     stab, _ = qtpc_construct(C1, rs_mds(6, 2, F))
     rows = stab.basis[:10]
     for i, u in enumerate(rows):
