@@ -9,28 +9,25 @@ import importlib
 
 _EXPORTS = {
     "burst": ("BurstAnalysis", "BurstCapability", "burst_count", "check_qrb",
-              "classical_burst_capability", "located_burst_check",
-              "no_cloning_check", "qrb", "quantum_burst_capability",
-              "rs_burst_capability"),
+              "classical_burst_capability", "no_cloning_check", "qrb",
+              "quantum_burst_capability", "rs_burst_capability"),
     "channel": ("ChannelModel", "DecoderTable", "EfResult", "SweepPoint",
                 "build_decoder", "cond_prob", "entanglement_fidelity",
-                "error_prob", "sweep", "sweep_to_csv"),
+                "sweep", "sweep_to_csv"),
     "classical": ("LinearCode", "binary_dual_containing",
                   "cyclic_from_poly", "hermitian_dual_containing",
                   "linear_code", "rs_mds"),
     "gf": ("GF2", "GF4", "ExtField", "Poly", "UnsupportedDegreeError",
            "berlekamp_factor", "poly_gcd", "xn_minus_1"),
     "qtpc": ("DispersalReport", "InterleaverMap", "QtpcSpec", "deinterleave",
-             "dispersal_report", "interleave", "qtpc_construct",
-             "tensor_check_matrix"),
+             "dispersal_report", "qtpc_construct", "tensor_check_matrix"),
     "registry": ("RegistryEntry", "load_registry", "registry_entry"),
     "search": ("SearchPlan", "SearchRecord", "SearchOutcome",
                "build_registry_code", "enumerate_cyclic_generators",
                "format_genpoly", "parse_genpoly", "records_to_csv",
                "reproduce_table1"),
     "stabilizer": ("CommutationError", "F4Vector", "ResourceLimitError",
-                   "StabilizerCode", "additive_code", "burst_length",
-                   "css_construct", "hermitian_construct"),
+                   "StabilizerCode", "css_construct", "hermitian_construct"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

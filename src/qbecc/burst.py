@@ -190,18 +190,6 @@ def quantum_burst_capability(code: StabilizerCode) -> BurstAnalysis:
     raise AssertionError("level 0 cannot fail")
 
 
-def located_burst_check(code: StabilizerCode, start: int, span: int) -> bool:
-    """True iff every pair of errors supported on [start, start+span) has a
-    sum outside dual(C) \\ C: the one-window case of the level check, as the
-    sums of such pairs are exactly the vectors supported on the window."""
-    n = code.n
-    if span < 0 or start < 0 or start + span > n:
-        raise ValueError(f"window [{start}, {start + span}) outside length {n}")
-    window = _label_columns(code)[2 * start:2 * (start + span)]
-    failure, _ = _insert({}, window, 2 * n, 2 * code.k)
-    return failure is None
-
-
 # ----------------------------------------------------------------------
 # Classical codes
 # ----------------------------------------------------------------------
@@ -257,6 +245,6 @@ def rs_burst_capability(code: LinearCode) -> BurstCapability:
 
 __all__ = [
     "BurstAnalysis", "qrb", "check_qrb", "no_cloning_check",
-    "burst_count", "quantum_burst_capability", "located_burst_check",
+    "burst_count", "quantum_burst_capability",
     "BurstCapability", "classical_burst_capability", "rs_burst_capability",
 ]

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import gf2_rank
-from .stabilizer import F4Vector, ResourceLimitError, StabilizerCode
+from .stabilizer import ResourceLimitError, StabilizerCode
 
 DEFAULT_EXACT_LIMIT = 4 ** 13
 # Bytes of one array: a pattern set (one byte per symbol) or one transfer
@@ -74,25 +74,14 @@ def cond_prob(l: int, k: int, ch: ChannelModel) -> float:
     return (1.0 - ch.mu) * ch.marginals[l] + (ch.mu if l == k else 0.0)
 
 
-def error_prob(e, ch: ChannelModel) -> float:
-    """Chain probability of a Pauli error pattern (phase ignored); the
-    scalar reference of the vectorized chain products."""
-    symbols = e.symbols() if isinstance(e, F4Vector) else tuple(e)
-    prob = ch.marginals[symbols[0]]
-    prev = symbols[0]
-    for s in symbols[1:]:
-        prob *= cond_prob(s, prev, ch)
-        prev = s
-    return prob
-
-
 def _cond_table(ch: ChannelModel) -> np.ndarray:
     """float64 [previous, next] of cond_prob."""
     return np.array([[cond_prob(l, k, ch) for l in range(4)] for k in range(4)])
 
 
 def _chain_probs(patterns: np.ndarray, ch: ChannelModel) -> np.ndarray:
-    """error_prob of every row, multiplied left to right as it does."""
+    """The chain probability of every row: the marginal of its first
+    symbol times cond_prob of each next one, multiplied left to right."""
     cond = _cond_table(ch)
     prob = np.array(ch.marginals)[patterns[:, 0]]
     for i in range(1, patterns.shape[1]):
@@ -481,7 +470,7 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
 
 
 __all__ = [
-    "ChannelModel", "cond_prob", "error_prob",
+    "ChannelModel", "cond_prob",
     "DecoderTable", "build_decoder", "label_contrib",
     "EfResult", "entanglement_fidelity",
     "SweepPoint", "sweep", "sweep_to_csv", "SWEEP_CSV_HEADER",

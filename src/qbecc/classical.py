@@ -44,10 +44,6 @@ class LinearCode:
             if any(syn):
                 raise AssertionError("generator and check matrices are not orthogonal")
 
-    @property
-    def params(self) -> Tuple[int, int]:
-        return (self.n, self.k)
-
     def syndrome(self, vec: Sequence[int]) -> Tuple[int, ...]:
         return tuple(mat_mul_vec(self.field, self.check_rows, vec))
 

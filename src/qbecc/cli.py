@@ -136,7 +136,7 @@ def _cmd_tensor(args) -> int:
         "rank": qspec.rho1 * qspec.rho2,
         "self_orthogonal": True,  # verified during construction
     }
-    if args.dispersal:
+    if args.dispersal is not None:  # 0 reaches dispersal_report's range check
         l1 = classical_burst_capability(c1).l if args.l1 is None else args.l1
         if l1 <= 0 or qspec.n1 % l1 != 0:
             raise UsageError(f"subblock height {l1} must divide n1={qspec.n1}")
@@ -168,15 +168,17 @@ def _parse_grid(text: str) -> List[float]:
         return [float(parts[0])]
     if len(parts) != 3:
         raise UsageError(f"range {text!r} must be VALUE, start:step:end, or start:log:end")
-    if parts[1] == "log":
-        lo, hi = float(parts[0]), float(parts[2])
+    lo, hi = float(parts[0]), float(parts[2])
+    step = None if parts[1] == "log" else float(parts[1])
+    if not all(map(math.isfinite, (lo, hi) if step is None else (lo, step, hi))):
+        raise UsageError(f"range {text!r} has a non-finite start, step or end")
+    if step is None:
         if lo <= 0 or hi <= lo:
             raise UsageError(f"log range {text!r} needs 0 < start < end")
         decades = math.log10(hi / lo)
         count = int(round(4 * decades)) + 1  # five points per decade
         step = decades / (count - 1)
         return [lo * 10 ** (i * step) for i in range(count)]
-    lo, step, hi = float(parts[0]), float(parts[1]), float(parts[2])
     if step <= 0:
         raise UsageError("step must be positive")
     if hi < lo:
@@ -190,6 +192,8 @@ def _cmd_simulate(args) -> int:
     for flag, value in (("--w-max", args.w_max), ("--t", args.t), ("--l", args.l)):
         if value is not None and value < 0:
             raise UsageError(f"{flag} must be non-negative, got {value}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     specs = []
     for code_id in args.code.split(","):
         entry = registry_entry(code_id)

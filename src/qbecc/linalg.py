@@ -59,23 +59,6 @@ def gf2_in_span(vec: int, reduced: Sequence[int], pivots: Sequence[int]) -> bool
     return gf2_reduce_vector(vec, reduced, pivots) == 0
 
 
-def gf2_nullspace(rows: Sequence[int], ncols: int) -> List[int]:
-    """Basis of {x : popcount(row & x) even for every row}."""
-    reduced, pivots = gf2_row_reduce(rows)
-    pivot_set = set(pivots)
-    basis: List[int] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        # back-substitute: pivot column value = row coefficient at free column
-        for r, p in zip(reduced, pivots):
-            if (r >> free) & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return basis
-
-
 # a GF(4) symbol as a byte -> a base-4 digit: itself, its conjugate, and
 # w times its conjugate
 _SYMBOL, _CONJ, _W_CONJ = (bytes.maketrans(bytes(range(4)), digits)
@@ -123,10 +106,6 @@ def mat_row_reduce(field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]
     return reduced, pivots
 
 
-def mat_rank(field, rows: Sequence[Sequence[int]]) -> int:
-    return len(mat_row_reduce(field, rows)[0])
-
-
 def mat_nullspace(field, rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
     """Basis of {x : sum_j row[j]*x[j] = 0 for every row}."""
     reduced, pivots = mat_row_reduce(field, rows)
@@ -155,6 +134,6 @@ def mat_mul_vec(field, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> Lis
 
 
 __all__ = [
-    "gf2_row_reduce", "gf2_rank", "gf2_reduce_vector", "gf2_in_span", "gf2_nullspace",
-    "mat_row_reduce", "mat_rank", "mat_nullspace", "mat_mul_vec",
+    "gf2_row_reduce", "gf2_rank", "gf2_reduce_vector", "gf2_in_span",
+    "mat_row_reduce", "mat_nullspace", "mat_mul_vec",
 ]

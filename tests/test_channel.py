@@ -6,22 +6,21 @@ import numpy as np
 import pytest
 
 import channel_oracle as oracle
-from conftest import random_self_orthogonal_code
+from conftest import random_self_orthogonal_code, syndrome
 from qbecc import channel
 from qbecc.channel import (ChannelModel, EfResult, build_decoder,
-                           cond_prob, entanglement_fidelity, error_prob,
+                           cond_prob, entanglement_fidelity,
                            label_contrib, sweep, sweep_to_csv)
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF4, Poly
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import build_code, build_registry_code
-from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
-                              additive_code, hermitian_construct)
+from qbecc.stabilizer import ResourceLimitError, StabilizerCode, hermitian_construct
 
 W = 2
 
-FIVE_QUBIT = additive_code(5, [
-    F4Vector.from_symbols(s) for s in
+FIVE_QUBIT = StabilizerCode(5, [
+    oracle.packed(s) for s in
     [(1, 2, 2, 1, 0), (0, 1, 2, 2, 1), (1, 0, 1, 2, 2), (2, 1, 0, 1, 2)]])
 
 CODE_13_1 = hermitian_construct(
@@ -51,19 +50,19 @@ def test_cond_prob_examples():
 
 def test_error_prob_single_qubit():
     ch = ChannelModel(0.2, 0.7)
-    assert error_prob(F4Vector(1, 0), ch) == 0.8
+    assert oracle.error_prob((0,), ch) == 0.8
 
 
 def test_error_prob_identity_formula():
     for n in (2, 5, 9):
         ch = ChannelModel(0.05, 0.3)
         expected = (1 - 0.05) * ((1 - 0.3) * (1 - 0.05) + 0.3) ** (n - 1)
-        assert math.isclose(error_prob(F4Vector(n, 0), ch), expected, rel_tol=1e-14)
+        assert math.isclose(oracle.error_prob((0,) * n, ch), expected, rel_tol=1e-14)
 
 
 def test_normalization_n2_exact():
     ch = ChannelModel(0.11, 0.37)
-    total = math.fsum(error_prob(F4Vector.from_symbols(s), ch)
+    total = math.fsum(oracle.error_prob(s, ch)
                       for s in itertools.product(range(4), repeat=2))
     assert abs(total - 1.0) < 1e-12
 
@@ -73,7 +72,7 @@ def test_normalization_sampled(n):
     rng = random.Random(100 + n)
     for _ in range(5):
         ch = ChannelModel(rng.random(), rng.random())
-        total = math.fsum(error_prob(F4Vector.from_symbols(s), ch)
+        total = math.fsum(oracle.error_prob(s, ch)
                           for s in itertools.product(range(4), repeat=n))
         assert abs(total - 1.0) < 1e-12
 
@@ -85,7 +84,7 @@ def test_mu0_product_form_exhaustive():
             product = 1.0
             for s in sym:
                 product *= ch.marginals[s]
-            assert error_prob(F4Vector.from_symbols(sym), ch) == product
+            assert oracle.error_prob(sym, ch) == product
 
 
 # ----------------------------------------------------------------------
@@ -145,12 +144,12 @@ def _ef_oracle(code, table, ch):
     n = code.n
     total = []
     for sym in itertools.product(range(4), repeat=n):
-        e = F4Vector.from_symbols(sym)
-        rec = table.entries.get(code.syndrome(e.packed))
+        e = oracle.packed(sym)
+        rec = table.entries.get(syndrome(code, e))
         if rec is None:
             continue
-        if code.contains(e.packed ^ rec):
-            total.append(error_prob(e, ch))
+        if code.contains(e ^ rec):
+            total.append(oracle.error_prob(sym, ch))
     return math.fsum(total)
 
 
@@ -372,8 +371,7 @@ def test_decoder_refuses_labels_over_one_word():
 
 def _pauli_code(n, *rows):
     """A stabilizer code from Pauli strings such as "ZZII"."""
-    return additive_code(n, [F4Vector.from_symbols(["IXZY".index(c) for c in row])
-                             for row in rows])
+    return StabilizerCode(n, [oracle.packed(["IXZY".index(c) for c in row]) for row in rows])
 
 
 X0_IN_STABILIZER = _pauli_code(4, "XIII", "IZZI")  # labels of X0 and I0 agree

@@ -32,18 +32,18 @@ def codewords(code):
 
 def test_cyclic_15_9():
     code = cyclic_from_poly(G_15_9, 15)
-    assert code.params == (15, 9)
+    assert (code.n, code.k) == (15, 9)
 
 
 def test_cyclic_unit_generator_full_space():
     code = cyclic_from_poly(Poly.one(GF2), 7)
-    assert code.params == (7, 7)
+    assert (code.n, code.k) == (7, 7)
     assert code.check_rows == ()
 
 
 def test_cyclic_single_parity():
     code = cyclic_from_poly(Poly(GF2, (1, 1)), 3)
-    assert code.params == (3, 2)
+    assert (code.n, code.k) == (3, 2)
 
 
 def test_cyclic_invalid_generator():
@@ -119,7 +119,7 @@ def test_burst_capability_15_9_is_3():
 
 def test_burst_capability_repetition():
     code = cyclic_from_poly(Poly(GF2, (1, 1, 1)), 3)  # [3,1] repetition
-    assert code.params == (3, 1)
+    assert (code.n, code.k) == (3, 1)
     assert classical_burst_capability(code).l == 1
 
 
@@ -127,7 +127,7 @@ def test_burst_capability_7_3():
     # frozen from the all-pairs oracle below
     g = Poly(GF2, (1, 1)) * Poly(GF2, (1, 1, 0, 1))
     code = cyclic_from_poly(g, 7)
-    assert code.params == (7, 3)
+    assert (code.n, code.k) == (7, 3)
     cap = classical_burst_capability(code)
     assert cap.l == 2
     assert cap.l == _oracle_capability(code, end_around=False)
@@ -215,7 +215,7 @@ def test_burst_capability_matches_oracle_random_cyclic():
         for end_around in (False, True):
             cap = classical_burst_capability(code, end_around=end_around)
             assert cap.end_around == end_around
-            assert cap.l == _oracle_capability(code, end_around), (code.params, end_around)
+            assert cap.l == _oracle_capability(code, end_around), (code.n, code.k, end_around)
     assert fields == {GF2, GF4}
 
 
@@ -272,7 +272,7 @@ def test_burst_capability_extension_field_mds():
 def test_rs_mds_example_params():
     F = ExtField(GF4, 6)
     code = rs_mds(6, 2, F)
-    assert code.params == (6, 2)
+    assert (code.n, code.k) == (6, 2)
     assert rs_burst_capability(code).l == 2
     assert rs_burst_capability(code).end_around
 
@@ -281,7 +281,7 @@ def test_rs_mds_l0_identity():
     # no checks: the Vandermonde rows reduce to the identity, over GF(4) too
     for F, n2 in ((ExtField(GF4, 2), 4), (GF4, 5), (ExtField(GF4, 1), 3)):
         code = rs_mds(n2, 0, F)
-        assert code.params == (n2, n2)
+        assert (code.n, code.k) == (n2, n2)
         assert code.gen_rows == tuple(tuple(int(i == j) for j in range(n2)) for i in range(n2))
         assert code.check_rows == ()
 
@@ -289,7 +289,7 @@ def test_rs_mds_l0_identity():
 def test_rs_mds_gf16_distance_exhaustive():
     F = ExtField(GF4, 2)
     code = rs_mds(4, 1, F)
-    assert code.params == (4, 2)
+    assert (code.n, code.k) == (4, 2)
     weights = sorted(sum(1 for x in w if x) for w in codewords(code))
     assert weights[0] == 0 and weights[1] == 3  # minimum distance 3
 
@@ -300,7 +300,7 @@ def test_rs_mds_singleton_equality_small():
                       (ExtField(GF4, 2), 5, 1), (ExtField(GF4, 3), 5, 2),
                       (GF4, 5, 1), (GF4, 4, 1), (GF4, 5, 2)]:
         code = rs_mds(n2, l2, F)
-        assert code.params == (n2, n2 - 2 * l2)
+        assert (code.n, code.k) == (n2, n2 - 2 * l2)
         if F.order ** code.k > 1 << 16:
             continue
         d = min(sum(1 for x in w if x) for w in codewords(code) if any(w))
@@ -310,7 +310,7 @@ def test_rs_mds_singleton_equality_small():
 def test_rs_mds_extended_length():
     F = ExtField(GF4, 2)
     code = rs_mds(17, 1, F)  # q + 1
-    assert code.params == (17, 15)
+    assert (code.n, code.k) == (17, 15)
     with pytest.raises(ValueError):
         rs_mds(19, 1, F)  # beyond q + 1
     with pytest.raises(ValueError):
@@ -357,7 +357,7 @@ HAMMING_ROWS = [[1, 0, 0, 0, 0, 1, 1],
 
 def test_binary_dual_containing_hamming():
     ham = linear_code(GF2, HAMMING_ROWS)
-    assert ham.params == (7, 4)
+    assert (ham.n, ham.k) == (7, 4)
     # classical fact: the Hamming check matrix is self-orthogonal
     for h1 in ham.check_rows:
         for h2 in ham.check_rows:

@@ -120,6 +120,14 @@ def test_tensor_bad_l1(capsys):
         assert f"subblock height {l1} " in json.loads(out)["error"]["message"]
 
 
+def test_tensor_dispersal_zero_rejected(capsys):
+    # 0 is a burst length, not "no report": it reaches the [1, size] check
+    code, out = run_cli(capsys, "tensor", "--c1-poly", "1^6 2^3 1^0",
+                        "--c1-n", "15", "--rs", "6,2", "--dispersal", "0")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "burst length 0 outside [1, 90]"}
+
 
 def test_simulate_p0(capsys):
     code, out = run_cli(capsys, "simulate", "--code", "13_1",
@@ -264,3 +272,23 @@ def test_search_nan_budget_exits_2_and_inf_runs(capsys):
                         "--max-seconds", "inf")
     assert code == 0
     assert out.startswith("n,k,l,qrb")
+
+
+@pytest.mark.parametrize("grid", ["0:0.1:inf", "0.01:log:inf", "nan:0.1:1", "0:nan:1",
+                                  "0:0.1:nan", "0:-inf:1", "nan:log:1"])
+def test_simulate_non_finite_grid_rejected(capsys, grid):
+    code, out = run_cli(capsys, "simulate", "--code", "13_1", "--decoder", "random",
+                        "--t", "1", "--p", grid, "--mu", "0")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "UsageError",
+        "message": f"range {grid!r} has a non-finite start, step or end"}
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_workers_below_one_rejected(capsys, workers):
+    code, out = run_cli(capsys, "simulate", "--code", "13_1", "--decoder", "random",
+                        "--p", "0.01", "--mu", "0", "--workers", workers)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "UsageError", "message": f"--workers must be at least 1, got {workers}"}

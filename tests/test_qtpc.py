@@ -3,14 +3,14 @@ import json
 
 import pytest
 
-from conftest import trace_ip
+from conftest import burst_length, in_dual, trace_ip
 from qbecc.burst import quantum_burst_capability
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.gf import GF2, GF4, ExtField, Poly
-from qbecc.linalg import mat_rank
+from qbecc.linalg import mat_row_reduce
 from qbecc.qtpc import (InterleaverMap, deinterleave, dispersal_report,
-                        interleave, qtpc_construct, tensor_check_matrix)
-from qbecc.stabilizer import F4Vector, burst_length
+                        qtpc_construct, tensor_check_matrix)
+from qbecc.stabilizer import F4Vector
 
 W = 2
 
@@ -38,7 +38,7 @@ def test_tensor_example_dimensions_and_rank():
     c2 = rs_mds(6, 2, F)
     expanded = tensor_check_matrix(C1, c2)
     assert len(expanded) == 24 and len(expanded[0]) == 90
-    assert mat_rank(GF4, expanded) == 24
+    assert len(mat_row_reduce(GF4, expanded)[0]) == 24
 
 
 def test_tensor_example_rows_pinned():
@@ -92,8 +92,8 @@ def test_qtpc_example_burst_capability():
     e1, e2 = analysis.witness
     assert e1 != e2
     assert burst_length(e1) <= 4 and burst_length(e2) <= 4
-    u = (e1 + e2).packed
-    assert stab.in_dual(u) and not stab.contains(u)
+    u = e1.packed ^ e2.packed
+    assert in_dual(stab, u) and not stab.contains(u)
 
 
 def test_qtpc_family_formula():
@@ -153,7 +153,7 @@ def test_qtpc_binary_branch():
     stab, spec = qtpc_construct(ham, c2)
     assert spec.params == (42, 18)
     assert stab.params == (42, 18)
-    assert mat_rank(GF2, spec.expanded_check) == 12
+    assert len(mat_row_reduce(GF2, spec.expanded_check)[0]) == 12
 
 
 def test_qtpc_binary_branch_rejects_non_dual_containing():
@@ -193,6 +193,14 @@ def test_qtpc_stabilizer_self_orthogonal():
 # ----------------------------------------------------------------------
 # interleaver
 # ----------------------------------------------------------------------
+
+def interleave(imap: InterleaverMap, row: int, col: int) -> int:
+    """Stream position of array cell (row, col), the map that deinterleave
+    inverts: row-groups of l1 rows are sent in order, each group column by
+    column."""
+    group, offset = divmod(row, imap.l1)
+    return group * (imap.l1 * imap.n2) + col * imap.l1 + offset
+
 
 def test_interleave_formula_cells():
     imap = InterleaverMap(4, 3, 2)
