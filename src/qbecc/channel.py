@@ -10,15 +10,15 @@ the total probability of errors e whose recovery R(syndrome(e)) composes
 with e to a stabilizer element.  The exact engine never iterates the 4^n
 errors one by one: errors are binned by their coset of the stabilizer group
 (a 2^(n+k)-valued linear label), and the full probability mass per coset is
-pushed through the qubit chain as a transfer recursion, XOR-ing a qubit's
-label contribution into the state index by flipping axes of a (2,)*D view.
+pushed through the qubit chain as a transfer recursion.  The mass is kept
+as four rows, one per last symbol; as the channel either repeats the last
+symbol or redraws from the marginals, a step is one row sum and four scaled
+adds, each written back through the XOR permutation by that qubit's label.
 The recursion starts after the longest prefix of qubits whose X and Z
 labels are linearly independent: the prefixes there have distinct labels,
-so each label row holds at most one nonzero and a transfer step would only
-multiply it by one conditional probability; that mass is scattered
-directly from the prefixes' left-to-right chain products instead, with
-the same floats.  Each decoder entry then claims exactly one coset's mass,
-so one mass per (code, p, mu) scores every decoder table of that code.
+so that mass is scattered directly from the prefixes' left-to-right chain
+products.  Each decoder entry then claims exactly one coset's mass, so one
+mass per (code, p, mu) scores every decoder table of that code.
 
 Error patterns are uint8 arrays [patterns, n] of Pauli symbols, produced a
 weight class or a span class at a time by one enumerator; their labels are
@@ -46,8 +46,9 @@ from .linalg import gf2_rank
 from .stabilizer import ResourceLimitError, StabilizerCode
 
 DEFAULT_EXACT_LIMIT = 4 ** 13
-# Bytes of one array: a pattern set (one byte per symbol) or one transfer
-# buffer of the label mass (four float64 per label, so 2^24 labels fit).
+# Bytes of one array: a pattern set (one byte per symbol), one transfer
+# buffer of the label mass (four float64 per label, so 2^24 labels fit) or
+# a simulate grid (one float per point).
 MAX_ARRAY_BYTES = 1 << 29
 
 
@@ -284,14 +285,18 @@ def _independent_prefix(contrib: Sequence[Sequence[int]]) -> int:
 def _label_mass(code: StabilizerCode, ch: ChannelModel) -> np.ndarray:
     """Probability mass of every stabilizer-coset label over all 4^n errors.
 
-    mass[label, s] holds the prefixes with that label whose last symbol is
-    s; a transfer step pushes it through one more qubit.  While the prefixes
-    have distinct labels (the first m = _independent_prefix qubits), each
-    row of mass has at most one nonzero, so a step's gemv returns that entry
-    times cond[k, s], rounded once, whatever the kernel's summation order.
-    The mass after max(1, m) qubits is therefore scattered directly from the
-    left-to-right chain products of its prefixes, and only the remaining
-    qubits run transfer steps: the same floats as n - 1 steps.
+    mass[s, label] holds the prefixes with that label whose last symbol is
+    s; a transfer step pushes it through one more qubit.  As cond[k, s] =
+    (1-mu)·marg[s] + mu·[k = s], a step is new[s] = P_s((1-mu)·marg[s]·R +
+    mu·mass[s]), with R the row sum ((m0 + m1) + m2) + m3 and P_s the XOR
+    permutation by the qubit's label for s: every term is a sum or product
+    of nonnegative floats, so a zero mass stays an exact zero.  While the
+    prefixes have distinct labels (the first m = _independent_prefix
+    qubits), each label holds at most one prefix, so the mass after
+    max(1, m) qubits is scattered directly from the left-to-right chain
+    products of its prefixes, and only the remaining qubits run transfer
+    steps.  The step holds six label-sized buffers: the four rows, R and
+    one scratch row.
     """
     dim = code.n + code.k
     n_labels = 1 << dim
@@ -303,31 +308,28 @@ def _label_mass(code: StabilizerCode, ch: ChannelModel) -> np.ndarray:
     cond = _cond_table(ch)
     start = max(1, _independent_prefix(contrib))
     # mass before the prefix arrays, so that the heap they free is where the
-    # transfer buffers land: the peak RSS stays that of the transfer steps
-    mass = np.zeros((n_labels, 4), dtype=np.float64)
-    # the prefixes' chain products and their mass.ravel() index, label * 4
-    # + last symbol; distinct, so one scatter places them
+    # step's buffers land
+    mass = np.zeros((4, n_labels), dtype=np.float64)
+    # the prefixes' chain products and their mass.ravel() index, last symbol
+    # * 2^dim + label; distinct, so one scatter places them
     words = np.array(contrib, dtype=np.intp)
     prob, index = np.array(ch.marginals), words[0].copy()
     for i in range(1, start):
         prob = (prob.reshape(-1, 4)[:, :, None] * cond).ravel()
         index = (index[:, None] ^ words[i]).ravel()
-    index <<= 2
-    index.reshape(-1, 4)[:] |= np.arange(4)
+    index.reshape(-1, 4)[:] |= np.arange(4) << dim
     mass.reshape(-1)[index] = prob
     del prob, index
-    new, col = np.empty_like(mass), np.empty(n_labels, dtype=np.float64)
+    total, scratch = np.empty(n_labels), np.empty(n_labels)
+    scale = [(1.0 - ch.mu) * marg for marg in ch.marginals]
     for i in range(start, code.n):
+        mass.sum(axis=0, out=total)  # row by row, with no temporary
         for s in range(4):
-            np.matmul(mass, cond[:, s], out=col)
-            _xor_permute(col, contrib[i][s], dim, new[:, s])
-        mass, new = new, mass
-    del new
-    # the left-to-right order of mass.sum(axis=1), one column at a time
-    np.add(mass[:, 0], mass[:, 1], out=col)
-    col += mass[:, 2]
-    col += mass[:, 3]
-    return col
+            np.multiply(total, scale[s], out=scratch)
+            mass[s] *= ch.mu
+            scratch += mass[s]
+            _xor_permute(scratch, contrib[i][s], dim, mass[s])
+    return mass.sum(axis=0, out=total)
 
 
 def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
@@ -403,10 +405,6 @@ class SweepPoint:
     exact: bool
 
 
-# thread-count variables of the BLAS builds numpy ships with
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
           modes: Sequence[str], p_grid: Sequence[float], mu_grid: Sequence[float],
           strategy: str = "exact", w_max: int = 4,
@@ -426,24 +424,10 @@ def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
     if workers <= 1 or len(columns[0]) <= 1:
         results = list(map(_fidelities, *columns))
     else:
-        import multiprocessing
-        import os
-        from concurrent.futures import ProcessPoolExecutor
-        # fresh interpreters load numpy with one BLAS thread each, as the
-        # workers share the CPUs; a spawned pool starts all its workers at
-        # once, so no more than there are tasks
-        saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
-        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(columns[0])),
-                                     mp_context=multiprocessing.get_context("spawn")) as pool:
-                results = list(pool.map(_fidelities, *columns))
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
+        # the engine's numpy calls release the GIL, so threads share the CPUs
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=min(workers, len(columns[0]))) as pool:
+            results = list(pool.map(_fidelities, *columns))
     points = []
     for c, (code_id, *_) in enumerate(code_specs):
         block = results[c * len(grid):(c + 1) * len(grid)]

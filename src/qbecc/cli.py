@@ -163,6 +163,7 @@ def _cmd_tensor(args) -> int:
 # ----------------------------------------------------------------------
 
 def _parse_grid(text: str) -> List[float]:
+    from .channel import MAX_ARRAY_BYTES  # numpy: only simulate parses grids
     parts = text.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
@@ -175,16 +176,24 @@ def _parse_grid(text: str) -> List[float]:
     if step is None:
         if lo <= 0 or hi <= lo:
             raise UsageError(f"log range {text!r} needs 0 < start < end")
-        decades = math.log10(hi / lo)
-        count = int(round(4 * decades)) + 1  # five points per decade
-        step = decades / (count - 1)
-        return [lo * 10 ** (i * step) for i in range(count)]
+        try:
+            decades = math.log10(hi / lo)
+            # five points per decade, and at least both ends
+            count = max(2, int(round(4 * decades)) + 1)
+            step = decades / (count - 1)
+            return [lo * 10 ** (i * step) for i in range(count)]
+        except OverflowError:
+            raise UsageError(f"log range {text!r} spans more than a float's range") from None
     if step <= 0:
         raise UsageError("step must be positive")
     if hi < lo:
         raise UsageError(f"range {text!r} ends below its start")
-    count = math.floor((hi - lo) / step + 1e-9) + 1  # no point beyond end
-    return [lo + i * step for i in range(count)]
+    steps = (hi - lo) / step + 1e-9  # no point beyond end
+    if steps >= MAX_ARRAY_BYTES // 8:  # floor(steps) + 1 points, 8 bytes each
+        raise ResourceLimitError(
+            f"range {text!r} needs over {MAX_ARRAY_BYTES // 8} points of 8 bytes, "
+            f"over the {MAX_ARRAY_BYTES}-byte cap")
+    return [lo + i * step for i in range(math.floor(steps) + 1)]
 
 
 def _cmd_simulate(args) -> int:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -245,37 +246,28 @@ def test_sweep_workers_identical():
             [(c, m) for c in ("five", "13_1") for m in modes]
 
 
-def test_sweep_pool_capped_at_tasks_with_one_blas_thread(monkeypatch):
-    # a spawned pool starts all its workers at once: no more than the
-    # tasks, each loading numpy under one BLAS thread
+def test_sweep_pool_is_threads_capped_at_tasks(monkeypatch):
     import concurrent.futures
-    import os
     seen = []
 
-    class InlineExecutor:
-        def __init__(self, max_workers, mp_context):
-            seen.append((max_workers, mp_context.get_start_method(),
-                         os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"]))
+    class RecordedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *columns):
-            return map(fn, *columns)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    specs = [("five", FIVE_QUBIT, 1, 2)]
-    serial = sweep(specs, ["combined"], [0.01, 0.03], [0.5], limit=4 ** 5)
-    parallel = sweep(specs, ["combined"], [0.01, 0.03], [0.5], limit=4 ** 5, workers=64)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
+    specs = [("five", FIVE_QUBIT, 1, 2), ("13_1", CODE_13_1, 2, 3)]
+    grid = ([0.01, 0.03], [0.2, 0.5, 0.9])
+    serial = sweep(specs, ["random", "combined"], *grid)
+    # more threads than CPUs, switching often, share the codes and tables
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = sweep(specs, ["random", "combined"], *grid, workers=64)
+    finally:
+        sys.setswitchinterval(interval)
     assert sweep_to_csv(serial) == sweep_to_csv(parallel)
-    assert seen == [(2, "spawn", "1", "1")]
-    # the parent's environment is back as it was
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3" and "OMP_NUM_THREADS" not in os.environ
+    assert seen == [12]
 
 
 def test_sweep_monotone_in_p_reported():
@@ -390,10 +382,32 @@ def test_label_mass_matches_gather():
         n = rng.randrange(2, 9)
         codes.append(random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1)))
     for code in codes:
-        for p, mu in [(0.03, 0.5), (0.2, 0.0), (0.07, 0.95), (0.0, 1.0)]:
+        # each step rounds sums and products of nonnegative terms, about
+        # gamma_5 a step in either engine; zeros match the gemv oracle's exactly
+        bound = 16 * code.n * 2.0 ** -53
+        for p, mu in [(0.03, 0.5), (0.2, 0.0), (0.07, 0.95), (0.01, 0.3)]:
             ch = ChannelModel(p, mu)
-            assert np.array_equal(channel._label_mass(code, ch),
-                                  oracle.label_mass(code, ch))
+            got, want = channel._label_mass(code, ch), oracle.label_mass(code, ch)
+            assert np.array_equal(got == 0, want == 0)
+            assert np.all(np.abs(got - want) <= bound * want)
+        # (p, mu) = (0, 1): every step is an exact permutation
+        ch = ChannelModel(0.0, 1.0)
+        assert np.array_equal(channel._label_mass(code, ch), oracle.label_mass(code, ch))
+
+
+def test_label_mass_holds_six_label_buffers():
+    # the four rows of the mass, the row sum and one scratch row; the prefix
+    # arrays are freed before the last two are allocated
+    import tracemalloc
+    code = build_registry_code(registry_entry("17_1a"))
+    buffer = 8 << (code.n + code.k)
+    tracemalloc.start()
+    try:
+        channel._label_mass(code, ChannelModel(0.03, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * buffer
 
 
 def test_independent_prefix_matches_distinct_labels():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qbecc.cli import main
+from qbecc.stabilizer import ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +165,9 @@ def test_grid_parsing():
     assert abs(log[0] - 1e-5) < 1e-18 and abs(log[-1] - 0.1) < 1e-12
     # a step that does not divide the range stops at the last point inside
     assert _parse_grid("0.01:0.025:0.05") == [0.01, 0.035]
+    # a log range under an eighth of a decade keeps both ends
+    short = _parse_grid("0.01:log:0.011")
+    assert len(short) == 2 and short[0] == 0.01 and abs(short[1] - 0.011) < 1e-15
     assert _parse_grid("0:0.6:1") == [0.0, 0.6]
 
 
@@ -283,6 +287,29 @@ def test_simulate_non_finite_grid_rejected(capsys, grid):
     assert json.loads(out)["error"] == {
         "type": "UsageError",
         "message": f"range {grid!r} has a non-finite start, step or end"}
+
+
+def test_simulate_log_grid_past_float_range_rejected(capsys):
+    code, out = run_cli(capsys, "simulate", "--code", "13_1", "--decoder", "random",
+                        "--t", "1", "--p", "5e-324:log:1e308", "--mu", "0")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "UsageError",
+        "message": "log range '5e-324:log:1e308' spans more than a float's range"}
+
+
+def test_simulate_linear_grid_over_cap_refused(capsys, monkeypatch):
+    from qbecc import channel
+    code, out = run_cli(capsys, "simulate", "--code", "13_1", "--decoder", "random",
+                        "--t", "1", "--p", "0:1e-300:1", "--mu", "0")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "resource-limit"
+    # bytes, not items: 8 per point; 2^20 bytes hold 131072 points
+    monkeypatch.setattr(channel, "MAX_ARRAY_BYTES", 1 << 20)
+    from qbecc.cli import _parse_grid
+    assert len(_parse_grid("0:1:131071")) == 131072
+    with pytest.raises(ResourceLimitError, match="over 131072 points of 8 bytes"):
+        _parse_grid("0:1:131072")
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -23,6 +23,8 @@ COLD_START = [
     (["analyze", "--n", "15", "--poly", "1^6 2^3 1^0", "--distance-limit", "0"], "numpy"),
     (["simulate", "--code", "13_1", "--p", "0.01", "--mu", "0.5", "--workers", "1"],
      "concurrent.futures.process"),
+    (["simulate", "--workers", "2", "--code", "13_1", "--p", "0.01", "--mu", "0:0.5:0.5"],
+     "concurrent.futures.process"),
 ]
 
 CHILD = """
