@@ -15,11 +15,14 @@ columns (syndrome bits above logical bits; the label map is injective
 modulo C), so no burst is enumerated.  A classical code is the case with
 no stabilizer: its level holds iff no nonzero codeword lies on a union.
 
-A code whose stabilizer is invariant under the cyclic shift of positions
-(StabilizerCode.is_cyclic, true of every cyclic construction) ranks only
-the unions [0, l) + [d, d+l) with d in [l, n/2]: a union at distance d is
-the shift of the one from 0, and of [0, l) + [n-d, n-d+l) (Peterson and
-Weldon's shift argument for classical cyclic burst codes).
+Every code the CLI analyzes is cyclic, so its stabilizer is invariant
+under the cyclic shift of positions and the engine ranks only the unions
+[0, l) + [d, d+l) with d in [l, n/2]: a union at distance d is the shift
+of the one from 0, and of [0, l) + [n-d, n-d+l) (Peterson and Weldon's
+shift argument for classical cyclic burst codes).  Its label columns come
+straight from the generators, with no matrix: a cyclic code's coset label
+is a polynomial remainder (MacWilliams and Sloane, ch. 7), found for every
+position by one shift-and-reduce walk (hermitian_columns, css_columns).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .classical import LinearCode
+from .classical import InvalidGeneratorError, LinearCode
+from .gf import GF2, Poly, _multiples, _packed, _w_times
 from .stabilizer import F4Vector, StabilizerCode
 
 
@@ -72,15 +76,6 @@ def burst_count(n: int, l: int) -> int:
 # ----------------------------------------------------------------------
 # Window-rank engine
 # ----------------------------------------------------------------------
-
-def _label_columns(code: StabilizerCode) -> List[int]:
-    """Label of X (column 2i) and Z (column 2i+1) at each position i, above
-    2n tracking bits: column j carries bit j, so the tracking bits of a sum
-    of columns are its Pauli in F4Vector packing."""
-    m = 2 * code.n
-    labels = (label for labels in code.label_ints() for label in labels[1:3])
-    return [(label << m) | (1 << j) for j, label in enumerate(labels)]
-
 
 def _insert(basis: Dict[int, int], columns: Iterable[int], shift: int,
             logical_bits: int) -> Tuple[Optional[int], bool]:
@@ -152,34 +147,43 @@ def _split(failure: int, bits: int, cut: int) -> Tuple[int, int]:
     return first, null ^ first
 
 
-def _check_level_rank(code: StabilizerCode, columns: List[int], l: int):
+def _check_level_rank(n: int, k: int, columns: Sequence[int], l: int, cyclic: bool):
     """(ok, degenerate, witness, unions ranked) of level l, given the code's
     label columns; a failure's witness is the null vector outside C that the
     failing union's elimination found, split between its two windows."""
     if l == 0:
         return True, False, None, 0
-    n = code.n
-    pairs = (_window_pairs(n, l, end_around=True)[:1] if 2 * l <= n and code.is_cyclic()
-             else _window_pairs(n, l))
-    failure, pair, degenerate, unions = _rank_unions(columns, 2, l, 2 * code.k, pairs, 2 * n)
+    # on a cyclic code the pairs from s1 = 0 alone (see _window_pairs)
+    pairs = [(0, range(l, n // 2 + 1))] if 2 * l <= n and cyclic else _window_pairs(n, l)
+    failure, pair, degenerate, unions = _rank_unions(columns, 2, l, 2 * k, pairs, 2 * n)
     if failure is None:
         return True, degenerate, None, unions
     first, rest = _split(failure, 2 * n, 2 * (pair[0] + l))
     return False, degenerate, (F4Vector(n, first), F4Vector(n, rest)), unions
 
 
-def quantum_burst_capability(code: StabilizerCode) -> BurstAnalysis:
-    """Largest correctable burst length, degeneracy flag, and witness.
+def quantum_burst_capability(n: int | StabilizerCode, k: Optional[int] = None,
+                             columns: Optional[Sequence[int]] = None) -> BurstAnalysis:
+    """Largest correctable burst length, degeneracy flag, and witness of
+    the cyclic [[n, k]] code with these label columns (hermitian_columns,
+    css_columns).
 
     Candidates descend from the (n-k)/4 ceiling; the first passing level is
     the capability, and the witness (if any) certifies failure one above it.
+    A StabilizerCode may come alone instead of (n, k, columns): its columns
+    are then its label_ints, and as no shift symmetry is known every window
+    union is ranked.
     """
-    columns = _label_columns(code)
-    n, k = code.n, code.k
+    cyclic = columns is not None
+    if not cyclic:
+        code = n
+        n, k = code.n, code.k
+        labels = (label for labels in code.label_ints() for label in labels[1:3])
+        columns = [(label << 2 * n) | (1 << j) for j, label in enumerate(labels)]
     witness = None
     total_pairs = 0
     for cand in range(qrb(n, k), -1, -1):
-        ok, degenerate, wit, pairs = _check_level_rank(code, columns, cand)
+        ok, degenerate, wit, pairs = _check_level_rank(n, k, columns, cand, cyclic)
         total_pairs += pairs
         if ok:
             analysis = BurstAnalysis(n, k, cand, degenerate, witness, total_pairs)
@@ -188,6 +192,97 @@ def quantum_burst_capability(code: StabilizerCode) -> BurstAnalysis:
             return analysis
         witness = wit
     raise AssertionError("level 0 cannot fail")
+
+
+# ----------------------------------------------------------------------
+# Label columns of cyclic codes, from their generators
+# ----------------------------------------------------------------------
+#
+# Column 2i is the label of X at position i and column 2i+1 that of Z,
+# above 2n tracking bits: column j carries bit j, so the tracking bits of a
+# sum of columns are its Pauli in F4Vector packing.  A label is the r
+# syndrome bits above the 2k logical bits.
+#
+# Let g generate the cyclic code that dual(C) comes from, and g m the
+# generator of the one C comes from.  The label of an error e(x) is
+# e mod g m, written q g + s with deg s < deg g: its kernel is <g m>, and
+# s = e mod g is zero exactly on <g>, so s is the syndrome and q the
+# logical part.  From x^i to x^(i+1) both take one shift and one
+# reduction: s' = x s - c g, where c is the coefficient of x^(deg g) in
+# x s, and q' = (x q + c) mod m.
+
+def remainder_walk(g: Poly, n: int) -> Tuple[int, List[int], List[int]]:
+    """(deg g, x^i mod g packed for i < n, the carry c of each step) for a
+    monic GF(2) or GF(4) polynomial g.  The walk ends at x^n mod g, which
+    is its start 1 exactly when g divides x^n - 1; otherwise
+    InvalidGeneratorError, with cyclic_from_poly's message."""
+    bits = 1 if g.field is GF2 else 2
+    degree = g.degree
+    top, multiples = bits * degree, _multiples(_packed(g), bits)
+    s = start = 1 if degree else 0
+    remainders, carries = [], []
+    for _ in range(n):
+        remainders.append(s)
+        s <<= bits
+        c = s >> top
+        s ^= multiples[c]
+        carries.append(c)
+    if s != start:
+        raise InvalidGeneratorError.of(g, n)
+    return degree, remainders, carries
+
+
+def _quotients(walk: Tuple[int, List[int], List[int]], m: int, bits: int) -> List[int]:
+    """The logical part q of x^i for every step of a remainder walk of g,
+    for the label modulus g m (m packed and monic): q starts at 1 div g
+    and moves to (x q + c) mod m."""
+    degree, _, carries = walk
+    top, multiples = bits * ((m.bit_length() - 1) // bits), _multiples(m, bits)
+    q = 0 if degree else 1
+    quotients = []
+    for c in carries:
+        q ^= multiples[q >> top]
+        quotients.append(q)
+        q = q << bits | c
+    return quotients
+
+
+def hermitian_columns(n: int, walk, m: int) -> Tuple[int, List[int]]:
+    """(k, label columns) of the Hermitian construction from the GF(4)
+    code D = <g> of length n, given walk = remainder_walk(g, n) and the
+    packed m = g*/g.  Here g* is the monic conjugate reciprocal of
+    (x^n - 1)/g, which generates the stabilizer D^perp_h; D contains it
+    exactly when g divides g*.
+
+    X at position i is the error 1 * x^i and Z is w * x^i, so the Z label is
+    w times the X label symbol by symbol; the label of x^i is
+    s << 2k | q in 2-bit symbols, and k = deg m."""
+    k = (m.bit_length() - 1) // 2
+    ones = (4 ** n - 1) // 3
+    columns = []
+    for i, (s, q) in enumerate(zip(walk[1], _quotients(walk, m, 2))):
+        x = s << 2 * k | q
+        columns += (x << 2 * n | 1 << 2 * i, _w_times(x, ones) << 2 * n | 2 << 2 * i)
+    return k, columns
+
+
+def css_columns(n: int, walk1, m2: int, walk2, m1: int) -> Tuple[int, List[int]]:
+    """(k, label columns) of the CSS construction from binary codes
+    C1 = <g1> and C2 = <g2> of length n with the dual of C2 in C1, given
+    their remainder walks and the packed m1 = g1perp/g2 and m2 = g2perp/g1;
+    gperp is the monic reciprocal of (x^n - 1)/g, which generates the dual.
+
+    X^a Z^b has the X part a mod g1perp, split by g2, and the Z part
+    b mod g2perp, split by g1; both syndromes sit above both logical parts:
+    s_x << (deg g1 + 2k) | s_z << 2k | q_x << k | q_z, and k = deg m1."""
+    k, d1 = m1.bit_length() - 1, walk1[0]
+    xs = zip(walk2[1], _quotients(walk2, m1, 1))
+    zs = zip(walk1[1], _quotients(walk1, m2, 1))
+    columns = []
+    for i, ((sx, qx), (sz, qz)) in enumerate(zip(xs, zs)):
+        x = sx << d1 + 2 * k | qx << k
+        columns += (x << 2 * n | 1 << 2 * i, (sz << 2 * k | qz) << 2 * n | 2 << 2 * i)
+    return k, columns
 
 
 # ----------------------------------------------------------------------
@@ -246,5 +341,6 @@ def rs_burst_capability(code: LinearCode) -> BurstCapability:
 __all__ = [
     "BurstAnalysis", "qrb", "check_qrb", "no_cloning_check",
     "burst_count", "quantum_burst_capability",
+    "remainder_walk", "hermitian_columns", "css_columns",
     "BurstCapability", "classical_burst_capability", "rs_burst_capability",
 ]

@@ -411,7 +411,14 @@ def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
           limit: int = DEFAULT_EXACT_LIMIT, workers: int = 1) -> List[SweepPoint]:
     """One fidelity evaluation per (code, mode, p, mu), in that nesting
     order; deterministic and independent of the worker count.  A task is
-    one (code, p, mu) and scores every mode's table."""
+    one (code, p, mu) and scores every mode's table.  More tasks than the
+    byte cap holds at 8 bytes each raise ResourceLimitError before any
+    table or list is built."""
+    tasks = len(code_specs) * len(p_grid) * len(mu_grid)
+    if 8 * tasks > MAX_ARRAY_BYTES:
+        raise ResourceLimitError(
+            f"{len(code_specs)} codes x {len(p_grid)} p x {len(mu_grid)} mu points are "
+            f"{tasks} tasks of 8 bytes, over the {MAX_ARRAY_BYTES}-byte cap")
     grid = [(p, mu) for p in p_grid for mu in mu_grid]
     tables = [[build_decoder(code, mode, t=t, l=l) for mode in modes]
               for _, code, t, l in code_specs]

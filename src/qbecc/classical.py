@@ -18,6 +18,10 @@ from .linalg import _SYMBOL, _packed_row, mat_mul_vec, mat_nullspace, mat_row_re
 class InvalidGeneratorError(ValueError):
     """Generator polynomial does not divide x^n - 1."""
 
+    @classmethod
+    def of(cls, g: Poly, n: int) -> "InvalidGeneratorError":
+        return cls(f"{g!r} does not divide x^{n} - 1 over {g.field!r}")
+
 
 @dataclass(frozen=True)
 class LinearCode:
@@ -87,7 +91,7 @@ def cyclic_from_poly(g: Poly, n: int) -> LinearCode:
         if lead:
             rem = [c ^ mul(lead, x) for c, x in zip(rem, low)]
     if k < 0 or rem != ([1] + [0] * r)[:r]:
-        raise InvalidGeneratorError(f"{g!r} does not divide x^{n} - 1 over {field!r}")
+        raise InvalidGeneratorError.of(g, n)
     gen = tuple((0,) * p + (1,) + (0,) * (k - 1 - p) + s for p, s in enumerate(parities))
     check = tuple(tuple(s[j] for s in parities) + (0,) * j + (1,) + (0,) * (r - 1 - j)
                   for j in range(r))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -20,7 +21,7 @@ from .classical import rs_mds
 from .gf import GF4, ExtField
 from .registry import registry_entry
 from .search import (GenPolyError, SearchPlan, build_code, build_registry_code,
-                     cyclic_code, records_to_csv, reproduce_table1, search)
+                     code_labels, cyclic_code, records_to_csv, reproduce_table1, search)
 from .stabilizer import ResourceLimitError
 
 EXIT_OK = 0
@@ -59,14 +60,16 @@ def _cmd_analyze(args) -> int:
         raise UsageError("css construction needs --poly2")
     if construction == "hermitian" and args.poly2:
         raise UsageError("--poly2 is only meaningful with --construction css")
-    stab = build_code(construction, args.n, (args.poly, args.poly2))
-    analysis = quantum_burst_capability(stab)
+    n, genpolys = args.n, (args.poly, args.poly2)
+    k, columns = code_labels(construction, n, genpolys)
+    analysis = quantum_burst_capability(n, k, columns)
     out = {
-        "n": stab.n, "k": stab.k, "l": analysis.l,
-        "qrb": qrb(stab.n, stab.k), "saturates": analysis.saturates,
+        "n": n, "k": k, "l": analysis.l,
+        "qrb": qrb(n, k), "saturates": analysis.saturates,
         "degenerate": analysis.degenerate,
     }
-    if args.distance_limit and (1 << (stab.n + stab.k)) <= args.distance_limit:
+    if args.distance_limit and (1 << (n + k)) <= args.distance_limit:
+        stab = build_code(construction, n, genpolys)
         out["distance"] = stab.min_distance(limit=args.distance_limit)
     _emit(out)
     return EXIT_OK
@@ -188,11 +191,16 @@ def _parse_grid(text: str) -> List[float]:
         raise UsageError("step must be positive")
     if hi < lo:
         raise UsageError(f"range {text!r} ends below its start")
-    steps = (hi - lo) / step + 1e-9  # no point beyond end
+    # finite bounds far apart overflow hi - lo: count and place the points
+    # by halves then, which is exact at that size
+    halve = not math.isfinite(hi - lo)
+    steps = (hi / step - lo / step if halve else (hi - lo) / step) + 1e-9  # no point beyond end
     if steps >= MAX_ARRAY_BYTES // 8:  # floor(steps) + 1 points, 8 bytes each
         raise ResourceLimitError(
             f"range {text!r} needs over {MAX_ARRAY_BYTES // 8} points of 8 bytes, "
             f"over the {MAX_ARRAY_BYTES}-byte cap")
+    if halve:
+        return [2 * (lo / 2 + i * (step / 2)) for i in range(math.floor(steps) + 1)]
     return [lo + i * step for i in range(math.floor(steps) + 1)]
 
 
@@ -306,6 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # no qbecc code calls BLAS, so numpy (imported by simulate and distances)
+    # need not start OpenBLAS's spinning thread pool; a value set by the
+    # user wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

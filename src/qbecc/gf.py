@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from .linalg import mat_nullspace
+from .linalg import _SYMBOL, mat_nullspace
 
 
 class BinaryField:
@@ -375,6 +375,44 @@ def berlekamp_factor(f: Poly) -> List[Poly]:
         if len(factors) == n_factors:
             break
     return sorted(factors, key=lambda p: (p.degree, p.coeffs))
+
+
+# ----------------------------------------------------------------------
+# Packed GF(2) and GF(4) polynomials
+# ----------------------------------------------------------------------
+
+def _packed(p: Poly) -> int:
+    """A GF(2) or GF(4) polynomial as one int, coefficient i at symbol i of
+    1 or 2 bits (the F4Vector packing over GF(4)).  Sums are XORs and x^j
+    times p is p << (bits * j)."""
+    return int(bytes(reversed(p.coeffs)).translate(_SYMBOL), 2 if p.field is GF2 else 4)
+
+
+def _w_times(v: int, ones: int) -> int:
+    """w times every GF(4) symbol of v, a0 + a1 w -> a1 + (a0 + a1) w;
+    ones is 0b0101... over at least the symbols of v."""
+    lo, hi = v & ones, v >> 1 & ones
+    return hi | (lo ^ hi) << 1
+
+
+def _multiples(v: int, bits: int) -> Tuple[int, ...]:
+    """c * v for every symbol c, indexed by c, for v packed in bits-bit
+    symbols."""
+    if bits == 1:
+        return 0, v
+    wv = _w_times(v, (1 << (v.bit_length() | 1) + 1) // 3)
+    return 0, v, wv, v ^ wv
+
+
+def _times(a: int, b: int, bits: int) -> int:
+    """The product of two packed polynomials of bits-bit symbols."""
+    multiples, digit = _multiples(a, bits), (1 << bits) - 1
+    out = shift = 0
+    while b:
+        out ^= multiples[b & digit] << shift
+        b >>= bits
+        shift += bits
+    return out
 
 
 __all__ = [

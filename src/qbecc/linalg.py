@@ -47,18 +47,6 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return len(gf2_row_reduce(rows)[0])
 
 
-def gf2_reduce_vector(vec: int, reduced: Sequence[int], pivots: Sequence[int]) -> int:
-    """Residual of vec after elimination against an echelon basis."""
-    for r, p in zip(reduced, pivots):
-        if (vec >> p) & 1:
-            vec ^= r
-    return vec
-
-
-def gf2_in_span(vec: int, reduced: Sequence[int], pivots: Sequence[int]) -> bool:
-    return gf2_reduce_vector(vec, reduced, pivots) == 0
-
-
 # a GF(4) symbol as a byte -> a base-4 digit: itself, its conjugate, and
 # w times its conjugate
 _SYMBOL, _CONJ, _W_CONJ = (bytes.maketrans(bytes(range(4)), digits)
@@ -134,6 +122,6 @@ def mat_mul_vec(field, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> Lis
 
 
 __all__ = [
-    "gf2_row_reduce", "gf2_rank", "gf2_reduce_vector", "gf2_in_span",
+    "gf2_row_reduce", "gf2_rank",
     "mat_row_reduce", "mat_nullspace", "mat_mul_vec",
 ]

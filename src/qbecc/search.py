@@ -6,8 +6,12 @@ generators through the CSS construction.  A divisor is a subset of the
 irreducible factors of x^n - 1, kept as a bitmask, so dual containment is
 decided by one AND of two masks.  The Hermitian survivors of that test are
 enumerated directly, one choice per pair of mirror factors, so no other
-GF(4) divisor is built.  Every candidate reaches the constructors through
-the same function as a registry row, and is analyzed and recorded.
+GF(4) divisor is built.  Every candidate is analyzed from label columns
+written straight from its generators (burst.hermitian_columns,
+css_columns), with no matrix and no stabilizer code, and recorded;
+registry rows and analyze take the same columns from generator text
+(code_labels).  build_code still builds the stabilizer code of a text, for
+simulate and for distances.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .burst import BurstAnalysis, qrb, quantum_burst_capability
+from .burst import (BurstAnalysis, css_columns, hermitian_columns, qrb,
+                    quantum_burst_capability, remainder_walk)
 from .classical import LinearCode, cyclic_from_poly
-from .gf import GF2, GF4, Poly, berlekamp_factor, xn_minus_1
+from .gf import GF2, GF4, Poly, _packed, _times, berlekamp_factor, xn_minus_1
 from .registry import RegistryEntry, load_registry
 from .stabilizer import StabilizerCode, css_construct, hermitian_construct
 
@@ -69,11 +74,10 @@ def cyclic_code(text: str, n: int, field_obj) -> LinearCode:
 _CONSTRUCTION_FIELDS = {"hermitian": (GF4,), "css": (GF2, GF2)}
 
 
-def build_code(construction: str, n: int,
-               genpolys: Sequence[Optional[str]]) -> StabilizerCode:
-    """Stabilizer code from generator texts: one GF(4) generator for the
+def _generators(construction: str, n: int, genpolys: Sequence[Optional[str]]) -> List[Poly]:
+    """The monic generators of generator texts: one GF(4) generator for the
     Hermitian construction, two binary generators (C1, C2) for CSS.  Empty
-    texts are skipped, so a record's (genpoly1, "") pair builds as is."""
+    texts are skipped, so a record's (genpoly1, "") pair reads as is."""
     fields = _CONSTRUCTION_FIELDS.get(construction)
     if fields is None:
         raise ValueError(f"unknown construction {construction!r}")
@@ -81,8 +85,37 @@ def build_code(construction: str, n: int,
     if len(genpolys) != len(fields):
         raise ValueError(f"{construction} construction takes {len(fields)} "
                          f"generator(s), got {len(genpolys)}")
+    return [parse_genpoly(text, n, f).monic() for text, f in zip(genpolys, fields)]
+
+
+def build_code(construction: str, n: int,
+               genpolys: Sequence[Optional[str]]) -> StabilizerCode:
+    """Stabilizer code from generator texts (see _generators)."""
     return _construct(construction,
-                      [cyclic_code(text, n, f) for text, f in zip(genpolys, fields)])
+                      [cyclic_from_poly(g, n) for g in _generators(construction, n, genpolys)])
+
+
+def code_labels(construction: str, n: int,
+                genpolys: Sequence[Optional[str]]) -> Tuple[int, List[int]]:
+    """(k, label columns) of the code build_code builds from the same
+    texts, straight from the generators, with no matrix.  It refuses what
+    build_code refuses, with the same errors: a generator that does not
+    divide x^n - 1 (its remainder walk does not return), then a code that
+    is not dual containing (the generator of a dual leaves a remainder by
+    the other code's generator)."""
+    gens = _generators(construction, n, genpolys)
+    walks = [remainder_walk(g, n) for g in gens]
+    duals = [_mirror(divmod(xn_minus_1(n, g.field), g)[0]) for g in gens]
+    if construction == "hermitian":
+        m, rem = divmod(duals[0], gens[0])
+        if not rem.is_zero:
+            raise ValueError("code is not Hermitian dual containing")
+        return hermitian_columns(n, walks[0], _packed(m))
+    m1, rem = divmod(duals[0], gens[1])
+    if not rem.is_zero:
+        raise ValueError("CSS precondition failed: dual of C2 is not inside C1")
+    m2 = divmod(duals[1], gens[0])[0]  # exact: g2 | g1perp iff g1 | g2perp
+    return css_columns(n, walks[0], _packed(m2), walks[1], _packed(m1))
 
 
 def _construct(construction: str, codes: Sequence[LinearCode]) -> StabilizerCode:
@@ -103,9 +136,13 @@ def _factors(n: int, field_obj) -> Tuple[List[Poly], List[int]]:
         raise ValueError(f"length {n} shares a factor with the field characteristic")
     factors = berlekamp_factor(xn_minus_1(n, field_obj))
     index = {f: i for i, f in enumerate(factors)}
-    mirror = [index[Poly(field_obj, map(field_obj.conj, reversed(f.coeffs))).monic()]
-              for f in factors]
-    return factors, mirror
+    return factors, [index[_mirror(f)] for f in factors]
+
+
+def _mirror(p: Poly) -> Poly:
+    """The monic conjugate reciprocal of p (the reciprocal over GF(2))."""
+    field = p.field
+    return Poly(field, map(field.conj, reversed(p.coeffs))).monic()
 
 
 def _divisors(n: int, field_obj) -> List[Tuple[Poly, int, int]]:
@@ -139,9 +176,9 @@ def _survivor_masks(mirror: Sequence[int]) -> List[int]:
     return masks
 
 
-def _candidates(n: int, construction: str) -> Iterator[Tuple[Poly, ...]]:
-    """The generators of every dual-containing candidate of length n, in
-    (degree, coefficients) order.
+def _candidates(n: int, construction: str) -> Iterator[Tuple[Tuple[Poly, ...], int, List[int]]]:
+    """The generators, k and label columns of every dual-containing
+    candidate of length n, in (degree, coefficients) order of the generators.
 
     x^n - 1 is squarefree for odd n, so a product of divisors divides it iff
     they share no factor (Calderbank, Rains, Shor and Sloane, IEEE T-IT 1998;
@@ -150,6 +187,13 @@ def _candidates(n: int, construction: str) -> Iterator[Tuple[Poly, ...]]:
     S & S' == 0, so only those survivors are built.  The dual of <g2> lies
     in <g1> iff g1 times the reciprocal of g2 divides it: S1 & S2' == 0,
     taken for g1 <= g2 in divisor order.
+
+    The quotient m of a label walk (burst.hermitian_columns, css_columns) is
+    the product of the factors outside S and S' (outside S1' and S2 for the
+    X part of a CSS pair, outside S2' and S1 for its Z part), as the dual's
+    generator is the mirror of (x^n - 1)/g, with mask ~S'.  So no
+    polynomial is divided: a Hermitian m is a product cached by mask, a
+    binary one a divisor, and a binary generator's walk is taken once.
     """
     if construction == "hermitian":
         factors, mirror = _factors(n, GF4)
@@ -158,10 +202,48 @@ def _candidates(n: int, construction: str) -> Iterator[Tuple[Poly, ...]]:
         for s in sorted(_survivor_masks(mirror))[1:]:
             low = s & -s
             gens[s] = gens[s ^ low] * factors[low.bit_length() - 1]
-        return ((g,) for g in sorted(gens.values(), key=lambda g: (g.degree, g.coeffs)))
+        product, outside = _products(factors), (1 << len(factors)) - 1
+        for s in sorted(gens, key=lambda s: (gens[s].degree, gens[s].coeffs)):
+            k, columns = hermitian_columns(n, remainder_walk(gens[s], n),
+                                           product(outside & ~(s | _mirror_mask(s, mirror))))
+            yield (gens[s],), k, columns
+        return
     divisors = _divisors(n, GF2)
-    return ((g1, g2) for i, (g1, s1, _) in enumerate(divisors)
-            for g2, _, m2 in divisors[i:] if not s1 & m2)
+    by_mask = {s: g for g, s, _ in divisors}
+    outside = len(divisors) - 1  # the mask of x^n - 1
+    walk = functools.cache(lambda g: remainder_walk(g, n))
+    packed = functools.cache(lambda s: _packed(by_mask[s]))
+    for i, (g1, s1, m1) in enumerate(divisors):
+        for g2, s2, m2 in divisors[i:]:
+            if not s1 & m2:
+                k, columns = css_columns(n, walk(g1), packed(outside & ~(m2 | s1)),
+                                         walk(g2), packed(outside & ~(m1 | s2)))
+                yield (g1, g2), k, columns
+
+
+def _mirror_mask(s: int, mirror: Sequence[int]) -> int:
+    """The mask of the mirror of the divisor with factor mask s."""
+    out = 0
+    while s:
+        low = s & -s
+        out |= 1 << mirror[low.bit_length() - 1]
+        s ^= low
+    return out
+
+
+def _products(factors: Sequence[Poly]):
+    """The packed product of the GF(4) factors in a mask, each mask built
+    once, from the mask without its lowest factor."""
+    packed = [_packed(f) for f in factors]
+    cache = {0: 1}
+
+    def product(mask: int) -> int:
+        p = cache.get(mask)
+        if p is None:
+            low = mask & -mask
+            p = cache[mask] = _times(product(mask ^ low), packed[low.bit_length() - 1], 2)
+        return p
+    return product
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +302,8 @@ def search(plan: SearchPlan) -> SearchOutcome:
 
     For each length, the Hermitian candidates come first, then the CSS
     pairs, each in divisor order (see _candidates).  Dual containment is
-    decided on factor masks, so no code is built for a rejected candidate;
-    a binary generator's cyclic code is built once per length.
+    decided on factor masks, and a candidate is analyzed from its label
+    columns, so no code is built as a matrix.
     Deterministic for a fixed plan; a budget that runs out before a
     candidate stops the search and marks the outcome incomplete.
     """
@@ -236,16 +318,12 @@ def search(plan: SearchPlan) -> SearchOutcome:
         for construction in _CONSTRUCTION_FIELDS:
             if construction not in plan.constructions:
                 continue
-            # a binary divisor serves many CSS pairs, a Hermitian generator
-            # one candidate: caching its code would only hold memory
-            code = functools.cache(cyclic_from_poly) if construction == "css" else cyclic_from_poly
-            for gens in _candidates(n, construction):
+            for gens, k, columns in _candidates(n, construction):
                 if ((plan.max_candidates is not None and len(records) >= plan.max_candidates)
                         or (plan.max_seconds is not None
                             and time.monotonic() - started > plan.max_seconds)):
                     return outcome(False)
-                analysis = quantum_burst_capability(
-                    _construct(construction, [code(g, n) for g in gens]))
+                analysis = quantum_burst_capability(n, k, columns)
                 records.append(_record(analysis, construction, *(
                     format_genpoly(g) for g in gens)))
     return outcome(True)
@@ -292,10 +370,10 @@ def reproduce_table1(entries: Optional[Sequence[RegistryEntry]] = None) -> Tuple
     rows = []
     for entry in entries:
         t0 = time.monotonic()
-        stab = build_registry_code(entry)
-        analysis = quantum_burst_capability(stab)
-        observed = (stab.n, stab.k, analysis.l, analysis.degenerate,
-                    qrb(stab.n, stab.k))
+        n = entry.n
+        k, columns = code_labels(entry.construction, n, entry.genpolys)
+        analysis = quantum_burst_capability(n, k, columns)
+        observed = (n, k, analysis.l, analysis.degenerate, qrb(n, k))
         expected = (entry.n, entry.k, entry.l, entry.degenerate, entry.qrb)
         rows.append(RowReport(entry.id, expected, observed,
                               expected == observed, time.monotonic() - t0,
@@ -305,6 +383,7 @@ def reproduce_table1(entries: Optional[Sequence[RegistryEntry]] = None) -> Tuple
 
 __all__ = [
     "GenPolyError", "parse_genpoly", "format_genpoly", "cyclic_code", "build_code",
+    "code_labels",
     "enumerate_cyclic_generators",
     "SearchPlan", "SearchRecord", "SearchOutcome", "search",
     "records_to_csv", "CSV_HEADER",

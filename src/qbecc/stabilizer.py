@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4
-from .linalg import _CONJ, _SYMBOL, _W_CONJ, _packed_row, gf2_in_span, gf2_row_reduce
+from .linalg import _CONJ, _SYMBOL, _W_CONJ, _packed_row, gf2_row_reduce
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,8 +49,8 @@ class F4Vector:
 class StabilizerCode:
     """Self-orthogonal GF(2)-linear code C of packed Pauli rows.
 
-    basis holds the canonical (reduced row-echelon) packed rows; containment
-    tests run against that basis.  A row with a bit at or above 2n raises
+    basis holds the canonical (reduced row-echelon) packed rows, each with
+    its pivot at its lowest set bit.  A row with a bit at or above 2n raises
     ValueError.
     """
 
@@ -60,34 +60,15 @@ class StabilizerCode:
             raise ValueError(f"row bits exceed the {2 * n} bits of length {n}")
         self._x_bits = (4 ** n - 1) // 3  # 0b0101...: the X bit of every symbol
         _check_self_orthogonal(rows, self._x_bits)
-        reduced, pivots = gf2_row_reduce(rows)
-        self.basis: Tuple[int, ...] = tuple(reduced)
-        self._pivots: Tuple[int, ...] = tuple(pivots)
-        self.r = len(reduced)
+        self.basis: Tuple[int, ...] = tuple(gf2_row_reduce(rows)[0])
+        self.r = len(self.basis)
         self.k = n - self.r
         self._dual_basis: Optional[Tuple[int, ...]] = None
-        self._cyclic: Optional[bool] = None
         self._label_ints: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def params(self) -> Tuple[int, int]:
         return (self.n, self.k)
-
-    def contains(self, packed: int) -> bool:
-        return gf2_in_span(packed, self.basis, self._pivots)
-
-    def is_cyclic(self) -> bool:
-        """True iff the cyclic shift of positions (i -> i+1 mod n) maps the
-        stabilizer to itself: every basis row, rotated by one symbol (two
-        bits), stays in the span.  The shift preserves the symplectic form,
-        so dual(C) \\ C is then invariant too.  Tested once.
-        """
-        if self._cyclic is None:
-            m = 2 * self.n
-            full = (1 << m) - 1
-            self._cyclic = all(self.contains(((row << 2) & full) | (row >> (m - 2)))
-                               for row in self.basis)
-        return self._cyclic
 
     def dual_basis(self) -> Tuple[int, ...]:
         """Basis of the symplectic dual: the r stabilizer rows first, then

@@ -2,6 +2,12 @@
 built on an explicit enumeration of the bursts of length <= l, and the
 engine's own check of a single window.
 
+* label_columns is the engine's input for any StabilizerCode, from the
+  matrix labels label_ints (the CLI builds cyclic codes' columns from their
+  generators instead), and is_cyclic tells whether the code is
+  shift-invariant, which lets the engine rank only the unions from 0;
+  check_level runs one level of the engine on both.
+
 * The all-pairs oracle tests every pair of bursts for a sum in
   dual(C) \\ C; oracle_capability walks the levels with it.
 * located_burst_check eliminates the label columns of one window, the
@@ -17,17 +23,54 @@ engine's own check of a single window.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from conftest import in_dual
-from qbecc.burst import BurstAnalysis, _insert, _label_columns, burst_count, qrb
+from conftest import contains, in_dual
+from qbecc.burst import BurstAnalysis, _check_level_rank, _insert, burst_count, qrb
 from qbecc.linalg import gf2_row_reduce
 from qbecc.stabilizer import F4Vector, ResourceLimitError, StabilizerCode
 from label_oracle import label_table
 
 MAX_BURSTS_PER_LEVEL = 1 << 27
+
+
+# ----------------------------------------------------------------------
+# The engine's input from a StabilizerCode
+# ----------------------------------------------------------------------
+
+def label_columns(code: StabilizerCode) -> List[int]:
+    """Label of X (column 2i) and Z (column 2i+1) at each position i, above
+    2n tracking bits: column j carries bit j, so the tracking bits of a sum
+    of columns are its Pauli in F4Vector packing."""
+    m = 2 * code.n
+    labels = (label for labels in code.label_ints() for label in labels[1:3])
+    return [(label << m) | (1 << j) for j, label in enumerate(labels)]
+
+
+_CYCLIC: "weakref.WeakKeyDictionary[StabilizerCode, bool]" = weakref.WeakKeyDictionary()
+
+
+def is_cyclic(code: StabilizerCode) -> bool:
+    """True iff the cyclic shift of positions (i -> i+1 mod n) maps the
+    stabilizer to itself: every basis row, rotated by one symbol (two
+    bits), stays in the span.  The shift preserves the symplectic form,
+    so dual(C) \\ C is then invariant too.  Tested once per code.
+    """
+    if code not in _CYCLIC:
+        m = 2 * code.n
+        full = (1 << m) - 1
+        _CYCLIC[code] = all(contains(code, ((row << 2) & full) | (row >> (m - 2)))
+                            for row in code.basis)
+    return _CYCLIC[code]
+
+
+def check_level(code: StabilizerCode, l: int):
+    """The engine's (ok, degenerate, witness, unions ranked) of level l,
+    from the code's matrix labels, on the shift path iff is_cyclic."""
+    return _check_level_rank(code.n, code.k, label_columns(code), l, is_cyclic(code))
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +126,7 @@ def check_level_oracle(code: StabilizerCode, l: int):
             u = vecs[i] ^ vecs[j]
             pairs += 1
             if in_dual(code, u):
-                if not code.contains(u):
+                if not contains(code, u):
                     witness = (F4Vector(n, vecs[i]), F4Vector(n, vecs[j]))
                     return False, degenerate, witness, pairs
                 degenerate = True
@@ -110,7 +153,7 @@ def located_burst_check(code: StabilizerCode, start: int, span: int) -> bool:
     n = code.n
     if span < 0 or start < 0 or start + span > n:
         raise ValueError(f"window [{start}, {start + span}) outside length {n}")
-    window = _label_columns(code)[2 * start:2 * (start + span)]
+    window = label_columns(code)[2 * start:2 * (start + span)]
     failure, _ = _insert({}, window, 2 * n, 2 * code.k)
     return failure is None
 

@@ -49,6 +49,28 @@ def gf2_nullspace(rows: Sequence[int], ncols: int) -> List[int]:
     return basis
 
 
+def gf2_reduce_vector(vec: int, reduced: Sequence[int], pivots: Sequence[int]) -> int:
+    """Residual of vec after elimination against an echelon basis."""
+    for r, p in zip(reduced, pivots):
+        if (vec >> p) & 1:
+            vec ^= r
+    return vec
+
+
+def gf2_in_span(vec: int, reduced: Sequence[int], pivots: Sequence[int]) -> bool:
+    return gf2_reduce_vector(vec, reduced, pivots) == 0
+
+
+def pivots_of(code: StabilizerCode) -> List[int]:
+    """The pivot of each basis row, its lowest set bit."""
+    return [(row & -row).bit_length() - 1 for row in code.basis]
+
+
+def contains(code: StabilizerCode, packed: int) -> bool:
+    """packed lies in the stabilizer."""
+    return gf2_in_span(packed, code.basis, pivots_of(code))
+
+
 def syndrome(code: StabilizerCode, packed: int) -> int:
     """Bit j: the symplectic inner product of packed with basis row j, the
     parity of row & packed with the X and Z bit of every symbol of packed

@@ -5,19 +5,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (burst_length, from_symbols, in_dual, interleave_halves,
+from conftest import (burst_length, contains, from_symbols, in_dual, interleave_halves,
                       random_css_code, random_self_orthogonal_code, symbols_of, syndrome)
 from qbecc.burst import (burst_count, check_qrb, no_cloning_check, qrb,
                          quantum_burst_capability)
-from qbecc.burst import _check_level_rank, _label_columns, _rank_unions, _window_pairs
-from burst_oracle import (check_level_hash, check_level_oracle, enumerate_bursts,
-                          level_syndromes, located_burst_check, oracle_capability)
+from qbecc.burst import _check_level_rank, _rank_unions, _window_pairs, remainder_walk
+from burst_oracle import (check_level, check_level_hash, check_level_oracle, enumerate_bursts,
+                          is_cyclic, label_columns, level_syndromes, located_burst_check,
+                          oracle_capability)
 from label_oracle import label_table
-from qbecc.classical import cyclic_from_poly
-from qbecc.gf import GF2, GF4, Poly
+from qbecc.classical import InvalidGeneratorError, cyclic_from_poly
+from qbecc.gf import GF2, GF4, Poly, xn_minus_1
 from qbecc.linalg import gf2_rank
 from qbecc.registry import load_registry
-from qbecc.search import _candidates, _construct, build_code, build_registry_code
+from qbecc.search import (_candidates, _construct, build_code, build_registry_code, code_labels,
+                          format_genpoly)
 from qbecc.stabilizer import (F4Vector, ResourceLimitError, StabilizerCode,
                               css_construct, hermitian_construct)
 
@@ -33,8 +35,9 @@ def _build_13_1() -> StabilizerCode:
     return hermitian_construct(cyclic_from_poly(Poly(GF4, (1, W, 0, 3, 0, W, 1)), 13))
 
 
-def _rank_check(code, l):
-    return _check_level_rank(code, _label_columns(code), l)
+def _analysis(construction, n, genpolys):
+    """The CLI's analysis: label columns straight from the generator texts."""
+    return quantum_burst_capability(n, *code_labels(construction, n, genpolys))
 
 
 def test_qrb_examples():
@@ -112,7 +115,7 @@ def test_witness_validity():
     assert burst_length(e2) <= analysis.l + 1
     assert e1 != e2
     u = e1.packed ^ e2.packed
-    assert in_dual(code, u) and not code.contains(u)
+    assert in_dual(code, u) and not contains(code, u)
 
 
 def test_oracle_equivalence_random_codes():
@@ -134,7 +137,7 @@ def test_monotonicity_of_levels():
         n = rng.randrange(3, 8)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
         analysis = quantum_burst_capability(code)
-        passing = [_rank_check(code, l)[0] for l in range(n + 1)]
+        passing = [check_level(code, l)[0] for l in range(n + 1)]
         # every level up to the capability passes, and once a level fails
         # every longer one does
         assert all(passing[:analysis.l + 1])
@@ -166,7 +169,7 @@ def test_located_burst_check_five_qubit():
     # oracle for the failing window: some pair supported inside breaks it
     found = False
     for u in range(1, 4 ** 4):
-        if in_dual(FIVE_QUBIT, u) and not FIVE_QUBIT.contains(u):
+        if in_dual(FIVE_QUBIT, u) and not contains(FIVE_QUBIT, u):
             found = True
             break
     assert found
@@ -186,7 +189,7 @@ def test_located_burst_check_matches_pair_oracle():
             packed = 0
             for t in range(span):
                 packed |= ((packed_win >> (2 * t)) & 3) << (2 * (start + t))
-            if in_dual(code, packed) and not code.contains(packed):
+            if in_dual(code, packed) and not contains(code, packed):
                 direct = False
                 break
         assert subspace_ans == direct
@@ -209,10 +212,10 @@ def _assert_valid_witness(code, l, witness):
     assert e1 != e2
     assert burst_length(e1) <= l and burst_length(e2) <= l
     u = e1.packed ^ e2.packed
-    assert in_dual(code, u) and not code.contains(u)
+    assert in_dual(code, u) and not contains(code, u)
 
 
-def _compare_with_oracle(code, l, checks=(_rank_check, check_level_hash)):
+def _compare_with_oracle(code, l, checks=(check_level, check_level_hash)):
     """Level checks (by default window-rank and syndrome-hash) against the
     all-pairs oracle."""
     slow_ok, slow_degenerate, _, _ = check_level_oracle(code, l)
@@ -307,7 +310,7 @@ def test_rank_check_matches_dual_oracle_every_level():
         expected = _dual_oracle(code, covers[n])
         cyclic = _shift_invariant(code)
         for l in range(n + 1):
-            ok, degenerate, witness, unions = _rank_check(code, l)
+            ok, degenerate, witness, unions = check_level(code, l)
             assert ok == expected[l][0], (n, l)
             if ok:
                 assert degenerate == expected[l][1], (n, l)
@@ -323,8 +326,8 @@ def test_rank_check_matches_dual_oracle_every_level():
 
 def test_checked_pairs_closed_form_41_1():
     # 41_1 saturates its ceiling, so the walk ranks one level, which passes
-    code = build_registry_code({e.id: e for e in load_registry()}["41_1"])
-    analysis = quantum_burst_capability(code)
+    entry = {e.id: e for e in load_registry()}["41_1"]
+    analysis = _analysis(entry.construction, entry.n, entry.genpolys)
     assert (analysis.l, analysis.degenerate, analysis.witness) == (10, True, None)
     assert analysis.checked_pairs == _union_count(41, 10, cyclic=True) == 11
 
@@ -337,7 +340,7 @@ def _all_window_check(code, l):
     """(ok, degenerate) of level l over every window union: the path of a
     code that is not shift-invariant."""
     failure, _, degenerate, _ = _rank_unions(
-        _label_columns(code), 2, l, 2 * code.k, _window_pairs(code.n, l), 2 * code.n)
+        label_columns(code), 2, l, 2 * code.k, _window_pairs(code.n, l), 2 * code.n)
     return failure is None, degenerate
 
 
@@ -345,7 +348,7 @@ def _random_cyclic_codes(rng, per_construction):
     """Random Hermitian and CSS search candidates of every odd n <= 21."""
     for n in range(3, 22, 2):
         for construction in ("hermitian", "css"):
-            candidates = list(_candidates(n, construction))
+            candidates = [gens for gens, _, _ in _candidates(n, construction)]
             for gens in rng.sample(candidates, min(per_construction, len(candidates))):
                 yield _construct(construction, [cyclic_from_poly(g, n) for g in gens])
 
@@ -364,11 +367,11 @@ def test_shift_path_matches_all_windows_on_cyclic_codes():
     codes = levels = overlapping = failing = 0
     for code in _random_cyclic_codes(rng, 4):
         n = code.n
-        assert code.is_cyclic() and _shift_invariant(code)
+        assert is_cyclic(code) and _shift_invariant(code)
         expected = _dual_oracle(code, covers[n]) if n < 10 else None
-        columns = _label_columns(code)
+        columns = label_columns(code)
         for l in range(n + 1):
-            ok, degenerate, witness, unions = _rank_check(code, l)
+            ok, degenerate, witness, unions = check_level(code, l)
             all_ok, all_degenerate = _all_window_check(code, l)
             assert ok == all_ok, (n, l)
             if expected:
@@ -401,12 +404,12 @@ def test_is_cyclic_matches_rotation_oracle_and_is_cached():
     codes += [build_registry_code(entry) for entry in load_registry()]
     seen = set()
     for code in codes:
-        cyclic = code.is_cyclic()
+        cyclic = is_cyclic(code)
         assert cyclic == _shift_invariant(code), (code.n, code.basis)
         seen.add(cyclic)
         # tested once: a second call does not look at the stabilizer again
-        code.contains = None
-        assert code.is_cyclic() is cyclic
+        code.basis = None
+        assert is_cyclic(code) is cyclic
     assert seen == {False, True}
 
 
@@ -417,11 +420,11 @@ def test_swapped_positions_take_the_all_window_path():
         n = code.n
         i, j = rng.sample(range(n), 2)
         swapped = StabilizerCode(n, [_swap_positions(n, row, i, j) for row in code.basis])
-        assert swapped.is_cyclic() == _shift_invariant(swapped)
-        if swapped.is_cyclic():
+        assert is_cyclic(swapped) == _shift_invariant(swapped)
+        if is_cyclic(swapped):
             continue  # codes fixed by every permutation, such as r = 0
         for l in range(n + 1):
-            ok, degenerate, witness, unions = _rank_check(swapped, l)
+            ok, degenerate, witness, unions = check_level(swapped, l)
             all_ok, all_degenerate = _all_window_check(swapped, l)
             assert ok == all_ok, (n, l)
             if ok:
@@ -449,7 +452,7 @@ def test_level_check_matches_oracle_multiword_labels():
             fast = quantum_burst_capability(code)
             for l in range(fast.l + 2):
                 hash_ok, hash_degenerate, _, _ = check_level_hash(code, l)
-                rank_ok, rank_degenerate, _, _ = _rank_check(code, l)
+                rank_ok, rank_degenerate, _, _ = check_level(code, l)
                 assert rank_ok == hash_ok and (not rank_ok or rank_degenerate == hash_degenerate)
     assert seen_ok and seen_degenerate and seen_fail
 
@@ -468,12 +471,12 @@ def test_wide_syndromes_analyzed():
     code = random_css_code(rng, 80, 33, 33, False)
     analysis = quantum_burst_capability(code)
     assert (code.r, analysis.l, analysis.degenerate) == (66, 12, False)
-    _compare_with_oracle(code, 1, checks=(_rank_check,))
+    _compare_with_oracle(code, 1, checks=(check_level,))
     _assert_valid_witness(code, 13, analysis.witness)
     # a saturating [[71,1]] CSS code from the binary quadratic-residue code
     qr = "1^35 1^34 1^31 1^30 1^28 1^27 1^22 1^18 1^11 1^10 1^9 1^8 1^7 1^2 1^0"
     code = build_code("css", 71, (qr, qr))
-    analysis = quantum_burst_capability(code)
+    analysis = _analysis("css", 71, (qr, qr))
     assert (code.r, analysis.l, analysis.degenerate, analysis.witness) == (70, 17, False, None)
 
 
@@ -498,9 +501,8 @@ def _witness_ints(witness):
     return None if witness is None else [witness[0].packed, witness[1].packed]
 
 
-def _assert_matches_pin(code, want, at):
+def _assert_matches_pin(code, analysis, want, at):
     l, degenerate, _, witness = want
-    analysis = quantum_burst_capability(code)
     assert (analysis.l, analysis.degenerate) == (l, degenerate), at
     assert (analysis.witness is None) == (witness is None), at
     if witness is not None:
@@ -508,21 +510,31 @@ def _assert_matches_pin(code, want, at):
 
 
 def test_pinned_search_codes():
+    # the search's own label columns, keyed by the texts its records print
+    # (a generator x^n - 1 prints an exponent that analyze's parser refuses)
     assert len(PINS["search"]) == 636
+    searched = {}
     for n, construction, g1, g2, *want in PINS["search"]:
+        if (n, construction) not in searched:
+            searched[n, construction] = {
+                (*map(format_genpoly, gens), "")[:2]: labels
+                for gens, *labels in _candidates(n, construction)}
         if construction == "hermitian":
             code = hermitian_construct(cyclic_from_poly(_poly(g1, GF4), n))
         else:
             code = css_construct(cyclic_from_poly(_poly(g1, GF2), n),
                                  cyclic_from_poly(_poly(g2, GF2), n))
-        _assert_matches_pin(code, want, (n, g1, g2))
+        analysis = quantum_burst_capability(n, *searched[n, construction][g1, g2])
+        _assert_matches_pin(code, analysis, want, (n, g1, g2))
 
 
 def test_pinned_registry_rows():
     entries = {e.id: e for e in load_registry()}
     assert len(PINS["registry"]) == 14
     for entry_id, *want in PINS["registry"]:
-        _assert_matches_pin(build_registry_code(entries[entry_id]), want, entry_id)
+        entry = entries[entry_id]
+        _assert_matches_pin(build_registry_code(entry),
+                            _analysis(entry.construction, entry.n, entry.genpolys), want, entry_id)
 
 
 def test_registry_witness_sums_go_straight_to_the_code():
@@ -530,13 +542,13 @@ def test_registry_witness_sums_go_straight_to_the_code():
     witnesses = 0
     for entry in load_registry():
         code = build_registry_code(entry)
-        analysis = quantum_burst_capability(code)
+        analysis = _analysis(entry.construction, entry.n, entry.genpolys)
         if analysis.witness is None:
             assert analysis.saturates, entry.id
             continue
         e1, e2 = analysis.witness
         u = e1.packed ^ e2.packed
-        assert in_dual(code, u) and not code.contains(u), entry.id
+        assert in_dual(code, u) and not contains(code, u), entry.id
         witnesses += 1
     assert witnesses == 3
 
@@ -550,5 +562,110 @@ def test_pinned_random_levels():
         for l, *want in case["levels"]:
             ok, degenerate, witness, pairs = check_level_hash(code, l)
             assert [ok, degenerate, pairs, _witness_ints(witness)] == want, (case["n"], l)
-            rank_ok, rank_degenerate, _, _ = _rank_check(code, l)
+            rank_ok, rank_degenerate, _, _ = check_level(code, l)
             assert rank_ok == ok and (not ok or rank_degenerate == degenerate), (case["n"], l)
+
+
+# ----------------------------------------------------------------------
+# Label columns straight from the generators
+# ----------------------------------------------------------------------
+
+def _search_candidates(lengths):
+    """(n, construction, generators, k, columns) of every search candidate."""
+    for n in lengths:
+        for construction in ("hermitian", "css"):
+            for gens, k, columns in _candidates(n, construction):
+                yield n, construction, gens, k, columns
+
+
+def _label(columns, n, packed):
+    """The label of a packed Pauli: the sum of the columns of its bits."""
+    total = 0
+    for j in range(2 * n):
+        if packed >> j & 1:
+            total ^= columns[j]
+    assert total & ((1 << 2 * n) - 1) == packed  # the tracking bits
+    return total >> 2 * n
+
+
+def test_generator_labels_match_the_matrix_labels_odd_n_up_to_35():
+    # the analysis from the generators' columns against the one from
+    # label_ints, on the same shift path, for every candidate
+    candidates = failing = 0
+    for n, construction, gens, k, columns in _search_candidates(range(1, 36, 2)):
+        code = _construct(construction, [cyclic_from_poly(g, n) for g in gens])
+        assert k == code.k, (n, gens)
+        fast = quantum_burst_capability(n, k, columns)
+        slow = quantum_burst_capability(n, code.k, label_columns(code))
+        at = (n, construction, gens)
+        assert (fast.k, fast.l, fast.degenerate, fast.checked_pairs) == \
+            (slow.k, slow.l, slow.degenerate, slow.checked_pairs), at
+        assert (fast.witness is None) == (slow.witness is None), at
+        if fast.witness is not None:
+            _assert_valid_witness(code, fast.l + 1, fast.witness)
+            failing += 1
+        candidates += 1
+    assert candidates == 2437 and failing > 500
+
+
+def test_generator_label_kernel_is_the_stabilizer():
+    # stabilizer rows have label 0; the logical representatives have labels
+    # with no syndrome bit, independent, so the kernel is exactly C
+    cases = [(n, construction, [cyclic_from_poly(g, n) for g in gens], k, columns)
+             for n, construction, gens, k, columns in _search_candidates(range(1, 24, 2))]
+    for entry in load_registry():
+        fields = (GF4,) if entry.construction == "hermitian" else (GF2, GF2)
+        cases.append((entry.n, entry.construction,
+                      [cyclic_from_poly(_poly(text, field), entry.n)
+                       for text, field in zip(entry.genpolys, fields)],
+                      *code_labels(entry.construction, entry.n, entry.genpolys)))
+    for n, construction, linear_codes, k, columns in cases:
+        code = _construct(construction, linear_codes)
+        at = (n, construction, [c.k for c in linear_codes])
+        assert all(_label(columns, n, row) == 0 for row in code.basis), at
+        logical = [_label(columns, n, v) for v in code.dual_basis()[code.r:]]
+        assert all(label and not label >> 2 * k for label in logical), at
+        assert gf2_rank(logical) == 2 * k, at
+    assert len(cases) == 657 + 15
+
+
+def _pack(p, bits):
+    return sum(c << bits * i for i, c in enumerate(p.coeffs))
+
+
+def test_remainder_walk_returns_iff_the_generator_divides():
+    # every monic polynomial of degree <= 4 over GF(4) and <= 8 over GF(2):
+    # the walk's remainders are the powers of x mod g, and it refuses with
+    # cyclic_from_poly's message exactly when g does not divide x^n - 1
+    walked = refused = 0
+    for field, bits, top in ((GF4, 2, 4), (GF2, 1, 8)):
+        for degree in range(top + 1):
+            for body in range(1 << bits * degree):
+                g = Poly(field, [body >> bits * i & (1 << bits) - 1 for i in range(degree)] + [1])
+                for n in (1, 3, 5, 7, 9, 15):
+                    divides = (xn_minus_1(n, field) % g).is_zero
+                    try:
+                        _, remainders, _ = remainder_walk(g, n)
+                    except InvalidGeneratorError as exc:
+                        assert not divides and str(exc) == \
+                            f"{g!r} does not divide x^{n} - 1 over {field!r}", (n, g)
+                        refused += 1
+                        continue
+                    assert divides, (n, g)
+                    powers = [Poly(field, [0] * i + [1]) % g for i in range(n)]
+                    assert remainders == [_pack(r, bits) for r in powers], (n, g)
+                    walked += 1
+    assert walked > 100 and refused > 3000
+
+
+def test_passing_cyclic_levels_rank_n_over_2_minus_l_plus_1_unions():
+    levels = 0
+    for n, _, gens, k, columns in _search_candidates(range(1, 24, 2)):
+        for l in range(1, n // 2 + 1):
+            ok, _, witness, unions = _check_level_rank(n, k, columns, l, True)
+            if ok:
+                assert unions == n // 2 - l + 1, (n, gens, l)
+                levels += 1
+            else:
+                assert 1 <= unions <= n // 2 - l + 1 and witness is not None, (n, gens, l)
+    assert levels > 1000

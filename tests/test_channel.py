@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import channel_oracle as oracle
-from conftest import random_self_orthogonal_code, syndrome
+from conftest import contains, random_self_orthogonal_code, syndrome
 from qbecc import channel
 from qbecc.channel import (ChannelModel, EfResult, build_decoder,
                            cond_prob, entanglement_fidelity,
@@ -149,7 +149,7 @@ def _ef_oracle(code, table, ch):
         rec = table.entries.get(syndrome(code, e))
         if rec is None:
             continue
-        if code.contains(e ^ rec):
+        if contains(code, e ^ rec):
             total.append(oracle.error_prob(sym, ch))
     return math.fsum(total)
 
@@ -485,3 +485,21 @@ def test_byte_cap_refuses_large_sets(monkeypatch):
         entanglement_fidelity(CODE_13_1, table, ChannelModel(0.03, 0.5))
     with pytest.raises(ResourceLimitError):  # weight 4: 57915 patterns of 13
         build_decoder(CODE_13_1, "random", t=4)
+
+
+def test_sweep_refuses_a_grid_product_over_the_cap(monkeypatch):
+    # each grid is small, their product with the codes is not: the sweep
+    # refuses it before it builds a table or a task list, so a missing
+    # check fails at once on the patched build_decoder
+    monkeypatch.setattr(channel, "MAX_ARRAY_BYTES", 4096)  # 512 tasks of 8 bytes
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("build_decoder reached")
+
+    monkeypatch.setattr(channel, "build_decoder", no_table)
+    specs = [("a", FIVE_QUBIT, 1, 1), ("b", FIVE_QUBIT, 1, 1)]
+    grid = [i / 100 for i in range(16)]
+    with pytest.raises(ResourceLimitError, match="2 codes x 16 p x 17 mu points are 544 tasks"):
+        channel.sweep(specs, ["random"], grid, grid + [0.5])
+    with pytest.raises(AssertionError, match="build_decoder reached"):  # 512 tasks fit
+        channel.sweep(specs, ["random"], grid, grid)

@@ -169,6 +169,8 @@ def test_grid_parsing():
     short = _parse_grid("0.01:log:0.011")
     assert len(short) == 2 and short[0] == 0.01 and abs(short[1] - 0.011) < 1e-15
     assert _parse_grid("0:0.6:1") == [0.0, 0.6]
+    # finite bounds whose difference overflows a float
+    assert _parse_grid("-1e308:1e308:1e308") == [-1e308, 0.0, 1e308]
 
 
 def test_search_odd_only_flag_removed(capsys):
@@ -252,6 +254,18 @@ def test_analyze_non_divisor_names_the_field(capsys):
         "message": "Poly<x^7 + 1> does not divide x^15 - 1 over GF(4)"}}
 
 
+def test_analyze_non_divisor_refused_without_a_matrix(capsys):
+    # with no distance asked no matrix is built: the remainder walk refuses
+    for argv, field in [(("--poly", "1^7 1^0"), "GF(4)"),
+                        (("--construction", "css", "--poly", "1^7 1^0",
+                          "--poly2", "1^6 1^4 1^2 1^1 1^0"), "GF(2)")]:
+        code, out = run_cli(capsys, "analyze", "--n", "15", *argv, "--distance-limit", "0")
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "type": "InvalidGeneratorError",
+            "message": f"Poly<x^7 + 1> does not divide x^15 - 1 over {field}"}}
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "--min-n", "13", "--max-n", "13", "--construction", "hermitian"),
     ("simulate", "--code", "13_1", "--decoder", "random", "--p", "0", "--mu", "0"),
@@ -310,6 +324,23 @@ def test_simulate_linear_grid_over_cap_refused(capsys, monkeypatch):
     assert len(_parse_grid("0:1:131071")) == 131072
     with pytest.raises(ResourceLimitError, match="over 131072 points of 8 bytes"):
         _parse_grid("0:1:131072")
+
+
+def test_simulate_grid_product_over_cap_refused(capsys, monkeypatch):
+    from qbecc import channel
+    monkeypatch.setattr(channel, "MAX_ARRAY_BYTES", 4096)  # 512 points of 8 bytes
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("build_decoder reached")
+
+    monkeypatch.setattr(channel, "build_decoder", no_table)
+    # 31 points each fit; their 961 pairs do not
+    code, out = run_cli(capsys, "simulate", "--code", "13_1", "--decoder", "random",
+                        "--t", "1", "--p", "0:0.01:0.3", "--mu", "0:0.01:0.3")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "resource-limit"
+    assert "961 tasks of 8 bytes, over the 4096-byte cap" in error["message"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

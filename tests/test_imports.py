@@ -1,5 +1,6 @@
-"""Import surface: the package's lazy re-exports, and which commands start
-without numpy or a process pool."""
+"""Import surface: the package's lazy re-exports, which commands start
+without numpy or a process pool, and the OpenBLAS thread count numpy
+starts with."""
 
 import importlib
 import json
@@ -44,6 +45,34 @@ def test_command_leaves_module_unloaded(argv, module):
     code, modules = json.loads(proc.stdout)
     assert code == 0
     assert module not in modules
+
+
+BLAS_CHILD = """
+import contextlib, io, json, os, sys
+seen = []
+
+class Watch:  # the environment when numpy is first imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Watch())
+import qbecc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qbecc.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, seen]))
+"""
+
+
+@pytest.mark.parametrize("value, seen", [(None, "1"), ("2", "2")])
+def test_simulate_starts_numpy_with_one_blas_thread_unless_set(monkeypatch, value, seen):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if value is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+    argv = ["simulate", "--code", "13_1", "--t", "1", "--p", "0.01", "--mu", "0.5"]
+    proc = subprocess.run([sys.executable, "-c", BLAS_CHILD, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=600, check=True)
+    assert json.loads(proc.stdout) == [0, [seen]]
 
 
 def test_every_export_is_its_module_object():

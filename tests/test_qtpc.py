@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import burst_length, in_dual, trace_ip
+from conftest import burst_length, contains, in_dual, trace_ip
 from qbecc.burst import quantum_burst_capability
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.gf import GF2, GF4, ExtField, Poly
@@ -93,7 +93,7 @@ def test_qtpc_example_burst_capability():
     assert e1 != e2
     assert burst_length(e1) <= 4 and burst_length(e2) <= 4
     u = e1.packed ^ e2.packed
-    assert in_dual(stab, u) and not stab.contains(u)
+    assert in_dual(stab, u) and not contains(stab, u)
 
 
 def test_qtpc_family_formula():

@@ -30,6 +30,9 @@ CALLS = [
     (("analyze", "--n", "15", "--poly", "1^6 2^3 1^0"), 0),
     (("analyze", "--n", "21", "--construction", "css", "--poly", "1^6 1^4 1^1 1^0",
       "--poly2", "1^6 1^4 1^2 1^1 1^0", "--distance-limit", "0"), 0),
+    # a CSS code small enough for its distance builds the stabilizer code
+    (("analyze", "--n", "7", "--construction", "css", "--poly", "1^3 1^1 1^0",
+      "--poly2", "1^3 1^1 1^0"), 0),
     (("search", "--min-n", "13", "--max-n", "17"), 0),
     (("search", "--reproduce-table1"), 0),
     (("tensor", *C1, "--rs", "6,2", "--dispersal", "6"), 0),

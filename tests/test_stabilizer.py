@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from conftest import (burst_length, from_symbols, gf2_nullspace, interleave_halves,
-                      random_css_code, random_self_orthogonal_code, swap_xz, symbols_of,
-                      syndrome, trace_ip)
+from conftest import (burst_length, contains, from_symbols, gf2_nullspace, gf2_reduce_vector,
+                      interleave_halves, pivots_of, random_css_code, random_self_orthogonal_code,
+                      swap_xz, symbols_of, syndrome, trace_ip)
 from label_oracle import label_ints as oracle_label_ints, label_table
 from qbecc import stabilizer
 from qbecc.classical import cyclic_from_poly, linear_code, rs_mds
 from qbecc.gf import GF2, GF4, ExtField, Poly
-from qbecc.linalg import gf2_reduce_vector
 from qbecc.qtpc import qtpc_construct, tensor_check_matrix
 from qbecc.registry import load_registry
 from qbecc.search import _candidates, _construct, build_registry_code, cyclic_code
@@ -209,7 +208,7 @@ def test_rows_are_the_split_halves_rows_interleaved(monkeypatch):
     rng = random.Random(1414)
     for n in range(3, 22, 2):
         for construction in ("hermitian", "css"):
-            candidates = list(_candidates(n, construction))
+            candidates = [gens for gens, _, _ in _candidates(n, construction)]
             for gens in rng.sample(candidates, min(3, len(candidates))):
                 check_cyclic([cyclic_from_poly(g, n) for g in gens])
     for _ in range(200):
@@ -243,7 +242,7 @@ def test_min_distance_five_qubit():
         for i in range(len(dual)):
             if (mask >> i) & 1:
                 v ^= dual[i]
-        if code.contains(v):
+        if contains(code, v):
             continue
         best = min(best, sum(s != 0 for s in symbols_of(F4Vector(n, v))))
     assert best == 3
@@ -279,7 +278,7 @@ def min_distance_walk(code):
         if skip_membership is not None:
             if v in skip_membership:
                 continue
-        elif code.contains(v):
+        elif contains(code, v):
             continue
         best = w
     return best
@@ -339,14 +338,14 @@ def test_dual_basis_stops_at_its_dimension():
     # r > 64 or 2k > 64
     codes += [_construct(construction, [cyclic_from_poly(g, n) for g in gens])
               for n in range(13, 24, 2) for construction in ("hermitian", "css")
-              for gens in _candidates(n, construction)]
+              for gens, _, _ in _candidates(n, construction)]
     wide = [random_css_code(rng, n, rx, rz, False)
             for n, rx, rz in [(80, 33, 33), (90, 50, 30), (70, 2, 2), (100, 20, 10)]]
     assert any(code.r > 64 for code in wide) and any(2 * code.k > 64 for code in wide)
     codes += wide
     assert len(codes) == 80 + 15 + 601 + 4
     for code in codes:
-        chosen, reduced, pivots = list(code.basis), list(code.basis), list(code._pivots)
+        chosen, reduced, pivots = list(code.basis), list(code.basis), pivots_of(code)
         swapped = [swap_xz(row, code.n) for row in code.basis]
         for vec in gf2_nullspace(swapped, 2 * code.n):
             residual = gf2_reduce_vector(vec, reduced, pivots)
