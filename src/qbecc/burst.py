@@ -22,7 +22,9 @@ of the one from 0, and of [0, l) + [n-d, n-d+l) (Peterson and Weldon's
 shift argument for classical cyclic burst codes).  Its label columns come
 straight from the generators, with no matrix: a cyclic code's coset label
 is a polynomial remainder (MacWilliams and Sloane, ch. 7), found for every
-position by one shift-and-reduce walk (hermitian_columns, css_columns).
+position by one shift-and-reduce walk (hermitian_columns, css_columns, from
+classical.remainder_walk, the walk that also writes a cyclic code's
+matrices).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .classical import InvalidGeneratorError, LinearCode
-from .gf import GF2, Poly, _multiples, _packed, _w_times
+from .classical import LinearCode
+from .gf import _multiples, _w_times
 from .stabilizer import F4Vector, StabilizerCode
 
 
@@ -209,28 +211,7 @@ def quantum_burst_capability(n: int | StabilizerCode, k: Optional[int] = None,
 # s = e mod g is zero exactly on <g>, so s is the syndrome and q the
 # logical part.  From x^i to x^(i+1) both take one shift and one
 # reduction: s' = x s - c g, where c is the coefficient of x^(deg g) in
-# x s, and q' = (x q + c) mod m.
-
-def remainder_walk(g: Poly, n: int) -> Tuple[int, List[int], List[int]]:
-    """(deg g, x^i mod g packed for i < n, the carry c of each step) for a
-    monic GF(2) or GF(4) polynomial g.  The walk ends at x^n mod g, which
-    is its start 1 exactly when g divides x^n - 1; otherwise
-    InvalidGeneratorError, with cyclic_from_poly's message."""
-    bits = 1 if g.field is GF2 else 2
-    degree = g.degree
-    top, multiples = bits * degree, _multiples(_packed(g), bits)
-    s = start = 1 if degree else 0
-    remainders, carries = [], []
-    for _ in range(n):
-        remainders.append(s)
-        s <<= bits
-        c = s >> top
-        s ^= multiples[c]
-        carries.append(c)
-    if s != start:
-        raise InvalidGeneratorError.of(g, n)
-    return degree, remainders, carries
-
+# x s (classical.remainder_walk), and q' = (x q + c) mod m.
 
 def _quotients(walk: Tuple[int, List[int], List[int]], m: int, bits: int) -> List[int]:
     """The logical part q of x^i for every step of a remainder walk of g,
@@ -341,6 +322,6 @@ def rs_burst_capability(code: LinearCode) -> BurstCapability:
 __all__ = [
     "BurstAnalysis", "qrb", "check_qrb", "no_cloning_check",
     "burst_count", "quantum_burst_capability",
-    "remainder_walk", "hermitian_columns", "css_columns",
+    "hermitian_columns", "css_columns",
     "BurstCapability", "classical_burst_capability", "rs_burst_capability",
 ]

@@ -3,15 +3,17 @@
 Codes are stored by explicit generator and parity-check matrices (rows as
 tuples of field-element ints).  Their burst-correction capability is
 decided in qbecc.burst, by the window-rank elimination that also decides
-the quantum one.
+the quantum one.  A cyclic code's matrices and its coset labels (the
+burst analyzer's label columns) both come from remainder_walk, the one
+walk through the powers of x mod a generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .gf import GF2, GF4, Poly
+from .gf import GF2, GF4, Poly, _multiples
 from .linalg import _SYMBOL, _packed_row, mat_mul_vec, mat_nullspace, mat_row_reduce
 
 
@@ -63,6 +65,27 @@ def linear_code(field, gen_rows: Sequence[Sequence[int]], n: Optional[int] = Non
                       tuple(tuple(h) for h in check))
 
 
+def remainder_walk(g: Poly, n: int) -> Tuple[int, List[int], List[int]]:
+    """(deg g, x^i mod g packed for i < n, the carry c of each step) for a
+    monic GF(2) or GF(4) polynomial g: a step is s' = x s - c g, where c is
+    the coefficient of x^(deg g) in x s.  The walk ends at x^n mod g, which
+    is its start 1 exactly when g divides x^n - 1 (and deg g <= n);
+    otherwise InvalidGeneratorError."""
+    bits, degree = g.bits, g.degree
+    top, multiples = bits * degree, _multiples(g.packed, bits)
+    s = start = 1 if degree else 0
+    remainders, carries = [], []
+    for _ in range(n):
+        remainders.append(s)
+        s <<= bits
+        c = s >> top
+        s ^= multiples[c]
+        carries.append(c)
+    if s != start or degree > n:
+        raise InvalidGeneratorError.of(g, n)
+    return degree, remainders, carries
+
+
 def cyclic_from_poly(g: Poly, n: int) -> LinearCode:
     """Cyclic code of length n generated by g; g must divide x^n - 1.
 
@@ -70,32 +93,23 @@ def cyclic_from_poly(g: Poly, n: int) -> LinearCode:
     The first k positions of a nonzero codeword a*g are not all zero (the
     lowest term of a survives, as g(0) != 0), so the reduced row-echelon
     generator rows are x^p + x^k s_p for p < k, where x^k s_p = x^p mod g.
-    As x^n = 1 mod g, s_p = x^(n-k+p) mod g: the remainders of one walk
-    through the powers of x, which also tests divisibility, as it must end
-    at x^n = 1.  The check rows are the canonical nullspace basis of those
-    rows: the check row of parity position k + j holds coefficient j of
-    every s_p, then a 1 at k + j (char 2: -c = c).
+    As x^n = 1 mod g, s_p = x^(n-k+p) mod g: the last k remainders of
+    remainder_walk, which also tests divisibility.  The check rows are the
+    canonical nullspace basis of those rows: the check row of parity
+    position k + j holds coefficient j of every s_p, then a 1 at k + j
+    (char 2: -c = c).
     """
-    field = g.field
     if g.is_zero:
         raise InvalidGeneratorError("zero polynomial cannot generate a cyclic code")
     g = g.monic()
-    r = g.degree
-    k = n - r
-    mul, low = field.mul, g.coeffs[:r]  # x^r = low mod g
-    rem, parities = list(low), []
-    for _ in range(k):
-        parities.append(tuple(rem))
-        rem.insert(0, 0)
-        lead = rem.pop()
-        if lead:
-            rem = [c ^ mul(lead, x) for c, x in zip(rem, low)]
-    if k < 0 or rem != ([1] + [0] * r)[:r]:
-        raise InvalidGeneratorError.of(g, n)
+    r, remainders, _ = remainder_walk(g, n)
+    k, bits = n - r, g.bits
+    digit = (1 << bits) - 1
+    parities = [tuple(s >> bits * j & digit for j in range(r)) for s in remainders[r:]]
     gen = tuple((0,) * p + (1,) + (0,) * (k - 1 - p) + s for p, s in enumerate(parities))
     check = tuple(tuple(s[j] for s in parities) + (0,) * j + (1,) + (0,) * (r - 1 - j)
                   for j in range(r))
-    return LinearCode(field, n, k, gen, check)
+    return LinearCode(g.field, n, k, gen, check)
 
 
 def rs_mds(n2: int, l2: int, field) -> LinearCode:
@@ -141,6 +155,6 @@ def binary_dual_containing(c2: LinearCode, c1: LinearCode) -> bool:
 
 __all__ = [
     "LinearCode", "InvalidGeneratorError",
-    "linear_code", "cyclic_from_poly", "rs_mds",
+    "linear_code", "remainder_walk", "cyclic_from_poly", "rs_mds",
     "hermitian_dual_containing", "binary_dual_containing",
 ]

@@ -1,4 +1,5 @@
-"""Exact arithmetic for GF(2), GF(4), GF(2^m), GF(4^m), and polynomials.
+"""Exact arithmetic for GF(2), GF(4), GF(2^m), GF(4^m), and polynomials over
+GF(2) and GF(4).
 
 Element encodings (all characteristic 2, so addition is always XOR and no
 field object carries an add):
@@ -183,115 +184,133 @@ _EXT_MODULI[GF4] = _EXT4_MODULI
 
 
 # ----------------------------------------------------------------------
-# Polynomials
+# Polynomials over GF(2) and GF(4), packed
 # ----------------------------------------------------------------------
 
-class Poly:
-    """Univariate polynomial over one of the fields above.
+def _w_times(v: int, ones: int) -> int:
+    """w times every GF(4) symbol of v, a0 + a1 w -> a1 + (a0 + a1) w;
+    ones is 0b0101... over at least the symbols of v."""
+    lo, hi = v & ones, v >> 1 & ones
+    return hi | (lo ^ hi) << 1
 
-    Coefficients are stored lowest degree first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple and degree -1.
+
+def _multiples(v: int, bits: int) -> Tuple[int, ...]:
+    """c * v for every symbol c, indexed by c, for v packed in bits-bit
+    symbols."""
+    if bits == 1:
+        return 0, v
+    wv = _w_times(v, (1 << (v.bit_length() | 1) + 1) // 3)
+    return 0, v, wv, v ^ wv
+
+
+def _times(a: int, b: int, bits: int) -> int:
+    """The product of two packed polynomials of bits-bit symbols."""
+    multiples, digit = _multiples(a, bits), (1 << bits) - 1
+    out = shift = 0
+    while b:
+        out ^= multiples[b & digit] << shift
+        b >>= bits
+        shift += bits
+    return out
+
+
+class Poly:
+    """Univariate polynomial over GF(2) or GF(4), packed into one int:
+    coefficient i at symbol i of 1 or 2 bits (the F4Vector packing over
+    GF(4)).  A sum is an XOR and x^j times p is p << (bits * j); the zero
+    polynomial packs to 0, has no coefficients and degree -1.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "packed")
 
     def __init__(self, field, coeffs: Iterable[int]):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
+        if field is not GF2 and field is not GF4:
+            raise ValueError(f"polynomials are over GF(2) or GF(4), not {field!r}")
         self.field = field
-        self.coeffs = tuple(cs)
+        # read from the last one, the coefficients spell the int in base 2 or 4
+        self.packed = int(bytes(coeffs)[::-1].translate(_SYMBOL) or b"0", field.order)
 
     @classmethod
-    def zero(cls, field) -> "Poly":
-        return cls(field, ())
+    def from_packed(cls, field, packed: int) -> "Poly":
+        p = cls.__new__(cls)
+        p.field, p.packed = field, packed
+        return p
 
     @classmethod
     def one(cls, field) -> "Poly":
         return cls(field, (1,))
 
-    @classmethod
-    def x(cls, field) -> "Poly":
-        return cls(field, (0, 1))
+    @property
+    def bits(self) -> int:
+        return 1 if self.field is GF2 else 2
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return (self.packed.bit_length() - 1) // self.bits
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        """The coefficients, lowest degree first, with no trailing zeros."""
+        v, bits = self.packed, self.bits
+        digit = (1 << bits) - 1
+        # from a list, so the tuple is made at its final size: a tuple grown
+        # from a generator is resized, and freed ones pile up on free lists
+        return tuple([v >> i & digit for i in range(0, v.bit_length(), bits)])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.packed
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] ^= c  # char 2
-        return Poly(self.field, out)
+        return Poly.from_packed(self.field, self.packed ^ other.packed)  # char 2
 
     __sub__ = __add__
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        mul = self.field.mul
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] ^= mul(a, b)
-        return Poly(self.field, out)
-
-    def scale(self, c: int) -> "Poly":
-        mul = self.field.mul
-        return Poly(self.field, [mul(c, a) for a in self.coeffs])
+        return Poly.from_packed(self.field, _times(self.packed, other.packed, self.bits))
 
     def __divmod__(self, other: "Poly") -> Tuple["Poly", "Poly"]:
+        """Long division by other made monic, one symbol a step; the
+        quotient is then scaled by the same inverse of other's lead."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        field, mul = self.field, self.field.mul
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(field), self
-        quot = [0] * (dq + 1)
-        inv_lead = field.inv(other.coeffs[-1])
-        for shift in range(dq, -1, -1):
-            lead = rem[shift + other.degree]
-            if lead == 0:
-                continue
-            c = mul(lead, inv_lead)
-            quot[shift] = c
-            for i, b in enumerate(other.coeffs):
-                if b:
-                    rem[shift + i] ^= mul(c, b)
-        return Poly(field, quot), Poly(field, rem)
+        field, bits, top = self.field, self.bits, other.degree
+        inv_lead = field.inv(other.packed >> bits * top)
+        multiples = _multiples(_multiples(other.packed, bits)[inv_lead], bits)
+        rem, quot = self.packed, 0
+        for shift in range(bits * (self.degree - top), -1, -bits):
+            c = rem >> bits * top + shift
+            if c:
+                rem ^= multiples[c] << shift
+                quot |= c << shift
+        return (Poly.from_packed(field, _multiples(quot, bits)[inv_lead]),
+                Poly.from_packed(field, rem))
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.coeffs[-1] == 1:
+        lead = self.packed >> self.bits * max(self.degree, 0)
+        if lead <= 1:
             return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
+        return Poly.from_packed(self.field,
+                                _multiples(self.packed, self.bits)[self.field.inv(lead)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self.packed == other.packed)
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.packed))
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly<0>"
         names = {0: "0", 1: "1", 2: "w", 3: "w2"}
         terms = []
+        coeffs = self.coeffs
         for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
+            c = coeffs[e]
             if c == 0:
                 continue
             coef = "" if (c == 1 and e > 0) else names[c]
@@ -341,11 +360,11 @@ def berlekamp_factor(f: Poly) -> List[Poly]:
     d = f.degree
     q = field.order
     # Q rows: coefficients of x^(q*i) mod f
-    xq = poly_powmod(Poly.x(field), q, f)
+    xq = poly_powmod(Poly(field, (0, 1)), q, f)
     rows = []
     cur = Poly.one(field)
     for _ in range(d):
-        rows.append(list(cur.coeffs) + [0] * (d - len(cur.coeffs)))
+        rows.append((list(cur.coeffs) + [0] * d)[:d])
         cur = (cur * xq) % f
     for i in range(d):
         rows[i][i] ^= 1  # Q - I
@@ -375,44 +394,6 @@ def berlekamp_factor(f: Poly) -> List[Poly]:
         if len(factors) == n_factors:
             break
     return sorted(factors, key=lambda p: (p.degree, p.coeffs))
-
-
-# ----------------------------------------------------------------------
-# Packed GF(2) and GF(4) polynomials
-# ----------------------------------------------------------------------
-
-def _packed(p: Poly) -> int:
-    """A GF(2) or GF(4) polynomial as one int, coefficient i at symbol i of
-    1 or 2 bits (the F4Vector packing over GF(4)).  Sums are XORs and x^j
-    times p is p << (bits * j)."""
-    return int(bytes(reversed(p.coeffs)).translate(_SYMBOL), 2 if p.field is GF2 else 4)
-
-
-def _w_times(v: int, ones: int) -> int:
-    """w times every GF(4) symbol of v, a0 + a1 w -> a1 + (a0 + a1) w;
-    ones is 0b0101... over at least the symbols of v."""
-    lo, hi = v & ones, v >> 1 & ones
-    return hi | (lo ^ hi) << 1
-
-
-def _multiples(v: int, bits: int) -> Tuple[int, ...]:
-    """c * v for every symbol c, indexed by c, for v packed in bits-bit
-    symbols."""
-    if bits == 1:
-        return 0, v
-    wv = _w_times(v, (1 << (v.bit_length() | 1) + 1) // 3)
-    return 0, v, wv, v ^ wv
-
-
-def _times(a: int, b: int, bits: int) -> int:
-    """The product of two packed polynomials of bits-bit symbols."""
-    multiples, digit = _multiples(a, bits), (1 << bits) - 1
-    out = shift = 0
-    while b:
-        out ^= multiples[b & digit] << shift
-        b >>= bits
-        shift += bits
-    return out
 
 
 __all__ = [

@@ -22,12 +22,11 @@ import io
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .burst import (BurstAnalysis, css_columns, hermitian_columns, qrb,
-                    quantum_burst_capability, remainder_walk)
-from .classical import LinearCode, cyclic_from_poly
-from .gf import GF2, GF4, Poly, _packed, _times, berlekamp_factor, xn_minus_1
+from .burst import BurstAnalysis, css_columns, hermitian_columns, qrb, quantum_burst_capability
+from .classical import LinearCode, cyclic_from_poly, remainder_walk
+from .gf import GF2, GF4, Poly, berlekamp_factor, xn_minus_1
 from .registry import RegistryEntry, load_registry
 from .stabilizer import StabilizerCode, css_construct, hermitian_construct
 
@@ -63,7 +62,8 @@ def parse_genpoly(text: str, n: int, field_obj) -> Poly:
 
 def format_genpoly(p: Poly) -> str:
     """The C^E text of a polynomial, by decreasing exponent."""
-    return " ".join(f"{c}^{e}" for e in range(p.degree, -1, -1) if (c := p.coeffs[e]))
+    coeffs = p.coeffs
+    return " ".join(f"{c}^{e}" for e in range(p.degree, -1, -1) if (c := coeffs[e]))
 
 
 def cyclic_code(text: str, n: int, field_obj) -> LinearCode:
@@ -110,12 +110,12 @@ def code_labels(construction: str, n: int,
         m, rem = divmod(duals[0], gens[0])
         if not rem.is_zero:
             raise ValueError("code is not Hermitian dual containing")
-        return hermitian_columns(n, walks[0], _packed(m))
+        return hermitian_columns(n, walks[0], m.packed)
     m1, rem = divmod(duals[0], gens[1])
     if not rem.is_zero:
         raise ValueError("CSS precondition failed: dual of C2 is not inside C1")
     m2 = divmod(duals[1], gens[0])[0]  # exact: g2 | g1perp iff g1 | g2perp
-    return css_columns(n, walks[0], _packed(m2), walks[1], _packed(m1))
+    return css_columns(n, walks[0], m2.packed, walks[1], m1.packed)
 
 
 def _construct(construction: str, codes: Sequence[LinearCode]) -> StabilizerCode:
@@ -150,11 +150,11 @@ def _divisors(n: int, field_obj) -> List[Tuple[Poly, int, int]]:
     coefficients).  S is the mask of g's irreducible factors and S' the mask
     of its mirror."""
     factors, mirror = _factors(n, field_obj)
-    divisors = [(Poly.one(field_obj), 0, 0)]
-    for i, f in enumerate(factors):
-        divisors += [(g * f, s | 1 << i, m | 1 << mirror[i]) for g, s, m in divisors]
-    divisors.sort(key=lambda d: (d[0].degree, d[0].coeffs))
-    return divisors
+    product = _products(factors)
+    masks = [(0, 0)]
+    for i, j in enumerate(mirror):
+        masks += [(s | 1 << i, m | 1 << j) for s, m in masks]
+    return sorted(((product(s), s, m) for s, m in masks), key=lambda d: _order(d[0]))
 
 
 def enumerate_cyclic_generators(n: int, field_obj) -> List[Poly]:
@@ -192,32 +192,27 @@ def _candidates(n: int, construction: str) -> Iterator[Tuple[Tuple[Poly, ...], i
     the product of the factors outside S and S' (outside S1' and S2 for the
     X part of a CSS pair, outside S2' and S1 for its Z part), as the dual's
     generator is the mirror of (x^n - 1)/g, with mask ~S'.  So no
-    polynomial is divided: a Hermitian m is a product cached by mask, a
-    binary one a divisor, and a binary generator's walk is taken once.
+    polynomial is divided: every generator and every m is a product of
+    factors cached by mask (_products), and a binary generator's walk is
+    taken once.
     """
     if construction == "hermitian":
         factors, mirror = _factors(n, GF4)
-        # a mask without its lowest factor is a smaller survivor, built first
-        gens = {0: Poly.one(GF4)}
-        for s in sorted(_survivor_masks(mirror))[1:]:
-            low = s & -s
-            gens[s] = gens[s ^ low] * factors[low.bit_length() - 1]
         product, outside = _products(factors), (1 << len(factors)) - 1
-        for s in sorted(gens, key=lambda s: (gens[s].degree, gens[s].coeffs)):
-            k, columns = hermitian_columns(n, remainder_walk(gens[s], n),
-                                           product(outside & ~(s | _mirror_mask(s, mirror))))
-            yield (gens[s],), k, columns
+        for s in sorted(_survivor_masks(mirror), key=lambda s: _order(product(s))):
+            g, m = product(s), product(outside & ~(s | _mirror_mask(s, mirror)))
+            k, columns = hermitian_columns(n, remainder_walk(g, n), m.packed)
+            yield (g,), k, columns
         return
     divisors = _divisors(n, GF2)
     by_mask = {s: g for g, s, _ in divisors}
     outside = len(divisors) - 1  # the mask of x^n - 1
-    walk = functools.cache(lambda g: remainder_walk(g, n))
-    packed = functools.cache(lambda s: _packed(by_mask[s]))
+    walk = functools.cache(lambda s: remainder_walk(by_mask[s], n))
     for i, (g1, s1, m1) in enumerate(divisors):
         for g2, s2, m2 in divisors[i:]:
             if not s1 & m2:
-                k, columns = css_columns(n, walk(g1), packed(outside & ~(m2 | s1)),
-                                         walk(g2), packed(outside & ~(m1 | s2)))
+                k, columns = css_columns(n, walk(s1), by_mask[outside & ~(m2 | s1)].packed,
+                                         walk(s2), by_mask[outside & ~(m1 | s2)].packed)
                 yield (g1, g2), k, columns
 
 
@@ -231,19 +226,23 @@ def _mirror_mask(s: int, mirror: Sequence[int]) -> int:
     return out
 
 
-def _products(factors: Sequence[Poly]):
-    """The packed product of the GF(4) factors in a mask, each mask built
-    once, from the mask without its lowest factor."""
-    packed = [_packed(f) for f in factors]
-    cache = {0: 1}
-
-    def product(mask: int) -> int:
-        p = cache.get(mask)
-        if p is None:
-            low = mask & -mask
-            p = cache[mask] = _times(product(mask ^ low), packed[low.bit_length() - 1], 2)
-        return p
+def _products(factors: Sequence[Poly]) -> Callable[[int], Poly]:
+    """The product of the factors in a mask, each mask built once, from
+    the mask without its lowest factor."""
+    @functools.cache
+    def product(mask: int) -> Poly:
+        if not mask:
+            return Poly.one(factors[0].field)
+        low = mask & -mask
+        return product(mask ^ low) * factors[low.bit_length() - 1]
     return product
+
+
+def _order(p: Poly) -> Tuple[int, bytes]:
+    """The (degree, coefficients) order of generators; as bytes, the
+    coefficients compare like their tuple and take a fraction of its
+    memory while a sort holds every key."""
+    return p.degree, bytes(p.coeffs)
 
 
 # ----------------------------------------------------------------------

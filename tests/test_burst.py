@@ -9,12 +9,12 @@ from conftest import (burst_length, contains, from_symbols, in_dual, interleave_
                       random_css_code, random_self_orthogonal_code, symbols_of, syndrome)
 from qbecc.burst import (burst_count, check_qrb, no_cloning_check, qrb,
                          quantum_burst_capability)
-from qbecc.burst import _check_level_rank, _rank_unions, _window_pairs, remainder_walk
+from qbecc.burst import _check_level_rank, _rank_unions, _window_pairs
 from burst_oracle import (check_level, check_level_hash, check_level_oracle, enumerate_bursts,
                           is_cyclic, label_columns, level_syndromes, located_burst_check,
                           oracle_capability)
 from label_oracle import label_table
-from qbecc.classical import InvalidGeneratorError, cyclic_from_poly
+from qbecc.classical import InvalidGeneratorError, cyclic_from_poly, remainder_walk
 from qbecc.gf import GF2, GF4, Poly, xn_minus_1
 from qbecc.linalg import gf2_rank
 from qbecc.registry import load_registry
@@ -629,10 +629,6 @@ def test_generator_label_kernel_is_the_stabilizer():
     assert len(cases) == 657 + 15
 
 
-def _pack(p, bits):
-    return sum(c << bits * i for i, c in enumerate(p.coeffs))
-
-
 def test_remainder_walk_returns_iff_the_generator_divides():
     # every monic polynomial of degree <= 4 over GF(4) and <= 8 over GF(2):
     # the walk's remainders are the powers of x mod g, and it refuses with
@@ -653,7 +649,7 @@ def test_remainder_walk_returns_iff_the_generator_divides():
                         continue
                     assert divides, (n, g)
                     powers = [Poly(field, [0] * i + [1]) % g for i in range(n)]
-                    assert remainders == [_pack(r, bits) for r in powers], (n, g)
+                    assert remainders == [r.packed for r in powers], (n, g)
                     walked += 1
     assert walked > 100 and refused > 3000
 

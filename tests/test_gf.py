@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poly_oracle import TuplePoly, tuple_gcd, tuple_powmod
 from qbecc.gf import (GF2, GF4, ExtField, Poly, UnsupportedDegreeError,
-                      berlekamp_factor, poly_gcd, xn_minus_1)
+                      berlekamp_factor, poly_gcd, poly_powmod, xn_minus_1)
 
 W, W2 = 2, 3  # codes for w and w^2
 
@@ -287,7 +288,7 @@ def test_poly_divmod_self():
 
 def test_poly_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
-        divmod(Poly.one(GF4), Poly.zero(GF4))
+        divmod(Poly.one(GF4), Poly(GF4, ()))
 
 
 @pytest.mark.parametrize("field", [GF2, GF4])
@@ -345,3 +346,46 @@ def test_poly_gcd_of_coprime():
     a = Poly(GF4, (1, 1))
     b = Poly(GF4, (W, 1))
     assert poly_gcd(a * a, a * b) == a
+
+
+def test_poly_refuses_fields_other_than_gf2_and_gf4():
+    with pytest.raises(ValueError, match=r"over GF\(2\) or GF\(4\), not GF\(4\^2\)"):
+        Poly(ExtField(GF4, 2), (1, 2))
+
+
+def _random_coeffs(rng, field):
+    """Zero, a constant, or up to 15 coefficients, sometimes with trailing
+    zeros."""
+    length = rng.choice((0, 1, rng.randrange(2, 16)))
+    return [rng.randrange(field.order) for _ in range(length)] + [0] * rng.randrange(3)
+
+
+@pytest.mark.parametrize("field", [GF2, GF4])
+def test_packed_poly_matches_the_tuple_oracle(field):
+    # the packed arithmetic against the tuple arithmetic it replaced, on
+    # random pairs that include zero, constants and non-monic divisors
+    rng = random.Random(19)
+    divisions = non_monic = 0
+    for _ in range(3000):
+        ca, cb = _random_coeffs(rng, field), _random_coeffs(rng, field)
+        a, b, ta, tb = Poly(field, ca), Poly(field, cb), TuplePoly(field, ca), TuplePoly(field, cb)
+        for p, t in ((a, ta), (b, tb)):
+            assert (p.coeffs, p.degree, p.is_zero, repr(p)) == \
+                (t.coeffs, t.degree, t.is_zero, repr(t)), t
+            assert p.monic().coeffs == t.monic().coeffs, t
+            same = Poly(field, list(t.coeffs) + [0])
+            assert p == same and hash(p) == hash(same), t
+        assert (a == b) == (ta == tb), (ta, tb)
+        assert (a + b).coeffs == (ta + tb).coeffs, (ta, tb)
+        assert (a * b).coeffs == (ta * tb).coeffs, (ta, tb)
+        if tb.is_zero:
+            continue
+        q, r = divmod(a, b)
+        tq, tr = divmod(ta, tb)
+        assert (q.coeffs, r.coeffs) == (tq.coeffs, tr.coeffs), (ta, tb)
+        assert poly_gcd(a, b).coeffs == tuple_gcd(ta, tb).coeffs, (ta, tb)
+        e = rng.randrange(40)
+        assert poly_powmod(a, e, b).coeffs == tuple_powmod(ta, e, tb).coeffs, (ta, tb, e)
+        divisions += 1
+        non_monic += tb.coeffs[-1] != 1
+    assert divisions > 1200 and (non_monic > 1000) == (field is GF4), (divisions, non_monic)

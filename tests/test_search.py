@@ -11,7 +11,7 @@ from divisibility_oracle import (_css_dual_containing, _hermitian_dual_containin
                                  filtered_hermitian_divisors)
 from qbecc.classical import (binary_dual_containing, cyclic_from_poly,
                              hermitian_dual_containing)
-from qbecc.gf import GF2, GF4, Poly
+from qbecc.gf import GF2, GF4, Poly, berlekamp_factor, xn_minus_1
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import _candidates, _construct, _divisors, _factors, _survivor_masks
 from qbecc.search import (GenPolyError, SearchPlan, build_code, build_registry_code,
@@ -348,24 +348,40 @@ def test_direct_builds_construct_like_the_matrix_oracle():
     assert built > 1500 and rejected > 1000
 
 
+def _oracle_divisors(n, field):
+    """Every product of a subset of the irreducible factors of x^n - 1,
+    multiplied here and sorted by (degree, coefficients)."""
+    factors = berlekamp_factor(xn_minus_1(n, field))
+    divisors = []
+    for subset in range(1 << len(factors)):
+        g = Poly.one(field)
+        for i, f in enumerate(factors):
+            if subset >> i & 1:
+                g = g * f
+        divisors.append(g)
+    return sorted(divisors, key=lambda g: (g.degree, g.coeffs))
+
+
 def _oracle_candidates(n, constructions):
     """Generator texts of the dual-containing candidates in search order,
     from the divisibility oracle."""
     out = []
     if "hermitian" in constructions:
-        out += [(format_genpoly(g), "") for g in enumerate_cyclic_generators(n, GF4)
+        out += [(format_genpoly(g), "") for g in _oracle_divisors(n, GF4)
                 if _hermitian_dual_containing(g, n)]
     if "css" in constructions:
-        binary = enumerate_cyclic_generators(n, GF2)
+        binary = _oracle_divisors(n, GF2)
         out += [(format_genpoly(g1), format_genpoly(g2)) for i, g1 in enumerate(binary)
                 for g2 in binary[i:] if _css_dual_containing(g1, g2, n)]
     return out
 
 
-@pytest.mark.parametrize("n", [15, 21])
+@pytest.mark.parametrize("n", [15, 21, 35])
 @pytest.mark.parametrize("constructions", [("hermitian",), ("css",), ("hermitian", "css")])
 def test_search_budget_takes_candidates_in_oracle_order(n, constructions):
     expected = _oracle_candidates(n, constructions)
+    if n == 35:  # 4 mirror pairs
+        assert sum(not g2 for _, g2 in expected) == 81 * ("hermitian" in constructions)
     for budget in (1, 5, 27, 40):
         outcome = search(SearchPlan((n,), constructions, max_candidates=budget))
         assert sorted((r.genpoly1, r.genpoly2) for r in outcome.records) == \
@@ -395,6 +411,13 @@ def test_search_csv_matches_benchmark_reference():
         assert len(lines) == reference[str(n)]["records"], n
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == reference[str(n)]["sha256"], n
+
+
+def test_search_n45_digest():
+    # the n = 45 search pinned in ROADMAP: 243 Hermitian and 3285 CSS records
+    csv_text = records_to_csv(search(SearchPlan((45,))).records)
+    assert csv_text.count("\n") - 1 == 3528
+    assert hashlib.sha256(csv_text.encode()).hexdigest()[:16] == "459b220ecf5c776f"
 
 
 def test_search_module_not_shadowed():
