@@ -29,8 +29,7 @@ matrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classical import LinearCode
 from .gf import _multiples, _w_times
@@ -49,8 +48,7 @@ def no_cloning_check(n: int, l: int) -> bool:
     return n > 4 * l
 
 
-@dataclass(frozen=True)
-class BurstAnalysis:
+class BurstAnalysis(NamedTuple):
     n: int
     k: int
     l: int
@@ -270,8 +268,7 @@ def css_columns(n: int, walk1, m2: int, walk2, m1: int) -> Tuple[int, List[int]]
 # Classical codes
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BurstCapability:
+class BurstCapability(NamedTuple):
     l: int
     end_around: bool
     witness: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None

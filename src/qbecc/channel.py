@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import operator
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,16 +52,24 @@ DEFAULT_EXACT_LIMIT = 4 ** 13
 MAX_ARRAY_BYTES = 1 << 29
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class _ChannelModel(NamedTuple):
     p: float
     mu: float
 
-    def __post_init__(self):
+
+class ChannelModel(_ChannelModel):
+    """The memory channel of depolarizing probability p and correlation
+    degree mu; construction raises ValueError outside [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"depolarizing probability {self.p} outside [0, 1]")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"correlation degree {self.mu} outside [0, 1]")
+        return self
 
     @property
     def marginals(self) -> Tuple[float, float, float, float]:
@@ -159,11 +167,16 @@ def _fold(words: np.ndarray, patterns: np.ndarray) -> np.ndarray:
 
 
 def _packed_ints(patterns: np.ndarray) -> List[int]:
-    """Each row as an F4Vector.packed int (symbol i at bits 2i, 2i+1)."""
-    m, n = patterns.shape
-    bits = np.stack([patterns & 1, patterns >> 1], axis=2).reshape(m, 2 * n)
-    raw = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in raw]
+    """Each row as an F4Vector.packed int (symbol i at bits 2i, 2i+1): the
+    symbols of each 32 qubits are the 2-bit fields of one uint64 word, and
+    the two words of a row are joined in Python only past 32 qubits."""
+    n = patterns.shape[1]
+    fields = np.uint64(4) ** np.arange(min(n, 32), dtype=np.uint64)
+    low = (patterns[:, :32] @ fields).tolist()
+    if n <= 32:
+        return low
+    high = (patterns[:, 32:] @ fields[:n - 32]).tolist()
+    return [a | b << 64 for a, b in zip(low, high)]
 
 
 def label_contrib(code: StabilizerCode) -> Sequence[Sequence[int]]:
@@ -178,15 +191,26 @@ def label_contrib(code: StabilizerCode) -> Sequence[Sequence[int]]:
 # Decoder tables
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecoderTable:
+class _DecoderTable(NamedTuple):
     code: StabilizerCode
     mode: str  # "random" | "burst" | "combined"
     t: int
     l: int
     entries: Dict[int, int]  # syndrome -> packed GF(4) recovery, first claim first
-    # uint64 [E]: the recoveries' labels, sorted (so sorted by syndrome)
-    labels: np.ndarray = field(repr=False, compare=False)
+
+
+class DecoderTable(_DecoderTable):
+    """A syndrome table and labels, the uint64 [E] array of its recoveries'
+    labels, sorted (so sorted by syndrome).  The array is kept outside the
+    tuple, so ==, hash and repr see the other fields and never compare it;
+    labels is read-only like them."""
+
+    labels = property(operator.attrgetter("_labels"))
+
+    def __new__(cls, code, mode, t, l, entries, labels):
+        self = super().__new__(cls, code, mode, t, l, entries)
+        self._labels = labels
+        return self
 
 
 def build_decoder(code: StabilizerCode, mode: str,
@@ -224,33 +248,45 @@ def build_decoder(code: StabilizerCode, mode: str,
         _check_patterns(code.n, count, f"the {kind}-{size} class")
         before += count
     entries: Dict[int, int] = {}
-    labels = np.zeros(0, dtype=np.uint64)
+    claimed = np.zeros(0, dtype=np.uint64)  # the claimed syndromes, sorted
+    labels = [claimed]
     for kind, size in classes:
-        if len(entries) == 1 << code.r:
+        if len(claimed) == 1 << code.r:
             break
         patterns = _pattern_class(code.n, kind, size)
         folded = _fold(words, patterns)
         syndromes, first = np.unique(folded >> shift, return_index=True)
+        unclaimed = ~np.isin(syndromes, claimed, assume_unique=True)
+        claimed = np.insert(claimed, np.searchsorted(claimed, syndromes[unclaimed]),
+                            syndromes[unclaimed])
         # the first pattern of each unclaimed syndrome, in enumeration order
-        first = np.sort(first[~np.isin(syndromes, labels >> shift, assume_unique=True)])
-        entries.update(zip((folded[first] >> shift).tolist(), _packed_ints(patterns[first])))
-        labels = np.union1d(labels, folded[first])
-    return DecoderTable(code, mode, t, l, entries, labels)
+        first = np.sort(first[unclaimed])
+        labels.append(folded[first])
+        entries.update(zip((labels[-1] >> shift).tolist(), _packed_ints(patterns[first])))
+    return DecoderTable(code, mode, t, l, entries, np.sort(np.concatenate(labels)))
 
 
 # ----------------------------------------------------------------------
 # Entanglement fidelity
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EfResult:
+class _EfResult(NamedTuple):
     ef_lower: float
     residual: float
     exact: bool
 
-    def __post_init__(self):
+
+class EfResult(_EfResult):
+    """A fidelity bracket [ef_lower, ef_lower + residual]; construction
+    raises AssertionError unless it lies in [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 <= self.ef_lower <= self.ef_lower + self.residual <= 1.0 + 1e-9):
             raise AssertionError(f"inconsistent bracket {self}")
+        return self
 
 
 def _xor_permute(src: np.ndarray, c: int, dim: int, out: np.ndarray) -> None:
@@ -393,8 +429,7 @@ def entanglement_fidelity(code: StabilizerCode, table: DecoderTable,
 # Sweeps
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     code_id: str
     decoder: str
     strategy: str

@@ -10,8 +10,7 @@ walk through the powers of x mod a generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gf import GF2, GF4, Poly, _multiples
 from .linalg import _SYMBOL, _packed_row, mat_mul_vec, mat_nullspace, mat_row_reduce
@@ -25,15 +24,23 @@ class InvalidGeneratorError(ValueError):
         return cls(f"{g!r} does not divide x^{n} - 1 over {g.field!r}")
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class _LinearCode(NamedTuple):
     field: object
     n: int
     k: int
     gen_rows: Tuple[Tuple[int, ...], ...]
     check_rows: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self):
+
+class LinearCode(_LinearCode):
+    """A code by its generator and check rows; construction raises
+    AssertionError unless every generator row is orthogonal to every
+    check row."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.field is GF2 or self.field is GF4:
             # on bit planes: (a0 + a1 w)(b0 + b1 w) = (a0 b0 + a1 b1) + (a0 b1 + a1 b0 + a1 b1) w
             m = (4 ** self.n - 1) // 3  # 0b0101...: the low bit of every symbol
@@ -44,11 +51,12 @@ class LinearCode:
                     if (((a0 & b0) ^ (a1 & b1)).bit_count() & 1
                             or ((a0 & b1) ^ (a1 & (b0 ^ b1))).bit_count() & 1):
                         raise AssertionError("generator and check matrices are not orthogonal")
-            return
+            return self
         for h in self.check_rows:
             syn = mat_mul_vec(self.field, self.gen_rows, h)
             if any(syn):
                 raise AssertionError("generator and check matrices are not orthogonal")
+        return self
 
     def syndrome(self, vec: Sequence[int]) -> Tuple[int, ...]:
         return tuple(mat_mul_vec(self.field, self.check_rows, vec))

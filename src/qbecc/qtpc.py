@@ -19,8 +19,7 @@ array columns with a short span inside each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4
@@ -28,8 +27,7 @@ from .linalg import mat_mul_vec, mat_nullspace
 from .stabilizer import StabilizerCode, css_construct, hermitian_construct
 
 
-@dataclass(frozen=True)
-class QtpcSpec:
+class QtpcSpec(NamedTuple):
     n1: int
     k1: int
     n2: int
@@ -83,15 +81,23 @@ def qtpc_construct(c1: LinearCode, c2: LinearCode) -> Tuple[StabilizerCode, Qtpc
 # Interleaving
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InterleaverMap:
+class _InterleaverMap(NamedTuple):
     n1: int
     n2: int
     l1: int
 
-    def __post_init__(self):
+
+class InterleaverMap(_InterleaverMap):
+    """An n1 x n2 qubit array sent in row-groups of l1 rows; construction
+    raises ValueError unless l1 divides n1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.l1 <= 0 or self.n1 % self.l1 != 0:
             raise ValueError(f"subblock height {self.l1} must divide n1={self.n1}")
+        return self
 
     @property
     def size(self) -> int:
@@ -108,8 +114,7 @@ def deinterleave(imap: InterleaverMap, t: int) -> Tuple[int, int]:
     return group * imap.l1 + offset, col
 
 
-@dataclass(frozen=True)
-class DispersalReport:
+class DispersalReport(NamedTuple):
     burst_len: int
     max_affected_subblocks: int
     max_inner_burst: int

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     id: str
     n: int
     k: int

@@ -21,8 +21,7 @@ import functools
 import io
 import re
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .burst import BurstAnalysis, css_columns, hermitian_columns, qrb, quantum_burst_capability
 from .classical import LinearCode, cyclic_from_poly, remainder_walk
@@ -150,11 +149,11 @@ def _divisors(n: int, field_obj) -> List[Tuple[Poly, int, int]]:
     coefficients).  S is the mask of g's irreducible factors and S' the mask
     of its mirror."""
     factors, mirror = _factors(n, field_obj)
-    product = _products(factors)
+    products = _Products(factors)
     masks = [(0, 0)]
     for i, j in enumerate(mirror):
         masks += [(s | 1 << i, m | 1 << j) for s, m in masks]
-    return sorted(((product(s), s, m) for s, m in masks), key=lambda d: _order(d[0]))
+    return sorted(((products[s], s, m) for s, m in masks), key=lambda d: _order(d[0]))
 
 
 def enumerate_cyclic_generators(n: int, field_obj) -> List[Poly]:
@@ -193,14 +192,14 @@ def _candidates(n: int, construction: str) -> Iterator[Tuple[Tuple[Poly, ...], i
     X part of a CSS pair, outside S2' and S1 for its Z part), as the dual's
     generator is the mirror of (x^n - 1)/g, with mask ~S'.  So no
     polynomial is divided: every generator and every m is a product of
-    factors cached by mask (_products), and a binary generator's walk is
+    factors cached by mask (_Products), and a binary generator's walk is
     taken once.
     """
     if construction == "hermitian":
         factors, mirror = _factors(n, GF4)
-        product, outside = _products(factors), (1 << len(factors)) - 1
-        for s in sorted(_survivor_masks(mirror), key=lambda s: _order(product(s))):
-            g, m = product(s), product(outside & ~(s | _mirror_mask(s, mirror)))
+        products, outside = _Products(factors), (1 << len(factors)) - 1
+        for s in sorted(_survivor_masks(mirror), key=lambda s: _order(products[s])):
+            g, m = products[s], products[outside & ~(s | _mirror_mask(s, mirror))]
             k, columns = hermitian_columns(n, remainder_walk(g, n), m.packed)
             yield (g,), k, columns
         return
@@ -226,16 +225,21 @@ def _mirror_mask(s: int, mirror: Sequence[int]) -> int:
     return out
 
 
-def _products(factors: Sequence[Poly]) -> Callable[[int], Poly]:
-    """The product of the factors in a mask, each mask built once, from
-    the mask without its lowest factor."""
-    @functools.cache
-    def product(mask: int) -> Poly:
-        if not mask:
-            return Poly.one(factors[0].field)
+class _Products(dict):
+    """products[mask] is the product of the factors in the mask, each mask
+    built once, from the mask without its lowest factor.  A dict that fills
+    itself holds no reference cycle, so its products go with it."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Sequence[Poly]):
+        super().__init__({0: Poly.one(factors[0].field)})
+        self.factors = factors
+
+    def __missing__(self, mask: int) -> Poly:
         low = mask & -mask
-        return product(mask ^ low) * factors[low.bit_length() - 1]
-    return product
+        product = self[mask] = self[mask ^ low] * self.factors[low.bit_length() - 1]
+        return product
 
 
 def _order(p: Poly) -> Tuple[int, bytes]:
@@ -249,14 +253,21 @@ def _order(p: Poly) -> Tuple[int, bytes]:
 # Search
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchPlan:
+class _SearchPlan(NamedTuple):
     n_values: Tuple[int, ...]
     constructions: Tuple[str, ...] = ("hermitian", "css")
     max_seconds: Optional[float] = None
     max_candidates: Optional[int] = None
 
-    def __post_init__(self):
+
+class SearchPlan(_SearchPlan):
+    """The lengths, constructions and budgets of a search; construction
+    raises ValueError for a length, budget or construction it cannot run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(n < 1 for n in self.n_values):
             raise ValueError(f"code lengths must be at least 1, got {min(self.n_values)}")
         if any(n % 2 == 0 for n in self.n_values):
@@ -268,10 +279,10 @@ class SearchPlan:
         for c in self.constructions:
             if c not in _CONSTRUCTION_FIELDS:
                 raise ValueError(f"unknown construction {c!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     n: int
     k: int
     l: int
@@ -283,8 +294,7 @@ class SearchRecord:
     genpoly2: str = ""
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     records: Tuple[SearchRecord, ...]
     complete: bool
 
@@ -352,8 +362,7 @@ def build_registry_code(entry: RegistryEntry) -> StabilizerCode:
     return build_code(entry.construction, entry.n, entry.genpolys)
 
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(NamedTuple):
     entry_id: str
     expected: Tuple[int, int, int, bool, int]  # n, k, l, degenerate, qrb
     observed: Tuple[int, int, int, bool, int]

@@ -21,8 +21,7 @@ fits and numpy is imported only by min_distance, which works on arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4
@@ -40,8 +39,7 @@ class ResourceLimitError(RuntimeError):
     """Requested enumeration exceeds the configured limit."""
 
 
-@dataclass(frozen=True)
-class F4Vector:
+class F4Vector(NamedTuple):
     n: int
     packed: int  # 2 bits per symbol, low bit = X part, high bit = Z part
 

@@ -1,16 +1,18 @@
 """Scalar reference versions of the channel layer's vectorized paths: the
 chain probability of one pattern, the pattern generators, the per-pattern
-decoder table, the per-pattern truncated EF loop and the gather form of
-the label-mass recursion."""
+decoder table, the class-by-class decoder build with per-row packing, the
+per-pattern truncated EF loop and the gather form of the label-mass
+recursion."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from qbecc import channel
 from qbecc.channel import ChannelModel, cond_prob, label_contrib
 
 
@@ -83,6 +85,34 @@ def decoder_entries(code, t: int, l: int) -> Dict[int, int]:
         if syn not in entries:
             entries[syn] = packed(vec)
     return entries
+
+
+def packed_rows(patterns: np.ndarray) -> List[int]:
+    """Each uint8 pattern row as an F4Vector.packed int, one row at a time
+    through np.packbits."""
+    m, n = patterns.shape
+    bits = np.stack([patterns & 1, patterns >> 1], axis=2).reshape(m, 2 * n)
+    raw = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in raw]
+
+
+def decoder_table(code, t: int, l: int) -> Tuple[Dict[int, int], np.ndarray]:
+    """(entries, labels) of channel.build_decoder over weights 0..t and
+    spans 2..l, built class by class: rows packed one at a time, the label
+    array re-sorted by np.union1d after every class."""
+    words, shift = channel._label_words(code), 2 * code.k
+    entries: Dict[int, int] = {}
+    labels = np.zeros(0, dtype=np.uint64)
+    for kind, size in channel._classes(code.n, t, l):
+        if len(entries) == 1 << code.r:
+            break
+        patterns = channel._pattern_class(code.n, kind, size)
+        folded = channel._fold(words, patterns)
+        syndromes, first = np.unique(folded >> shift, return_index=True)
+        first = np.sort(first[~np.isin(syndromes, labels >> shift, assume_unique=True)])
+        entries.update(zip((folded[first] >> shift).tolist(), packed_rows(patterns[first])))
+        labels = np.union1d(labels, folded[first])
+    return entries, labels
 
 
 def truncated_ef(code, entries: Dict[int, int], ch: ChannelModel,

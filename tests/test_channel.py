@@ -315,6 +315,28 @@ def test_decoder_matches_per_pattern_table(code_id):
         assert (table.labels >> 2 * code.k).tolist() == sorted(expected)
 
 
+@pytest.mark.parametrize("n", [1, 5, 31, 32, 33, 47, 64])
+def test_packed_ints_match_per_row_packing(n):
+    rng = np.random.default_rng(n)
+    patterns = rng.integers(0, 4, size=(200, n), dtype=np.uint8)
+    patterns[0], patterns[1] = 0, 3  # the zero row and every bit set
+    assert channel._packed_ints(patterns) == oracle.packed_rows(patterns)
+    assert channel._packed_ints(patterns[:0]) == []
+
+
+@pytest.mark.parametrize("code_id, radius, span", [
+    ("13_1", 2, 3), ("15_3", 2, 3), ("17_1a", 2, 4), ("17_1b", 2, 4),
+    ("35_25", 1, 2)])  # 35 qubits: rows packed into two words
+def test_decoder_matches_per_row_packing(code_id, radius, span):
+    code = build_registry_code(registry_entry(code_id))
+    for mode, t, l in [("random", radius, 0), ("burst", 1, span),
+                       ("combined", radius, span)]:
+        table = build_decoder(code, mode, t=t, l=l)
+        entries, labels = oracle.decoder_table(code, t, l)
+        assert list(table.entries.items()) == list(entries.items()), mode
+        assert table.labels.dtype == labels.dtype and np.array_equal(table.labels, labels)
+
+
 def test_decoder_stops_once_every_syndrome_is_claimed():
     full = oracle.decoder_entries(CODE_13_1, 4, 0)
     assert len(full) == 1 << CODE_13_1.r

@@ -14,18 +14,27 @@ import qbecc
 TENSOR = ["tensor", "--c1-poly", "1^6 2^3 1^0", "--c1-n", "15",
           "--rs", "6,2", "--dispersal", "6"]
 
-# (argv, a module the call must not load)
+SEARCH = ["search", "--min-n", "13", "--max-n", "13"]
+TABLE1 = ["search", "--reproduce-table1"]
+BOUNDS = ["bounds", "--n", "13", "--k", "1", "--l", "3"]
+ANALYZE = ["analyze", "--n", "15", "--poly", "1^6 2^3 1^0", "--distance-limit", "0"]
+SIMULATE = ["simulate", "--code", "13_1", "--p", "0.01", "--mu", "0.5", "--workers", "1"]
+
+# (argv, a module the call must not load).  Records are NamedTuples, so no
+# command loads dataclasses, nor inspect unless numpy brings it.
 COLD_START = [
-    (["search", "--min-n", "13", "--max-n", "13"], "numpy"),
-    (["search", "--min-n", "13", "--max-n", "13"], "qbecc.qtpc"),
-    (["search", "--reproduce-table1"], "numpy"),
+    (SEARCH, "numpy"),
+    (SEARCH, "qbecc.qtpc"),
+    (TABLE1, "numpy"),
     (TENSOR, "numpy"),
-    (["bounds", "--n", "13", "--k", "1", "--l", "3"], "numpy"),
-    (["analyze", "--n", "15", "--poly", "1^6 2^3 1^0", "--distance-limit", "0"], "numpy"),
-    (["simulate", "--code", "13_1", "--p", "0.01", "--mu", "0.5", "--workers", "1"],
-     "concurrent.futures.process"),
+    (BOUNDS, "numpy"),
+    (ANALYZE, "numpy"),
+    (SIMULATE, "concurrent.futures.process"),
     (["simulate", "--workers", "2", "--code", "13_1", "--p", "0.01", "--mu", "0:0.5:0.5"],
      "concurrent.futures.process"),
+    *[(argv, module) for argv in (SEARCH, TABLE1, TENSOR, BOUNDS, ANALYZE)
+      for module in ("dataclasses", "inspect")],
+    (SIMULATE, "dataclasses"),
 ]
 
 CHILD = """

@@ -429,3 +429,22 @@ def test_search_module_not_shadowed():
     assert isinstance(search_module, types.ModuleType)
     assert qbecc.search is search_module
     assert callable(search_module.search)
+
+
+def test_products_leave_no_cyclic_garbage():
+    # the product cache refers to no one who refers back to it, so dropping
+    # it frees every product at once, with nothing left for the collector
+    import gc
+    from qbecc.search import _Products
+    factors, _ = _factors(21, GF4)
+    gc.collect()
+    gc.disable()
+    try:
+        products = _Products(factors)
+        full = products[(1 << len(factors)) - 1]
+        assert full == xn_minus_1(21, GF4)
+        assert len(products) == len(factors) + 1  # each mask on the way, once
+        del products, full
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
