@@ -13,7 +13,10 @@ errors one by one: errors are binned by their coset of the stabilizer group
 pushed through the qubit chain as a transfer recursion.  The mass is kept
 as four rows, one per last symbol; as the channel either repeats the last
 symbol or redraws from the marginals, a step is one row sum and four scaled
-adds, each written back through the XOR permutation by that qubit's label.
+adds, each reading the XOR permutation by that qubit's label through a
+flipped view, with no separate permute pass.  The labels are relabeled per
+code by an invertible GF(2) map that sends the stepped qubits' X and Z
+labels to the highest bits, where those views read long contiguous runs.
 The recursion starts after the longest prefix of qubits whose X and Z
 labels are linearly independent: the prefixes there have distinct labels,
 so that mass is scattered directly from the prefixes' left-to-right chain
@@ -21,7 +24,8 @@ products.  Each decoder entry then claims exactly one coset's mass, so one
 mass per (code, p, mu) scores every decoder table of that code.
 
 Error patterns are uint8 arrays [patterns, n] of Pauli symbols, produced a
-weight class or a span class at a time by one enumerator; their labels are
+weight class or a span class at a time by one enumerator (a weight class
+built already in lexicographic order, with no sort); their labels are
 XOR folds of the code's labels (StabilizerCode.label_ints, the syndrome
 above the logical bits), one 64-bit word each.  A decoder table keeps the
 first pattern of each syndrome in priority order, and its recoveries'
@@ -62,6 +66,7 @@ class ChannelModel(_ChannelModel):
     degree mu; construction raises ValueError outside [0, 1]."""
 
     __slots__ = ()
+    _make = _replace = None  # refused: NamedTuple builds both by tuple.__new__, past __new__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -91,10 +96,10 @@ def _cond_table(ch: ChannelModel) -> np.ndarray:
 def _chain_probs(patterns: np.ndarray, ch: ChannelModel) -> np.ndarray:
     """The chain probability of every row: the marginal of its first
     symbol times cond_prob of each next one, multiplied left to right."""
-    cond = _cond_table(ch)
+    cond = _cond_table(ch).ravel()  # [previous * 4 + next]
     prob = np.array(ch.marginals)[patterns[:, 0]]
     for i in range(1, patterns.shape[1]):
-        prob *= cond[patterns[:, i - 1], patterns[:, i]]
+        prob *= cond.take(patterns[:, i - 1] * np.uint8(4) + patterns[:, i])
     return prob
 
 
@@ -133,20 +138,38 @@ def _pattern_class(n: int, kind: str, size: int) -> np.ndarray:
     start position and then by window content (kind "span")."""
     count = _class_size(n, kind, size)
     _check_patterns(n, count, f"the {kind}-{size} class")
+    if kind == "weight" and count:
+        # tails[v]: the weight-v patterns of the last j positions in
+        # lexicographic order, that is a 0 before weight v, then 1, 2 and 3
+        # before weight v - 1; only weights that can still reach size are kept
+        tails = {0: np.zeros((1, 0), dtype=np.uint8)}
+        for j in range(1, n + 1):
+            tails = {v: _prepend(tails.get(v), tails.get(v - 1), j)
+                     for v in range(max(0, size - (n - j)), min(j, size) + 1)}
+        return tails[size]
     out = np.zeros((count, n), dtype=np.uint8)
-    if count == 0 or (kind == "weight" and size == 0):
-        return out
-    if kind == "span":
+    if count:
         window = _product([(1, 2, 3)] + [range(4)] * (size - 2) + [(1, 2, 3)])
         out = out.reshape(n - size + 1, len(window), n)
         for start in range(n - size + 1):
             out[start, :, start:start + size] = window
-        return out.reshape(count, n)
-    supports = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
-    symbols = _product([(1, 2, 3)] * size)
-    rows = np.arange(count).reshape(len(supports), len(symbols), 1)
-    out[rows, supports[:, None, :]] = symbols[None, :, :]
-    return out[np.lexsort(out.T[::-1])]
+    return out.reshape(count, n)
+
+
+def _prepend(zero: Optional[np.ndarray], rest: Optional[np.ndarray], j: int) -> np.ndarray:
+    """uint8 [len(zero) + 3 len(rest), j]: the rows of zero behind a 0,
+    then the rows of rest behind a 1, a 2 and a 3 (None holds no row)."""
+    a = 0 if zero is None else len(zero)
+    b = 0 if rest is None else len(rest)
+    out = np.empty((a + 3 * b, j), dtype=np.uint8)
+    if a:
+        out[:a, 0] = 0
+        out[:a, 1:] = zero
+    if b:
+        ones = out[a:].reshape(3, b, j)
+        ones[:, :, 0] = np.array([[1], [2], [3]], dtype=np.uint8)
+        ones[:, :, 1:] = rest
+    return out
 
 
 def _label_words(code: StabilizerCode) -> np.ndarray:
@@ -203,9 +226,11 @@ class DecoderTable(_DecoderTable):
     """A syndrome table and labels, the uint64 [E] array of its recoveries'
     labels, sorted (so sorted by syndrome).  The array is kept outside the
     tuple, so ==, hash and repr see the other fields and never compare it;
-    labels is read-only like them."""
+    labels is read-only like them.  _make and _replace, which would drop
+    labels, raise TypeError."""
 
     labels = property(operator.attrgetter("_labels"))
+    _make = _replace = None  # refused: NamedTuple builds both by tuple.__new__, past __new__
 
     def __new__(cls, code, mode, t, l, entries, labels):
         self = super().__new__(cls, code, mode, t, l, entries)
@@ -281,6 +306,7 @@ class EfResult(_EfResult):
     raises AssertionError unless it lies in [0, 1]."""
 
     __slots__ = ()
+    _make = _replace = None  # refused: NamedTuple builds both by tuple.__new__, past __new__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -289,22 +315,23 @@ class EfResult(_EfResult):
         return self
 
 
-def _xor_permute(src: np.ndarray, c: int, dim: int, out: np.ndarray) -> None:
-    """out[x] = src[x ^ c] for every x < 2^dim.  Each maximal run of index
-    bits on which c is constant becomes one axis of a reshaped view;
-    reversing an axis of 2^b entries XORs its b bits with all ones."""
-    shape, flips = [], []
+def _xor_view(c: int, dim: int) -> Tuple[Tuple[int, ...], Tuple[slice, ...]]:
+    """(shape, index) with x.reshape(shape)[index] a view of x[y ^ c] for
+    every y < 2^dim: each maximal run of index bits on which c is constant
+    becomes one axis of the reshape, and reversing an axis of 2^b entries
+    XORs its b bits with all ones.  An output written through out= takes
+    the plain reshape."""
+    shape, index = [], []
     bit = dim
     while bit > 0:
         flag = (c >> (bit - 1)) & 1
         run = 1
         while run < bit and (c >> (bit - 1 - run)) & 1 == flag:
             run += 1
-        if flag:
-            flips.append(len(shape))
         shape.append(1 << run)
+        index.append(slice(None, None, -1) if flag else slice(None))
         bit -= run
-    np.copyto(out.reshape(shape), np.flip(src.reshape(shape), axis=flips))
+    return tuple(shape), tuple(index)
 
 
 def _independent_prefix(contrib: Sequence[Sequence[int]]) -> int:
@@ -318,21 +345,71 @@ def _independent_prefix(contrib: Sequence[Sequence[int]]) -> int:
     return m
 
 
-def _label_mass(code: StabilizerCode, ch: ChannelModel) -> np.ndarray:
-    """Probability mass of every stabilizer-coset label over all 4^n errors.
+def _label_frame(contrib: Sequence[Sequence[int]], start: int, dim: int) -> List[int]:
+    """An invertible GF(2) relabeling T of the 2^dim labels, as the images
+    T(e_j) of the unit vectors.  T sends the X and Z labels of qubits
+    start..n-1, in that order, to the highest unit bits (X of qubit start
+    to bit dim-1, its Z to dim-2, ...), skipping a label that depends on
+    those before it, and is completed by unit vectors from the top down
+    (so T is the identity when no qubit is left)."""
+    pivots: Dict[int, Tuple[int, int]] = {}  # msb -> (vector, its image)
+    vectors = [c for row in contrib[start:] for c in row[1:3]]
+    vectors += [1 << j for j in reversed(range(dim))]
+    bit = dim
+    for v in vectors:
+        image = 0
+        while v and v.bit_length() - 1 in pivots:
+            pivot, pivot_image = pivots[v.bit_length() - 1]
+            v, image = v ^ pivot, image ^ pivot_image
+        if v:  # independent: its image is the next unit bit down
+            bit -= 1
+            pivots[v.bit_length() - 1] = (v, image ^ 1 << bit)
+    images = []
+    for j in range(dim):  # T(e_j), by reducing e_j over the full basis
+        v, image = 1 << j, 0
+        while v:
+            pivot, pivot_image = pivots[v.bit_length() - 1]
+            v, image = v ^ pivot, image ^ pivot_image
+        images.append(image)
+    return images
 
-    mass[s, label] holds the prefixes with that label whose last symbol is
-    s; a transfer step pushes it through one more qubit.  As cond[k, s] =
-    (1-mu)·marg[s] + mu·[k = s], a step is new[s] = P_s((1-mu)·marg[s]·R +
-    mu·mass[s]), with R the row sum ((m0 + m1) + m2) + m3 and P_s the XOR
-    permutation by the qubit's label for s: every term is a sum or product
-    of nonnegative floats, so a zero mass stays an exact zero.  While the
-    prefixes have distinct labels (the first m = _independent_prefix
-    qubits), each label holds at most one prefix, so the mass after
-    max(1, m) qubits is scattered directly from the left-to-right chain
-    products of its prefixes, and only the remaining qubits run transfer
-    steps.  The step holds six label-sized buffers: the four rows, R and
-    one scratch row.
+
+def _to_frame(images: Sequence[int], labels: np.ndarray) -> np.ndarray:
+    """T(labels) for intp labels, by the XOR spans of the images of the
+    unit vectors below and above h = len(images) // 2: T(x) =
+    low[x mod 2^h] ^ high[x >> h]."""
+    h = len(images) // 2
+    spans = []
+    for part in (images[:h], images[h:]):
+        span = np.zeros(1, dtype=np.intp)
+        for image in part:
+            span = np.concatenate([span, span ^ image])
+        spans.append(span)
+    return spans[0][labels & ((1 << h) - 1)] ^ spans[1][labels >> h]
+
+
+def _label_mass(code: StabilizerCode, ch: ChannelModel) -> Tuple[np.ndarray, List[int]]:
+    """Probability mass of every stabilizer-coset label over all 4^n
+    errors, as (mass, frame): the mass of label x is mass[_to_frame(frame,
+    x)], in the relabeled frame of _label_frame.
+
+    Row s of the mass holds the prefixes with each label whose last symbol
+    is s; a transfer step pushes it through one more qubit.  As cond[k, s]
+    = (1-mu)·marg[s] + mu·[k = s], a step is new[s] = P_s((1-mu)·marg[s]·R
+    + mu·mass[s]), with R the row sum ((m0 + m1) + m2) + m3 and P_s the
+    XOR permutation by the qubit's label for s: every term is a sum or
+    product of nonnegative floats, so a zero mass stays an exact zero.
+    P_s is read through a flipped reshape view (_xor_view) inside the
+    step's own multiply and add, so there is no separate permute pass; a
+    relabeling is a bijection of the indices, and in the frame the labels
+    of the stepped qubits are single high bits (X, Z) or two adjacent ones
+    (Y), which the view reads in long contiguous runs.  While the prefixes
+    have distinct labels (the first m = _independent_prefix qubits), each
+    label holds at most one prefix, so the mass after max(1, m) qubits is
+    scattered directly from the left-to-right chain products of its
+    prefixes, and only the remaining qubits run transfer steps.  The step
+    holds six label-sized buffers: the four rows, R and one spare row,
+    which a step writes and then swaps with the row it replaces.
     """
     dim = code.n + code.k
     n_labels = 1 << dim
@@ -341,37 +418,56 @@ def _label_mass(code: StabilizerCode, ch: ChannelModel) -> np.ndarray:
             f"label space 2^{dim} needs {32 * n_labels} bytes per transfer "
             f"buffer, over the {MAX_ARRAY_BYTES}-byte cap")
     contrib = label_contrib(code)
-    cond = _cond_table(ch)
+    # cond[previous, next] as [next, previous], contiguous, so that the
+    # products below come out in C order and ravel copies nothing
+    cond = np.ascontiguousarray(_cond_table(ch).T)
     start = max(1, _independent_prefix(contrib))
+    frame = _label_frame(contrib, start, dim)
+    words = _to_frame(frame, np.array(contrib, dtype=np.intp))
     # mass before the prefix arrays, so that the heap they free is where the
     # step's buffers land
     mass = np.zeros((4, n_labels), dtype=np.float64)
     # the prefixes' chain products and their mass.ravel() index, last symbol
-    # * 2^dim + label; distinct, so one scatter places them
-    words = np.array(contrib, dtype=np.intp)
+    # * 2^dim + label (the last prefix qubit's words carry the row); distinct,
+    # so one scatter places them.  Each qubit's symbol is a new outermost
+    # axis, so the products run over long inner axes and the scatter fills
+    # one row after the other
+    words[start - 1] |= np.arange(4) << dim
     prob, index = np.array(ch.marginals), words[0].copy()
     for i in range(1, start):
-        prob = (prob.reshape(-1, 4)[:, :, None] * cond).ravel()
-        index = (index[:, None] ^ words[i]).ravel()
-    index.reshape(-1, 4)[:] |= np.arange(4) << dim
+        prob = (cond[:, :, None] * prob.reshape(4, -1)).ravel()
+        index = (words[i][:, None] ^ index).ravel()
     mass.reshape(-1)[index] = prob
     del prob, index
-    total, scratch = np.empty(n_labels), np.empty(n_labels)
+    rows, total, spare = list(mass), np.empty(n_labels), np.empty(n_labels)
     scale = [(1.0 - ch.mu) * marg for marg in ch.marginals]
     for i in range(start, code.n):
-        mass.sum(axis=0, out=total)  # row by row, with no temporary
-        for s in range(4):
-            np.multiply(total, scale[s], out=scratch)
-            mass[s] *= ch.mu
-            scratch += mass[s]
-            _xor_permute(scratch, contrib[i][s], dim, mass[s])
-    return mass.sum(axis=0, out=total)
+        _row_sum(rows, total)
+        for s, c in enumerate(words[i].tolist()):
+            shape, flip = _xor_view(c, dim)
+            rows[s] *= ch.mu
+            out = spare.reshape(shape)
+            np.multiply(total.reshape(shape)[flip], scale[s], out=out)
+            out += rows[s].reshape(shape)[flip]
+            rows[s], spare = spare, rows[s]
+    return _row_sum(rows, total), frame
+
+
+def _row_sum(rows: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """((rows[0] + rows[1]) + rows[2]) + rows[3], into out."""
+    np.add(rows[0], rows[1], out=out)
+    out += rows[2]
+    out += rows[3]
+    return out
 
 
 def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
                w_max: int, span: int) -> EfResult:
     n = code.n
-    classes = _classes(n, w_max, span)
+    # a span class up to w_max holds no pattern heavier than w_max: all of
+    # it is in the weight classes
+    classes = [(kind, size) for kind, size in _classes(n, w_max, span)
+               if kind == "weight" or size > w_max]
     _check_patterns(n, sum(_class_size(n, *c) for c in classes), "the truncated pattern set")
     words = _label_words(code)
     probs, successes = [], []
@@ -400,9 +496,9 @@ def _fidelities(code: StabilizerCode, tables: Sequence[DecoderTable],
             raise ResourceLimitError(
                 f"exact strategy needs 4^{code.n} = {4 ** code.n} error mass terms, "
                 f"limit {limit}")
-        mass = _label_mass(code, ch)
-        return [EfResult(min(math.fsum(mass[table.labels.astype(np.intp)].tolist()), 1.0),
-                         0.0, True)
+        mass, frame = _label_mass(code, ch)
+        return [EfResult(min(math.fsum(mass[_to_frame(frame, table.labels.astype(np.intp))]
+                                       .tolist()), 1.0), 0.0, True)
                 for table in tables]
     if strategy != "truncated":
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -38,6 +38,7 @@ class LinearCode(_LinearCode):
     check row."""
 
     __slots__ = ()
+    _make = _replace = None  # refused: NamedTuple builds both by tuple.__new__, past __new__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

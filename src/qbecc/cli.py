@@ -68,7 +68,8 @@ def _cmd_analyze(args) -> int:
         "qrb": qrb(n, k), "saturates": analysis.saturates,
         "degenerate": analysis.degenerate,
     }
-    if args.distance_limit and (1 << (n + k)) <= args.distance_limit:
+    # a k = 0 code has no logical operator and so no minimum distance
+    if k and args.distance_limit and (1 << (n + k)) <= args.distance_limit:
         stab = build_code(construction, n, genpolys)
         out["distance"] = stab.min_distance(limit=args.distance_limit)
     _emit(out)

@@ -92,6 +92,7 @@ class InterleaverMap(_InterleaverMap):
     raises ValueError unless l1 divides n1."""
 
     __slots__ = ()
+    _make = _replace = None  # refused: NamedTuple builds both by tuple.__new__, past __new__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

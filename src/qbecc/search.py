@@ -39,7 +39,9 @@ _TOKEN = re.compile(r"^([123])\^(\d+)$")
 
 def parse_genpoly(text: str, n: int, field_obj) -> Poly:
     """Parse whitespace-separated C^E tokens (C in 1..3, exponents unique
-    < n) into a polynomial over field_obj; over GF(2) every C must be 1."""
+    < n) into a polynomial over field_obj; over GF(2) every C must be 1.
+    Exponent n is accepted only in x^n - 1 itself, "1^n 1^0", the
+    generator of the zero code that search writes as its k = 0 CSS row."""
     tokens = text.split()
     if not tokens:
         raise GenPolyError("empty generator polynomial")
@@ -51,9 +53,11 @@ def parse_genpoly(text: str, n: int, field_obj) -> Poly:
         coef, exp = int(m.group(1)), int(m.group(2))
         if exp in coeffs:
             raise GenPolyError(f"duplicate exponent {exp}")
-        if exp >= n:
+        if exp > n:
             raise GenPolyError(f"exponent {exp} not below code length {n}")
         coeffs[exp] = coef
+    if n in coeffs and coeffs != {n: 1, 0: 1}:
+        raise GenPolyError(f"exponent {n} not below code length {n}")
     if field_obj is GF2 and any(c != 1 for c in coeffs.values()):
         raise GenPolyError("binary generator polynomial must have all coefficients 1")
     return Poly(field_obj, [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
@@ -265,6 +269,7 @@ class SearchPlan(_SearchPlan):
     raises ValueError for a length, budget or construction it cannot run."""
 
     __slots__ = ()
+    _make = _replace = None  # refused: NamedTuple builds both by tuple.__new__, past __new__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -144,6 +144,8 @@ class StabilizerCode:
         in the stabilizer iff its coefficients on the 2k logical rows are
         all zero.  The span of the first rows is built once as an array and
         offset by the span of the others, a block of offsets at a time.
+        For k = 0 no element is logical and it returns its start value 2n,
+        which is no distance: analyze prints none for such a code.
         """
         import numpy as np
         dual = self.dual_basis()

@@ -1,8 +1,11 @@
-"""Scalar reference versions of the channel layer's vectorized paths: the
-chain probability of one pattern, the pattern generators, the per-pattern
-decoder table, the class-by-class decoder build with per-row packing, the
-per-pattern truncated EF loop and the gather form of the label-mass
-recursion."""
+"""Reference versions of the channel layer's fast paths: the chain
+probability of one pattern, the pattern generators, the per-pattern decoder
+table, the class-by-class decoder build with per-row packing, the
+per-pattern truncated EF loop, the gather form of the label-mass recursion,
+and the engines the fast paths replaced, kept as bit-identity oracles: the
+weight class sorted by lexsort, the truncated bracket over every class, and
+the transfer recursion in the original label frame with a separate
+XOR-permute pass."""
 
 from __future__ import annotations
 
@@ -158,3 +161,89 @@ def label_mass(code, ch: ChannelModel) -> np.ndarray:
             new[:, s] = col[idx ^ contrib[i][s]]
         mass = new
     return mass.sum(axis=1)
+
+
+def lexsorted_weight_class(n: int, size: int) -> np.ndarray:
+    """uint8 [m, n]: the weight-size class scattered support by support,
+    then sorted into lexicographic order by np.lexsort."""
+    count = math.comb(n, size) * 3 ** size
+    out = np.zeros((count, n), dtype=np.uint8)
+    if count == 0 or size == 0:
+        return out
+    supports = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
+    symbols = channel._product([(1, 2, 3)] * size)
+    rows = np.arange(count).reshape(len(supports), len(symbols), 1)
+    out[rows, supports[:, None, :]] = symbols[None, :, :]
+    return out[np.lexsort(out.T[::-1])]
+
+
+def truncated_every_class(code, table, ch: ChannelModel, w_max: int,
+                          span: int) -> channel.EfResult:
+    """The truncated bracket over every class, lighter span classes
+    included, with lexsorted weight classes and chain products by 2-d
+    fancy indexing."""
+    n = code.n
+    words = channel._label_words(code)
+    cond = channel._cond_table(ch)
+    probs, successes = [], []
+    for kind, size in channel._classes(n, w_max, span):
+        if kind == "weight":
+            patterns = lexsorted_weight_class(n, size)
+        else:
+            patterns = channel._pattern_class(n, kind, size)
+            patterns = patterns[np.count_nonzero(patterns, axis=1) > w_max]
+        prob = np.array(ch.marginals)[patterns[:, 0]]
+        for i in range(1, n):
+            prob *= cond[patterns[:, i - 1], patterns[:, i]]
+        probs.append(prob)
+        successes.append(prob[np.isin(channel._fold(words, patterns), table.labels)])
+    ef = math.fsum(np.concatenate(successes).tolist())
+    residual = max(0.0, 1.0 - math.fsum(np.concatenate(probs).tolist()))
+    return channel.EfResult(ef, residual, False)
+
+
+def xor_permute(src: np.ndarray, c: int, dim: int, out: np.ndarray) -> None:
+    """out[x] = src[x ^ c] for every x < 2^dim.  Each maximal run of index
+    bits on which c is constant becomes one axis of a reshaped view;
+    reversing an axis of 2^b entries XORs its b bits with all ones."""
+    shape, flips = [], []
+    bit = dim
+    while bit > 0:
+        flag = (c >> (bit - 1)) & 1
+        run = 1
+        while run < bit and (c >> (bit - 1 - run)) & 1 == flag:
+            run += 1
+        if flag:
+            flips.append(len(shape))
+        shape.append(1 << run)
+        bit -= run
+    np.copyto(out.reshape(shape), np.flip(src.reshape(shape), axis=flips))
+
+
+def permuted_label_mass(code, ch: ChannelModel) -> np.ndarray:
+    """The transfer recursion in the original label frame: the prefix
+    scatter, then per step the row sum and, for each row, the scaled add
+    into a scratch row that xor_permute writes back."""
+    dim = code.n + code.k
+    n_labels = 1 << dim
+    contrib = label_contrib(code)
+    cond = channel._cond_table(ch)
+    start = max(1, channel._independent_prefix(contrib))
+    mass = np.zeros((4, n_labels), dtype=np.float64)
+    words = np.array(contrib, dtype=np.intp)
+    prob, index = np.array(ch.marginals), words[0].copy()
+    for i in range(1, start):
+        prob = (prob.reshape(-1, 4)[:, :, None] * cond).ravel()
+        index = (index[:, None] ^ words[i]).ravel()
+    index.reshape(-1, 4)[:] |= np.arange(4) << dim
+    mass.reshape(-1)[index] = prob
+    total, scratch = np.empty(n_labels), np.empty(n_labels)
+    scale = [(1.0 - ch.mu) * marg for marg in ch.marginals]
+    for i in range(start, code.n):
+        mass.sum(axis=0, out=total)
+        for s in range(4):
+            np.multiply(total, scale[s], out=scratch)
+            mass[s] *= ch.mu
+            scratch += mass[s]
+            xor_permute(scratch, contrib[i][s], dim, mass[s])
+    return mass.sum(axis=0, out=total)

@@ -14,6 +14,7 @@ from qbecc.channel import (ChannelModel, EfResult, build_decoder,
                            label_contrib, sweep, sweep_to_csv)
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF4, Poly
+from qbecc.linalg import gf2_rank
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import build_code, build_registry_code
 from qbecc.stabilizer import ResourceLimitError, StabilizerCode, hermitian_construct
@@ -364,6 +365,42 @@ def test_truncated_matches_per_pattern_loop():
                     oracle.truncated_ef(code, table.entries, ch, w_max, entry.l)
 
 
+def test_truncated_matches_the_every_class_engine():
+    # spans below, at and above w_max: span classes up to w_max are skipped,
+    # weight classes come built in order, chain products by a flat take
+    for code_id, spans, points in [("13_1", (2, 3, 6), [(0.03, 0.5), (0.1, 0.0)]),
+                                   ("17_1a", (2, 4, 6), [(0.05, 0.7)])]:
+        code = build_registry_code(registry_entry(code_id))
+        table = build_decoder(code, "combined", t=2, l=registry_entry(code_id).l)
+        for p, mu in points:
+            ch = ChannelModel(p, mu)
+            for w_max in range(5):
+                for span in spans:
+                    assert channel._truncated(code, table, ch, w_max, span) == \
+                        oracle.truncated_every_class(code, table, ch, w_max, span), (w_max, span)
+
+
+@pytest.mark.parametrize("n, heaviest", [(13, 5), (17, 5), (23, 3)])
+def test_weight_classes_match_the_lexsorted_scatter(n, heaviest):
+    for w in range(heaviest + 1):
+        got, want = channel._pattern_class(n, "weight", w), oracle.lexsorted_weight_class(n, w)
+        assert got.dtype == want.dtype and np.array_equal(got, want), w
+
+
+def test_weight_class_peak_is_below_the_lexsort_build():
+    # the lexsort build held the unsorted class, its int64 index and the
+    # sorted copy at once
+    import tracemalloc
+    count = math.comb(17, 4) * 3 ** 4
+    tracemalloc.start()
+    try:
+        channel._pattern_class(17, "weight", 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= count * 17 + count * 8 + count * 17
+
+
 def test_truncated_23_1_matches_per_pattern_loop():
     # r = 22 syndrome bits, the smallest registry row past 16
     entry = registry_entry("23_1")
@@ -409,12 +446,86 @@ def test_label_mass_matches_gather():
         bound = 16 * code.n * 2.0 ** -53
         for p, mu in [(0.03, 0.5), (0.2, 0.0), (0.07, 0.95), (0.01, 0.3)]:
             ch = ChannelModel(p, mu)
-            got, want = channel._label_mass(code, ch), oracle.label_mass(code, ch)
+            got, want = _original_frame_mass(code, ch), oracle.label_mass(code, ch)
             assert np.array_equal(got == 0, want == 0)
             assert np.all(np.abs(got - want) <= bound * want)
         # (p, mu) = (0, 1): every step is an exact permutation
         ch = ChannelModel(0.0, 1.0)
-        assert np.array_equal(channel._label_mass(code, ch), oracle.label_mass(code, ch))
+        assert np.array_equal(_original_frame_mass(code, ch), oracle.label_mass(code, ch))
+
+
+def _original_frame_mass(code, ch):
+    """_label_mass read back in the original labels: entry x is the mass
+    of label x."""
+    mass, frame = channel._label_mass(code, ch)
+    return mass[channel._to_frame(frame, np.arange(1 << (code.n + code.k)))]
+
+
+def _suffix_labels_dependent(code):
+    contrib = label_contrib(code)
+    start = max(1, channel._independent_prefix(contrib))
+    suffix = [c for row in contrib[start:] for c in row[1:3]]
+    return gf2_rank(suffix) < len(suffix)
+
+
+def test_frame_mass_is_bit_identical_to_the_permuted_recursion():
+    # a relabeling only moves indices, and each label sees the same float
+    # operations as in the original frame with its separate permute pass
+    codes = [build_registry_code(e) for e in load_registry() if e.n + e.k <= 20]
+    codes += [X0_IN_STABILIZER, Z0Z1_X2X3, NO_STABILIZER, FIVE_QUBIT]
+    rng = random.Random(79)
+    codes += [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+              for n in [rng.randrange(2, 9) for _ in range(16)]]
+    # dependent suffix labels keep multi-bit labels in the frame
+    assert sum(map(_suffix_labels_dependent, codes)) >= 3
+    for code in codes:
+        for p, mu in [(0.03, 0.5), (0.2, 0.0), (0.07, 0.95), (0.0, 1.0), (0.0, 0.0),
+                      (1.0, 0.5)]:
+            ch = ChannelModel(p, mu)
+            assert np.array_equal(_original_frame_mass(code, ch),
+                                  oracle.permuted_label_mass(code, ch)), (code.n, p, mu)
+
+
+@pytest.mark.parametrize("code_id", [e.id for e in load_registry()])
+def test_registry_transfer_labels_are_adjacent_high_bits(code_id):
+    # every transfer step XORs by 0, e_a, e_(a-1) or both, a = dim - 1 - 2j
+    code = build_registry_code(registry_entry(code_id))
+    contrib, dim = label_contrib(code), code.n + code.k
+    start = channel._independent_prefix(contrib)
+    frame = channel._label_frame(contrib, start, dim)
+    for j, row in enumerate(contrib[start:]):
+        images = [0] * 4
+        for bit in range(dim):
+            for s in range(4):
+                images[s] ^= frame[bit] if row[s] >> bit & 1 else 0
+        a = dim - 1 - 2 * j
+        assert images == [0, 1 << a, 1 << a - 1, 3 << a - 1]
+
+
+def test_to_frame_is_the_linear_map_of_the_images():
+    rng = random.Random(80)
+    for n in (1, 2, 5, 8):
+        code = random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+        contrib, dim = label_contrib(code), code.n + code.k
+        frame = channel._label_frame(contrib, rng.randrange(0, n + 1), dim)
+        labels = np.arange(1 << dim)
+        mapped = channel._to_frame(frame, labels)
+        assert np.array_equal(np.sort(mapped), labels)  # a bijection
+        for x in rng.sample(range(1 << dim), min(40, 1 << dim)):
+            want = 0
+            for bit in range(dim):
+                want ^= frame[bit] if x >> bit & 1 else 0
+            assert mapped[x] == want
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_xor_view_reads_the_xor_permutation(dim):
+    x = np.random.default_rng(dim).random(1 << dim)
+    for c in range(1 << dim):
+        shape, flip = channel._xor_view(c, dim)
+        want = np.empty_like(x)
+        oracle.xor_permute(x, c, dim, want)
+        assert np.array_equal(x.reshape(shape)[flip].ravel(), want)
 
 
 def test_label_mass_holds_six_label_buffers():

@@ -32,6 +32,18 @@ def test_analyze_css_21_9(capsys):
     assert "distance" not in payload
 
 
+@pytest.mark.parametrize("polys", [("1^0", "1^13 1^0"),
+                                   ("1^1 1^0", " ".join(f"1^{e}" for e in range(12, -1, -1)))])
+def test_analyze_k0_row_has_no_distance(capsys, polys):
+    # k = 0 CSS rows that search writes at n = 13, the first with C2 the zero
+    # code: no logical operator, so no distance field (not the 2n start value)
+    code, out = run_cli(capsys, "analyze", "--n", "13", "--construction", "css",
+                        "--poly", polys[0], "--poly2", polys[1])
+    assert code == 0
+    assert json.loads(out) == {"n": 13, "k": 0, "l": 3, "qrb": 3,
+                               "saturates": True, "degenerate": True}
+
+
 def test_analyze_wide_syndrome(capsys):
     # r = 70 > 64 syndrome bits: the analyzer exited 3 on this code before
     qr = "1^35 1^34 1^31 1^30 1^28 1^27 1^22 1^18 1^11 1^10 1^9 1^8 1^7 1^2 1^0"

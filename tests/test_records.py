@@ -126,3 +126,38 @@ def test_decoder_table_keeps_its_labels_out_of_comparisons():
             setattr(table, name, None)
     with pytest.raises(TypeError):  # the entries dict is unhashable
         hash(table)
+
+
+# a record of each class that checks in __new__, and a change its check refuses
+VALIDATED = [
+    (LinearCode(**REPETITION), dict(check_rows=((1, 0, 0),))),
+    (SearchPlan((13,)), dict(n_values=(14,))),
+    (ChannelModel(0.1, 0.5), dict(p=2.0)),
+    (EfResult(0.5, 0.1, False), dict(residual=5.0)),
+    (InterleaverMap(15, 6, 3), dict(l1=4)),
+]
+
+
+@pytest.mark.parametrize("record, invalid", VALIDATED,
+                         ids=[type(r[0]).__name__ for r in VALIDATED])
+def test_validated_records_refuse_replace_and_make(record, invalid):
+    # NamedTuple's _make and _replace build by tuple.__new__, past the check,
+    # so both are refused rather than left to return an invalid record
+    cls = type(record)
+    builds = (lambda: record._replace(**invalid),
+              lambda: cls._make(tuple({**record._asdict(), **invalid}.values())),
+              lambda: record._replace(), lambda: cls._make(tuple(record)))
+    for build in builds:
+        with pytest.raises(TypeError, match="not callable"):
+            build()
+    with pytest.raises((ValueError, AssertionError)):
+        cls(**{**record._asdict(), **invalid})
+
+
+def test_decoder_table_refuses_replace_and_make():
+    # either would build a table with no labels
+    table = build_decoder(StabilizerCode(3, [0b001010, 0b101000]), "random", t=1)
+    with pytest.raises(TypeError, match="not callable"):
+        table._replace(mode="burst")
+    with pytest.raises(TypeError, match="not callable"):
+        DecoderTable._make(tuple(table))

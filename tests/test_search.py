@@ -9,13 +9,15 @@ import pytest
 from cyclic_oracle import cyclic_from_poly_matrix
 from divisibility_oracle import (_css_dual_containing, _hermitian_dual_containing,
                                  filtered_hermitian_divisors)
+from qbecc.burst import quantum_burst_capability
 from qbecc.classical import (binary_dual_containing, cyclic_from_poly,
                              hermitian_dual_containing)
 from qbecc.gf import GF2, GF4, Poly, berlekamp_factor, xn_minus_1
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import _candidates, _construct, _divisors, _factors, _survivor_masks
 from qbecc.search import (GenPolyError, SearchPlan, build_code, build_registry_code,
-                          cyclic_code, enumerate_cyclic_generators, format_genpoly,
+                          code_labels, cyclic_code, enumerate_cyclic_generators,
+                          format_genpoly,
                           parse_genpoly, records_to_csv, reproduce_table1, search)
 from qbecc.stabilizer import css_construct, hermitian_construct
 
@@ -39,6 +41,31 @@ def test_parse_genpoly_errors():
                           ("1^2 w^1", "malformed token 'w^1'")]:
         with pytest.raises(GenPolyError, match=re.escape(message)):
             parse_genpoly(text, 15, GF4)
+
+
+def test_parse_genpoly_takes_x_n_minus_1_only_whole():
+    # the generator of the zero code, which search writes as a CSS row
+    for field in (GF2, GF4):
+        assert parse_genpoly("1^15 1^0", 15, field) == xn_minus_1(15, field)
+        assert parse_genpoly("1^0 1^15", 15, field) == xn_minus_1(15, field)
+    for text in ("1^15", "1^15 1^1", "1^15 2^0", "1^15 1^3 1^0"):
+        with pytest.raises(GenPolyError, match="exponent 15 not below code length 15"):
+            parse_genpoly(text, 15, GF4)
+    with pytest.raises(GenPolyError, match="exponent 16 not below code length 15"):
+        parse_genpoly("1^16 1^0", 15, GF2)
+
+
+def test_every_search_row_re_reads_through_analyze():
+    # each row's generator texts go back through analyze's path, the k = 0
+    # CSS row of the zero code (genpoly2 "1^n 1^0") included
+    records = search(SearchPlan(tuple(range(1, 32, 2)))).records
+    zero_codes = 0
+    for rec in records:
+        k, columns = code_labels(rec.construction, rec.n, (rec.genpoly1, rec.genpoly2))
+        analysis = quantum_burst_capability(rec.n, k, columns)
+        assert (k, analysis.l, analysis.degenerate) == (rec.k, rec.l, rec.degenerate), rec
+        zero_codes += rec.genpoly2 == f"1^{rec.n} 1^0"
+    assert zero_codes == 16
 
 
 def test_parse_genpoly_roundtrip():
@@ -99,7 +126,6 @@ def test_search_deterministic_csv():
 
 
 def test_search_records_revalidate():
-    from qbecc.burst import quantum_burst_capability
     outcome = search(SearchPlan((7,), ("hermitian",)))
     for record in outcome.records[:6]:
         entry_like = type("E", (), {
