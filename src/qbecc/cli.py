@@ -2,8 +2,16 @@
 
 Commands: analyze, search, tensor, simulate, bounds.  Exit codes: 0 on
 success, 1 when a reproduction command finds a mismatch, 2 for usage or
-parse errors, 3 when a resource limit refuses the computation.  Errors are
-reported as one machine-readable JSON object on stdout.
+parse errors and for output that cannot be written, 3 when a resource
+limit refuses the computation.  Errors are reported as one
+machine-readable JSON object on stdout, or on stderr when writing stdout
+is what failed.
+
+A command computes its whole output before ``main`` writes it, and
+``main`` flushes stdout and stderr before it returns.  Run as
+``python -m qbecc.cli``, the process then ends with ``os._exit``: no
+interpreter finalization runs after the last byte is out, unless a
+profiler or tracer is active and still has to write its report.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .burst import (classical_burst_capability, no_cloning_check, qrb,
                     quantum_burst_capability, rs_burst_capability)
@@ -34,33 +42,39 @@ class UsageError(ValueError):
     pass
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+def _error(kind: str, message: str) -> str:
+    return _json({"error": {"type": kind, "message": message}})
+
+
+def _output(text: str, path: Optional[str]) -> str:
+    """What goes to stdout: text itself, or nothing once it is written to path."""
+    if not path:
+        return text
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from None
+    return ""
 
 
 # ----------------------------------------------------------------------
 # analyze
 # ----------------------------------------------------------------------
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Tuple[int, str]:
     construction = args.construction
     if construction == "css" and not args.poly2:
         raise UsageError("css construction needs --poly2")
     if construction == "hermitian" and args.poly2:
         raise UsageError("--poly2 is only meaningful with --construction css")
     n, genpolys = args.n, (args.poly, args.poly2)
+    if n < 1:
+        raise UsageError(f"analyze needs n >= 1, got n={n}")
     k, columns = code_labels(construction, n, genpolys)
     analysis = quantum_burst_capability(n, k, columns)
     out = {
@@ -72,15 +86,14 @@ def _cmd_analyze(args) -> int:
     if k and args.distance_limit and (1 << (n + k)) <= args.distance_limit:
         stab = build_code(construction, n, genpolys)
         out["distance"] = stab.min_distance(limit=args.distance_limit)
-    _emit(out)
-    return EXIT_OK
+    return EXIT_OK, _json(out)
 
 
 # ----------------------------------------------------------------------
 # search
 # ----------------------------------------------------------------------
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> Tuple[int, str]:
     if args.reproduce_table1:
         report = reproduce_table1()
         rows = []
@@ -96,10 +109,10 @@ def _cmd_search(args) -> int:
                 "seconds": round(r.seconds, 3),
                 **({"note": r.note} if r.note else {}),
             })
-        _emit({"rows": rows,
-               "matched": sum(r.match for r in report),
-               "total": len(report)})
-        return EXIT_OK if all(r.match for r in report) else EXIT_MISMATCH
+        code = EXIT_OK if all(r.match for r in report) else EXIT_MISMATCH
+        return code, _json({"rows": rows,
+                            "matched": sum(r.match for r in report),
+                            "total": len(report)})
     if args.min_n is None or args.max_n is None:
         raise UsageError("search needs --min-n and --max-n (or --reproduce-table1)")
     n_values = tuple(n for n in range(args.min_n, args.max_n + 1) if n % 2 == 1)
@@ -114,15 +127,14 @@ def _cmd_search(args) -> int:
     csv_text = records_to_csv(outcome.records)
     if not outcome.complete:
         sys.stderr.write("warning: budget exhausted, results are incomplete\n")
-    _write_output(csv_text, args.output)
-    return EXIT_OK
+    return EXIT_OK, _output(csv_text, args.output)
 
 
 # ----------------------------------------------------------------------
 # tensor
 # ----------------------------------------------------------------------
 
-def _cmd_tensor(args) -> int:
+def _cmd_tensor(args) -> Tuple[int, str]:
     from .qtpc import InterleaverMap, dispersal_report, qtpc_construct  # only tensor uses it
     try:
         n2_s, l2_s = args.rs.split(",")
@@ -158,8 +170,7 @@ def _cmd_tensor(args) -> int:
             "l1": l1,
             "l2": rs_burst_capability(c2).l,
         }
-    _emit(out)
-    return EXIT_OK
+    return EXIT_OK, _json(out)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +216,7 @@ def _parse_grid(text: str) -> List[float]:
     return [lo + i * step for i in range(math.floor(steps) + 1)]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Tuple[int, str]:
     from .channel import sweep, sweep_to_csv  # numpy, loaded only here
     for flag, value in (("--w-max", args.w_max), ("--t", args.t), ("--l", args.l)):
         if value is not None and value < 0:
@@ -231,25 +242,23 @@ def _cmd_simulate(args) -> int:
     points = sweep(specs, modes, p_grid, mu_grid,
                    strategy=args.strategy, w_max=args.w_max,
                    limit=args.limit, workers=args.workers)
-    _write_output(sweep_to_csv(points), args.output)
-    return EXIT_OK
+    return EXIT_OK, _output(sweep_to_csv(points), args.output)
 
 
 # ----------------------------------------------------------------------
 # bounds
 # ----------------------------------------------------------------------
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> Tuple[int, str]:
     if args.n < 1 or not 0 <= args.k <= args.n or args.l < 0:
         raise UsageError(f"bounds needs n >= 1, 0 <= k <= n and l >= 0, "
                          f"got n={args.n}, k={args.k}, l={args.l}")
     q = qrb(args.n, args.k)
-    _emit({
+    return EXIT_OK, _json({
         "qrb": q,
         "qrb_ok": args.l <= q,
         "no_cloning_ok": no_cloning_check(args.n, args.l) if args.k >= 1 else True,
     })
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; its output is written and flushed before this returns."""
     # no qbecc code calls BLAS, so numpy (imported by simulate and distances)
     # need not start OpenBLAS's spinning thread pool; a value set by the
     # user wins
@@ -322,17 +332,42 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        code, text = (EXIT_USAGE if exc.code not in (0, None) else EXIT_OK), ""
+    else:
+        try:
+            code, text = args.func(args)
+        except ResourceLimitError as exc:
+            code, text = EXIT_LIMIT, _error("resource-limit", str(exc))
+        except (UsageError, GenPolyError, ValueError) as exc:
+            code, text = EXIT_USAGE, _error(type(exc).__name__, str(exc))
+        except KeyError as exc:  # str() of a KeyError is the repr of its key
+            code, text = EXIT_USAGE, _error(type(exc).__name__, exc.args[0])
+    # the process may end without finalization, so nothing flushes later
     try:
-        return args.func(args)
-    except ResourceLimitError as exc:
-        _emit({"error": {"type": "resource-limit", "message": str(exc)}})
-        return EXIT_LIMIT
-    except (UsageError, GenPolyError, ValueError, KeyError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_USAGE
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout is what failed: report on stderr
+        code = EXIT_USAGE
+        sys.stderr.write(_error(type(exc).__name__,
+                                f"cannot write standard output: {exc.strerror or exc}"))
+        # what stdout still buffers would fail again, with exit status 120,
+        # when a process that ends through sys.exit flushes it at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.stderr.flush()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # with the output flushed, skip interpreter finalization (module
+    # teardown, the last GC sweep, numpy's deallocation) unless a profiler
+    # or tracer still has a report to write; from Python 3.12 cProfile and
+    # coverage may hook in through sys.monitoring instead
+    monitoring = getattr(sys, "monitoring", None)
+    if sys.getprofile() is None and sys.gettrace() is None and not (
+            monitoring and any(map(monitoring.get_tool, range(6)))):
+        os._exit(code)
+    sys.exit(code)

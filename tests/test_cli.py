@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +55,14 @@ def test_analyze_wide_syndrome(capsys):
     assert code == 0
     assert json.loads(out) == {"n": 71, "k": 1, "l": 17, "qrb": 17,
                                "saturates": True, "degenerate": False}
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_analyze_rejects_length_below_one(capsys, n):
+    code, out = run_cli(capsys, "analyze", "--n", n, "--poly", "1^0")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "UsageError",
+                                        "message": f"analyze needs n >= 1, got n={n}"}
 
 
 def test_analyze_malformed_poly(capsys):
@@ -165,6 +176,11 @@ def test_simulate_unknown_code(capsys):
     code, out = run_cli(capsys, "simulate", "--code", "99_1",
                         "--decoder", "random", "--p", "0.01", "--mu", "0")
     assert code == 2
+    # the message itself, not the repr that str() of a KeyError gives
+    assert json.loads(out)["error"] == {
+        "type": "KeyError",
+        "message": "unknown registry code '99_1'; known: 13_1, 15_3, 17_1a, 17_1b, "
+                   "21_9, 23_1, 25_1, 25_5, 29_1, 35_13, 35_17, 35_19, 35_25, 35_7, 41_1"}
 
 
 def test_grid_parsing():
@@ -362,3 +378,95 @@ def test_simulate_workers_below_one_rejected(capsys, workers):
     assert code == 2
     assert json.loads(out)["error"] == {
         "type": "UsageError", "message": f"--workers must be at least 1, got {workers}"}
+
+
+# ----------------------------------------------------------------------
+# the real entry point: python -m qbecc.cli in a child process
+# ----------------------------------------------------------------------
+
+MODULE = ("-m", "qbecc.cli")
+# what the installed qbecc script does: no os._exit, so the interpreter
+# finalizes and flushes stdout once more at exit
+SCRIPT = ("-c", "import sys; from qbecc.cli import main; sys.exit(main())")
+
+
+def run_entry_point(*argv, stdout=subprocess.PIPE, entry=MODULE):
+    """Run the CLI in a child process.  PYTHONUNBUFFERED is removed from
+    the child's environment: with it set, every write reaches the pipe at
+    once and an output lost at exit would go unseen."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *entry, *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=600)
+
+
+SEARCH_21 = ("search", "--min-n", "21", "--max-n", "21")
+
+
+def test_entry_point_stdout_matches_main(capsys):
+    # over 8 KiB, so the child writes more than one buffer's worth
+    code, out = run_cli(capsys, *SEARCH_21)
+    proc = run_entry_point(*SEARCH_21)
+    assert (proc.returncode, code) == (0, 0)
+    assert len(out) > 8192
+    assert proc.stdout == out.encode("utf-8")
+
+
+def test_entry_point_output_file_complete(capsys, tmp_path):
+    path = tmp_path / "records.csv"
+    proc = run_entry_point(*SEARCH_21, "--output", str(path))
+    assert proc.returncode == 0 and proc.stdout == b""
+    _, out = run_cli(capsys, *SEARCH_21)
+    assert path.read_text("utf-8") == out
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("bounds", "--n", "13", "--k", "1", "--l", "3"), 0),
+    (("analyze", "--n", "15", "--poly", "1^6 1^6"), 2),
+    (("simulate", "--code", "13_1", "--p", "0.1", "--mu", "0.1", "--limit", "4"), 3),
+], ids=["ok", "usage", "limit"])
+def test_entry_point_exit_codes(capsys, argv, expected):
+    code, out = run_cli(capsys, *argv)
+    proc = run_entry_point(*argv)
+    assert (proc.returncode, code) == (expected, expected)
+    assert proc.stdout == out.encode("utf-8")
+
+
+def test_entry_point_help_is_flushed():
+    proc = run_entry_point("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"usage: qbecc")
+    assert proc.stdout.rstrip().endswith(b"show this help message and exit")
+
+
+def test_entry_point_keeps_profiler_report():
+    proc = run_entry_point("bounds", "--n", "13", "--k", "1", "--l", "3",
+                           entry=("-m", "cProfile", *MODULE))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b'{\n  "qrb": 3,')
+    assert b"function calls" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("entry", [MODULE, SCRIPT], ids=["module", "script"])
+@pytest.mark.parametrize("argv", [("bounds", "--n", "5", "--k", "1", "--l", "1"), SEARCH_21],
+                         ids=["fails-at-flush", "fails-at-write"])
+def test_stdout_write_failure_is_reported_on_stderr(argv, entry):
+    with open("/dev/full", "w") as full:
+        proc = run_entry_point(*argv, stdout=full, entry=entry)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {"error": {
+        "type": "OSError", "message": "cannot write standard output: No space left on device"}}
+
+
+@pytest.mark.parametrize("entry", [MODULE, SCRIPT], ids=["module", "script"])
+def test_closed_pipe_is_reported_on_stderr(entry):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = run_entry_point("bounds", "--n", "5", "--k", "1", "--l", "1",
+                               stdout=write_end, entry=entry)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {"error": {
+        "type": "BrokenPipeError", "message": "cannot write standard output: Broken pipe"}}
