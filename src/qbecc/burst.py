@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classical import LinearCode
 from .gf import _multiples, _w_times
-from .stabilizer import F4Vector, StabilizerCode
+from .stabilizer import F4Vector
 
 
 def qrb(n: int, k: int) -> int:
@@ -162,28 +162,18 @@ def _check_level_rank(n: int, k: int, columns: Sequence[int], l: int, cyclic: bo
     return False, degenerate, (F4Vector(n, first), F4Vector(n, rest)), unions
 
 
-def quantum_burst_capability(n: int | StabilizerCode, k: Optional[int] = None,
-                             columns: Optional[Sequence[int]] = None) -> BurstAnalysis:
+def quantum_burst_capability(n: int, k: int, columns: Sequence[int]) -> BurstAnalysis:
     """Largest correctable burst length, degeneracy flag, and witness of
     the cyclic [[n, k]] code with these label columns (hermitian_columns,
     css_columns).
 
     Candidates descend from the (n-k)/4 ceiling; the first passing level is
     the capability, and the witness (if any) certifies failure one above it.
-    A StabilizerCode may come alone instead of (n, k, columns): its columns
-    are then its label_ints, and as no shift symmetry is known every window
-    union is ranked.
     """
-    cyclic = columns is not None
-    if not cyclic:
-        code = n
-        n, k = code.n, code.k
-        labels = (label for labels in code.label_ints() for label in labels[1:3])
-        columns = [(label << 2 * n) | (1 << j) for j, label in enumerate(labels)]
     witness = None
     total_pairs = 0
     for cand in range(qrb(n, k), -1, -1):
-        ok, degenerate, wit, pairs = _check_level_rank(n, k, columns, cand, cyclic)
+        ok, degenerate, wit, pairs = _check_level_rank(n, k, columns, cand, True)
         total_pairs += pairs
         if ok:
             analysis = BurstAnalysis(n, k, cand, degenerate, witness, total_pairs)

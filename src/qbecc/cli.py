@@ -141,6 +141,8 @@ def _cmd_tensor(args) -> Tuple[int, str]:
         n2, l2 = int(n2_s), int(l2_s)
     except ValueError:
         raise UsageError(f"--rs expects 'n2,l2', got {args.rs!r}") from None
+    if args.c1_n < 1:
+        raise UsageError(f"tensor needs --c1-n >= 1, got {args.c1_n}")
     c1 = cyclic_code(args.c1_poly, args.c1_n, GF4)
     rho1 = c1.n - c1.k
     c2 = rs_mds(n2, l2, ExtField(GF4, rho1))

@@ -1,5 +1,6 @@
-"""Exact arithmetic for GF(2), GF(4), GF(2^m), GF(4^m), and polynomials over
-GF(2) and GF(4).
+"""Exact arithmetic for GF(2), GF(4), GF(2^m), GF(4^m), polynomials over
+GF(2) and GF(4), and the irreducible factors of x^n - 1 for odd n, split
+by the sums over its cyclotomic cosets (berlekamp_factor).
 
 Element encodings (all characteristic 2, so addition is always XOR and no
 field object carries an add):
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from .linalg import _SYMBOL, mat_nullspace
+from .linalg import _SYMBOL
 
 
 class BinaryField:
@@ -329,17 +330,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
-
-
 def xn_minus_1(n: int, field) -> Poly:
     """x^n - 1, which in characteristic 2 is x^n + 1."""
     coeffs = [0] * (n + 1)
@@ -349,55 +339,53 @@ def xn_minus_1(n: int, field) -> Poly:
 
 
 def berlekamp_factor(f: Poly) -> List[Poly]:
-    """Irreducible factors of a monic squarefree polynomial, sorted.
+    """The irreducible factors of f = x^n - 1, n odd, sorted by (degree,
+    coefficients); any other f raises ValueError.
 
-    Deterministic Berlekamp: nullspace of (Q - I)^T gives the splitting
-    polynomials; refined by gcd against v + c over all field constants.
+    Berlekamp's splitting polynomials, the h with h^q = h mod f, are
+    written down rather than solved for: as h(x)^q = h(x^q) in
+    characteristic 2, the sum of x^i over each q-cyclotomic coset of n
+    (i -> q i mod n) is one, and these sums have disjoint supports and one
+    per irreducible factor, so they are a basis (Berlekamp 1967; MacWilliams
+    and Sloane, ch. 7).  Each is a field constant modulo every factor, so
+    gcd(g, h + c) over the constants c splits the factors it separates.
     """
-    field = f.field
-    if f.degree <= 1:
-        return [f.monic()]
-    d = f.degree
+    field, n, bits = f.field, f.degree, f.bits
+    if n < 1 or n % 2 == 0 or f.packed != 1 | 1 << bits * n:
+        raise ValueError(f"berlekamp_factor factors x^n - 1 for odd n only, not {f!r}")
     q = field.order
-    # Q rows: coefficients of x^(q*i) mod f
-    xq = poly_powmod(Poly(field, (0, 1)), q, f)
-    rows = []
-    cur = Poly.one(field)
-    for _ in range(d):
-        rows.append((list(cur.coeffs) + [0] * d)[:d])
-        cur = (cur * xq) % f
-    for i in range(d):
-        rows[i][i] ^= 1  # Q - I
-    transposed = [[rows[i][j] for i in range(d)] for j in range(d)]
-    basis = mat_nullspace(field, transposed, d)
-    n_factors = len(basis)
-    factors = [f.monic()]
-    if n_factors == 1:
-        return factors
-    consts = list(field.elements())
-    for v in basis:
-        vpoly = Poly(field, v)
-        if vpoly.degree <= 0:
-            continue
+    seen = [False] * n
+    basis = []
+    for s in range(1, n):
+        h, t = 0, s
+        while not seen[t]:
+            seen[t] = True
+            h |= 1 << bits * t
+            t = t * q % n
+        if h:
+            basis.append(Poly.from_packed(field, h))
+    n_factors = len(basis) + 1  # with the coset {0}, whose sum 1 splits nothing
+    factors = [f]
+    for h in basis:
+        if len(factors) == n_factors:
+            break
         next_factors: List[Poly] = []
         for g in factors:
             if g.degree <= 1:
                 next_factors.append(g)
                 continue
             parts = []
-            for c in consts:
-                h = poly_gcd(g, vpoly + Poly(field, (c,)))
-                if h.degree >= 1:
-                    parts.append(h)
+            for c in field.elements():
+                part = poly_gcd(g, h + Poly.from_packed(field, c))
+                if part.degree >= 1:
+                    parts.append(part)
             next_factors.extend(parts if len(parts) > 1 else [g])
         factors = next_factors
-        if len(factors) == n_factors:
-            break
     return sorted(factors, key=lambda p: (p.degree, p.coeffs))
 
 
 __all__ = [
     "GF2", "GF4", "BinaryField", "ExtField", "UnsupportedDegreeError",
-    "Poly", "poly_gcd", "poly_powmod", "xn_minus_1",
+    "Poly", "poly_gcd", "xn_minus_1",
     "berlekamp_factor",
 ]

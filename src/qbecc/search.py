@@ -135,8 +135,6 @@ def _factors(n: int, field_obj) -> Tuple[List[Poly], List[int]]:
     GF(4), the reciprocal over GF(2) (conjugation is the identity there).
     Divisors of x^n - 1 have a nonzero constant term, so mirroring a factor
     keeps its degree and gives another factor; mirroring twice gives it back."""
-    if n % 2 == 0:
-        raise ValueError(f"length {n} shares a factor with the field characteristic")
     factors = berlekamp_factor(xn_minus_1(n, field_obj))
     index = {f: i for i, f in enumerate(factors)}
     return factors, [index[_mirror(f)] for f in factors]

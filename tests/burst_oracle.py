@@ -6,7 +6,8 @@ engine's own check of a single window.
   matrix labels label_ints (the CLI builds cyclic codes' columns from their
   generators instead), and is_cyclic tells whether the code is
   shift-invariant, which lets the engine rank only the unions from 0;
-  check_level runs one level of the engine on both.
+  check_level runs one level of the engine on both, and capability walks
+  the levels with it.
 
 * The all-pairs oracle tests every pair of bursts for a sum in
   dual(C) \\ C; oracle_capability walks the levels with it.
@@ -133,17 +134,31 @@ def check_level_oracle(code: StabilizerCode, l: int):
     return True, degenerate, None, pairs
 
 
-def oracle_capability(code: StabilizerCode) -> BurstAnalysis:
-    """quantum_burst_capability's level walk over check_level_oracle."""
+def _level_walk(n: int, k: int, check) -> BurstAnalysis:
+    """quantum_burst_capability's level walk over check(l): down from the
+    qrb ceiling to the first passing level, with the witness of the failing
+    level above it."""
     witness = None
     total = 0
-    for cand in range(qrb(code.n, code.k), -1, -1):
-        ok, degenerate, wit, pairs = check_level_oracle(code, cand)
+    for cand in range(qrb(n, k), -1, -1):
+        ok, degenerate, wit, pairs = check(cand)
         total += pairs
         if ok:
-            return BurstAnalysis(code.n, code.k, cand, degenerate, witness, total)
+            return BurstAnalysis(n, k, cand, degenerate, witness, total)
         witness = wit
     raise AssertionError("level 0 cannot fail")
+
+
+def oracle_capability(code: StabilizerCode) -> BurstAnalysis:
+    """The level walk over check_level_oracle."""
+    return _level_walk(code.n, code.k, lambda l: check_level_oracle(code, l))
+
+
+def capability(code: StabilizerCode) -> BurstAnalysis:
+    """The engine's analysis of any StabilizerCode: the level walk over
+    check_level, so from its matrix labels, ranking every window union
+    unless the code is cyclic."""
+    return _level_walk(code.n, code.k, lambda l: check_level(code, l))
 
 
 def located_burst_check(code: StabilizerCode, start: int, span: int) -> bool:

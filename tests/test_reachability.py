@@ -1,9 +1,10 @@
 """src/qbecc holds what the CLI reaches.
 
-A small set of in-process CLI calls (each subcommand, the README examples
-at small sizes, and the error paths that print a generator polynomial and
-its field) runs under sys.setprofile, which records the code object of
-every Python frame entered.  Every module-level function, method and
+A small set of CLI calls (each subcommand, the README examples at small
+sizes, and the error paths that print a generator polynomial and its
+field) runs through main in a child interpreter under sys.setprofile,
+installed before qbecc is imported, which records every Python frame
+entered, module import included.  Every module-level function, method and
 property defined in a qbecc module must be among them: a helper that no
 CLI path enters belongs in the tests that use it, or nowhere.
 
@@ -12,15 +13,15 @@ must keep resolving), LinearCode.syndrome, which only two of them call,
 nested closures, and qbecc/__init__.py.
 """
 
-import contextlib
 import importlib
 import inspect
-import io
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 
 import qbecc
-from qbecc.cli import main
 from test_tracer_names import _load_tracer
 
 C1 = ("--c1-poly", "1^6 2^3 1^0", "--c1-n", "15")
@@ -71,24 +72,43 @@ def _defined_functions():
                     yield f"{info.name}.{qualname}", code
 
 
+# Runs in a fresh interpreter, the profile hook installed before qbecc is
+# first imported, so what the modules run while they load (such as GF4's
+# table build) counts too.  Prints the exit codes and the (file, first
+# line, qualified name) of every code object entered.
+_CHILD = """
+import contextlib, io, json, sys
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno,
+                     getattr(code, "co_qualname", code.co_name)))  # co_qualname from 3.11
+
+sys.setprofile(profile)
+from qbecc.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+
+def _key(code):
+    return code.co_filename, code.co_firstlineno, getattr(code, "co_qualname", code.co_name)
+
+
 def _entered_by_cli():
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        codes = []
-        for argv, _ in CALLS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(main(list(argv)))
-    finally:
-        sys.setprofile(previous)
-    assert codes == [code for _, code in CALLS]
-    return entered
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([argv for argv, _ in CALLS])],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [code for _, code in CALLS]
+    return {tuple(key) for key in report["entered"]}
 
 
 def test_every_function_in_src_is_reached_by_the_cli():
@@ -97,5 +117,5 @@ def test_every_function_in_src_is_reached_by_the_cli():
     assert EXEMPT <= set(defined)  # every exemption names a real function
     entered = _entered_by_cli()
     unreached = sorted(name for name, code in defined.items()
-                       if code not in entered and name not in EXEMPT)
+                       if _key(code) not in entered and name not in EXEMPT)
     assert not unreached, f"entered by no CLI call: {', '.join(unreached)}"

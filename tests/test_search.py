@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from burst_oracle import capability
 from cyclic_oracle import cyclic_from_poly_matrix
 from divisibility_oracle import (_css_dual_containing, _hermitian_dual_containing,
                                  filtered_hermitian_divisors)
@@ -132,7 +133,7 @@ def test_search_records_revalidate():
             "construction": record.construction, "n": record.n,
             "genpolys": (record.genpoly1, record.genpoly2)})
         stab = build_registry_code(entry_like)
-        analysis = quantum_burst_capability(stab)
+        analysis = capability(stab)
         assert (stab.k, analysis.l, analysis.degenerate) == \
             (record.k, record.l, record.degenerate)
 

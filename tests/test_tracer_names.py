@@ -31,11 +31,12 @@ def test_every_wrapped_name_resolves():
 def test_burst_counter_reads_a_real_analysis():
     from qbecc.burst import quantum_burst_capability
     from qbecc.registry import registry_entry
-    from qbecc.search import build_registry_code
+    from qbecc.search import code_labels
     counters = {(module, attr): fn for module, attr, fn in _load_tracer().WRAPPED}
     count = counters[("burst", "quantum_burst_capability")]
-    code = build_registry_code(registry_entry("21_9"))
-    analysis = quantum_burst_capability(code)
-    assert count(quantum_burst_capability, (code,), {}, analysis) == \
+    entry = registry_entry("21_9")
+    args = (entry.n, *code_labels(entry.construction, entry.n, entry.genpolys))
+    analysis = quantum_burst_capability(*args)
+    assert count(quantum_burst_capability, args, {}, analysis) == \
         {"burst.checked_pairs": analysis.checked_pairs}
     assert analysis.checked_pairs > 0
