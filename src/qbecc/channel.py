@@ -12,16 +12,19 @@ errors one by one: errors are binned by their coset of the stabilizer group
 (a 2^(n+k)-valued linear label), and the full probability mass per coset is
 pushed through the qubit chain as a transfer recursion.  The mass is kept
 as four rows, one per last symbol; as the channel either repeats the last
-symbol or redraws from the marginals, a step is one row sum and four scaled
-adds, each reading the XOR permutation by that qubit's label through a
-flipped view, with no separate permute pass.  The labels are relabeled per
-code by an invertible GF(2) map that sends the stepped qubits' X and Z
-labels to the highest bits, where those views read long contiguous runs.
-The recursion starts after the longest prefix of qubits whose X and Z
-labels are linearly independent: the prefixes there have distinct labels,
-so that mass is scattered directly from the prefixes' left-to-right chain
-products.  Each decoder entry then claims exactly one coset's mass, so one
-mass per (code, p, mu) scores every decoder table of that code.
+symbol or redraws from the marginals, a step is one row sum and scaled
+adds that share one scaled row sum for X, Z and Y, each reading the XOR
+permutation by that qubit's label through a flipped view, with no separate
+permute pass.  The labels are relabeled per code by an invertible GF(2) map
+that sends the stepped qubits' X and Z labels to the highest bits, where
+those views read long contiguous runs.  The recursion starts after the
+longest prefix of qubits whose X and Z labels are linearly independent: the
+prefixes there have distinct labels, so that mass is scattered directly from
+the prefixes' left-to-right chain products.  Each decoder entry then claims
+exactly one coset's mass, so one mass per (code, p, mu) scores every decoder
+table of that code, and its last step is taken only at those tables'
+labels.  The frame and the stepped labels and views are one plan per code,
+built once for all its (p, mu) points.
 
 Error patterns are uint8 arrays [patterns, n] of Pauli symbols, produced a
 weight class or a span class at a time by one enumerator (a weight class
@@ -31,10 +34,13 @@ above the logical bits), one 64-bit word each.  A decoder table keeps the
 first pattern of each syndrome in priority order, and its recoveries'
 labels as one sorted array: a pattern is decoded correctly iff its label is
 in that array.  The truncated engine scores an explicit pattern set (every
-pattern up to a weight cap, plus the heavier bursts up to a span cap) with
-chain products over the same arrays and brackets the fidelity from below,
-with the unenumerated mass as the residual.  Pattern sets and transfer
-buffers are capped in bytes.
+pattern up to a weight cap, plus the heavier bursts up to a span cap) and
+brackets the fidelity from below, with the unenumerated mass as the
+residual.  Its weight classes are never symbol arrays: prefixes are grown
+left to right in groups of equal weight and last symbol, each a chain
+product array and a label array, so a position costs one scalar multiply
+and one scalar XOR per group; the heavier bursts come from the enumerator.
+Pattern sets and transfer buffers are capped in bytes.
 """
 
 from __future__ import annotations
@@ -238,6 +244,11 @@ class DecoderTable(_DecoderTable):
         return self
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("random", "burst", "combined"):
+        raise ValueError(f"unknown decoder mode {mode!r}")
+
+
 def build_decoder(code: StabilizerCode, mode: str,
                   t: Optional[int] = None, l: Optional[int] = None) -> DecoderTable:
     """Fill a syndrome table in priority order: weights 0..t first
@@ -246,8 +257,7 @@ def build_decoder(code: StabilizerCode, mode: str,
     caps the weight pass at 1.  Enumeration stops once every syndrome is
     claimed; a class over the byte cap that the walk is bound to reach is
     refused before any class is enumerated."""
-    if mode not in ("random", "burst", "combined"):
-        raise ValueError(f"unknown decoder mode {mode!r}")
+    _check_mode(mode)
     if mode == "random":
         if t is None:
             raise ValueError("random mode needs the weight radius t")
@@ -375,7 +385,7 @@ def _label_frame(contrib: Sequence[Sequence[int]], start: int, dim: int) -> List
 
 
 def _to_frame(images: Sequence[int], labels: np.ndarray) -> np.ndarray:
-    """T(labels) for intp labels, by the XOR spans of the images of the
+    """T(labels) for integer labels, by the XOR spans of the images of the
     unit vectors below and above h = len(images) // 2: T(x) =
     low[x mod 2^h] ^ high[x >> h]."""
     h = len(images) // 2
@@ -388,69 +398,136 @@ def _to_frame(images: Sequence[int], labels: np.ndarray) -> np.ndarray:
     return spans[0][labels & ((1 << h) - 1)] ^ spans[1][labels >> h]
 
 
-def _label_mass(code: StabilizerCode, ch: ChannelModel) -> Tuple[np.ndarray, List[int]]:
-    """Probability mass of every stabilizer-coset label over all 4^n
-    errors, as (mass, frame): the mass of label x is mass[_to_frame(frame,
-    x)], in the relabeled frame of _label_frame.
+class _ExactPlan(NamedTuple):
+    """The exact engine's work for one code that no (p, mu) changes: the
+    label frame (_label_frame), every qubit's labels in it, with the
+    last prefix qubit's carrying the row bits of the prefix scatter, the
+    flipped views of the stepped qubits' X, Z and Y labels (_xor_view),
+    and the label arrays of the decoder tables it scores, or None for the
+    full mass."""
 
-    Row s of the mass holds the prefixes with each label whose last symbol
-    is s; a transfer step pushes it through one more qubit.  As cond[k, s]
-    = (1-mu)·marg[s] + mu·[k = s], a step is new[s] = P_s((1-mu)·marg[s]·R
-    + mu·mass[s]), with R the row sum ((m0 + m1) + m2) + m3 and P_s the
-    XOR permutation by the qubit's label for s: every term is a sum or
-    product of nonnegative floats, so a zero mass stays an exact zero.
-    P_s is read through a flipped reshape view (_xor_view) inside the
-    step's own multiply and add, so there is no separate permute pass; a
-    relabeling is a bijection of the indices, and in the frame the labels
-    of the stepped qubits are single high bits (X, Z) or two adjacent ones
-    (Y), which the view reads in long contiguous runs.  While the prefixes
-    have distinct labels (the first m = _independent_prefix qubits), each
-    label holds at most one prefix, so the mass after max(1, m) qubits is
-    scattered directly from the left-to-right chain products of its
-    prefixes, and only the remaining qubits run transfer steps.  The step
-    holds six label-sized buffers: the four rows, R and one spare row,
-    which a step writes and then swaps with the row it replaces.
-    """
+    dim: int
+    start: int
+    frame: List[int]
+    words: np.ndarray  # intp [n, 4]
+    views: List[List[Tuple[Tuple[int, ...], Tuple[slice, ...]]]]
+    labels: Optional[List[np.ndarray]]
+
+
+def _exact_plan(code: StabilizerCode,
+                tables: Optional[Sequence[DecoderTable]] = None) -> _ExactPlan:
+    """The _ExactPlan of code, scoring tables (None: the full mass)."""
     dim = code.n + code.k
-    n_labels = 1 << dim
-    if 32 * n_labels > MAX_ARRAY_BYTES:
-        raise ResourceLimitError(
-            f"label space 2^{dim} needs {32 * n_labels} bytes per transfer "
-            f"buffer, over the {MAX_ARRAY_BYTES}-byte cap")
     contrib = label_contrib(code)
-    # cond[previous, next] as [next, previous], contiguous, so that the
-    # products below come out in C order and ravel copies nothing
-    cond = np.ascontiguousarray(_cond_table(ch).T)
     start = max(1, _independent_prefix(contrib))
     frame = _label_frame(contrib, start, dim)
     words = _to_frame(frame, np.array(contrib, dtype=np.intp))
-    # mass before the prefix arrays, so that the heap they free is where the
-    # step's buffers land
-    mass = np.zeros((4, n_labels), dtype=np.float64)
-    # the prefixes' chain products and their mass.ravel() index, last symbol
-    # * 2^dim + label (the last prefix qubit's words carry the row); distinct,
-    # so one scatter places them.  Each qubit's symbol is a new outermost
-    # axis, so the products run over long inner axes and the scatter fills
-    # one row after the other
     words[start - 1] |= np.arange(4) << dim
-    prob, index = np.array(ch.marginals), words[0].copy()
-    for i in range(1, start):
-        prob = (cond[:, :, None] * prob.reshape(4, -1)).ravel()
-        index = (words[i][:, None] ^ index).ravel()
-    mass.reshape(-1)[index] = prob
-    del prob, index
-    rows, total, spare = list(mass), np.empty(n_labels), np.empty(n_labels)
-    scale = [(1.0 - ch.mu) * marg for marg in ch.marginals]
-    for i in range(start, code.n):
-        _row_sum(rows, total)
-        for s, c in enumerate(words[i].tolist()):
-            shape, flip = _xor_view(c, dim)
-            rows[s] *= ch.mu
-            out = spare.reshape(shape)
-            np.multiply(total.reshape(shape)[flip], scale[s], out=out)
-            out += rows[s].reshape(shape)[flip]
-            rows[s], spare = spare, rows[s]
-    return _row_sum(rows, total), frame
+    views = [[_xor_view(c, dim) for c in row[1:]] for row in words[start:].tolist()]
+    labels = None if tables is None else [table.labels for table in tables]
+    return _ExactPlan(dim, start, frame, words, views, labels)
+
+
+def _label_mass(plan: _ExactPlan, ch: ChannelModel) -> List[np.ndarray]:
+    """Probability mass of stabilizer-coset labels over all 4^n errors:
+    one array per label array of plan.labels, the mass of each of its
+    labels, or with plan.labels None [mass], the mass of every label x at
+    mass[_to_frame(plan.frame, x)].
+
+    Row s of the mass holds the prefixes with each label whose last symbol
+    is s; a transfer step pushes it through one more qubit.  As cond[k, s]
+    = (1-mu)·marg[s] + mu·[k = s], a step is new[s] = P_s(a_s·R +
+    mu·mass[s]), with a_s = (1-mu)·marg[s], R the row sum ((m0 + m1) + m2)
+    + m3 and P_s the XOR permutation by the qubit's label for s: every
+    term is a sum or product of nonnegative floats, so a zero mass stays
+    an exact zero.  The identity's label is 0, so its row takes a_0·R in
+    place; then R is scaled in place to a·R, the one a_s of X, Z and Y
+    (their marginals are all p/3), and each of those rows is two passes,
+    mu·mass[s] and + a·R, both read through the flipped view of P_s
+    (_xor_view), with no separate permute pass.  A relabeling is a
+    bijection of the indices, and in the frame the labels of the stepped
+    qubits are single high bits (X, Z) or two adjacent ones (Y), which
+    the view reads in long contiguous runs.  While the prefixes have
+    distinct labels (the first m = _independent_prefix qubits), each
+    label holds at most one prefix, so the mass after max(1, m) qubits is
+    scattered directly from the left-to-right chain products of its
+    prefixes, and only the remaining qubits run transfer steps.  With
+    labels to score, the last step runs only there: a_s·R + mu·mass[s]
+    gathered at label ^ c_s and summed ((0 + 1) + 2) + 3, the same float
+    operations as the step and the row sum after it.  The steps hold six
+    label-sized buffers: the four rows, R and one spare row, which a step
+    writes and then swaps with the row it replaces; before the gather R
+    is summed into the spare row and its own buffer freed, and only then
+    are the tables' labels mapped into the frame, so no table-sized array
+    is held next to the six.
+    """
+    dim, start, words = plan.dim, plan.start, plan.words
+    n = len(words)
+    n_labels = 1 << dim
+    # cond[previous, next] as [next, previous], contiguous, so that the
+    # products below come out in C order and ravel copies nothing
+    cond = np.ascontiguousarray(_cond_table(ch).T)
+    # numpy copies an operand that it cannot read in runs of bufsize
+    # elements (such as a flipped view of the lower label bits, or a
+    # broadcast prefix product) through a buffer of bufsize elements; at its
+    # default of 8192 that buffer is half a label buffer of 13_1.  errstate
+    # restores the bufsize on exit, and it is per thread
+    with np.errstate():
+        np.setbufsize(2048)
+        # mass before the prefix arrays, so that the heap they free is where
+        # the step's buffers land
+        mass = np.zeros((4, n_labels), dtype=np.float64)
+        # the prefixes' chain products and their mass.ravel() index, last
+        # symbol * 2^dim + label (the last prefix qubit's words carry the
+        # row); distinct, so one scatter places them.  Each qubit's symbol is
+        # a new outermost axis, so the products run over long inner axes and
+        # the scatter fills one row after the other
+        prob, index = np.array(ch.marginals), words[0]
+        for i in range(1, start):
+            prob = (cond[:, :, None] * prob.reshape(4, -1)).ravel()
+            index = (words[i][:, None] ^ index).ravel()
+        mass.reshape(-1)[index] = prob
+        del prob, index
+        rows, total, spare = list(mass), np.empty(n_labels), np.empty(n_labels)
+        mu = ch.mu
+        scale = [(1.0 - mu) * marg for marg in ch.marginals]  # a_1 = a_2 = a_3
+        gather = plan.labels is not None and start < n
+        for views in plan.views[:len(plan.views) - gather]:
+            _row_sum(rows, total)
+            np.multiply(total, scale[0], out=spare)
+            rows[0] *= mu
+            rows[0] += spare
+            total *= scale[1]
+            for s, (shape, flip) in enumerate(views, 1):
+                out = spare.reshape(shape)
+                np.multiply(rows[s].reshape(shape)[flip], mu, out=out)
+                out += total.reshape(shape)[flip]
+                rows[s], spare = spare, rows[s]
+        if not gather:
+            full = _row_sum(rows, total)
+            return [full] if plan.labels is None else [
+                full[_to_frame(plan.frame, labels)] for labels in plan.labels]
+        del total
+        total = _row_sum(rows, spare)
+        last = words[n - 1].tolist()
+        out = []
+        for labels in plan.labels:
+            labels = _to_frame(plan.frame, labels)
+            index = np.empty_like(labels)
+            term, moved = np.empty(len(labels)), np.empty(len(labels))
+            acc = np.zeros(len(labels))  # 0 + t0 is t0 exactly, for t0 >= 0
+            for s in range(4):
+                # take buffers out= unless told how to treat an index out
+                # of range; none is, as every index is below 2^dim
+                np.bitwise_xor(labels, last[s], out=index)
+                total.take(index, out=term, mode="wrap")
+                term *= scale[s]
+                rows[s].take(index, out=moved, mode="wrap")
+                moved *= mu
+                term += moved
+                acc += term
+            out.append(acc)
+        return out
 
 
 def _row_sum(rows: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -459,6 +536,37 @@ def _row_sum(rows: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
     out += rows[2]
     out += rows[3]
     return out
+
+
+def _weight_groups(words: np.ndarray, ch: ChannelModel,
+                   w_max: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Every pattern of weight <= w_max, as (chain products, labels)
+    arrays, float64 and uint64, one pair per group.  The prefixes are grown
+    left to right in groups keyed by (weight, last symbol): appending
+    symbol s at position j multiplies a group's products by the scalar
+    cond[last, s] and XORs its labels with the word of (j, s), so each
+    pattern gets the left-to-right multiplies of _chain_probs, and no
+    symbol matrix is built."""
+    cond = _cond_table(ch).tolist()
+    groups = {(int(s > 0), s): (np.array([ch.marginals[s]]), words[0, s:s + 1])
+              for s in range(4 if w_max else 1)}
+    for j in range(1, len(words)):
+        sources: Dict[Tuple[int, int], list] = {}
+        for (w, last), group in groups.items():
+            for s in range(4 if w < w_max else 1):
+                sources.setdefault((w + (s > 0), s), []).append(
+                    (group, cond[last][s], words[j, s]))
+        groups = {}
+        for key, parts in sources.items():
+            size = sum(len(prob) for (prob, _), _, _ in parts)
+            out = np.empty(size), np.empty(size, dtype=np.uint64)
+            at = 0
+            for (prob, labels), factor, word in parts:
+                np.multiply(prob, factor, out=out[0][at:at + len(prob)])
+                np.bitwise_xor(labels, word, out=out[1][at:at + len(prob)])
+                at += len(prob)
+            groups[key] = out
+    return list(groups.values())
 
 
 def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
@@ -470,41 +578,56 @@ def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
                if kind == "weight" or size > w_max]
     _check_patterns(n, sum(_class_size(n, *c) for c in classes), "the truncated pattern set")
     words = _label_words(code)
-    probs, successes = [], []
+    parts = _weight_groups(words, ch, w_max)
     for kind, size in classes:
-        patterns = _pattern_class(n, kind, size)
         if kind == "span":  # lighter bursts are in the weight classes
+            patterns = _pattern_class(n, kind, size)
             patterns = patterns[np.count_nonzero(patterns, axis=1) > w_max]
-        prob = _chain_probs(patterns, ch)
-        probs.append(prob)
-        # decoding succeeds iff the recovery filed under the pattern's
-        # syndrome carries the pattern's own label, that is iff the label
-        # is in the table (which holds one label per syndrome)
-        successes.append(prob[np.isin(_fold(words, patterns), table.labels)])
-    ef = math.fsum(np.concatenate(successes).tolist())
-    residual = max(0.0, 1.0 - math.fsum(np.concatenate(probs).tolist()))
+            parts.append((_chain_probs(patterns, ch), _fold(words, patterns)))
+    probs = [prob for prob, _ in parts]
+    # decoding succeeds iff the recovery filed under the pattern's
+    # syndrome carries the pattern's own label, that is iff the label
+    # is in the table (which holds one label per syndrome)
+    success = np.isin(np.concatenate([labels for _, labels in parts]), table.labels)
+    del parts
+    success = np.split(success, np.cumsum([len(prob) for prob in probs[:-1]]))
+    # each sum is exactly rounded, whatever the order of its terms, and
+    # is fed one part's list at a time
+    ef = math.fsum(itertools.chain.from_iterable(
+        prob[hit].tolist() for prob, hit in zip(probs, success)))
+    residual = max(0.0, 1.0 - math.fsum(itertools.chain.from_iterable(
+        prob.tolist() for prob in probs)))
     return EfResult(ef, residual, False)
 
 
-def _fidelities(code: StabilizerCode, tables: Sequence[DecoderTable],
-                ch: ChannelModel, strategy: str, w_max: int,
-                burst_span: Optional[int], limit: int) -> List[EfResult]:
-    """entanglement_fidelity of each table; the exact strategy computes
-    the label mass once for all of them."""
+def _fidelities(tables: Sequence[DecoderTable], ch: ChannelModel, strategy: str,
+                w_max: int, burst_span: Optional[int],
+                plan: Optional[_ExactPlan]) -> List[EfResult]:
+    """entanglement_fidelity of each table: the exact strategy computes
+    one label mass for all of them, from their code's plan."""
     if strategy == "exact":
+        return [EfResult(min(math.fsum(mass.tolist()), 1.0), 0.0, True)
+                for mass in _label_mass(plan, ch)]
+    return [_truncated(table.code, table, ch, w_max,
+                       table.l if burst_span is None else burst_span)
+            for table in tables]
+
+
+def _check_strategy(strategy: str, codes: Sequence[StabilizerCode], limit: int) -> None:
+    """Refuse an unknown strategy, and an exact one for any code over the
+    4^n limit or whose label space is over the transfer buffer cap."""
+    if strategy not in ("exact", "truncated"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    for code in codes if strategy == "exact" else ():
         if 4 ** code.n > limit:
             raise ResourceLimitError(
                 f"exact strategy needs 4^{code.n} = {4 ** code.n} error mass terms, "
                 f"limit {limit}")
-        mass, frame = _label_mass(code, ch)
-        return [EfResult(min(math.fsum(mass[_to_frame(frame, table.labels.astype(np.intp))]
-                                       .tolist()), 1.0), 0.0, True)
-                for table in tables]
-    if strategy != "truncated":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return [_truncated(code, table, ch, w_max,
-                       table.l if burst_span is None else burst_span)
-            for table in tables]
+        dim = code.n + code.k
+        if 32 << dim > MAX_ARRAY_BYTES:
+            raise ResourceLimitError(
+                f"label space 2^{dim} needs {32 << dim} bytes per transfer "
+                f"buffer, over the {MAX_ARRAY_BYTES}-byte cap")
 
 
 def entanglement_fidelity(code: StabilizerCode, table: DecoderTable,
@@ -518,7 +641,9 @@ def entanglement_fidelity(code: StabilizerCode, table: DecoderTable,
     4^n <= limit.  truncated: enumerates weight <= w_max plus bursts of span
     <= burst_span (default: the decoder's l) and brackets from below.
     """
-    return _fidelities(code, [table], ch, strategy, w_max, burst_span, limit)[0]
+    _check_strategy(strategy, [code], limit)
+    plan = _exact_plan(code, [table]) if strategy == "exact" else None
+    return _fidelities([table], ch, strategy, w_max, burst_span, plan)[0]
 
 
 # ----------------------------------------------------------------------
@@ -544,21 +669,28 @@ def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
     order; deterministic and independent of the worker count.  A task is
     one (code, p, mu) and scores every mode's table.  More tasks than the
     byte cap holds at 8 bytes each raise ResourceLimitError before any
-    table or list is built."""
+    table or list is built; so do, after them, an unknown mode or strategy
+    (ValueError) and, for the exact strategy, any code over the limit or
+    the transfer buffer cap."""
     tasks = len(code_specs) * len(p_grid) * len(mu_grid)
     if 8 * tasks > MAX_ARRAY_BYTES:
         raise ResourceLimitError(
             f"{len(code_specs)} codes x {len(p_grid)} p x {len(mu_grid)} mu points are "
             f"{tasks} tasks of 8 bytes, over the {MAX_ARRAY_BYTES}-byte cap")
+    for mode in modes:
+        _check_mode(mode)
+    _check_strategy(strategy, [spec[1] for spec in code_specs], limit)
     grid = [(p, mu) for p in p_grid for mu in mu_grid]
     tables = [[build_decoder(code, mode, t=t, l=l) for mode in modes]
               for _, code, t, l in code_specs]
+    # the exact engine's per-code work, shared by the code's grid points
+    plans = [_exact_plan(spec[1], tabs) if strategy == "exact" else None
+             for spec, tabs in zip(code_specs, tables)]
     # _fidelities' arguments, one column each, one task per (code, p, mu)
-    columns = ([spec[1] for spec in code_specs for _ in grid],
-               [tabs for tabs in tables for _ in grid],
+    columns = ([tabs for tabs in tables for _ in grid],
                [ChannelModel(p, mu) for _ in code_specs for p, mu in grid],
                itertools.repeat(strategy), itertools.repeat(w_max),
-               itertools.repeat(None), itertools.repeat(limit))
+               itertools.repeat(None), [plan for plan in plans for _ in grid])
     if workers <= 1 or len(columns[0]) <= 1:
         results = list(map(_fidelities, *columns))
     else:

@@ -3,9 +3,9 @@ probability of one pattern, the pattern generators, the per-pattern decoder
 table, the class-by-class decoder build with per-row packing, the
 per-pattern truncated EF loop, the gather form of the label-mass recursion,
 and the engines the fast paths replaced, kept as bit-identity oracles: the
-weight class sorted by lexsort, the truncated bracket over every class, and
-the transfer recursion in the original label frame with a separate
-XOR-permute pass."""
+weight class sorted by lexsort, the truncated bracket over every class, the
+truncated bracket over symbol matrices of each class, and the transfer
+recursion in the original label frame with a separate XOR-permute pass."""
 
 from __future__ import annotations
 
@@ -195,6 +195,29 @@ def truncated_every_class(code, table, ch: ChannelModel, w_max: int,
         prob = np.array(ch.marginals)[patterns[:, 0]]
         for i in range(1, n):
             prob *= cond[patterns[:, i - 1], patterns[:, i]]
+        probs.append(prob)
+        successes.append(prob[np.isin(channel._fold(words, patterns), table.labels)])
+    ef = math.fsum(np.concatenate(successes).tolist())
+    residual = max(0.0, 1.0 - math.fsum(np.concatenate(probs).tolist()))
+    return channel.EfResult(ef, residual, False)
+
+
+def pattern_class_truncated(code, table, ch: ChannelModel, w_max: int,
+                            span: int) -> channel.EfResult:
+    """The truncated bracket with every class as a [m, n] symbol matrix:
+    the weight classes 0..w_max and the span classes heavier than w_max,
+    each folded to labels and scored by _chain_probs, summed by one
+    math.fsum over all the probabilities."""
+    n = code.n
+    classes = [(kind, size) for kind, size in channel._classes(n, w_max, span)
+               if kind == "weight" or size > w_max]
+    words = channel._label_words(code)
+    probs, successes = [], []
+    for kind, size in classes:
+        patterns = channel._pattern_class(n, kind, size)
+        if kind == "span":
+            patterns = patterns[np.count_nonzero(patterns, axis=1) > w_max]
+        prob = channel._chain_probs(patterns, ch)
         probs.append(prob)
         successes.append(prob[np.isin(channel._fold(words, patterns), table.labels)])
     ef = math.fsum(np.concatenate(successes).tolist())

@@ -380,6 +380,52 @@ def test_truncated_matches_the_every_class_engine():
                         oracle.truncated_every_class(code, table, ch, w_max, span), (w_max, span)
 
 
+def test_truncated_groups_match_the_symbol_matrix_engine():
+    # w_max 0 up to past n, spans below, at and above it
+    for code in (FIVE_QUBIT, NO_STABILIZER):
+        table = build_decoder(code, "combined", t=1, l=2)
+        for p, mu in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.5), (0.03, 0.5)]:
+            ch = ChannelModel(p, mu)
+            for w_max in range(code.n + 2):
+                for span in range(2, code.n + 2):
+                    got = channel._truncated(code, table, ch, w_max, span)
+                    assert got == oracle.pattern_class_truncated(code, table, ch, w_max, span)
+                    assert got == oracle.truncated_every_class(code, table, ch, w_max, span)
+                    assert (got.ef_lower, got.residual) == oracle.truncated_ef(
+                        code, table.entries, ch, w_max, span), (code.n, p, mu, w_max, span)
+
+
+def test_truncated_builds_no_weight_class_matrix(monkeypatch):
+    # the weight classes are grown as prefix groups; only the span classes
+    # heavier than w_max are enumerated as symbol matrices
+    table = build_decoder(CODE_13_1, "combined", t=2, l=3)
+    calls = _count_pattern_classes(monkeypatch)
+    for w_max, span in [(0, 2), (2, 5), (4, 3)]:
+        del calls[:]
+        got = channel._truncated(CODE_13_1, table, ChannelModel(0.03, 0.5), w_max, span)
+        assert calls == [(13, "span", size) for size in range(max(2, w_max + 1), span + 1)]
+        assert got == oracle.pattern_class_truncated(CODE_13_1, table, ChannelModel(0.03, 0.5),
+                                                     w_max, span)
+
+
+def test_truncated_peak_is_below_the_symbol_matrix_engine():
+    # the symbol-matrix engine peaked at 64 bytes a pattern here (13.6 MB)
+    import tracemalloc
+    entry = registry_entry("17_1a")
+    code = build_registry_code(entry)
+    table = build_decoder(code, "combined", t=2, l=entry.l)
+    patterns = sum(channel._class_size(code.n, kind, size)
+                   for kind, size in channel._classes(code.n, 4, entry.l)
+                   if kind == "weight" or size > 4)
+    tracemalloc.start()
+    try:
+        channel._truncated(code, table, ChannelModel(0.03, 0.5), 4, entry.l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * patterns
+
+
 @pytest.mark.parametrize("n, heaviest", [(13, 5), (17, 5), (23, 3)])
 def test_weight_classes_match_the_lexsorted_scatter(n, heaviest):
     for w in range(heaviest + 1):
@@ -457,8 +503,9 @@ def test_label_mass_matches_gather():
 def _original_frame_mass(code, ch):
     """_label_mass read back in the original labels: entry x is the mass
     of label x."""
-    mass, frame = channel._label_mass(code, ch)
-    return mass[channel._to_frame(frame, np.arange(1 << (code.n + code.k)))]
+    plan = channel._exact_plan(code)
+    [mass] = channel._label_mass(plan, ch)
+    return mass[channel._to_frame(plan.frame, np.arange(1 << (code.n + code.k)))]
 
 
 def _suffix_labels_dependent(code):
@@ -530,17 +577,69 @@ def test_xor_view_reads_the_xor_permutation(dim):
 
 def test_label_mass_holds_six_label_buffers():
     # the four rows of the mass, the row sum and one scratch row; the prefix
-    # arrays are freed before the last two are allocated
+    # arrays are freed before the last two are allocated, and the row sum's
+    # buffer before the last step is gathered at a table's labels
     import tracemalloc
     code = build_registry_code(registry_entry("17_1a"))
     buffer = 8 << (code.n + code.k)
     tracemalloc.start()
     try:
-        channel._label_mass(code, ChannelModel(0.03, 0.5))
+        channel._label_mass(channel._exact_plan(code), ChannelModel(0.03, 0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * buffer
+    # one exact point of 13_1's full table (every syndrome claimed); the
+    # plan is built once per code, outside the point
+    table = build_decoder(CODE_13_1, "random", t=5)
+    plan = channel._exact_plan(CODE_13_1, [table])
+    buffer = 8 << (CODE_13_1.n + CODE_13_1.k)
+    tracemalloc.start()
+    try:
+        channel._fidelities([table], ChannelModel(0.03, 0.5), "exact", 4, None, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * buffer
+
+
+def test_exact_fidelities_sum_the_full_mass():
+    # the last step gathered at each table's labels adds the terms of the
+    # full step and its row sum in the same order, so each fidelity is the
+    # math.fsum of the full mass over the table's labels
+    codes = [build_registry_code(e) for e in load_registry() if e.n + e.k <= 20]
+    codes += [X0_IN_STABILIZER, Z0Z1_X2X3, NO_STABILIZER]  # prefixes of 0, 1 and n
+    rng = random.Random(79)
+    codes += [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+              for n in [rng.randrange(2, 9) for _ in range(16)]]
+    assert sum(map(_suffix_labels_dependent, codes)) >= 3
+    for code in codes:
+        tables = [build_decoder(code, mode, t=1, l=min(3, code.n))
+                  for mode in ("random", "burst", "combined")]
+        plan = channel._exact_plan(code, tables)
+        for p, mu in [(0.03, 0.5), (0.2, 0.0), (0.0, 1.0), (1.0, 0.5)]:
+            ch = ChannelModel(p, mu)
+            full = _original_frame_mass(code, ch)
+            got = channel._fidelities(tables, ch, "exact", 4, None, plan)
+            assert [res.ef_lower for res in got] == \
+                [min(math.fsum(full[table.labels.astype(np.intp)].tolist()), 1.0)
+                 for table in tables], (code.n, p, mu)
+            for table, res in zip(tables, got):
+                assert res == entanglement_fidelity(code, table, ch, limit=4 ** code.n)
+
+
+def test_sweep_builds_one_exact_plan_per_code(monkeypatch):
+    frames = []
+    label_frame = channel._label_frame
+    monkeypatch.setattr(channel, "_label_frame",
+                        lambda *args: frames.append(args) or label_frame(*args))
+    specs = [("five", FIVE_QUBIT, 1, 2), ("13_1", CODE_13_1, 2, 3)]
+    grid = ([0.01, 0.03, 0.05], [0.0, 0.45, 0.9])  # nine points a code
+    serial = sweep(specs, ["random", "burst", "combined"], *grid)
+    assert len(serial) == 54 and len(frames) == 2
+    del frames[:]
+    parallel = sweep(specs, ["random", "burst", "combined"], *grid, workers=2)
+    assert sweep_to_csv(parallel) == sweep_to_csv(serial) and len(frames) == 2
 
 
 def test_independent_prefix_matches_distinct_labels():

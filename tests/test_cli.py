@@ -259,6 +259,28 @@ def test_simulate_wide_syndrome_truncated(capsys):
     assert all(row[7] == "false" for row in rows)
 
 
+def test_simulate_refuses_an_over_limit_code_before_any_table(capsys, monkeypatch):
+    # 23_1 is over the default 4^13 limit: refused before 13_1's tables are
+    # built or scored, with an unknown decoder mode still a usage error first
+    from qbecc import channel
+    built = []
+    build_decoder = channel.build_decoder
+    monkeypatch.setattr(channel, "build_decoder",
+                        lambda *args, **kwargs: built.append(args) or build_decoder(*args, **kwargs))
+    argv = ("simulate", "--code", "13_1,23_1", "--t", "1", "--p", "0.03", "--mu", "0.5")
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "resource-limit",
+        "message": f"exact strategy needs 4^23 = {4 ** 23} error mass terms, limit {4 ** 13}"}
+    assert built == []
+    code, out = run_cli(capsys, *argv, "--decoder", "random,foo")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "unknown decoder mode 'foo'"}
+    assert built == []
+
+
 def test_simulate_truncated_span_over_cap(capsys):
     code, out = run_cli(capsys, "simulate", "--code", "13_1", "--strategy", "truncated",
                         "--decoder", "burst", "--l", "40", "--p", "0.03", "--mu", "0.5")

@@ -41,6 +41,9 @@ CALLS = [
       "--mu", "0:0.5:1"), 0),
     (("simulate", "--code", "13_1", "--decoder", "random,burst", "--strategy", "truncated",
       "--p", "1e-2:log:1e-1", "--mu", "0.5"), 0),
+    # a weight cap below the burst span: span classes heavier than the cap
+    (("simulate", "--code", "13_1", "--decoder", "burst", "--strategy", "truncated",
+      "--w-max", "2", "--p", "3e-2", "--mu", "0.5"), 0),
     (("bounds", "--n", "13", "--k", "1", "--l", "3"), 0),
     # non-divisors over GF(4) and GF(2): the message prints Poly and field
     (("analyze", "--n", "15", "--poly", "1^7 1^0"), 2),

@@ -1,5 +1,7 @@
+import csv
 import functools
 import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -13,6 +15,7 @@ from divisibility_oracle import (_css_dual_containing, _hermitian_dual_containin
 from qbecc.burst import quantum_burst_capability
 from qbecc.classical import (binary_dual_containing, cyclic_from_poly,
                              hermitian_dual_containing)
+from qbecc.cli import main
 from qbecc.gf import GF2, GF4, Poly, berlekamp_factor, xn_minus_1
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import _candidates, _construct, _divisors, _factors, _survivor_masks
@@ -438,6 +441,25 @@ def test_search_csv_matches_benchmark_reference():
         assert len(lines) == reference[str(n)]["records"], n
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == reference[str(n)]["sha256"], n
+
+
+def test_simulate_csv_matches_benchmark_reference(capsys):
+    # the seed-0 exact and truncated calls of perfbench/workloads.py, whose
+    # reference file is read, never written
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json")
+                           .read_text())["simulate"]
+    common = ("simulate", "--code", "13_1,17_1a", "--workers", "1")
+    assert main([*common, "--decoder", "random,burst,combined", "--p", "0.01:0.02:0.05",
+                 "--mu", "0:0.45:0.9", "--limit", str(4 ** 17)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert {",".join((r["code"], r["decoder"], r["p"], r["mu"])): float(r["ef_lower"])
+            for r in rows} == reference["exact"]
+    assert len(rows) == 54 and {(r["ef_residual"], r["exact"]) for r in rows} == {("0", "true")}
+    assert main([*common, "--strategy", "truncated", "--decoder", "combined",
+                 "--p", "0.03", "--mu", "0.5"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert {",".join((r["code"], r["p"], r["mu"])): [float(r["ef_lower"]), float(r["ef_residual"])]
+            for r in rows} == reference["truncated"]
 
 
 def test_search_n45_digest():
