@@ -40,7 +40,10 @@ residual.  Its weight classes are never symbol arrays: prefixes are grown
 left to right in groups of equal weight and last symbol, each a chain
 product array and a label array, so a position costs one scalar multiply
 and one scalar XOR per group; the heavier bursts come from the enumerator.
-Pattern sets and transfer buffers are capped in bytes.
+Every fidelity is the exact sum of its terms rounded once, as math.fsum
+gives it, but summed in arrays: the terms' mantissa halves are binned by
+exponent, and only the bins are joined as Python ints.  Pattern sets and
+transfer buffers are capped in bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +63,8 @@ DEFAULT_EXACT_LIMIT = 4 ** 13
 # buffer of the label mass (four float64 per label, so 2^24 labels fit) or
 # a simulate grid (one float per point).
 MAX_ARRAY_BYTES = 1 << 29
+# Values an exact sum bins at once: 2^16 halves below 2^27 sum below 2^53.
+_SUM_CHUNK = 1 << 16
 
 
 class _ChannelModel(NamedTuple):
@@ -538,6 +543,30 @@ def _row_sum(rows: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exact_sum(parts: Iterable[np.ndarray]) -> float:
+    """math.fsum of every value of parts, float64 arrays of non-negative
+    finite values: their exact sum, rounded once.  Each value is m·2^(e-53)
+    with an integer mantissa m < 2^53 (np.frexp), split into its high 27
+    and low 26 bits; per _SUM_CHUNK values, each half is summed by
+    exponent with np.bincount, where every partial sum is an integer below
+    2^53 and so exact, and the bins are joined as Python ints."""
+    total = 0
+    for part in parts:
+        for at in range(0, len(part), _SUM_CHUNK):
+            frac, exp = np.frexp(part[at:at + _SUM_CHUNK])
+            frac *= 1 << 27  # m / 2^26: the high half above the point
+            high = np.floor(frac)
+            frac -= high  # the low half / 2^26
+            exp = np.add(exp, 1073, dtype=np.intp)  # frexp's exponents are >= -1073
+            high, low = np.bincount(exp, high), np.bincount(exp, frac)
+            nonzero = np.flatnonzero(high)  # a nonzero value's high half is >= 2^26
+            high = high[nonzero].astype(np.int64).tolist()
+            low = (low[nonzero] * (1 << 26)).astype(np.int64).tolist()
+            for e, h, l in zip(nonzero.tolist(), high, low):
+                total += ((h << 26) + l) << e
+    return total / (1 << 1073 + 53)
+
+
 def _weight_groups(words: np.ndarray, ch: ChannelModel,
                    w_max: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Every pattern of weight <= w_max, as (chain products, labels)
@@ -590,13 +619,11 @@ def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
     # is in the table (which holds one label per syndrome)
     success = np.isin(np.concatenate([labels for _, labels in parts]), table.labels)
     del parts
-    success = np.split(success, np.cumsum([len(prob) for prob in probs[:-1]]))
-    # each sum is exactly rounded, whatever the order of its terms, and
-    # is fed one part's list at a time
-    ef = math.fsum(itertools.chain.from_iterable(
-        prob[hit].tolist() for prob, hit in zip(probs, success)))
-    residual = max(0.0, 1.0 - math.fsum(itertools.chain.from_iterable(
-        prob.tolist() for prob in probs)))
+    # each sum is exactly rounded, so its parts are binned one at a time,
+    # with no concatenated copy
+    starts = itertools.accumulate([len(prob) for prob in probs], initial=0)
+    ef = _exact_sum(prob[success[at:at + len(prob)]] for prob, at in zip(probs, starts))
+    residual = max(0.0, 1.0 - _exact_sum(probs))
     return EfResult(ef, residual, False)
 
 
@@ -604,9 +631,10 @@ def _fidelities(tables: Sequence[DecoderTable], ch: ChannelModel, strategy: str,
                 w_max: int, burst_span: Optional[int],
                 plan: Optional[_ExactPlan]) -> List[EfResult]:
     """entanglement_fidelity of each table: the exact strategy computes
-    one label mass for all of them, from their code's plan."""
+    one label mass for all of them, from their code's plan, and scores
+    each table by the exactly rounded sum of the mass at its labels."""
     if strategy == "exact":
-        return [EfResult(min(math.fsum(mass.tolist()), 1.0), 0.0, True)
+        return [EfResult(min(_exact_sum([mass]), 1.0), 0.0, True)
                 for mass in _label_mass(plan, ch)]
     return [_truncated(table.code, table, ch, w_max,
                        table.l if burst_span is None else burst_span)

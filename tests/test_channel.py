@@ -735,3 +735,112 @@ def test_sweep_refuses_a_grid_product_over_the_cap(monkeypatch):
         channel.sweep(specs, ["random"], grid, grid + [0.5])
     with pytest.raises(AssertionError, match="build_decoder reached"):  # 512 tasks fit
         channel.sweep(specs, ["random"], grid, grid)
+
+
+# ----------------------------------------------------------------------
+# The exactly rounded sum: math.fsum of the values' list is the oracle
+# ----------------------------------------------------------------------
+
+def _fsum(parts):
+    return math.fsum(itertools.chain.from_iterable(part.tolist() for part in parts))
+
+
+def _same_float(a, b):
+    return type(a) is float and a.hex() == b.hex()
+
+
+def test_exact_sum_matches_fsum_over_the_float_range():
+    rng = np.random.default_rng(11)
+    tiny = [5e-324, 1e-323, 2.5e-320, 1e-310, 2.2250738585072014e-308, 2.2250738585072009e-308]
+    for size in (2, 3, 17, 1000, 70000, 200000):
+        values = 10.0 ** rng.uniform(-300, 0, size)
+        values[rng.random(size) < 0.1] = 0.0
+        values[:2] = [1.0, np.nextafter(1.0, 0.0)]
+        values[2:2 + len(tiny)] = tiny[:max(0, size - 2)]
+        rng.shuffle(values)
+        assert _same_float(channel._exact_sum([values]), _fsum([values])), size
+        pieces = np.split(values, np.sort(rng.integers(0, size, 4)))  # some empty
+        assert _same_float(channel._exact_sum(pieces), _fsum([values])), size
+    subnormal = rng.integers(0, 1 << 52, 5000).astype(np.uint64).view(np.float64)
+    assert _same_float(channel._exact_sum([subnormal]), _fsum([subnormal]))
+
+
+def test_exact_sum_of_many_copies_carries_across_bins():
+    # 2^20 equal mantissas: each bin sum is the largest a chunk can hold,
+    # and the total carries far past one value's exponent
+    for value in (np.nextafter(1.0, 0.0), 0.7, 3e-17, 5e-324):
+        values = np.full(1 << 20, value)
+        assert _same_float(channel._exact_sum([values]), _fsum([values])), value
+        assert _same_float(channel._exact_sum(np.split(values, 8)), _fsum([values])), value
+
+
+def test_exact_sum_of_empty_and_single_values():
+    assert _same_float(channel._exact_sum([]), 0.0)
+    assert _same_float(channel._exact_sum([np.zeros(0)]), 0.0)
+    assert _same_float(channel._exact_sum([np.zeros(0), np.zeros(3)]), 0.0)
+    for value in (0.0, 5e-324, 1e-300, 0.1, 0.5, np.nextafter(1.0, 0.0), 1.0):
+        assert _same_float(channel._exact_sum([np.array([value])]), float(value))
+
+
+def test_exact_sum_chunk_bound():
+    # a chunk's halves are below 2^27 and 2^26, so their bin sums are
+    # integers below 2^53, exact in float64; this holds even for a chunk
+    # of a whole capped array (2^26 float64)
+    assert channel._SUM_CHUNK <= channel.MAX_ARRAY_BYTES // 8
+    assert (channel.MAX_ARRAY_BYTES // 8) * ((1 << 27) - 1) < 1 << 53
+
+
+def test_exact_sum_peak_is_a_few_chunk_buffers():
+    # the fsum of a list held a Python float and a list slot a value
+    import tracemalloc
+    values = np.random.default_rng(3).random(1 << 20)
+    tracemalloc.start()
+    try:
+        channel._exact_sum([values])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * channel._SUM_CHUNK
+
+
+def _fsum_checked(monkeypatch):
+    """Patch channel._exact_sum to assert, at every call, that it returns
+    math.fsum of each part's list and of all of them; returns the list of
+    the summed part lengths."""
+    exact_sum, lengths = channel._exact_sum, []
+
+    def checked(parts):
+        parts = list(parts)
+        for part in parts:
+            assert _same_float(exact_sum([part]), _fsum([part])), len(part)
+        got = exact_sum(parts)
+        assert _same_float(got, _fsum(parts))
+        lengths.append([len(part) for part in parts])
+        return got
+
+    monkeypatch.setattr(channel, "_exact_sum", checked)
+    return lengths
+
+
+def test_exact_table_masses_sum_like_fsum_on_the_benchmark_grid(monkeypatch):
+    lengths = _fsum_checked(monkeypatch)
+    specs = []
+    for code_id in ("13_1", "15_3", "17_1a", "17_1b"):
+        entry = registry_entry(code_id)
+        code = build_registry_code(entry)
+        specs.append((code_id, code, (code.min_distance() - 1) // 2, entry.l))
+    points = sweep(specs, ["random", "burst", "combined"], [0.01, 0.03, 0.05], [0.0, 0.45, 0.9],
+                   limit=4 ** 17)
+    assert len(points) == len(lengths) == 4 * 3 * 9
+    assert all(len(parts) == 1 for parts in lengths)
+
+
+@pytest.mark.parametrize("code_id, t", [("13_1", 1), ("17_1a", 1), ("35_7", 1)])
+def test_truncated_parts_sum_like_fsum(monkeypatch, code_id, t):
+    entry = registry_entry(code_id)
+    code = build_registry_code(entry)
+    table = build_decoder(code, "combined", t=t, l=entry.l)
+    lengths = _fsum_checked(monkeypatch)
+    channel._truncated(code, table, ChannelModel(0.03, 0.5), 4, entry.l)
+    hits, everything = lengths
+    assert len(hits) == len(everything) > 1 and sum(hits) <= sum(everything)
