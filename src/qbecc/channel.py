@@ -26,17 +26,17 @@ table of that code, and its last step is taken only at those tables'
 labels.  The frame and the stepped labels and views are one plan per code,
 built once for all its (p, mu) points.
 
-Error patterns are uint8 arrays [patterns, n] of Pauli symbols, produced a
-weight class or a span class at a time by one enumerator (a weight class
-built already in lexicographic order, with no sort); their labels are
-XOR folds of the code's labels (StabilizerCode.label_ints, the syndrome
-above the logical bits), one 64-bit word each.  A decoder table keeps the
-first pattern of each syndrome in priority order, and its recoveries'
-labels as one sorted array: a pattern is decoded correctly iff its label is
-in that array.  The truncated engine scores an explicit pattern set (every
-pattern up to a weight cap, plus the heavier bursts up to a span cap) and
-brackets the fidelity from below, with the unenumerated mass as the
-residual.  Its weight classes are never symbol arrays: prefixes are grown
+Error patterns are uint64 arrays [patterns, c], a row per pattern: the
+XOR over its positions of a word table's rows, whose column 0 is the coset
+label (StabilizerCode.label_ints, the syndrome above the logical bits) and
+whose other columns are the F4Vector.packed symbols, one word up to 32
+qubits and two above.  One enumerator grows a weight or a span class from
+the right, in its order with no sort.  A decoder table keeps the first
+pattern of each syndrome in priority order and its recoveries' labels as
+one sorted array: a pattern is decoded correctly iff its label is in that
+array.  The truncated engine scores every pattern up to a weight cap, plus
+the heavier bursts up to a span cap, and brackets the fidelity from below,
+with the unenumerated mass as the residual.  Its weight classes are grown
 left to right in groups of equal weight and last symbol, each a chain
 product array and a label array, so a position costs one scalar multiply
 and one scalar XOR per group; the heavier bursts come from the enumerator.
@@ -59,7 +59,7 @@ from .linalg import gf2_rank
 from .stabilizer import ResourceLimitError, StabilizerCode
 
 DEFAULT_EXACT_LIMIT = 4 ** 13
-# Bytes of one array: a pattern set (one byte per symbol), one transfer
+# Bytes of one array: a pattern set (charged a byte per symbol), one transfer
 # buffer of the label mass (four float64 per label, so 2^24 labels fit) or
 # a simulate grid (one float per point).
 MAX_ARRAY_BYTES = 1 << 29
@@ -104,13 +104,18 @@ def _cond_table(ch: ChannelModel) -> np.ndarray:
     return np.array([[cond_prob(l, k, ch) for l in range(4)] for k in range(4)])
 
 
-def _chain_probs(patterns: np.ndarray, ch: ChannelModel) -> np.ndarray:
-    """The chain probability of every row: the marginal of its first
-    symbol times cond_prob of each next one, multiplied left to right."""
+def _chain_probs(packed: np.ndarray, n: int, ch: ChannelModel) -> np.ndarray:
+    """The chain probability of every pattern, given by its F4Vector.packed
+    words (uint64 [m, words], qubit i at bits 2i and 2i+1 of word i // 32):
+    the marginal of its first symbol times cond_prob of each next one,
+    multiplied left to right."""
     cond = _cond_table(ch).ravel()  # [previous * 4 + next]
-    prob = np.array(ch.marginals)[patterns[:, 0]]
-    for i in range(1, patterns.shape[1]):
-        prob *= cond.take(patterns[:, i - 1] * np.uint8(4) + patterns[:, i])
+    symbols = ((packed[:, i // 32] >> 2 * (i % 32) & 3).astype(np.intp) for i in range(n))
+    prev = next(symbols)
+    prob = np.array(ch.marginals)[prev]
+    for sym in symbols:
+        prob *= cond.take(prev << 2 | sym)
+        prev = sym
     return prob
 
 
@@ -137,80 +142,61 @@ def _check_patterns(n: int, count: int, what: str) -> None:
             f"{MAX_ARRAY_BYTES}-byte cap")
 
 
-def _product(axes: Sequence[Sequence[int]]) -> np.ndarray:
-    """uint8 [prod, len(axes)]: itertools.product(*axes) as rows."""
-    grids = np.meshgrid(*[np.array(a, dtype=np.uint8) for a in axes], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _word_table(code: StabilizerCode) -> np.ndarray:
+    """uint64 [n, 4, c]: per position and symbol, the coset label
+    (label_contrib) in column 0, and the symbol's F4Vector.packed bits
+    (symbol s of qubit i at bits 2i and 2i+1) in columns 1 to c - 1, one
+    word up to 32 qubits and two above.  A pattern's words are the XOR of
+    the rows at its symbols."""
+    n = code.n
+    if n + code.k > 64:
+        raise ResourceLimitError(
+            f"coset labels of {n + code.k} bits exceed one 64-bit word")
+    table = np.zeros((n, 4, 1 + (n + 31) // 32), dtype=np.uint64)
+    table[:, :, 0] = label_contrib(code)
+    i = np.arange(n)
+    shifts = (2 * (i % 32)).astype(np.uint64)
+    table[i, :, 1 + i // 32] = np.arange(4, dtype=np.uint64) << shifts[:, None]
+    return table
 
 
-def _pattern_class(n: int, kind: str, size: int) -> np.ndarray:
-    """uint8 [m, n]: every pattern of weight exactly size, in lexicographic
-    order (kind "weight"), or of burst length exactly size >= 2, ordered by
-    start position and then by window content (kind "span")."""
+def _class_words(table: np.ndarray, kind: str, size: int) -> np.ndarray:
+    """uint64 [m, c]: the words (_word_table) of every pattern of weight
+    exactly size, in lexicographic order (kind "weight"), or of burst length
+    exactly size >= 2, ordered by start position and then by window content
+    (kind "span").  Both are grown from the right: prepending symbols 0, 1,
+    2 and 3 at a position, in that order, keeps lexicographic order."""
+    n, _, c = table.shape
     count = _class_size(n, kind, size)
     _check_patterns(n, count, f"the {kind}-{size} class")
-    if kind == "weight" and count:
-        # tails[v]: the weight-v patterns of the last j positions in
-        # lexicographic order, that is a 0 before weight v, then 1, 2 and 3
-        # before weight v - 1; only weights that can still reach size are kept
-        tails = {0: np.zeros((1, 0), dtype=np.uint8)}
-        for j in range(1, n + 1):
-            tails = {v: _prepend(tails.get(v), tails.get(v - 1), j)
-                     for v in range(max(0, size - (n - j)), min(j, size) + 1)}
+    if not count:
+        return np.zeros((0, c), dtype=np.uint64)
+    if kind == "weight":
+        # tails[v]: the weight-v patterns of positions j..n-1, that is a 0
+        # before weight v, then 1, 2 and 3 before weight v - 1; only weights
+        # that can still reach size are kept
+        empty = np.zeros((0, c), dtype=np.uint64)
+        tails = {0: np.zeros((1, c), dtype=np.uint64)}
+        for j in reversed(range(n)):
+            grown = {}
+            for v in range(max(0, size - j), min(n - j, size) + 1):
+                zero, rest = tails.get(v, empty), tails.get(v - 1, empty)
+                out = np.empty((len(zero) + 3 * len(rest), c), dtype=np.uint64)
+                np.bitwise_xor(zero, table[j, 0], out=out[:len(zero)])
+                np.bitwise_xor(table[j, 1:, None], rest,
+                               out=out[len(zero):].reshape(3, len(rest), c))
+                grown[v] = out
+            tails = grown
         return tails[size]
-    out = np.zeros((count, n), dtype=np.uint8)
-    if count:
-        window = _product([(1, 2, 3)] + [range(4)] * (size - 2) + [(1, 2, 3)])
-        out = out.reshape(n - size + 1, len(window), n)
-        for start in range(n - size + 1):
-            out[start, :, start:start + size] = window
-    return out.reshape(count, n)
-
-
-def _prepend(zero: Optional[np.ndarray], rest: Optional[np.ndarray], j: int) -> np.ndarray:
-    """uint8 [len(zero) + 3 len(rest), j]: the rows of zero behind a 0,
-    then the rows of rest behind a 1, a 2 and a 3 (None holds no row)."""
-    a = 0 if zero is None else len(zero)
-    b = 0 if rest is None else len(rest)
-    out = np.empty((a + 3 * b, j), dtype=np.uint8)
-    if a:
-        out[:a, 0] = 0
-        out[:a, 1:] = zero
-    if b:
-        ones = out[a:].reshape(3, b, j)
-        ones[:, :, 0] = np.array([[1], [2], [3]], dtype=np.uint8)
-        ones[:, :, 1:] = rest
+    out = np.empty((count, c), dtype=np.uint64)
+    blocks = out.reshape(n - size + 1, 3, -1, c)
+    for start in range(n - size + 1):
+        # the window's last symbol (1, 2, 3), then any symbol in front of it
+        rows = table[start + size - 1, 1:]
+        for j in range(start + size - 2, start, -1):
+            rows = (table[j, :, None] ^ rows).reshape(-1, c)
+        np.bitwise_xor(table[start, 1:, None], rows, out=blocks[start])
     return out
-
-
-def _label_words(code: StabilizerCode) -> np.ndarray:
-    """uint64 [n, 4]: label_contrib with each label in one word."""
-    if code.n + code.k > 64:
-        raise ResourceLimitError(
-            f"coset labels of {code.n + code.k} bits exceed one 64-bit word")
-    return np.array(label_contrib(code), dtype=np.uint64)
-
-
-def _fold(words: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """uint64 [m]: the label of each row, the XOR over positions of the
-    label words at its symbols."""
-    out = words[0][patterns[:, 0]]
-    for i in range(1, patterns.shape[1]):
-        out ^= words[i][patterns[:, i]]
-    return out
-
-
-def _packed_ints(patterns: np.ndarray) -> List[int]:
-    """Each row as an F4Vector.packed int (symbol i at bits 2i, 2i+1): the
-    symbols of each 32 qubits are the 2-bit fields of one uint64 word, and
-    the two words of a row are joined in Python only past 32 qubits."""
-    n = patterns.shape[1]
-    fields = np.uint64(4) ** np.arange(min(n, 32), dtype=np.uint64)
-    low = (patterns[:, :32] @ fields).tolist()
-    if n <= 32:
-        return low
-    high = (patterns[:, 32:] @ fields[:n - 32]).tolist()
-    return [a | b << 64 for a, b in zip(low, high)]
 
 
 def label_contrib(code: StabilizerCode) -> Sequence[Sequence[int]]:
@@ -276,7 +262,7 @@ def build_decoder(code: StabilizerCode, mode: str,
             raise ValueError("combined mode needs both t and l")
     if t < 0 or l < 0:
         raise ValueError(f"t={t} and l={l} must be non-negative")
-    words, shift = _label_words(code), 2 * code.k
+    word_table, shift = _word_table(code), 2 * code.k
     classes = _classes(code.n, t, l)
     # each pattern claims at most one syndrome, so a walk whose earlier
     # classes hold fewer than 2^r patterns must reach every class up to there
@@ -293,16 +279,19 @@ def build_decoder(code: StabilizerCode, mode: str,
     for kind, size in classes:
         if len(claimed) == 1 << code.r:
             break
-        patterns = _pattern_class(code.n, kind, size)
-        folded = _fold(words, patterns)
-        syndromes, first = np.unique(folded >> shift, return_index=True)
+        words = _class_words(word_table, kind, size)
+        syndromes, first = np.unique(words[:, 0] >> shift, return_index=True)
         unclaimed = ~np.isin(syndromes, claimed, assume_unique=True)
         claimed = np.insert(claimed, np.searchsorted(claimed, syndromes[unclaimed]),
                             syndromes[unclaimed])
         # the first pattern of each unclaimed syndrome, in enumeration order
-        first = np.sort(first[unclaimed])
-        labels.append(folded[first])
-        entries.update(zip((labels[-1] >> shift).tolist(), _packed_ints(patterns[first])))
+        first = words[np.sort(first[unclaimed])]
+        labels.append(first[:, 0])
+        # the recovery's packed words, joined in Python only past 32 qubits
+        recoveries = first[:, 1].tolist()
+        if first.shape[1] > 2:
+            recoveries = [a | b << 64 for a, b in zip(recoveries, first[:, 2].tolist())]
+        entries.update(zip((labels[-1] >> shift).tolist(), recoveries))
     return DecoderTable(code, mode, t, l, entries, np.sort(np.concatenate(labels)))
 
 
@@ -573,9 +562,9 @@ def _weight_groups(words: np.ndarray, ch: ChannelModel,
     arrays, float64 and uint64, one pair per group.  The prefixes are grown
     left to right in groups keyed by (weight, last symbol): appending
     symbol s at position j multiplies a group's products by the scalar
-    cond[last, s] and XORs its labels with the word of (j, s), so each
-    pattern gets the left-to-right multiplies of _chain_probs, and no
-    symbol matrix is built."""
+    cond[last, s] and XORs its labels with the label word of (j, s), so
+    each pattern gets the left-to-right multiplies of _chain_probs, and no
+    pattern array is built."""
     cond = _cond_table(ch).tolist()
     groups = {(int(s > 0), s): (np.array([ch.marginals[s]]), words[0, s:s + 1])
               for s in range(4 if w_max else 1)}
@@ -606,13 +595,16 @@ def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
     classes = [(kind, size) for kind, size in _classes(n, w_max, span)
                if kind == "weight" or size > w_max]
     _check_patterns(n, sum(_class_size(n, *c) for c in classes), "the truncated pattern set")
-    words = _label_words(code)
-    parts = _weight_groups(words, ch, w_max)
+    word_table = _word_table(code)
+    parts = _weight_groups(word_table[:, :, 0], ch, w_max)
     for kind, size in classes:
         if kind == "span":  # lighter bursts are in the weight classes
-            patterns = _pattern_class(n, kind, size)
-            patterns = patterns[np.count_nonzero(patterns, axis=1) > w_max]
-            parts.append((_chain_probs(patterns, ch), _fold(words, patterns)))
+            words = _class_words(word_table, kind, size)
+            packed = words[:, 1:]
+            # a qubit's weight is 1 if either of its two bits is set
+            weight = np.bitwise_count((packed | packed >> 1) & 0x5555555555555555).sum(axis=1)
+            heavier = weight > w_max
+            parts.append((_chain_probs(packed[heavier], n, ch), words[heavier, 0]))
     probs = [prob for prob, _ in parts]
     # decoding succeeds iff the recovery filed under the pattern's
     # syndrome carries the pattern's own label, that is iff the label

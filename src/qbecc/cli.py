@@ -75,6 +75,8 @@ def _cmd_analyze(args) -> Tuple[int, str]:
     n, genpolys = args.n, (args.poly, args.poly2)
     if n < 1:
         raise UsageError(f"analyze needs n >= 1, got n={n}")
+    if args.distance_limit < 0:
+        raise UsageError(f"--distance-limit must be non-negative, got {args.distance_limit}")
     k, columns = code_labels(construction, n, genpolys)
     analysis = quantum_burst_capability(n, k, columns)
     out = {
@@ -115,7 +117,7 @@ def _cmd_search(args) -> Tuple[int, str]:
                             "total": len(report)})
     if args.min_n is None or args.max_n is None:
         raise UsageError("search needs --min-n and --max-n (or --reproduce-table1)")
-    n_values = tuple(n for n in range(args.min_n, args.max_n + 1) if n % 2 == 1)
+    n_values = range(args.min_n | 1, args.max_n + 1, 2)  # the odd lengths, never listed
     if not n_values:
         raise UsageError(f"no odd lengths in [{args.min_n}, {args.max_n}]; "
                          "even-length cyclic codes are outside the default plan")

@@ -256,7 +256,7 @@ def _order(p: Poly) -> Tuple[int, bytes]:
 # ----------------------------------------------------------------------
 
 class _SearchPlan(NamedTuple):
-    n_values: Tuple[int, ...]
+    n_values: Sequence[int]  # a tuple, or a range
     constructions: Tuple[str, ...] = ("hermitian", "css")
     max_seconds: Optional[float] = None
     max_candidates: Optional[int] = None
@@ -271,9 +271,12 @@ class SearchPlan(_SearchPlan):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if any(n < 1 for n in self.n_values):
-            raise ValueError(f"code lengths must be at least 1, got {min(self.n_values)}")
-        if any(n % 2 == 0 for n in self.n_values):
+        lengths = self.n_values
+        if isinstance(lengths, range) and lengths.step % 2 == 0:
+            lengths = (*lengths[:1], *lengths[-1:])  # its ends bound it; all share their parity
+        if any(n < 1 for n in lengths):
+            raise ValueError(f"code lengths must be at least 1, got {min(lengths)}")
+        if any(n % 2 == 0 for n in lengths):
             raise ValueError("even lengths share a factor with the field characteristic")
         if self.max_seconds is not None and not self.max_seconds > 0:
             raise ValueError("time budget must be positive")  # also rejects NaN

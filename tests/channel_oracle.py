@@ -3,9 +3,11 @@ probability of one pattern, the pattern generators, the per-pattern decoder
 table, the class-by-class decoder build with per-row packing, the
 per-pattern truncated EF loop, the gather form of the label-mass recursion,
 and the engines the fast paths replaced, kept as bit-identity oracles: the
-weight class sorted by lexsort, the truncated bracket over every class, the
-truncated bracket over symbol matrices of each class, and the transfer
-recursion in the original label frame with a separate XOR-permute pass."""
+pattern classes as uint8 symbol matrices [patterns, n] with their label
+folds, word packing and chain products, the weight class sorted by
+lexsort, the truncated bracket over every class, the truncated bracket over
+symbol matrices of each class, and the transfer recursion in the original
+label frame with a separate XOR-permute pass."""
 
 from __future__ import annotations
 
@@ -76,6 +78,89 @@ def packed(symbols: Sequence[int]) -> int:
     return out
 
 
+def label_words(code) -> np.ndarray:
+    """uint64 [n, 4]: label_contrib with each label in one word."""
+    return np.array(label_contrib(code), dtype=np.uint64)
+
+
+def product(axes: Sequence[Sequence[int]]) -> np.ndarray:
+    """uint8 [prod, len(axes)]: itertools.product(*axes) as rows."""
+    grids = np.meshgrid(*[np.array(a, dtype=np.uint8) for a in axes], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def pattern_class(n: int, kind: str, size: int) -> np.ndarray:
+    """uint8 [m, n]: every pattern of weight exactly size, in lexicographic
+    order (kind "weight"), or of burst length exactly size >= 2, ordered by
+    start position and then by window content (kind "span"); grown from
+    the right, as tails per weight, with no sort."""
+    count = channel._class_size(n, kind, size)
+    if kind == "weight" and count:
+        # tails[v]: the weight-v patterns of the last j positions in
+        # lexicographic order, that is a 0 before weight v, then 1, 2 and 3
+        # before weight v - 1; only weights that can still reach size are kept
+        tails = {0: np.zeros((1, 0), dtype=np.uint8)}
+        for j in range(1, n + 1):
+            tails = {v: prepend(tails.get(v), tails.get(v - 1), j)
+                     for v in range(max(0, size - (n - j)), min(j, size) + 1)}
+        return tails[size]
+    out = np.zeros((count, n), dtype=np.uint8)
+    if count:
+        window = product([(1, 2, 3)] + [range(4)] * (size - 2) + [(1, 2, 3)])
+        out = out.reshape(n - size + 1, len(window), n)
+        for start in range(n - size + 1):
+            out[start, :, start:start + size] = window
+    return out.reshape(count, n)
+
+
+def prepend(zero, rest, j: int) -> np.ndarray:
+    """uint8 [len(zero) + 3 len(rest), j]: the rows of zero behind a 0,
+    then the rows of rest behind a 1, a 2 and a 3 (None holds no row)."""
+    a = 0 if zero is None else len(zero)
+    b = 0 if rest is None else len(rest)
+    out = np.empty((a + 3 * b, j), dtype=np.uint8)
+    if a:
+        out[:a, 0] = 0
+        out[:a, 1:] = zero
+    if b:
+        ones = out[a:].reshape(3, b, j)
+        ones[:, :, 0] = np.array([[1], [2], [3]], dtype=np.uint8)
+        ones[:, :, 1:] = rest
+    return out
+
+
+def fold(words: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """uint64 [m]: the label of each row, the XOR over positions of the
+    label words at its symbols."""
+    out = words[0][patterns[:, 0]]
+    for i in range(1, patterns.shape[1]):
+        out ^= words[i][patterns[:, i]]
+    return out
+
+
+def packed_ints(patterns: np.ndarray) -> List[int]:
+    """Each row as an F4Vector.packed int: the symbols of each 32 qubits
+    are the 2-bit fields of one uint64 word, and the two words of a row are
+    joined in Python only past 32 qubits."""
+    n = patterns.shape[1]
+    fields = np.uint64(4) ** np.arange(min(n, 32), dtype=np.uint64)
+    low = (patterns[:, :32] @ fields).tolist()
+    if n <= 32:
+        return low
+    high = (patterns[:, 32:] @ fields[:n - 32]).tolist()
+    return [a | b << 64 for a, b in zip(low, high)]
+
+
+def chain_probs(patterns: np.ndarray, ch: ChannelModel) -> np.ndarray:
+    """The chain probability of every symbol row, multiplied left to
+    right by a flat take of cond[previous * 4 + next]."""
+    cond = channel._cond_table(ch).ravel()
+    prob = np.array(ch.marginals)[patterns[:, 0]]
+    for i in range(1, patterns.shape[1]):
+        prob *= cond.take(patterns[:, i - 1] * np.uint8(4) + patterns[:, i])
+    return prob
+
+
 def decoder_entries(code, t: int, l: int) -> Dict[int, int]:
     """First pattern of each syndrome over weights 0..t, then spans 2..l."""
     contrib = label_contrib(code)
@@ -103,14 +188,14 @@ def decoder_table(code, t: int, l: int) -> Tuple[Dict[int, int], np.ndarray]:
     """(entries, labels) of channel.build_decoder over weights 0..t and
     spans 2..l, built class by class: rows packed one at a time, the label
     array re-sorted by np.union1d after every class."""
-    words, shift = channel._label_words(code), 2 * code.k
+    words, shift = label_words(code), 2 * code.k
     entries: Dict[int, int] = {}
     labels = np.zeros(0, dtype=np.uint64)
     for kind, size in channel._classes(code.n, t, l):
         if len(entries) == 1 << code.r:
             break
-        patterns = channel._pattern_class(code.n, kind, size)
-        folded = channel._fold(words, patterns)
+        patterns = pattern_class(code.n, kind, size)
+        folded = fold(words, patterns)
         syndromes, first = np.unique(folded >> shift, return_index=True)
         first = np.sort(first[~np.isin(syndromes, labels >> shift, assume_unique=True)])
         entries.update(zip((folded[first] >> shift).tolist(), packed_rows(patterns[first])))
@@ -171,7 +256,7 @@ def lexsorted_weight_class(n: int, size: int) -> np.ndarray:
     if count == 0 or size == 0:
         return out
     supports = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
-    symbols = channel._product([(1, 2, 3)] * size)
+    symbols = product([(1, 2, 3)] * size)
     rows = np.arange(count).reshape(len(supports), len(symbols), 1)
     out[rows, supports[:, None, :]] = symbols[None, :, :]
     return out[np.lexsort(out.T[::-1])]
@@ -183,20 +268,20 @@ def truncated_every_class(code, table, ch: ChannelModel, w_max: int,
     included, with lexsorted weight classes and chain products by 2-d
     fancy indexing."""
     n = code.n
-    words = channel._label_words(code)
+    words = label_words(code)
     cond = channel._cond_table(ch)
     probs, successes = [], []
     for kind, size in channel._classes(n, w_max, span):
         if kind == "weight":
             patterns = lexsorted_weight_class(n, size)
         else:
-            patterns = channel._pattern_class(n, kind, size)
+            patterns = pattern_class(n, kind, size)
             patterns = patterns[np.count_nonzero(patterns, axis=1) > w_max]
         prob = np.array(ch.marginals)[patterns[:, 0]]
         for i in range(1, n):
             prob *= cond[patterns[:, i - 1], patterns[:, i]]
         probs.append(prob)
-        successes.append(prob[np.isin(channel._fold(words, patterns), table.labels)])
+        successes.append(prob[np.isin(fold(words, patterns), table.labels)])
     ef = math.fsum(np.concatenate(successes).tolist())
     residual = max(0.0, 1.0 - math.fsum(np.concatenate(probs).tolist()))
     return channel.EfResult(ef, residual, False)
@@ -206,20 +291,20 @@ def pattern_class_truncated(code, table, ch: ChannelModel, w_max: int,
                             span: int) -> channel.EfResult:
     """The truncated bracket with every class as a [m, n] symbol matrix:
     the weight classes 0..w_max and the span classes heavier than w_max,
-    each folded to labels and scored by _chain_probs, summed by one
+    each folded to labels and scored by chain_probs, summed by one
     math.fsum over all the probabilities."""
     n = code.n
     classes = [(kind, size) for kind, size in channel._classes(n, w_max, span)
                if kind == "weight" or size > w_max]
-    words = channel._label_words(code)
+    words = label_words(code)
     probs, successes = [], []
     for kind, size in classes:
-        patterns = channel._pattern_class(n, kind, size)
+        patterns = pattern_class(n, kind, size)
         if kind == "span":
             patterns = patterns[np.count_nonzero(patterns, axis=1) > w_max]
-        prob = channel._chain_probs(patterns, ch)
+        prob = chain_probs(patterns, ch)
         probs.append(prob)
-        successes.append(prob[np.isin(channel._fold(words, patterns), table.labels)])
+        successes.append(prob[np.isin(fold(words, patterns), table.labels)])
     ef = math.fsum(np.concatenate(successes).tolist())
     residual = max(0.0, 1.0 - math.fsum(np.concatenate(probs).tolist()))
     return channel.EfResult(ef, residual, False)

@@ -292,14 +292,28 @@ def _rows(vectors, n):
     return np.array(list(vectors), dtype=np.uint8).reshape(-1, n)
 
 
+def _joined(words):
+    """Each row's recovery: its packed words joined as low | high << 64."""
+    low = words[:, 1].tolist()
+    if words.shape[1] == 2:
+        return low
+    return [a | b << 64 for a, b in zip(low, words[:, 2].tolist())]
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pattern_classes_match_generators(n):
-    for w in range(n + 2):
-        assert np.array_equal(channel._pattern_class(n, "weight", w),
-                              _rows(oracle.weight_class(n, w), n)), w
-    for span in range(2, n + 2):
-        assert np.array_equal(channel._pattern_class(n, "span", span),
-                              _rows(oracle.span_class(n, span), n)), span
+    # k = n: every Pauli its own label
+    code = StabilizerCode(n, [])
+    table, words = channel._word_table(code), oracle.label_words(code)
+    for kind, sizes, generate in [("weight", range(n + 2), oracle.weight_class),
+                                  ("span", range(2, n + 2), oracle.span_class)]:
+        for size in sizes:
+            patterns = oracle.pattern_class(n, kind, size)
+            assert np.array_equal(patterns, _rows(generate(n, size), n)), (kind, size)
+            got = channel._class_words(table, kind, size)
+            assert got.dtype == np.uint64 and got.shape == (len(patterns), 2)
+            assert np.array_equal(got[:, 0], oracle.fold(words, patterns)), (kind, size)
+            assert _joined(got) == oracle.packed_ints(patterns), (kind, size)
 
 
 @pytest.mark.parametrize("code_id", [e.id for e in load_registry()])
@@ -316,18 +330,41 @@ def test_decoder_matches_per_pattern_table(code_id):
         assert (table.labels >> 2 * code.k).tolist() == sorted(expected)
 
 
+def _z_code(n):
+    """The k = 0 code stabilized by Z on every qubit: n + k = n label bits."""
+    return StabilizerCode(n, [2 << 2 * i for i in range(n)])
+
+
 @pytest.mark.parametrize("n", [1, 5, 31, 32, 33, 47, 64])
 def test_packed_ints_match_per_row_packing(n):
+    # a pattern's packed words, the XOR of the word table's packed columns
+    # at its symbols, joined past 32 qubits, against packing row by row
     rng = np.random.default_rng(n)
     patterns = rng.integers(0, 4, size=(200, n), dtype=np.uint8)
     patterns[0], patterns[1] = 0, 3  # the zero row and every bit set
-    assert channel._packed_ints(patterns) == oracle.packed_rows(patterns)
-    assert channel._packed_ints(patterns[:0]) == []
+    table = channel._word_table(_z_code(n))
+    assert table.shape == (n, 4, 2 if n <= 32 else 3)
+    words = np.bitwise_xor.reduce(table[np.arange(n), patterns], axis=1)
+    assert _joined(words) == oracle.packed_rows(patterns)
+    assert oracle.packed_ints(patterns) == oracle.packed_rows(patterns)
+    assert oracle.packed_ints(patterns[:0]) == []
 
 
-@pytest.mark.parametrize("code_id, radius, span", [
-    ("13_1", 2, 3), ("15_3", 2, 3), ("17_1a", 2, 4), ("17_1b", 2, 4),
-    ("35_25", 1, 2)])  # 35 qubits: rows packed into two words
+def _capped_span(entry):
+    """The largest span up to the row's l whose class holds at most 2^18
+    patterns, which keeps the oracle's symbol matrices small."""
+    return max(s for s in range(2, entry.l + 1)
+               if channel._class_size(entry.n, "span", s) <= 1 << 18)
+
+
+PACKING_CASES = [("13_1", 2, 3), ("15_3", 2, 3), ("17_1a", 2, 4), ("17_1b", 2, 4),
+                 ("35_25", 1, 2)]  # 35 qubits: rows packed into two words
+
+
+# every registry row, in all three modes
+@pytest.mark.parametrize("code_id, radius, span", PACKING_CASES + [
+    (e.id, 2, _capped_span(e)) for e in load_registry()
+    if e.id not in {case[0] for case in PACKING_CASES}])
 def test_decoder_matches_per_row_packing(code_id, radius, span):
     code = build_registry_code(registry_entry(code_id))
     for mode, t, l in [("random", radius, 0), ("burst", 1, span),
@@ -395,11 +432,63 @@ def test_truncated_groups_match_the_symbol_matrix_engine():
                         code, table.entries, ch, w_max, span), (code.n, p, mu, w_max, span)
 
 
+@pytest.mark.parametrize("code_id", ["35_7", "41_1"])
+def test_truncated_two_word_bursts_match_the_symbol_matrix_engine(code_id):
+    # past 32 qubits the heavier bursts' weights and chain products are
+    # read from two packed words
+    entry = registry_entry(code_id)
+    code = build_registry_code(entry)
+    table = build_decoder(code, "combined", t=1, l=min(entry.l, 6))
+    ch = ChannelModel(0.03, 0.5)
+    for w_max, span in [(0, 3), (1, 5), (2, 4)]:
+        assert channel._truncated(code, table, ch, w_max, span) == \
+            oracle.pattern_class_truncated(code, table, ch, w_max, span), (w_max, span)
+
+
+def _weight_pairs(code, w_max, ch):
+    """((label, product) pairs of _weight_groups, the same pairs from the
+    ordered enumerator's labels and the symbol matrices' chain products),
+    each sorted as a multiset; checks _chain_probs on the packed words on
+    the way."""
+    n = code.n
+    table = channel._word_table(code)
+    groups = channel._weight_groups(table[:, :, 0], ch, w_max)
+    got = [np.concatenate([part[i] for part in groups]) for i in (1, 0)]
+    labels, probs = [], []
+    for w in range(min(w_max, n) + 1):
+        words = channel._class_words(table, "weight", w)
+        prob = oracle.chain_probs(oracle.pattern_class(n, "weight", w), ch)
+        assert np.array_equal(channel._chain_probs(words[:, 1:], n, ch), prob), w
+        labels.append(words[:, 0])
+        probs.append(prob)
+    want = [np.concatenate(labels), np.concatenate(probs)]
+    return [[pairs[i][np.lexsort(pairs[::-1])] for i in (0, 1)] for pairs in (got, want)]
+
+
+def _weight_test_codes():
+    """Registry rows, and random codes of 31, 32 and 33 qubits (one packed
+    word and two), each with the heaviest w_max <= 4 whose patterns number
+    at most 2^19."""
+    codes = [(e.id, build_registry_code(e)) for e in load_registry()]
+    rng = random.Random(31)
+    codes += [(f"random {n}", random_self_orthogonal_code(rng, n, n - 3)) for n in (31, 32, 33)]
+    for name, code in codes:
+        w_max = max(w for w in range(5) if sum(
+            channel._class_size(code.n, "weight", v) for v in range(w + 1)) <= 1 << 19)
+        yield name, code, w_max
+
+
+def test_weight_groups_match_the_ordered_enumerator():
+    for name, code, w_max in _weight_test_codes():
+        got, want = _weight_pairs(code, w_max, ChannelModel(0.03, 0.5))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, w_max)
+
+
 def test_truncated_builds_no_weight_class_matrix(monkeypatch):
     # the weight classes are grown as prefix groups; only the span classes
-    # heavier than w_max are enumerated as symbol matrices
+    # heavier than w_max are enumerated as word arrays
     table = build_decoder(CODE_13_1, "combined", t=2, l=3)
-    calls = _count_pattern_classes(monkeypatch)
+    calls = _count_class_words(monkeypatch)
     for w_max, span in [(0, 2), (2, 5), (4, 3)]:
         del calls[:]
         got = channel._truncated(CODE_13_1, table, ChannelModel(0.03, 0.5), w_max, span)
@@ -428,19 +517,23 @@ def test_truncated_peak_is_below_the_symbol_matrix_engine():
 
 @pytest.mark.parametrize("n, heaviest", [(13, 5), (17, 5), (23, 3)])
 def test_weight_classes_match_the_lexsorted_scatter(n, heaviest):
+    code = build_registry_code(registry_entry({13: "13_1", 17: "17_1a", 23: "23_1"}[n]))
+    table, words = channel._word_table(code), oracle.label_words(code)
     for w in range(heaviest + 1):
-        got, want = channel._pattern_class(n, "weight", w), oracle.lexsorted_weight_class(n, w)
-        assert got.dtype == want.dtype and np.array_equal(got, want), w
+        got, want = channel._class_words(table, "weight", w), oracle.lexsorted_weight_class(n, w)
+        assert np.array_equal(got[:, 0], oracle.fold(words, want)), w
+        assert _joined(got) == oracle.packed_ints(want), w
 
 
 def test_weight_class_peak_is_below_the_lexsort_build():
     # the lexsort build held the unsorted class, its int64 index and the
-    # sorted copy at once
+    # sorted copy at once, 42 bytes a pattern; the words are 16
     import tracemalloc
     count = math.comb(17, 4) * 3 ** 4
+    table = channel._word_table(build_registry_code(registry_entry("17_1a")))
     tracemalloc.start()
     try:
-        channel._pattern_class(17, "weight", 4)
+        channel._class_words(table, "weight", 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -667,15 +760,16 @@ def test_registry_prefix_is_half_the_label_bits(code_id):
     assert channel._independent_prefix(label_contrib(code)) == (code.n + code.k) // 2
 
 
-def _count_pattern_classes(monkeypatch):
+def _count_class_words(monkeypatch):
+    """Record each _class_words call as (n, kind, size)."""
     calls = []
-    enumerate_class = channel._pattern_class
+    enumerate_class = channel._class_words
 
-    def counted(*args):
-        calls.append(args)
-        return enumerate_class(*args)
+    def counted(table, kind, size):
+        calls.append((len(table), kind, size))
+        return enumerate_class(table, kind, size)
 
-    monkeypatch.setattr(channel, "_pattern_class", counted)
+    monkeypatch.setattr(channel, "_class_words", counted)
     return calls
 
 
@@ -683,7 +777,7 @@ def test_decoder_refuses_before_enumerating(monkeypatch):
     # 41_1: the classes before span 10 hold 6,553,600 patterns, fewer than
     # 2^40 syndromes, so the walk is bound to reach the over-cap span-10 class
     code = build_registry_code(registry_entry("41_1"))
-    calls = _count_pattern_classes(monkeypatch)
+    calls = _count_class_words(monkeypatch)
     with pytest.raises(ResourceLimitError,
                        match="the span-10 class needs 18874368 patterns of 41"):
         build_decoder(code, "combined", t=1, l=10)
@@ -692,10 +786,10 @@ def test_decoder_refuses_before_enumerating(monkeypatch):
 
 def test_decoder_claims_every_syndrome_before_an_over_cap_class(monkeypatch):
     # 13_1 claims all 2^12 syndromes within weight 4; weight 5 is over the cap
-    calls = _count_pattern_classes(monkeypatch)
+    calls = _count_class_words(monkeypatch)
     monkeypatch.setattr(channel, "MAX_ARRAY_BYTES", 1 << 20)
     with pytest.raises(ResourceLimitError):
-        channel._pattern_class(13, "weight", 5)
+        channel._class_words(channel._word_table(CODE_13_1), "weight", 5)
     table = build_decoder(CODE_13_1, "random", t=5)
     assert table.entries == oracle.decoder_entries(CODE_13_1, 4, 0)
     assert [size for _, _, size in calls[1:]] == [0, 1, 2, 3, 4]

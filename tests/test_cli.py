@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -63,6 +64,16 @@ def test_analyze_rejects_length_below_one(capsys, n):
     assert code == 2
     assert json.loads(out)["error"] == {"type": "UsageError",
                                         "message": f"analyze needs n >= 1, got n={n}"}
+
+
+@pytest.mark.parametrize("limit", ["-1", "-268435456"])
+def test_analyze_rejects_a_negative_distance_limit(capsys, limit):
+    # 0 disables the distance; a negative limit is refused, not read as 0
+    code, out = run_cli(capsys, "analyze", "--n", "15", "--poly", "1^6 2^3 1^0",
+                        "--distance-limit", limit)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "UsageError", "message": f"--distance-limit must be non-negative, got {limit}"}
 
 
 def test_analyze_malformed_poly(capsys):
@@ -459,6 +470,26 @@ def test_entry_point_exit_codes(capsys, argv, expected):
     proc = run_entry_point(*argv)
     assert (proc.returncode, code) == (expected, expected)
     assert proc.stdout == out.encode("utf-8")
+
+
+def test_search_budget_bounds_a_wide_length_range():
+    # the lengths stay a range: listing 10^7 odd lengths before the budget
+    # started took 1.09 s and 400 MB here, where a plain search child
+    # peaks near 14 MB.  A process's ru_maxrss starts at the high-water mark
+    # of the one that forked it, so the search runs as the child of a small
+    # interpreter, which reports it
+    child = ("import resource, subprocess, sys; "
+             "code = subprocess.run([sys.executable, '-m', 'qbecc.cli', *sys.argv[1:]]).returncode; "
+             "sys.stderr.write(str(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)); "
+             "sys.exit(code)")
+    started = time.monotonic()
+    proc = run_entry_point("search", "--min-n", "13", "--max-n", "20000013",
+                           "--max-seconds", "0.2", entry=("-c", child))
+    seconds = time.monotonic() - started
+    assert proc.returncode == 0 and proc.stdout.startswith(b"n,k,l,qrb")
+    warning, peak_kib = proc.stderr.decode().rsplit("\n", 1)
+    assert warning == "warning: budget exhausted, results are incomplete"
+    assert seconds < 5 and int(peak_kib) < 64 * 1024, (seconds, peak_kib)
 
 
 def test_entry_point_help_is_flushed():

@@ -186,6 +186,21 @@ def test_plan_rejects_even_lengths_before_any_analysis(monkeypatch):
         search(SearchPlan((7,)))
 
 
+def test_plan_checks_an_even_step_range_from_its_ends():
+    # a plan over 10^11 lengths is built at once; bad ends are refused
+    plan = SearchPlan(range(13, 2 * 10 ** 11, 2))
+    assert plan.n_values == range(13, 2 * 10 ** 11, 2)
+    for n_values, message in [(range(12, 20, 2), "even length"),
+                              (range(-3, 99, 2), "at least 1, got -3"),
+                              (range(15, -7, -2), "at least 1, got -5"),
+                              (range(14, 15), "even length"),
+                              (range(13, 20, 3), "even length")]:  # odd step: every length
+        with pytest.raises(ValueError, match=message):
+            SearchPlan(n_values)
+    assert {r.n for r in search(SearchPlan(range(15, 4, -4))).records} == {7, 11, 15}
+    assert SearchPlan(range(21, 21)).n_values == range(21, 21)
+
+
 def test_registry_loads_15_rows():
     entries = load_registry()
     assert len(entries) == 15
