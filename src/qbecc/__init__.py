@@ -11,9 +11,9 @@ _EXPORTS = {
     "burst": ("BurstAnalysis", "BurstCapability", "burst_count", "check_qrb",
               "classical_burst_capability", "no_cloning_check", "qrb",
               "quantum_burst_capability", "rs_burst_capability"),
-    "channel": ("ChannelModel", "DecoderTable", "EfResult", "SweepPoint",
-                "build_decoder", "cond_prob", "entanglement_fidelity",
-                "sweep", "sweep_to_csv"),
+    "channel": ("ChannelModel", "CodeLabels", "DecoderTable", "EfResult",
+                "SweepPoint", "build_decoder", "cond_prob",
+                "entanglement_fidelity", "sweep", "sweep_to_csv"),
     "classical": ("LinearCode", "binary_dual_containing",
                   "cyclic_from_poly", "hermitian_dual_containing",
                   "linear_code", "rs_mds"),

@@ -28,11 +28,12 @@ built once for all its (p, mu) points.
 
 Error patterns are uint64 arrays [patterns, c], a row per pattern: the
 XOR over its positions of a word table's rows, whose column 0 is the coset
-label (StabilizerCode.label_ints, the syndrome above the logical bits) and
-whose other columns are the F4Vector.packed symbols, one word up to 32
-qubits and two above.  One enumerator grows a weight or a span class from
-the right, in its order with no sort.  A decoder table keeps the first
-pattern of each syndrome in priority order and its recoveries' labels as
+label (label_contrib: the syndrome above the logical bits, read from the
+burst analyzer's own label columns, CodeLabels) and whose other columns
+are the F4Vector.packed symbols, one word up to 32 qubits and two above.
+One enumerator grows a weight or a span class from the right, in its
+order with no sort.  A decoder table keeps the first pattern of each
+syndrome in priority order and its recoveries' labels as
 one sorted array: a pattern is decoded correctly iff its label is in that
 array.  The truncated engine scores every pattern up to a weight cap, plus
 the heavier bursts up to a span cap, and brackets the fidelity from below,
@@ -56,7 +57,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import gf2_rank
-from .stabilizer import ResourceLimitError, StabilizerCode
+from .stabilizer import ResourceLimitError
 
 DEFAULT_EXACT_LIMIT = 4 ** 13
 # Bytes of one array: a pattern set (charged a byte per symbol), one transfer
@@ -123,6 +124,18 @@ def _chain_probs(packed: np.ndarray, n: int, ch: ChannelModel) -> np.ndarray:
 # Error patterns and their labels
 # ----------------------------------------------------------------------
 
+class CodeLabels(NamedTuple):
+    """A stabilizer code as the channel reads it: the arguments of
+    burst.quantum_burst_capability, with (k, columns) as search.code_labels
+    gives them.  Column 2i is the label of X at qubit i and column 2i + 1
+    that of Z, above 2n tracking bits; a label is the n - k syndrome bits
+    above the 2k logical bits."""
+
+    n: int
+    k: int
+    columns: Sequence[int]
+
+
 def _class_size(n: int, kind: str, size: int) -> int:
     if kind == "weight":
         return math.comb(n, size) * 3 ** size
@@ -142,7 +155,7 @@ def _check_patterns(n: int, count: int, what: str) -> None:
             f"{MAX_ARRAY_BYTES}-byte cap")
 
 
-def _word_table(code: StabilizerCode) -> np.ndarray:
+def _word_table(code: CodeLabels) -> np.ndarray:
     """uint64 [n, 4, c]: per position and symbol, the coset label
     (label_contrib) in column 0, and the symbol's F4Vector.packed bits
     (symbol s of qubit i at bits 2i and 2i+1) in columns 1 to c - 1, one
@@ -199,12 +212,15 @@ def _class_words(table: np.ndarray, kind: str, size: int) -> np.ndarray:
     return out
 
 
-def label_contrib(code: StabilizerCode) -> Sequence[Sequence[int]]:
+def label_contrib(code: CodeLabels) -> List[Tuple[int, int, int, int]]:
     """Per-position, per-symbol contribution to the coset label, indexed
-    [i][c]: the r syndrome bits above the 2k logical bits.  Labels are
-    XOR-additive over coordinates and constant on cosets of the stabilizer.
+    [i][c]: (0, x, z, x ^ z), where x and z are the labels of columns 2i
+    and 2i + 1 above their 2n tracking bits.  Labels are XOR-additive over
+    coordinates and constant on cosets of the stabilizer.
     """
-    return code.label_ints()
+    shift = 2 * code.n
+    labels = [column >> shift for column in code.columns]
+    return [(0, x, z, x ^ z) for x, z in zip(labels[::2], labels[1::2])]
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +228,7 @@ def label_contrib(code: StabilizerCode) -> Sequence[Sequence[int]]:
 # ----------------------------------------------------------------------
 
 class _DecoderTable(NamedTuple):
-    code: StabilizerCode
+    code: CodeLabels
     mode: str  # "random" | "burst" | "combined"
     t: int
     l: int
@@ -240,7 +256,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown decoder mode {mode!r}")
 
 
-def build_decoder(code: StabilizerCode, mode: str,
+def build_decoder(code: CodeLabels, mode: str,
                   t: Optional[int] = None, l: Optional[int] = None) -> DecoderTable:
     """Fill a syndrome table in priority order: weights 0..t first
     (lexicographic within a weight class), then bursts of span 2..l for the
@@ -262,13 +278,13 @@ def build_decoder(code: StabilizerCode, mode: str,
             raise ValueError("combined mode needs both t and l")
     if t < 0 or l < 0:
         raise ValueError(f"t={t} and l={l} must be non-negative")
-    word_table, shift = _word_table(code), 2 * code.k
+    word_table, shift, r = _word_table(code), 2 * code.k, code.n - code.k
     classes = _classes(code.n, t, l)
     # each pattern claims at most one syndrome, so a walk whose earlier
     # classes hold fewer than 2^r patterns must reach every class up to there
     before = 0
     for kind, size in classes:
-        if before >= 1 << code.r:
+        if before >= 1 << r:
             break
         count = _class_size(code.n, kind, size)
         _check_patterns(code.n, count, f"the {kind}-{size} class")
@@ -277,7 +293,7 @@ def build_decoder(code: StabilizerCode, mode: str,
     claimed = np.zeros(0, dtype=np.uint64)  # the claimed syndromes, sorted
     labels = [claimed]
     for kind, size in classes:
-        if len(claimed) == 1 << code.r:
+        if len(claimed) == 1 << r:
             break
         words = _class_words(word_table, kind, size)
         syndromes, first = np.unique(words[:, 0] >> shift, return_index=True)
@@ -408,7 +424,7 @@ class _ExactPlan(NamedTuple):
     labels: Optional[List[np.ndarray]]
 
 
-def _exact_plan(code: StabilizerCode,
+def _exact_plan(code: CodeLabels,
                 tables: Optional[Sequence[DecoderTable]] = None) -> _ExactPlan:
     """The _ExactPlan of code, scoring tables (None: the full mass)."""
     dim = code.n + code.k
@@ -587,7 +603,7 @@ def _weight_groups(words: np.ndarray, ch: ChannelModel,
     return list(groups.values())
 
 
-def _truncated(code: StabilizerCode, table: DecoderTable, ch: ChannelModel,
+def _truncated(code: CodeLabels, table: DecoderTable, ch: ChannelModel,
                w_max: int, span: int) -> EfResult:
     n = code.n
     # a span class up to w_max holds no pattern heavier than w_max: all of
@@ -633,7 +649,7 @@ def _fidelities(tables: Sequence[DecoderTable], ch: ChannelModel, strategy: str,
             for table in tables]
 
 
-def _check_strategy(strategy: str, codes: Sequence[StabilizerCode], limit: int) -> None:
+def _check_strategy(strategy: str, codes: Sequence[CodeLabels], limit: int) -> None:
     """Refuse an unknown strategy, and an exact one for any code over the
     4^n limit or whose label space is over the transfer buffer cap."""
     if strategy not in ("exact", "truncated"):
@@ -650,7 +666,7 @@ def _check_strategy(strategy: str, codes: Sequence[StabilizerCode], limit: int) 
                 f"buffer, over the {MAX_ARRAY_BYTES}-byte cap")
 
 
-def entanglement_fidelity(code: StabilizerCode, table: DecoderTable,
+def entanglement_fidelity(code: CodeLabels, table: DecoderTable,
                           ch: ChannelModel, strategy: str = "exact",
                           w_max: int = 4, burst_span: Optional[int] = None,
                           limit: int = DEFAULT_EXACT_LIMIT) -> EfResult:
@@ -681,7 +697,7 @@ class SweepPoint(NamedTuple):
     exact: bool
 
 
-def sweep(code_specs: Sequence[Tuple[str, StabilizerCode, int, int]],
+def sweep(code_specs: Sequence[Tuple[str, CodeLabels, int, int]],
           modes: Sequence[str], p_grid: Sequence[float], mu_grid: Sequence[float],
           strategy: str = "exact", w_max: int = 4,
           limit: int = DEFAULT_EXACT_LIMIT, workers: int = 1) -> List[SweepPoint]:
@@ -744,7 +760,7 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
 
 
 __all__ = [
-    "ChannelModel", "cond_prob",
+    "ChannelModel", "cond_prob", "CodeLabels",
     "DecoderTable", "build_decoder", "label_contrib",
     "EfResult", "entanglement_fidelity",
     "SweepPoint", "sweep", "sweep_to_csv", "SWEEP_CSV_HEADER",

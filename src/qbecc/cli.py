@@ -84,8 +84,9 @@ def _cmd_analyze(args) -> Tuple[int, str]:
         "qrb": qrb(n, k), "saturates": analysis.saturates,
         "degenerate": analysis.degenerate,
     }
-    # a k = 0 code has no logical operator and so no minimum distance
-    if k and args.distance_limit and (1 << (n + k)) <= args.distance_limit:
+    # a k = 0 code has no logical operator and so no minimum distance; the
+    # dual walk takes 2^(n+k) elements of 2n bits, within the limit and 64
+    if k and args.distance_limit and (1 << (n + k)) <= args.distance_limit and 2 * n <= 64:
         stab = build_code(construction, n, genpolys)
         out["distance"] = stab.min_distance(limit=args.distance_limit)
     return EXIT_OK, _json(out)
@@ -221,7 +222,7 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _cmd_simulate(args) -> Tuple[int, str]:
-    from .channel import sweep, sweep_to_csv  # numpy, loaded only here
+    from .channel import CodeLabels, sweep, sweep_to_csv  # numpy, loaded only here
     for flag, value in (("--w-max", args.w_max), ("--t", args.t), ("--l", args.l)):
         if value is not None and value < 0:
             raise UsageError(f"{flag} must be non-negative, got {value}")
@@ -230,16 +231,16 @@ def _cmd_simulate(args) -> Tuple[int, str]:
     specs = []
     for code_id in args.code.split(","):
         entry = registry_entry(code_id)
-        stab = build_registry_code(entry)
+        code = CodeLabels(entry.n, *code_labels(entry.construction, entry.n, entry.genpolys))
         t = args.t
-        if t is None:
+        if t is None:  # only the distance needs the stabilizer code
             try:
-                t = (stab.min_distance() - 1) // 2
+                t = (build_registry_code(entry).min_distance() - 1) // 2
             except ResourceLimitError:
                 raise UsageError(f"{code_id}: distance enumeration too large to "
                                  "derive t; pass --t") from None
         l = args.l if args.l is not None else entry.l
-        specs.append((code_id, stab, t, l))
+        specs.append((code_id, code, t, l))
     modes = args.decoder.split(",")
     p_grid = _parse_grid(args.p)
     mu_grid = _parse_grid(args.mu)

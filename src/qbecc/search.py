@@ -9,9 +9,9 @@ enumerated directly, one choice per pair of mirror factors, so no other
 GF(4) divisor is built.  Every candidate is analyzed from label columns
 written straight from its generators (burst.hermitian_columns,
 css_columns), with no matrix and no stabilizer code, and recorded;
-registry rows and analyze take the same columns from generator text
-(code_labels).  build_code still builds the stabilizer code of a text, for
-simulate and for distances.
+registry rows, analyze and simulate take the same columns from generator
+text (code_labels).  build_code still builds the stabilizer code of a
+text, only for distances.
 """
 
 from __future__ import annotations

@@ -13,10 +13,12 @@ symplectic inner product, the parity of u & v with the X and Z bit of
 every symbol of one swapped, is zero.
 
 Stabilizer codes are GF(2)-linear self-orthogonal subspaces under that
-form.  The coset label of a single-qubit error (StabilizerCode.label_ints)
-is its inner products with the rows of the symplectic dual, found by
-transposing those rows bit by bit on Python ints, so any number of rows
-fits and numpy is imported only by min_distance, which works on arrays.
+form.  The coset labels of single-qubit errors, which the burst analyzer,
+the decoder and both fidelity engines read, come from a cyclic code's
+generators (search.code_labels), with no stabilizer code built.  A code
+is built here for its construction checks and its minimum distance:
+min_distance walks the symplectic dual (dual_basis), and is the only part
+that imports numpy.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ class StabilizerCode:
         self.r = len(self.basis)
         self.k = n - self.r
         self._dual_basis: Optional[Tuple[int, ...]] = None
-        self._label_ints: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def params(self) -> Tuple[int, int]:
@@ -111,30 +112,6 @@ class StabilizerCode:
                 raise AssertionError("symplectic dual has wrong dimension")
             self._dual_basis = tuple(chosen)
         return self._dual_basis
-
-    def label_ints(self) -> Tuple[Tuple[int, ...], ...]:
-        """The coset label of symbol c at position i as one int, indexed
-        [i][c]: the r syndrome bits above the 2k logical bits.  Labels of
-        errors are XOR sums of these, and the syndrome of a label is
-        label >> 2k.
-
-        Bit j is the symplectic inner product with row j of
-        dual[r:] + dual[:r] (dual = dual_basis()).  For a row v that is the
-        Z bit 2i+1 of v for X at i, the X bit 2i for Z, and their sum for Y,
-        so the labels are the rows transposed: set bit p of row j sets bit
-        j of the Z label at p // 2 (p even) or of the X label (p odd).
-        Built once.
-        """
-        if self._label_ints is None:
-            dual = self.dual_basis()
-            cols = [0] * (2 * self.n)
-            for j, v in enumerate(dual[self.r:] + dual[:self.r]):
-                while v:
-                    low = v & -v
-                    cols[low.bit_length() - 1] |= 1 << j
-                    v ^= low
-            self._label_ints = tuple((0, x, z, x ^ z) for z, x in zip(cols[::2], cols[1::2]))
-        return self._label_ints
 
     def min_distance(self, limit: int = 1 << 28) -> int:
         """Minimum symplectic weight over the dual, excluding stabilizer

@@ -3,9 +3,9 @@ built on an explicit enumeration of the bursts of length <= l, and the
 engine's own check of a single window.
 
 * label_columns is the engine's input for any StabilizerCode, from the
-  matrix labels label_ints (the CLI builds cyclic codes' columns from their
-  generators instead), and is_cyclic tells whether the code is
-  shift-invariant, which lets the engine rank only the unions from 0;
+  dual-basis labels label_oracle.label_ints (the CLI builds cyclic codes'
+  columns from their generators instead), and is_cyclic tells whether the
+  code is shift-invariant, which lets the engine rank only the unions from 0;
   check_level runs one level of the engine on both, and capability walks
   the levels with it.
 
@@ -33,7 +33,7 @@ from conftest import contains, in_dual
 from qbecc.burst import BurstAnalysis, _check_level_rank, _insert, burst_count, qrb
 from qbecc.linalg import gf2_row_reduce
 from qbecc.stabilizer import F4Vector, ResourceLimitError, StabilizerCode
-from label_oracle import label_table
+from label_oracle import label_ints, label_table
 
 MAX_BURSTS_PER_LEVEL = 1 << 27
 
@@ -47,7 +47,7 @@ def label_columns(code: StabilizerCode) -> List[int]:
     2n tracking bits: column j carries bit j, so the tracking bits of a sum
     of columns are its Pauli in F4Vector packing."""
     m = 2 * code.n
-    labels = (label for labels in code.label_ints() for label in labels[1:3])
+    labels = (label for labels in label_ints(code) for label in labels[1:3])
     return [(label << m) | (1 << j) for j, label in enumerate(labels)]
 
 

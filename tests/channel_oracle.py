@@ -7,7 +7,9 @@ pattern classes as uint8 symbol matrices [patterns, n] with their label
 folds, word packing and chain products, the weight class sorted by
 lexsort, the truncated bracket over every class, the truncated bracket over
 symbol matrices of each class, and the transfer recursion in the original
-label frame with a separate XOR-permute pass."""
+label frame with a separate XOR-permute pass.  A code is the channel's
+label record (channel.CodeLabels), so each reference reads the same labels
+as the path it checks."""
 
 from __future__ import annotations
 
@@ -192,7 +194,7 @@ def decoder_table(code, t: int, l: int) -> Tuple[Dict[int, int], np.ndarray]:
     entries: Dict[int, int] = {}
     labels = np.zeros(0, dtype=np.uint64)
     for kind, size in channel._classes(code.n, t, l):
-        if len(entries) == 1 << code.r:
+        if len(entries) == 1 << code.n - code.k:
             break
         patterns = pattern_class(code.n, kind, size)
         folded = fold(words, patterns)

@@ -1,12 +1,18 @@
-"""Reference coset labels: the numpy label table that StabilizerCode built
-before label_ints transposed the dual rows on Python ints.
+"""Reference coset labels from a StabilizerCode's symplectic dual: the
+numpy label table that StabilizerCode once built, and label_ints, the
+table the channel read from StabilizerCode.label_ints until the channel
+took the generator walk's label columns.
 
 label_table(code) holds read-only uint64 arrays indexed [position, symbol,
 word]: bit j of syndrome is the symplectic inner product with
 dual_basis()[j] (the r stabilizer rows), bit j of logical that with
 dual_basis()[r + j] (the 2k logical rows), packed little-endian into
 ceil(bits/64) words (at least one).  label_ints(code) joins the two halves
-the way StabilizerCode.label_ints lays them out: syndrome above logical.
+into one int per position and symbol: syndrome above logical.  The channel
+reads labels in the basis of search.code_labels' generator walk;
+label_record(code) gives it a StabilizerCode's labels in this basis instead,
+so that its results can be checked against oracles that take syndromes
+against the code's basis rows.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from qbecc.channel import CodeLabels
 from qbecc.stabilizer import StabilizerCode
 
 
@@ -71,3 +78,12 @@ def label_ints(code: StabilizerCode) -> Tuple[Tuple[int, ...], ...]:
     flat = [(s << 2 * code.k) | g for s, g in
             zip(_word_ints(tab.syndrome), _word_ints(tab.logical))]
     return tuple(tuple(flat[i:i + 4]) for i in range(0, len(flat), 4))
+
+
+def label_record(code: StabilizerCode) -> CodeLabels:
+    """The channel's label record of code in the label_ints basis: the X
+    and Z labels of qubit i above the tracking bits 1 << 2i and 2 << 2i."""
+    columns = []
+    for i, (_, x, z, _) in enumerate(label_ints(code)):
+        columns += (x << 2 * code.n | 1 << 2 * i, z << 2 * code.n | 2 << 2 * i)
+    return CodeLabels(code.n, code.k, columns)

@@ -19,14 +19,14 @@ from burst_oracle import capability, located_burst_check, oracle_capability
 from channel_oracle import error_prob
 from conftest import random_self_orthogonal_code
 from qbecc.burst import no_cloning_check, qrb
-from qbecc.channel import ChannelModel, build_decoder, entanglement_fidelity, sweep
+from qbecc.channel import ChannelModel, CodeLabels, build_decoder, entanglement_fidelity, sweep
 from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.cli import _parse_grid
 from qbecc.gf import GF4, ExtField
 from qbecc.linalg import mat_row_reduce
 from qbecc.qtpc import InterleaverMap, deinterleave, dispersal_report, qtpc_construct
 from qbecc.registry import load_registry, registry_entry
-from qbecc.search import build_registry_code, parse_genpoly
+from qbecc.search import build_registry_code, code_labels, parse_genpoly
 
 MU_GRID = [round(0.05 * i, 2) for i in range(21)]
 P_GRID_LOG = _parse_grid("1e-5:log:1e-1")
@@ -68,12 +68,15 @@ def distances():
 
 @pytest.fixture(scope="module")
 def sim_codes(distances):
-    """Codes for the figure sweeps with decoder radii derived from the
-    computed distances (t = (d-1)/2) and spans from the registry."""
-    d13, _, stab13 = distances["13_1"]
-    d17, _, stab17 = distances["17_1a"]
-    return [("13_1", stab13, (d13 - 1) // 2, registry_entry("13_1").l),
-            ("17_1a", stab17, (d17 - 1) // 2, registry_entry("17_1a").l)]
+    """Codes for the figure sweeps, as simulate reads them: label records
+    from the generators, decoder radii derived from the computed distances
+    (t = (d-1)/2) and spans from the registry."""
+    specs = []
+    for code_id in ("13_1", "17_1a"):
+        entry = registry_entry(code_id)
+        code = CodeLabels(entry.n, *code_labels(entry.construction, entry.n, entry.genpolys))
+        specs.append((code_id, code, (distances[code_id][0] - 1) // 2, entry.l))
+    return specs
 
 
 @pytest.fixture(scope="module")
@@ -228,9 +231,9 @@ def test_criterion_7_figure_regimes(figure_data, sim_codes):
     assert ef17.residual < 1e-4  # exact run: residual is exactly zero
     # the weight-4 truncated bracket is also exercised and must contain the
     # exact value; its residual under correlation is reported, not hidden
-    stab17 = sim_codes[1][1]
-    table17 = build_decoder(stab17, "random", t=sim_codes[1][2])
-    bracket17 = entanglement_fidelity(stab17, table17, ChannelModel(P_FIG1, 0.5),
+    code17 = sim_codes[1][1]
+    table17 = build_decoder(code17, "random", t=sim_codes[1][2])
+    bracket17 = entanglement_fidelity(code17, table17, ChannelModel(P_FIG1, 0.5),
                                       strategy="truncated", w_max=4)
     assert bracket17.ef_lower - 1e-9 <= ef17.ef_lower <= \
         bracket17.ef_lower + bracket17.residual + 1e-9

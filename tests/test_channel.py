@@ -8,25 +8,38 @@ import pytest
 
 import channel_oracle as oracle
 from conftest import contains, random_self_orthogonal_code, syndrome
+from label_oracle import label_record
 from qbecc import channel
-from qbecc.channel import (ChannelModel, EfResult, build_decoder,
+from qbecc.channel import (ChannelModel, CodeLabels, EfResult, build_decoder,
                            cond_prob, entanglement_fidelity,
                            label_contrib, sweep, sweep_to_csv)
 from qbecc.classical import cyclic_from_poly
 from qbecc.gf import GF4, Poly
 from qbecc.linalg import gf2_rank
 from qbecc.registry import load_registry, registry_entry
-from qbecc.search import build_code, build_registry_code
+from qbecc.search import build_registry_code, code_labels
 from qbecc.stabilizer import ResourceLimitError, StabilizerCode, hermitian_construct
 
 W = 2
 
-FIVE_QUBIT = StabilizerCode(5, [
+# The channel's codes are label records in the label_ints basis
+# (label_oracle.label_record), whose syndromes the oracles here take
+# against the stabilizer's basis rows.
+FIVE_QUBIT_CODE = StabilizerCode(5, [
     oracle.packed(s) for s in
     [(1, 2, 2, 1, 0), (0, 1, 2, 2, 1), (1, 0, 1, 2, 2), (2, 1, 0, 1, 2)]])
+FIVE_QUBIT = label_record(FIVE_QUBIT_CODE)
 
-CODE_13_1 = hermitian_construct(
-    cyclic_from_poly(Poly(GF4, (1, W, 0, 3, 0, W, 1)), 13))
+CODE_13_1 = label_record(hermitian_construct(
+    cyclic_from_poly(Poly(GF4, (1, W, 0, 3, 0, W, 1)), 13)))
+
+
+def _registry_code(entry):
+    return label_record(build_registry_code(entry))
+
+
+def _random_code(rng, n, rank):
+    return label_record(random_self_orthogonal_code(rng, n, rank))
 
 
 def test_channel_model_validation():
@@ -161,7 +174,7 @@ def test_ef_exact_matches_bruteforce_five_qubit(p, mu):
     ch = ChannelModel(p, mu)
     got = entanglement_fidelity(FIVE_QUBIT, table, ch)
     assert got.exact
-    assert abs(got.ef_lower - _ef_oracle(FIVE_QUBIT, table, ch)) < 1e-12
+    assert abs(got.ef_lower - _ef_oracle(FIVE_QUBIT_CODE, table, ch)) < 1e-12
 
 
 def test_ef_exact_matches_bruteforce_random_codes():
@@ -169,9 +182,10 @@ def test_ef_exact_matches_bruteforce_random_codes():
     for _ in range(10):
         n = rng.randrange(2, 6)
         code = random_self_orthogonal_code(rng, n, rng.randrange(1, n))
-        table = build_decoder(code, "combined", t=1, l=min(2, n))
+        record = label_record(code)
+        table = build_decoder(record, "combined", t=1, l=min(2, n))
         ch = ChannelModel(rng.uniform(0, 0.3), rng.random())
-        got = entanglement_fidelity(code, table, ch)
+        got = entanglement_fidelity(record, table, ch)
         assert abs(got.ef_lower - _ef_oracle(code, table, ch)) < 1e-12
 
 
@@ -303,7 +317,7 @@ def _joined(words):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pattern_classes_match_generators(n):
     # k = n: every Pauli its own label
-    code = StabilizerCode(n, [])
+    code = label_record(StabilizerCode(n, []))
     table, words = channel._word_table(code), oracle.label_words(code)
     for kind, sizes, generate in [("weight", range(n + 2), oracle.weight_class),
                                   ("span", range(2, n + 2), oracle.span_class)]:
@@ -319,9 +333,9 @@ def test_pattern_classes_match_generators(n):
 @pytest.mark.parametrize("code_id", [e.id for e in load_registry()])
 def test_decoder_matches_per_pattern_table(code_id):
     entry = registry_entry(code_id)
-    code = build_registry_code(entry)
+    code = _registry_code(entry)
     # past 16 syndrome bits, (t, l) = (1, 2) keeps the oracle loop small
-    radius, span = (2, entry.l) if code.r <= 16 else (1, 2)
+    radius, span = (2, entry.l) if code.n - code.k <= 16 else (1, 2)
     for mode, t, l in [("random", radius, 0), ("burst", 1, span),
                        ("combined", radius, span)]:
         table = build_decoder(code, mode, t=t, l=l)
@@ -332,7 +346,7 @@ def test_decoder_matches_per_pattern_table(code_id):
 
 def _z_code(n):
     """The k = 0 code stabilized by Z on every qubit: n + k = n label bits."""
-    return StabilizerCode(n, [2 << 2 * i for i in range(n)])
+    return label_record(StabilizerCode(n, [2 << 2 * i for i in range(n)]))
 
 
 @pytest.mark.parametrize("n", [1, 5, 31, 32, 33, 47, 64])
@@ -366,7 +380,7 @@ PACKING_CASES = [("13_1", 2, 3), ("15_3", 2, 3), ("17_1a", 2, 4), ("17_1b", 2, 4
     (e.id, 2, _capped_span(e)) for e in load_registry()
     if e.id not in {case[0] for case in PACKING_CASES}])
 def test_decoder_matches_per_row_packing(code_id, radius, span):
-    code = build_registry_code(registry_entry(code_id))
+    code = _registry_code(registry_entry(code_id))
     for mode, t, l in [("random", radius, 0), ("burst", 1, span),
                        ("combined", radius, span)]:
         table = build_decoder(code, mode, t=t, l=l)
@@ -377,10 +391,10 @@ def test_decoder_matches_per_row_packing(code_id, radius, span):
 
 def test_decoder_stops_once_every_syndrome_is_claimed():
     full = oracle.decoder_entries(CODE_13_1, 4, 0)
-    assert len(full) == 1 << CODE_13_1.r
+    assert len(full) == 1 << CODE_13_1.n - CODE_13_1.k
     for mode, t, l in [("random", 40, 0), ("combined", 40, 3), ("burst", 1, 40)]:
         table = build_decoder(CODE_13_1, mode, t=t, l=l)
-        assert len(table.entries) == 1 << CODE_13_1.r
+        assert len(table.entries) == 1 << CODE_13_1.n - CODE_13_1.k
         if mode != "burst":
             assert table.entries == full
 
@@ -391,7 +405,7 @@ def test_truncated_matches_per_pattern_loop():
             ("17_1a", [(0.02, 0.0), (0.05, 0.7)], range(4)),
             ("17_1a", [(0.03, 0.5)], [4])]:
         entry = registry_entry(code_id)
-        code = build_registry_code(entry)
+        code = _registry_code(entry)
         table = build_decoder(code, "combined", t=2, l=entry.l)
         for p, mu in points:
             ch = ChannelModel(p, mu)
@@ -407,7 +421,7 @@ def test_truncated_matches_the_every_class_engine():
     # weight classes come built in order, chain products by a flat take
     for code_id, spans, points in [("13_1", (2, 3, 6), [(0.03, 0.5), (0.1, 0.0)]),
                                    ("17_1a", (2, 4, 6), [(0.05, 0.7)])]:
-        code = build_registry_code(registry_entry(code_id))
+        code = _registry_code(registry_entry(code_id))
         table = build_decoder(code, "combined", t=2, l=registry_entry(code_id).l)
         for p, mu in points:
             ch = ChannelModel(p, mu)
@@ -437,7 +451,7 @@ def test_truncated_two_word_bursts_match_the_symbol_matrix_engine(code_id):
     # past 32 qubits the heavier bursts' weights and chain products are
     # read from two packed words
     entry = registry_entry(code_id)
-    code = build_registry_code(entry)
+    code = _registry_code(entry)
     table = build_decoder(code, "combined", t=1, l=min(entry.l, 6))
     ch = ChannelModel(0.03, 0.5)
     for w_max, span in [(0, 3), (1, 5), (2, 4)]:
@@ -469,9 +483,9 @@ def _weight_test_codes():
     """Registry rows, and random codes of 31, 32 and 33 qubits (one packed
     word and two), each with the heaviest w_max <= 4 whose patterns number
     at most 2^19."""
-    codes = [(e.id, build_registry_code(e)) for e in load_registry()]
+    codes = [(e.id, _registry_code(e)) for e in load_registry()]
     rng = random.Random(31)
-    codes += [(f"random {n}", random_self_orthogonal_code(rng, n, n - 3)) for n in (31, 32, 33)]
+    codes += [(f"random {n}", _random_code(rng, n, n - 3)) for n in (31, 32, 33)]
     for name, code in codes:
         w_max = max(w for w in range(5) if sum(
             channel._class_size(code.n, "weight", v) for v in range(w + 1)) <= 1 << 19)
@@ -501,7 +515,7 @@ def test_truncated_peak_is_below_the_symbol_matrix_engine():
     # the symbol-matrix engine peaked at 64 bytes a pattern here (13.6 MB)
     import tracemalloc
     entry = registry_entry("17_1a")
-    code = build_registry_code(entry)
+    code = _registry_code(entry)
     table = build_decoder(code, "combined", t=2, l=entry.l)
     patterns = sum(channel._class_size(code.n, kind, size)
                    for kind, size in channel._classes(code.n, 4, entry.l)
@@ -517,7 +531,7 @@ def test_truncated_peak_is_below_the_symbol_matrix_engine():
 
 @pytest.mark.parametrize("n, heaviest", [(13, 5), (17, 5), (23, 3)])
 def test_weight_classes_match_the_lexsorted_scatter(n, heaviest):
-    code = build_registry_code(registry_entry({13: "13_1", 17: "17_1a", 23: "23_1"}[n]))
+    code = _registry_code(registry_entry({13: "13_1", 17: "17_1a", 23: "23_1"}[n]))
     table, words = channel._word_table(code), oracle.label_words(code)
     for w in range(heaviest + 1):
         got, want = channel._class_words(table, "weight", w), oracle.lexsorted_weight_class(n, w)
@@ -530,7 +544,7 @@ def test_weight_class_peak_is_below_the_lexsort_build():
     # sorted copy at once, 42 bytes a pattern; the words are 16
     import tracemalloc
     count = math.comb(17, 4) * 3 ** 4
-    table = channel._word_table(build_registry_code(registry_entry("17_1a")))
+    table = channel._word_table(_registry_code(registry_entry("17_1a")))
     tracemalloc.start()
     try:
         channel._class_words(table, "weight", 4)
@@ -543,7 +557,7 @@ def test_weight_class_peak_is_below_the_lexsort_build():
 def test_truncated_23_1_matches_per_pattern_loop():
     # r = 22 syndrome bits, the smallest registry row past 16
     entry = registry_entry("23_1")
-    code = build_registry_code(entry)
+    code = _registry_code(entry)
     table = build_decoder(code, "combined", t=1, l=entry.l)
     ch = ChannelModel(0.03, 0.5)
     got = entanglement_fidelity(code, table, ch, strategy="truncated", w_max=1)
@@ -554,23 +568,24 @@ def test_truncated_23_1_matches_per_pattern_loop():
 def test_decoder_refuses_labels_over_one_word():
     # [[71,1]]: labels of n + k = 72 bits
     qr = "1^35 1^34 1^31 1^30 1^28 1^27 1^22 1^18 1^11 1^10 1^9 1^8 1^7 1^2 1^0"
-    code = build_code("css", 71, (qr, qr))
+    code = CodeLabels(71, *code_labels("css", 71, (qr, qr)))
     with pytest.raises(ResourceLimitError, match="64-bit word"):
         build_decoder(code, "random", t=1)
 
 
 def _pauli_code(n, *rows):
     """A stabilizer code from Pauli strings such as "ZZII"."""
-    return StabilizerCode(n, [oracle.packed(["IXZY".index(c) for c in row]) for row in rows])
+    return label_record(StabilizerCode(n, [oracle.packed(["IXZY".index(c) for c in row])
+                                           for row in rows]))
 
 
 X0_IN_STABILIZER = _pauli_code(4, "XIII", "IZZI")  # labels of X0 and I0 agree
 Z0Z1_X2X3 = _pauli_code(4, "ZZII", "IIXX")  # Z1 has the label of Z0
-NO_STABILIZER = StabilizerCode(3, [])  # k = n: every Pauli its own label
+NO_STABILIZER = label_record(StabilizerCode(3, []))  # k = n: every Pauli its own label
 
 
 def test_label_mass_matches_gather():
-    codes = [CODE_13_1, build_registry_code(registry_entry("17_1a")), FIVE_QUBIT]
+    codes = [CODE_13_1, _registry_code(registry_entry("17_1a")), FIVE_QUBIT]
     # prefixes of 0, 1 and n qubits: the last has no transfer step
     for code, m in [(X0_IN_STABILIZER, 0), (Z0Z1_X2X3, 1), (NO_STABILIZER, 3)]:
         assert channel._independent_prefix(label_contrib(code)) == m
@@ -578,7 +593,7 @@ def test_label_mass_matches_gather():
     rng = random.Random(77)
     for _ in range(8):
         n = rng.randrange(2, 9)
-        codes.append(random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1)))
+        codes.append(_random_code(rng, n, rng.randrange(0, n + 1)))
     for code in codes:
         # each step rounds sums and products of nonnegative terms, about
         # gamma_5 a step in either engine; zeros match the gemv oracle's exactly
@@ -611,10 +626,10 @@ def _suffix_labels_dependent(code):
 def test_frame_mass_is_bit_identical_to_the_permuted_recursion():
     # a relabeling only moves indices, and each label sees the same float
     # operations as in the original frame with its separate permute pass
-    codes = [build_registry_code(e) for e in load_registry() if e.n + e.k <= 20]
+    codes = [_registry_code(e) for e in load_registry() if e.n + e.k <= 20]
     codes += [X0_IN_STABILIZER, Z0Z1_X2X3, NO_STABILIZER, FIVE_QUBIT]
     rng = random.Random(79)
-    codes += [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+    codes += [_random_code(rng, n, rng.randrange(0, n + 1))
               for n in [rng.randrange(2, 9) for _ in range(16)]]
     # dependent suffix labels keep multi-bit labels in the frame
     assert sum(map(_suffix_labels_dependent, codes)) >= 3
@@ -629,7 +644,7 @@ def test_frame_mass_is_bit_identical_to_the_permuted_recursion():
 @pytest.mark.parametrize("code_id", [e.id for e in load_registry()])
 def test_registry_transfer_labels_are_adjacent_high_bits(code_id):
     # every transfer step XORs by 0, e_a, e_(a-1) or both, a = dim - 1 - 2j
-    code = build_registry_code(registry_entry(code_id))
+    code = _registry_code(registry_entry(code_id))
     contrib, dim = label_contrib(code), code.n + code.k
     start = channel._independent_prefix(contrib)
     frame = channel._label_frame(contrib, start, dim)
@@ -645,7 +660,7 @@ def test_registry_transfer_labels_are_adjacent_high_bits(code_id):
 def test_to_frame_is_the_linear_map_of_the_images():
     rng = random.Random(80)
     for n in (1, 2, 5, 8):
-        code = random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+        code = _random_code(rng, n, rng.randrange(0, n + 1))
         contrib, dim = label_contrib(code), code.n + code.k
         frame = channel._label_frame(contrib, rng.randrange(0, n + 1), dim)
         labels = np.arange(1 << dim)
@@ -673,7 +688,7 @@ def test_label_mass_holds_six_label_buffers():
     # arrays are freed before the last two are allocated, and the row sum's
     # buffer before the last step is gathered at a table's labels
     import tracemalloc
-    code = build_registry_code(registry_entry("17_1a"))
+    code = _registry_code(registry_entry("17_1a"))
     buffer = 8 << (code.n + code.k)
     tracemalloc.start()
     try:
@@ -700,10 +715,10 @@ def test_exact_fidelities_sum_the_full_mass():
     # the last step gathered at each table's labels adds the terms of the
     # full step and its row sum in the same order, so each fidelity is the
     # math.fsum of the full mass over the table's labels
-    codes = [build_registry_code(e) for e in load_registry() if e.n + e.k <= 20]
+    codes = [_registry_code(e) for e in load_registry() if e.n + e.k <= 20]
     codes += [X0_IN_STABILIZER, Z0Z1_X2X3, NO_STABILIZER]  # prefixes of 0, 1 and n
     rng = random.Random(79)
-    codes += [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+    codes += [_random_code(rng, n, rng.randrange(0, n + 1))
               for n in [rng.randrange(2, 9) for _ in range(16)]]
     assert sum(map(_suffix_labels_dependent, codes)) >= 3
     for code in codes:
@@ -739,7 +754,7 @@ def test_independent_prefix_matches_distinct_labels():
     # m is the longest prefix whose 4^m Pauli strings have distinct labels
     rng = random.Random(78)
     codes = [X0_IN_STABILIZER, Z0Z1_X2X3, NO_STABILIZER, FIVE_QUBIT]
-    codes += [random_self_orthogonal_code(rng, n, rng.randrange(0, n + 1))
+    codes += [_random_code(rng, n, rng.randrange(0, n + 1))
               for n in [rng.randrange(1, 7) for _ in range(40)]]
     for code in codes:
         contrib = label_contrib(code)
@@ -756,7 +771,7 @@ def test_independent_prefix_matches_distinct_labels():
 
 @pytest.mark.parametrize("code_id", [e.id for e in load_registry()])
 def test_registry_prefix_is_half_the_label_bits(code_id):
-    code = build_registry_code(registry_entry(code_id))
+    code = _registry_code(registry_entry(code_id))
     assert channel._independent_prefix(label_contrib(code)) == (code.n + code.k) // 2
 
 
@@ -776,7 +791,7 @@ def _count_class_words(monkeypatch):
 def test_decoder_refuses_before_enumerating(monkeypatch):
     # 41_1: the classes before span 10 hold 6,553,600 patterns, fewer than
     # 2^40 syndromes, so the walk is bound to reach the over-cap span-10 class
-    code = build_registry_code(registry_entry("41_1"))
+    code = _registry_code(registry_entry("41_1"))
     calls = _count_class_words(monkeypatch)
     with pytest.raises(ResourceLimitError,
                        match="the span-10 class needs 18874368 patterns of 41"):
@@ -829,6 +844,85 @@ def test_sweep_refuses_a_grid_product_over_the_cap(monkeypatch):
         channel.sweep(specs, ["random"], grid, grid + [0.5])
     with pytest.raises(AssertionError, match="build_decoder reached"):  # 512 tasks fit
         channel.sweep(specs, ["random"], grid, grid)
+
+
+# ----------------------------------------------------------------------
+# The label source: simulate's generator walk against the dual basis
+# ----------------------------------------------------------------------
+#
+# The two sources label the cosets in different bases, so decoder tables
+# key their entries differently; everything the channel computes acts per
+# coset, so the recoveries, in claim order, and every fidelity and bracket
+# agree bit for bit.
+
+MODES = ("random", "burst", "combined")
+
+
+def _walk_code(entry):
+    """A registry row's label record as simulate builds it."""
+    return CodeLabels(entry.n, *code_labels(entry.construction, entry.n, entry.genpolys))
+
+
+def _scores(code, t, l, strategy, w_max, grid):
+    """The recoveries of each mode's table in claim order, and the sweep's
+    fidelities and brackets as float hex strings."""
+    recoveries = [list(build_decoder(code, mode, t=t, l=l).entries.values()) for mode in MODES]
+    points = sweep([("code", code, t, l)], MODES, *grid, strategy=strategy, w_max=w_max,
+                   limit=4 ** code.n)
+    return recoveries, [(pt.ef_lower.hex(), pt.residual.hex()) for pt in points]
+
+
+@pytest.mark.parametrize("code_id", ["13_1", "15_3", "17_1a", "17_1b"])
+def test_walk_labels_score_like_the_dual_basis_labels_exact(code_id):
+    entry = registry_entry(code_id)
+    stab = build_registry_code(entry)
+    walk, dual = _walk_code(entry), label_record(stab)
+    assert walk.k == dual.k and walk.columns != dual.columns
+    t = (stab.min_distance() - 1) // 2
+    grid = ([0.01, 0.03, 0.05], [0.0, 0.45, 0.9])
+    assert _scores(walk, t, entry.l, "exact", 4, grid) == \
+        _scores(dual, t, entry.l, "exact", 4, grid)
+
+
+@pytest.mark.parametrize("code_id", [e.id for e in load_registry()
+                                     if e.id not in ("13_1", "15_3", "17_1a", "17_1b")])
+def test_walk_labels_score_like_the_dual_basis_labels_truncated(code_id):
+    entry = registry_entry(code_id)
+    walk, dual = _walk_code(entry), label_record(build_registry_code(entry))
+    grid = ([0.03], [0.5])
+    if channel._class_size(entry.n, "span", entry.l) * entry.n > channel.MAX_ARRAY_BYTES:
+        # 41_1: its span-10 class is over the cap, refused alike
+        for code in (walk, dual):
+            with pytest.raises(ResourceLimitError, match=f"span-{entry.l} class"):
+                _scores(code, 1, entry.l, "truncated", 3, grid)
+        return
+    assert _scores(walk, 1, entry.l, "truncated", 3, grid) == \
+        _scores(dual, 1, entry.l, "truncated", 3, grid)
+
+
+def test_walk_labels_score_like_the_dual_basis_labels_on_search_candidates():
+    from qbecc.burst import quantum_burst_capability
+    from qbecc.search import _candidates, _construct
+    exact = candidates = 0
+    for n in range(1, 16, 2):
+        for construction in ("hermitian", "css"):
+            for gens, k, columns in _candidates(n, construction):
+                if not k:
+                    continue
+                walk = CodeLabels(n, k, columns)
+                dual = label_record(_construct(construction,
+                                               [cyclic_from_poly(g, n) for g in gens]))
+                l = quantum_burst_capability(n, k, columns).l + 1
+                at = (n, construction, gens)
+                assert _scores(walk, 1, l, "truncated", 2, ([0.03], [0.5])) == \
+                    _scores(dual, 1, l, "truncated", 2, ([0.03], [0.5])), at
+                if n + k <= 18:
+                    grid = ([0.03], [0.0, 0.9])
+                    assert _scores(walk, 1, l, "exact", 4, grid) == \
+                        _scores(dual, 1, l, "exact", 4, grid), at
+                    exact += 1
+                candidates += 1
+    assert candidates == 181 and exact == 69
 
 
 # ----------------------------------------------------------------------
@@ -922,7 +1016,7 @@ def test_exact_table_masses_sum_like_fsum_on_the_benchmark_grid(monkeypatch):
     for code_id in ("13_1", "15_3", "17_1a", "17_1b"):
         entry = registry_entry(code_id)
         code = build_registry_code(entry)
-        specs.append((code_id, code, (code.min_distance() - 1) // 2, entry.l))
+        specs.append((code_id, label_record(code), (code.min_distance() - 1) // 2, entry.l))
     points = sweep(specs, ["random", "burst", "combined"], [0.01, 0.03, 0.05], [0.0, 0.45, 0.9],
                    limit=4 ** 17)
     assert len(points) == len(lengths) == 4 * 3 * 9
@@ -932,7 +1026,7 @@ def test_exact_table_masses_sum_like_fsum_on_the_benchmark_grid(monkeypatch):
 @pytest.mark.parametrize("code_id, t", [("13_1", 1), ("17_1a", 1), ("35_7", 1)])
 def test_truncated_parts_sum_like_fsum(monkeypatch, code_id, t):
     entry = registry_entry(code_id)
-    code = build_registry_code(entry)
+    code = _registry_code(entry)
     table = build_decoder(code, "combined", t=t, l=entry.l)
     lengths = _fsum_checked(monkeypatch)
     channel._truncated(code, table, ChannelModel(0.03, 0.5), 4, entry.l)

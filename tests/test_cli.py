@@ -58,6 +58,19 @@ def test_analyze_wide_syndrome(capsys):
                                "saturates": True, "degenerate": False}
 
 
+def test_analyze_leaves_out_a_distance_over_64_bits(capsys):
+    # 2^(n+k) = 2^34 is within the limit, but the dual's elements have
+    # 2n = 66 bits: the distance field is left out, as for an over-limit
+    # count, and the burst fields are printed (this exited 3 before)
+    code, out = run_cli(capsys, "analyze", "--n", "33", "--construction", "css",
+                        "--poly", "1^2 1^1 1^0",
+                        "--poly2", "1^30 1^27 1^24 1^21 1^18 1^15 1^12 1^9 1^6 1^3 1^0",
+                        "--distance-limit", str(1 << 35))
+    assert code == 0
+    assert json.loads(out) == {"n": 33, "k": 1, "l": 1, "qrb": 8,
+                               "saturates": False, "degenerate": True}
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_analyze_rejects_length_below_one(capsys, n):
     code, out = run_cli(capsys, "analyze", "--n", n, "--poly", "1^0")
@@ -257,6 +270,22 @@ def test_simulate_distance_too_large_needs_t(capsys):
     assert json.loads(out)["error"] == {
         "type": "UsageError",
         "message": "21_9: distance enumeration too large to derive t; pass --t"}
+
+
+def test_simulate_builds_a_stabilizer_code_only_for_the_distance(capsys, monkeypatch):
+    # the channel reads the generators' label columns; a StabilizerCode is
+    # built only to derive t from the minimum distance
+    from qbecc.stabilizer import StabilizerCode
+    built = []
+    init = StabilizerCode.__init__
+    monkeypatch.setattr(StabilizerCode, "__init__",
+                        lambda self, n, rows: built.append(n) or init(self, n, rows))
+    argv = ("simulate", "--code", "13_1,15_3", "--decoder", "random,combined",
+            "--p", "0.03", "--mu", "0.5", "--limit", str(4 ** 15))
+    code, _ = run_cli(capsys, *argv, "--t", "1")
+    assert code == 0 and built == []
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0 and built == [13, 15]
 
 
 def test_simulate_wide_syndrome_truncated(capsys):

@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from label_oracle import label_record
 from qbecc.burst import BurstAnalysis, BurstCapability
-from qbecc.channel import ChannelModel, DecoderTable, EfResult, SweepPoint, build_decoder
+from qbecc.channel import (ChannelModel, CodeLabels, DecoderTable, EfResult, SweepPoint,
+                           build_decoder)
 from qbecc.classical import LinearCode
 from qbecc.gf import GF2, GF4, ExtField
 from qbecc.qtpc import DispersalReport, InterleaverMap, QtpcSpec
@@ -41,6 +43,7 @@ RECORDS = [
                      observed=(13, 1, 3, False, 3), match=True, seconds=0.5), dict(note="")),
     (F4Vector, dict(n=3, packed=0b100111), {}),
     (ChannelModel, dict(p=0.1, mu=0.5), {}),
+    (CodeLabels, dict(n=1, k=1, columns=(0b1001, 0b0110)), {}),  # X: label 2, Z: label 1
     (EfResult, dict(ef_lower=0.9, residual=0.05, exact=False), {}),
     (SweepPoint, dict(code_id="13_1", decoder="combined", strategy="exact", p=0.01,
                       mu=0.5, ef_lower=0.99, residual=0.0, exact=True), {}),
@@ -112,7 +115,7 @@ def test_validated_records_refuse(build, error, message):
 
 
 def test_decoder_table_keeps_its_labels_out_of_comparisons():
-    code = StabilizerCode(3, [0b001010, 0b101000])  # Z0 Z1 and Z1 Z2
+    code = label_record(StabilizerCode(3, [0b001010, 0b101000]))  # Z0 Z1 and Z1 Z2
     table = build_decoder(code, "random", t=1)
     fields = dict(code=code, mode="random", t=1, l=0, entries=table.entries)
     assert DecoderTable._fields == tuple(fields) and table._asdict() == fields
@@ -156,7 +159,7 @@ def test_validated_records_refuse_replace_and_make(record, invalid):
 
 def test_decoder_table_refuses_replace_and_make():
     # either would build a table with no labels
-    table = build_decoder(StabilizerCode(3, [0b001010, 0b101000]), "random", t=1)
+    table = build_decoder(label_record(StabilizerCode(3, [0b001010, 0b101000])), "random", t=1)
     with pytest.raises(TypeError, match="not callable"):
         table._replace(mode="burst")
     with pytest.raises(TypeError, match="not callable"):

@@ -12,6 +12,7 @@ from burst_oracle import capability
 from cyclic_oracle import cyclic_from_poly_matrix
 from divisibility_oracle import (_css_dual_containing, _hermitian_dual_containing,
                                  filtered_hermitian_divisors)
+from label_oracle import label_ints
 from qbecc.burst import quantum_burst_capability
 from qbecc.classical import (binary_dual_containing, cyclic_from_poly,
                              hermitian_dual_containing)
@@ -368,7 +369,7 @@ def _constructed(construction, codes):
         stab = _construct(construction, codes)
     except ValueError:
         return None
-    return stab.basis, stab.label_ints()
+    return stab.basis, label_ints(stab)
 
 
 def test_direct_builds_construct_like_the_matrix_oracle():
