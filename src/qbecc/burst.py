@@ -24,7 +24,7 @@ straight from the generators, with no matrix: a cyclic code's coset label
 is a polynomial remainder (MacWilliams and Sloane, ch. 7), found for every
 position by one shift-and-reduce walk (hermitian_columns, css_columns, from
 classical.remainder_walk, the walk that also writes a cyclic code's
-matrices).
+check rows).
 """
 
 from __future__ import annotations

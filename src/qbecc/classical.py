@@ -1,11 +1,13 @@
 """Classical linear and cyclic codes over GF(2), GF(4), and GF(4^m).
 
-Codes are stored by explicit generator and parity-check matrices (rows as
-tuples of field-element ints).  Their burst-correction capability is
-decided in qbecc.burst, by the window-rank elimination that also decides
-the quantum one.  A cyclic code's matrices and its coset labels (the
-burst analyzer's label columns) both come from remainder_walk, the one
-walk through the powers of x mod a generator.
+A code is its parity-check rows (tuples of field-element ints): every
+use of it, dual containment, the stabilizer constructions, the tensor
+product and burst correction, is a statement about syndromes, so no
+generator rows are kept.  Burst-correction capability is decided in
+qbecc.burst, by the window-rank elimination that also decides the quantum
+one.  A cyclic code's check rows and its coset labels (the burst
+analyzer's label columns) both come from remainder_walk, the one walk
+through the powers of x mod a generator.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gf import GF2, GF4, Poly, _multiples
-from .linalg import _SYMBOL, _packed_row, mat_mul_vec, mat_nullspace, mat_row_reduce
+from .linalg import mat_mul_vec, mat_nullspace, mat_row_reduce
 
 
 class InvalidGeneratorError(ValueError):
@@ -24,54 +26,26 @@ class InvalidGeneratorError(ValueError):
         return cls(f"{g!r} does not divide x^{n} - 1 over {g.field!r}")
 
 
-class _LinearCode(NamedTuple):
+class LinearCode(NamedTuple):
+    """A code by its check rows: the words with a zero syndrome."""
+
     field: object
     n: int
     k: int
-    gen_rows: Tuple[Tuple[int, ...], ...]
     check_rows: Tuple[Tuple[int, ...], ...]
-
-
-class LinearCode(_LinearCode):
-    """A code by its generator and check rows; construction raises
-    AssertionError unless every generator row is orthogonal to every
-    check row."""
-
-    __slots__ = ()
-    _make = _replace = None  # refused: NamedTuple builds both by tuple.__new__, past __new__
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.field is GF2 or self.field is GF4:
-            # on bit planes: (a0 + a1 w)(b0 + b1 w) = (a0 b0 + a1 b1) + (a0 b1 + a1 b0 + a1 b1) w
-            m = (4 ** self.n - 1) // 3  # 0b0101...: the low bit of every symbol
-            gens, checks = ([(p & m, (p >> 1) & m) for p in (_packed_row(r, _SYMBOL) for r in rows)]
-                            for rows in (self.gen_rows, self.check_rows))
-            for b0, b1 in checks:
-                for a0, a1 in gens:
-                    if (((a0 & b0) ^ (a1 & b1)).bit_count() & 1
-                            or ((a0 & b1) ^ (a1 & (b0 ^ b1))).bit_count() & 1):
-                        raise AssertionError("generator and check matrices are not orthogonal")
-            return self
-        for h in self.check_rows:
-            syn = mat_mul_vec(self.field, self.gen_rows, h)
-            if any(syn):
-                raise AssertionError("generator and check matrices are not orthogonal")
-        return self
 
     def syndrome(self, vec: Sequence[int]) -> Tuple[int, ...]:
         return tuple(mat_mul_vec(self.field, self.check_rows, vec))
 
 
-def linear_code(field, gen_rows: Sequence[Sequence[int]], n: Optional[int] = None) -> LinearCode:
-    """Build a code from spanning rows; reduces to a basis and derives H."""
+def linear_code(field, rows: Sequence[Sequence[int]], n: Optional[int] = None) -> LinearCode:
+    """The code spanned by rows: k is their rank, and the check rows are the
+    nullspace basis of their reduced rows."""
     if n is None:
-        n = len(gen_rows[0])
-    reduced, _ = mat_row_reduce(field, gen_rows)
-    check = mat_nullspace(field, reduced, n)
+        n = len(rows[0])
+    reduced, _ = mat_row_reduce(field, rows)
     return LinearCode(field, n, len(reduced),
-                      tuple(tuple(r) for r in reduced),
-                      tuple(tuple(h) for h in check))
+                      tuple(map(tuple, mat_nullspace(field, reduced, n))))
 
 
 def remainder_walk(g: Poly, n: int) -> Tuple[int, List[int], List[int]]:
@@ -98,15 +72,15 @@ def remainder_walk(g: Poly, n: int) -> Tuple[int, List[int], List[int]]:
 def cyclic_from_poly(g: Poly, n: int) -> LinearCode:
     """Cyclic code of length n generated by g; g must divide x^n - 1.
 
-    Both matrices are written down in systematic form, with no elimination.
-    The first k positions of a nonzero codeword a*g are not all zero (the
-    lowest term of a survives, as g(0) != 0), so the reduced row-echelon
-    generator rows are x^p + x^k s_p for p < k, where x^k s_p = x^p mod g.
-    As x^n = 1 mod g, s_p = x^(n-k+p) mod g: the last k remainders of
-    remainder_walk, which also tests divisibility.  The check rows are the
-    canonical nullspace basis of those rows: the check row of parity
-    position k + j holds coefficient j of every s_p, then a 1 at k + j
-    (char 2: -c = c).
+    The check rows are written down in systematic form, with no
+    elimination.  The first k positions of a nonzero codeword a*g are not
+    all zero (the lowest term of a survives, as g(0) != 0), so the code's
+    reduced row-echelon basis is x^p + x^k s_p for p < k, where
+    x^k s_p = x^p mod g.  As x^n = 1 mod g, s_p = x^(n-k+p) mod g: the last
+    k remainders of remainder_walk, which also tests divisibility.  The
+    check rows are the canonical nullspace basis of that basis: the check
+    row of parity position k + j holds coefficient j of every s_p, then a 1
+    at k + j (char 2: -c = c).
     """
     if g.is_zero:
         raise InvalidGeneratorError("zero polynomial cannot generate a cyclic code")
@@ -115,10 +89,9 @@ def cyclic_from_poly(g: Poly, n: int) -> LinearCode:
     k, bits = n - r, g.bits
     digit = (1 << bits) - 1
     parities = [tuple(s >> bits * j & digit for j in range(r)) for s in remainders[r:]]
-    gen = tuple((0,) * p + (1,) + (0,) * (k - 1 - p) + s for p, s in enumerate(parities))
     check = tuple(tuple(s[j] for s in parities) + (0,) * j + (1,) + (0,) * (r - 1 - j)
                   for j in range(r))
-    return LinearCode(g.field, n, k, gen, check)
+    return LinearCode(g.field, n, k, check)
 
 
 def rs_mds(n2: int, l2: int, field) -> LinearCode:

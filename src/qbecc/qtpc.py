@@ -6,11 +6,11 @@ extension field (check matrix H2) is the Kronecker product H2 (x) H1, with
 each extension-field entry expanded into its rho1 x rho1 base-field
 multiplication matrix in the pinned power basis.
 
-The tensor code is a LinearCode like any other (check rows the expanded
-matrix, generator rows its nullspace) and becomes a stabilizer code
-through the constructors every cyclic code passes: the Hermitian one for
-a GF(4) inner code, CSS with itself for a binary one.  Both produce
-[[n1*n2, n1*n2 - 2*rho1*rho2]].
+The tensor code is a LinearCode like any other, its check rows the
+expanded matrix, and becomes a stabilizer code through the constructors
+every cyclic code passes: the Hermitian one for a GF(4) inner code, CSS
+with itself for a binary one.  Both produce [[n1*n2, n1*n2 - 2*rho1*rho2]];
+no nullspace is solved, as the constructors read only check rows.
 
 The interleaver streams an n1 x n2 qubit array in row-groups of l1 rows,
 column segment by column segment, so that a short stream burst lands in few
@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Tuple
 
 from .classical import LinearCode
 from .gf import GF2, GF4
-from .linalg import mat_mul_vec, mat_nullspace
+from .linalg import mat_mul_vec
 from .stabilizer import StabilizerCode, css_construct, hermitian_construct
 
 
@@ -69,9 +69,7 @@ def qtpc_construct(c1: LinearCode, c2: LinearCode) -> Tuple[StabilizerCode, Qtpc
     expanded = tensor_check_matrix(c1, c2)
     rho1, rho2 = c1.n - c1.k, c2.n - c2.k
     n = c1.n * c2.n
-    tensor = LinearCode(c1.field, n, n - rho1 * rho2,
-                        tuple(map(tuple, mat_nullspace(c1.field, expanded, n))),
-                        tuple(map(tuple, expanded)))
+    tensor = LinearCode(c1.field, n, n - rho1 * rho2, tuple(map(tuple, expanded)))
     stab = hermitian_construct(tensor) if c1.field is GF4 else css_construct(tensor, tensor)
     spec = QtpcSpec(c1.n, c1.k, c2.n, c2.k, rho1, rho2, tensor.check_rows, stab.params)
     return stab, spec

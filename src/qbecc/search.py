@@ -16,9 +16,7 @@ text, only for distances.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import re
 import time
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -164,16 +162,17 @@ def enumerate_cyclic_generators(n: int, field_obj) -> List[Poly]:
     return [g for g, _, _ in _divisors(n, field_obj)]
 
 
-def _survivor_masks(mirror: Sequence[int]) -> List[int]:
-    """Every factor mask S with S & S' == 0, for the mirror map of _factors.
+def _survivor_masks(mirror: Sequence[int]) -> List[Tuple[int, int]]:
+    """Every factor mask S with S & S' == 0, for the mirror map of _factors,
+    as the pair (S, S') of it and the mask of its mirror.
 
     A factor that is its own mirror can never be in S, and each pair
     {i, mirror[i]} of distinct factors contributes neither, i or mirror[i],
     so there are 3^pairs masks."""
-    masks = [0]
+    masks = [(0, 0)]
     for i, j in enumerate(mirror):
         if i < j:
-            masks += [s | 1 << b for b in (i, j) for s in masks]
+            masks += [(s | 1 << a, m | 1 << b) for a, b in ((i, j), (j, i)) for s, m in masks]
     return masks
 
 
@@ -200,8 +199,9 @@ def _candidates(n: int, construction: str) -> Iterator[Tuple[Tuple[Poly, ...], i
     if construction == "hermitian":
         factors, mirror = _factors(n, GF4)
         products, outside = _Products(factors), (1 << len(factors)) - 1
-        for s in sorted(_survivor_masks(mirror), key=lambda s: _order(products[s])):
-            g, m = products[s], products[outside & ~(s | _mirror_mask(s, mirror))]
+        survivors = sorted(_survivor_masks(mirror), key=lambda pair: _order(products[pair[0]]))
+        for s, s_mirror in survivors:
+            g, m = products[s], products[outside & ~(s | s_mirror)]
             k, columns = hermitian_columns(n, remainder_walk(g, n), m.packed)
             yield (g,), k, columns
         return
@@ -215,16 +215,6 @@ def _candidates(n: int, construction: str) -> Iterator[Tuple[Tuple[Poly, ...], i
                 k, columns = css_columns(n, walk(s1), by_mask[outside & ~(m2 | s1)].packed,
                                          walk(s2), by_mask[outside & ~(m1 | s2)].packed)
                 yield (g1, g2), k, columns
-
-
-def _mirror_mask(s: int, mirror: Sequence[int]) -> int:
-    """The mask of the mirror of the divisor with factor mask s."""
-    out = 0
-    while s:
-        low = s & -s
-        out |= 1 << mirror[low.bit_length() - 1]
-        s ^= low
-    return out
 
 
 class _Products(dict):
@@ -349,14 +339,14 @@ CSV_HEADER = ["n", "k", "l", "qrb", "saturates", "degenerate",
 
 
 def records_to_csv(records: Sequence[SearchRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow([r.n, r.k, r.l, r.qrb,
-                         str(r.saturates).lower(), str(r.degenerate).lower(),
-                         r.construction, r.genpoly1, r.genpoly2])
-    return buf.getvalue()
+    """The records as CSV lines, fields joined by commas.  No field ever
+    needs quoting: format_genpoly writes only digits, ^ and spaces, and the
+    other fields are ints, construction names and true/false."""
+    lines = [",".join(CSV_HEADER)]
+    lines += [f"{r.n},{r.k},{r.l},{r.qrb},{str(r.saturates).lower()},"
+              f"{str(r.degenerate).lower()},{r.construction},{r.genpoly1},{r.genpoly2}"
+              for r in records]
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -177,43 +177,21 @@ def _check_self_orthogonal(rows: Sequence[int], x_bits: int) -> None:
                     f"rows {i} and {j} anticommute (symplectic inner product 1)")
 
 
-# The two row builders below are the only construction path: the
-# commutation check of StabilizerCode is what decides dual containment.
-
-def _hermitian_stabilizer(n: int, check_rows) -> StabilizerCode:
-    """Stabilizer spanned by {conj(h), w*conj(h)} over GF(4) check rows h.
-
-    For a GF(4)-linear code, trace-symplectic and Hermitian
-    self-orthogonality agree (Calderbank, Rains, Shor and Sloane, IEEE T-IT
-    1998, Thm. 3), so these rows commute exactly when the code contains its
-    Hermitian dual; otherwise CommutationError.
-    """
-    rows = [_packed_row(h, table) for h in check_rows for table in (_CONJ, _W_CONJ)]
-    return StabilizerCode(n, rows)
-
-
-def _css_stabilizer(n: int, x_checks, z_checks) -> StabilizerCode:
-    """Stabilizer with X-type rows from x_checks and Z-type rows from z_checks.
-
-    The rows commute exactly when H_x H_z^T = 0, that is when the dual of
-    the code checked by z_checks lies in the code checked by x_checks;
-    otherwise CommutationError.
-    """
-    rows = [_packed_row(h, _SYMBOL) for h in x_checks]  # X on the support of h
-    rows += [_packed_row(h, _SYMBOL) << 1 for h in z_checks]  # Z on the support of h
-    return StabilizerCode(n, rows)
-
-
 def hermitian_construct(code: LinearCode) -> StabilizerCode:
     """[[n, 2k-n]] stabilizer code from a Hermitian-dual-containing GF(4) code.
 
-    The stabilizer is the additive span of {g, w*g} over the generators g of
-    the Hermitian dual (conjugated parity-check rows), as packed rows.
+    The stabilizer is the additive span of {conj(h), w*conj(h)} over the
+    check rows h, the generators of the Hermitian dual, as packed rows.  For
+    a GF(4)-linear code, trace-symplectic and Hermitian self-orthogonality
+    agree (Calderbank, Rains, Shor and Sloane, IEEE T-IT 1998, Thm. 3), so
+    the rows commute exactly when the code contains its Hermitian dual:
+    StabilizerCode's commutation check decides it (ValueError otherwise).
     """
     if code.field is not GF4:
         raise ValueError("Hermitian dual containment is defined over GF(4)")
+    rows = [_packed_row(h, table) for h in code.check_rows for table in (_CONJ, _W_CONJ)]
     try:
-        stab = _hermitian_stabilizer(code.n, code.check_rows)
+        stab = StabilizerCode(code.n, rows)
     except CommutationError as exc:
         raise ValueError("code is not Hermitian dual containing") from exc
     if stab.k != 2 * code.k - code.n:
@@ -222,13 +200,21 @@ def hermitian_construct(code: LinearCode) -> StabilizerCode:
 
 
 def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
-    """[[n, k1+k2-n]] CSS stabilizer code from binary codes with C2-dual in C1."""
+    """[[n, k1+k2-n]] CSS stabilizer code from binary codes with C2-dual in C1.
+
+    X-type rows come from the check rows H_x of c1, Z-type rows from the
+    check rows H_z of c2.  They commute exactly when H_x H_z^T = 0, that is
+    when the dual of c2 lies in c1: StabilizerCode's commutation check
+    decides it (ValueError otherwise).
+    """
     if c1.field is not GF2 or c2.field is not GF2:
         raise ValueError("dual containment check requires binary codes")
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
+    rows = [_packed_row(h, _SYMBOL) for h in c1.check_rows]  # X on the support of h
+    rows += [_packed_row(h, _SYMBOL) << 1 for h in c2.check_rows]  # Z on the support of h
     try:
-        stab = _css_stabilizer(c1.n, c1.check_rows, c2.check_rows)
+        stab = StabilizerCode(c1.n, rows)
     except CommutationError as exc:
         raise ValueError("CSS precondition failed: dual of C2 is not inside C1") from exc
     if stab.k != c1.k + c2.k - c1.n:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -82,6 +83,23 @@ def test_qtpc_example_params():
     assert spec.params == (90, 42)
     assert stab.params == (90, 42)
     assert spec.rho1 == 6 and spec.rho2 == 4
+
+
+def test_qtpc_solves_no_nullspace(monkeypatch):
+    # the tensor code is its expanded check rows: once the component codes
+    # are built, the construction solves for no generator rows
+    c2 = rs_mds(6, 2, ExtField(GF4, 6))  # rs_mds's own check rows are a nullspace
+
+    def refused(*args):
+        raise AssertionError("mat_nullspace called")
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("qbecc") and hasattr(m, "mat_nullspace")]
+    assert {"qbecc.linalg", "qbecc.classical"} <= {m.__name__ for m in modules}
+    for module in modules:  # every binding of the name, wherever imported
+        monkeypatch.setattr(module, "mat_nullspace", refused)
+    stab, spec = qtpc_construct(C1, c2)
+    assert stab.params == spec.params == (90, 42)
+    assert spec.expanded_check == tuple(map(tuple, tensor_check_matrix(C1, c2)))
 
 
 def test_qtpc_example_burst_capability():

@@ -14,14 +14,13 @@ from qbecc.burst import BurstAnalysis, BurstCapability
 from qbecc.channel import (ChannelModel, CodeLabels, DecoderTable, EfResult, SweepPoint,
                            build_decoder)
 from qbecc.classical import LinearCode
-from qbecc.gf import GF2, GF4, ExtField
+from qbecc.gf import GF2
 from qbecc.qtpc import DispersalReport, InterleaverMap, QtpcSpec
 from qbecc.registry import RegistryEntry
 from qbecc.search import RowReport, SearchOutcome, SearchPlan, SearchRecord
 from qbecc.stabilizer import F4Vector, StabilizerCode
 
-REPETITION = dict(field=GF2, n=3, k=1, gen_rows=((1, 1, 1),),
-                  check_rows=((1, 1, 0), (0, 1, 1)))
+REPETITION = dict(field=GF2, n=3, k=1, check_rows=((1, 1, 0), (0, 1, 1)))
 RECORD = SearchRecord(n=13, k=1, l=3, qrb=3, saturates=True, degenerate=False,
                       construction="hermitian", genpoly1="1^6 2^5 3^3 2^1 1^0")
 
@@ -80,12 +79,6 @@ def test_record_properties():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: LinearCode(**{**REPETITION, "check_rows": ((1, 0, 0),)}), AssertionError,
-     "generator and check matrices are not orthogonal"),
-    (lambda: LinearCode(GF4, 2, 1, ((1, 2),), ((1, 1),)), AssertionError,
-     "generator and check matrices are not orthogonal"),
-    (lambda: LinearCode(ExtField(GF4, 2), 2, 1, ((1, 1),), ((1, 0),)), AssertionError,
-     "generator and check matrices are not orthogonal"),
     (lambda: SearchPlan((13, 0)), ValueError, "code lengths must be at least 1, got 0"),
     (lambda: SearchPlan(n_values=(13, 14)), ValueError,
      "even lengths share a factor with the field characteristic"),
@@ -133,7 +126,6 @@ def test_decoder_table_keeps_its_labels_out_of_comparisons():
 
 # a record of each class that checks in __new__, and a change its check refuses
 VALIDATED = [
-    (LinearCode(**REPETITION), dict(check_rows=((1, 0, 0),))),
     (SearchPlan((13,)), dict(n_values=(14,))),
     (ChannelModel(0.1, 0.5), dict(p=2.0)),
     (EfResult(0.5, 0.1, False), dict(residual=5.0)),

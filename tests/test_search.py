@@ -340,7 +340,10 @@ def test_hermitian_survivors_number_3_to_the_mirror_pairs():
     for n in range(1, 100, 2):
         _, mirror = _factors(n, GF4)
         pairs = sum(i < j for i, j in enumerate(mirror))
-        masks = _survivor_masks(mirror)
+        pairs_of_masks = _survivor_masks(mirror)
+        # every survivor carries the mask of its mirror
+        assert all(m == _mirror_mask(s, mirror) for s, m in pairs_of_masks), n
+        masks = [s for s, _ in pairs_of_masks]
         assert len(masks) == len(set(masks)) == 3 ** pairs, n
         assert pinned.get(n, len(masks)) == len(masks), n
         fixed = sum(1 << i for i, j in enumerate(mirror) if i == j)
