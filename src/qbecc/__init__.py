@@ -16,7 +16,7 @@ _EXPORTS = {
                 "entanglement_fidelity", "sweep", "sweep_to_csv"),
     "classical": ("LinearCode", "binary_dual_containing",
                   "cyclic_from_poly", "hermitian_dual_containing",
-                  "linear_code", "rs_mds"),
+                  "rs_mds"),
     "gf": ("GF2", "GF4", "ExtField", "Poly", "UnsupportedDegreeError",
            "berlekamp_factor", "poly_gcd", "xn_minus_1"),
     "qtpc": ("DispersalReport", "InterleaverMap", "QtpcSpec", "deinterleave",

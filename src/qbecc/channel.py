@@ -57,13 +57,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import gf2_rank
-from .stabilizer import ResourceLimitError
+from .stabilizer import MAX_ARRAY_BYTES, ResourceLimitError
 
 DEFAULT_EXACT_LIMIT = 4 ** 13
-# Bytes of one array: a pattern set (charged a byte per symbol), one transfer
-# buffer of the label mass (four float64 per label, so 2^24 labels fit) or
-# a simulate grid (one float per point).
-MAX_ARRAY_BYTES = 1 << 29
 # Values an exact sum bins at once: 2^16 halves below 2^27 sum below 2^53.
 _SUM_CHUNK = 1 << 16
 

@@ -12,10 +12,13 @@ through the powers of x mod a generator.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import chain
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .gf import GF2, GF4, Poly, _multiples
-from .linalg import mat_mul_vec, mat_nullspace, mat_row_reduce
+from .linalg import mat_mul_vec
+from .stabilizer import charge_entries
 
 
 class InvalidGeneratorError(ValueError):
@@ -38,14 +41,12 @@ class LinearCode(NamedTuple):
         return tuple(mat_mul_vec(self.field, self.check_rows, vec))
 
 
-def linear_code(field, rows: Sequence[Sequence[int]], n: Optional[int] = None) -> LinearCode:
-    """The code spanned by rows: k is their rank, and the check rows are the
-    nullspace basis of their reduced rows."""
-    if n is None:
-        n = len(rows[0])
-    reduced, _ = mat_row_reduce(field, rows)
-    return LinearCode(field, n, len(reduced),
-                      tuple(map(tuple, mat_nullspace(field, reduced, n))))
+def _systematic(field, n: int, k: int, parities: Sequence[Sequence[int]]) -> LinearCode:
+    """The code of reduced generator [I_k | P^T], P = parities: its check row
+    j holds P[j], then a 1 at k + j (char 2)."""
+    r = n - k
+    return LinearCode(field, n, k, tuple(tuple(row) + (0,) * j + (1,) + (0,) * (r - 1 - j)
+                                         for j, row in enumerate(parities)))
 
 
 def remainder_walk(g: Poly, n: int) -> Tuple[int, List[int], List[int]]:
@@ -77,44 +78,49 @@ def cyclic_from_poly(g: Poly, n: int) -> LinearCode:
     all zero (the lowest term of a survives, as g(0) != 0), so the code's
     reduced row-echelon basis is x^p + x^k s_p for p < k, where
     x^k s_p = x^p mod g.  As x^n = 1 mod g, s_p = x^(n-k+p) mod g: the last
-    k remainders of remainder_walk, which also tests divisibility.  The
-    check rows are the canonical nullspace basis of that basis: the check
-    row of parity position k + j holds coefficient j of every s_p, then a 1
-    at k + j (char 2: -c = c).
+    k remainders of remainder_walk, which also tests divisibility; check
+    row j holds coefficient j of every s_p.
     """
     if g.is_zero:
         raise InvalidGeneratorError("zero polynomial cannot generate a cyclic code")
     g = g.monic()
     r, remainders, _ = remainder_walk(g, n)
-    k, bits = n - r, g.bits
-    digit = (1 << bits) - 1
-    parities = [tuple(s >> bits * j & digit for j in range(r)) for s in remainders[r:]]
-    check = tuple(tuple(s[j] for s in parities) + (0,) * j + (1,) + (0,) * (r - 1 - j)
-                  for j in range(r))
-    return LinearCode(g.field, n, k, check)
+    bits, digit = g.bits, (1 << g.bits) - 1
+    return _systematic(g.field, n, n - r, [tuple(s >> bits * j & digit for s in remainders[r:])
+                                           for j in range(r)])
 
 
 def rs_mds(n2: int, l2: int, field) -> LinearCode:
-    """[n2, n2-2*l2, 2*l2+1] Reed-Solomon code over an extension field.
+    """[n2, k = n2 - 2*l2, 2*l2 + 1] Reed-Solomon code over an extension field:
+    the values of each f of degree < k at the points a_i = i < min(n2, q),
+    and for n2 = q + 1 its coefficient of x^(k-1) (singly extended, MDS).
 
-    Evaluation points are the field elements 0, 1, 2, ... in int order; for
-    n2 = order + 1 the extra coordinate is the coefficient of x^(k-1)
-    (singly-extended construction, still MDS).
+    The check rows are written down in systematic form: interpolation on
+    a_0..a_(k-1), with W(x) = prod_{l<k} (x + a_l) and W'(a_i) =
+    prod_{l<k, l!=i} (a_i + a_l), gives f(b) = sum_i f(a_i) W(b) /
+    ((b + a_i) W'(a_i)) and the coefficient as sum_i f(a_i) / W'(a_i).
     """
-    q = field.order
+    q, mul, inv = field.order, field.mul, field.inv
     if not 2 <= n2 <= q + 1:
         raise ValueError(f"length {n2} out of range [2, {q + 1}] for {field!r}")
     if not 0 <= l2 <= (n2 - 1) // 2:
         raise ValueError(f"burst target {l2} out of range [0, {(n2 - 1) // 2}]")
-    k = n2 - 2 * l2
-    points = list(range(min(n2, q)))
-    rows = []
-    for i in range(k):
-        row = [field.pow(x, i) for x in points]
-        if n2 == q + 1:
-            row.append(1 if i == k - 1 else 0)
-        rows.append(row)
-    return linear_code(field, rows, n2)
+    k, r = n2 - 2 * l2, 2 * l2
+    charge_entries(r * n2, f"the {r} x {n2} check matrix of the Reed-Solomon code")
+    if r == 0:
+        return LinearCode(field, n2, k, ())
+    # 1 / W'(a_i): as the product of (a + b) over all b != a is 1, it is the
+    # product over b = k..q-1, or the inverse of W'(a_i), whichever is shorter
+    inv_w = [reduce(mul, map(i.__xor__, range(k, q)), 1) if q - k < k else
+             inv(reduce(mul, map(i.__xor__, chain(range(i), range(i + 1, k))), 1))
+             for i in range(k)]
+    weights = []
+    for b in range(k, min(n2, q)):
+        w_b = reduce(mul, map(b.__xor__, range(k)), 1)
+        weights.append([mul(w_b, mul(inv(b ^ i), c)) for i, c in enumerate(inv_w)])
+    if n2 == q + 1:
+        weights.append(inv_w)
+    return _systematic(field, n2, k, weights)
 
 
 def hermitian_dual_containing(code: LinearCode) -> bool:
@@ -137,6 +143,6 @@ def binary_dual_containing(c2: LinearCode, c1: LinearCode) -> bool:
 
 __all__ = [
     "LinearCode", "InvalidGeneratorError",
-    "linear_code", "remainder_walk", "cyclic_from_poly", "rs_mds",
+    "remainder_walk", "cyclic_from_poly", "rs_mds",
     "hermitian_dual_containing", "binary_dual_containing",
 ]

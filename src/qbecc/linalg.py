@@ -94,22 +94,6 @@ def mat_row_reduce(field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]
     return reduced, pivots
 
 
-def mat_nullspace(field, rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
-    """Basis of {x : sum_j row[j]*x[j] = 0 for every row}."""
-    reduced, pivots = mat_row_reduce(field, rows)
-    pivot_set = set(pivots)
-    basis: List[List[int]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for row, p in zip(reduced, pivots):
-            vec[p] = row[free]  # char 2: -x = x
-        basis.append(vec)
-    return basis
-
-
 def mat_mul_vec(field, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
     out = []
     for row in rows:
@@ -123,5 +107,5 @@ def mat_mul_vec(field, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> Lis
 
 __all__ = [
     "gf2_row_reduce", "gf2_rank",
-    "mat_row_reduce", "mat_nullspace", "mat_mul_vec",
+    "mat_row_reduce", "mat_mul_vec",
 ]

@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import List, NamedTuple, Tuple
 
 from .classical import LinearCode
-from .gf import GF2, GF4
+from .gf import GF4
 from .linalg import mat_mul_vec
-from .stabilizer import StabilizerCode, css_construct, hermitian_construct
+from .stabilizer import StabilizerCode, charge_entries, css_construct, hermitian_construct
 
 
 class QtpcSpec(NamedTuple):
@@ -41,15 +41,15 @@ class QtpcSpec(NamedTuple):
 def tensor_check_matrix(c1: LinearCode, c2: LinearCode) -> List[List[int]]:
     """Expanded (rho1*rho2) x (n1*n2) base-field check matrix of the tensor
     code.  The outer code must live over the degree-rho1 extension of the
-    inner base field."""
+    inner base field, which is then GF(2) or GF(4), the bases of ExtField."""
     base = c1.field
     rho1 = c1.n - c1.k
     field2 = c2.field
-    if base is not GF2 and base is not GF4:
-        raise ValueError("inner code must be over GF(2) or GF(4)")
     if getattr(field2, "base", None) is not base or field2.m != rho1:
         raise ValueError(
             f"outer code field must be the degree-{rho1} extension of {base!r}")
+    rows, cols = rho1 * len(c2.check_rows), c1.n * c2.n
+    charge_entries(rows * cols, f"the {rows} x {cols} tensor check matrix")
     # row r of M_e * H1 for each outer entry e: row r of M_e times the
     # columns of H1
     columns = list(zip(*c1.check_rows))

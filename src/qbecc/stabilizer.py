@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
-from .classical import LinearCode
 from .gf import GF2, GF4
 from .linalg import _CONJ, _SYMBOL, _W_CONJ, _packed_row, gf2_row_reduce
 
 if TYPE_CHECKING:
     import numpy as np
+    from .classical import LinearCode
 
 
 class CommutationError(ValueError):
@@ -39,6 +39,19 @@ class CommutationError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """Requested enumeration exceeds the configured limit."""
+
+
+# Bytes of one array: a channel pattern set (a byte per symbol), a label
+# transfer buffer (four float64 per label), a simulate grid (a float per
+# point) or a check matrix (16 bytes an entry: list slot and tuple copy).
+MAX_ARRAY_BYTES = 1 << 29
+
+
+def charge_entries(count: int, what: str) -> None:
+    """ResourceLimitError if count check-matrix entries pass MAX_ARRAY_BYTES."""
+    if 16 * count > MAX_ARRAY_BYTES:
+        raise ResourceLimitError(f"{what} needs {count} entries of 16 bytes, "
+                                 f"over the {MAX_ARRAY_BYTES}-byte cap")
 
 
 class F4Vector(NamedTuple):
@@ -224,5 +237,5 @@ def css_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
 
 __all__ = [
     "F4Vector", "StabilizerCode", "CommutationError", "ResourceLimitError",
-    "hermitian_construct", "css_construct",
+    "MAX_ARRAY_BYTES", "charge_entries", "hermitian_construct", "css_construct",
 ]

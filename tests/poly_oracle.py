@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from qbecc.linalg import mat_nullspace
+from cyclic_oracle import mat_nullspace
 
 
 class TuplePoly:

@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from cyclic_oracle import cyclic_from_poly_matrix
+from cyclic_oracle import cyclic_from_poly_matrix, linear_code, mat_nullspace, rs_mds_matrix
 from qbecc.burst import classical_burst_capability, rs_burst_capability
 from qbecc.classical import (InvalidGeneratorError, binary_dual_containing,
-                             cyclic_from_poly, hermitian_dual_containing,
-                             linear_code, rs_mds)
+                             cyclic_from_poly, hermitian_dual_containing, rs_mds)
 from qbecc.gf import GF2, GF4, ExtField, Poly
-from qbecc.linalg import mat_nullspace, mat_row_reduce
+from qbecc.linalg import mat_row_reduce
 from qbecc.search import enumerate_cyclic_generators
 
 W = 2
@@ -308,6 +307,32 @@ def test_rs_mds_extended_length():
         rs_mds(19, 1, F)  # beyond q + 1
     with pytest.raises(ValueError):
         rs_mds(6, 3, F)   # l2 above floor((n2-1)/2)
+
+
+RS_FIELDS = [GF4, ExtField(GF2, 3), ExtField(GF2, 4), ExtField(GF4, 2),
+             ExtField(GF4, 3), ExtField(GF2, 8)]
+
+
+@pytest.mark.parametrize("field", RS_FIELDS, ids=lambda f: f.name)
+def test_rs_mds_matches_vandermonde_elimination(field):
+    # the systematic check rows are the nullspace basis that elimination of
+    # the Vandermonde rows gives, tuple for tuple: every l2 at every length
+    # up to q + 1 (or 20), and every l2 at the extended length 65 of GF(4^3)
+    lengths = range(2, min(field.order + 1, 20) + 1)
+    if field.order == 64:
+        lengths = [*lengths, 65]
+    for n2 in lengths:
+        for l2 in range((n2 - 1) // 2 + 1):
+            assert rs_mds(n2, l2, field) == rs_mds_matrix(n2, l2, field), (n2, l2)
+
+
+@pytest.mark.parametrize("field, n2, l2", [
+    (ExtField(GF4, 6), 256, 4), (ExtField(GF2, 8), 100, 7), (ExtField(GF2, 8), 257, 3),
+    (ExtField(GF2, 8), 200, 40)], ids=lambda v: getattr(v, "name", str(v)))
+def test_rs_mds_matches_vandermonde_elimination_long(field, n2, l2):
+    # W'(a_i) by the product over the points above k at (257, 3), where
+    # q - k < k, and over the other information points at the rest
+    assert rs_mds(n2, l2, field) == rs_mds_matrix(n2, l2, field)
 
 
 # ----------------------------------------------------------------------

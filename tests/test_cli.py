@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -183,6 +184,40 @@ def test_tensor_dispersal_zero_rejected(capsys):
     assert code == 2
     assert json.loads(out)["error"] == {"type": "ValueError",
                                         "message": "burst length 0 outside [1, 90]"}
+
+
+@pytest.mark.parametrize("rs, digest", [("16,4", "b0e53d6738fa72e4"),
+                                        ("64,4", "6e5fb2f1de1d0ab7")])
+def test_tensor_output_pinned(capsys, rs, digest):
+    # first 16 hex digits of the stdout SHA-256, recorded while the outer
+    # code's check rows came from eliminating its Vandermonde rows
+    code, out = run_cli(capsys, "tensor", "--c1-poly", "1^6 2^3 1^0",
+                        "--c1-n", "15", "--rs", rs, "--dispersal", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_tensor_check_matrix_over_cap_refused(capsys, monkeypatch):
+    from qbecc import stabilizer
+    argv = ("tensor", "--c1-poly", "1^6 2^3 1^0", "--c1-n", "15", "--rs", "6,2")
+    # bytes, not items: 16 per entry.  The 4 x 6 outer check matrix takes
+    # 384 bytes, the 24 x 90 tensor check matrix 34560
+    monkeypatch.setattr(stabilizer, "MAX_ARRAY_BYTES", 34559)
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "resource-limit",
+        "message": "the 24 x 90 tensor check matrix needs 2160 entries of 16 bytes, "
+                   "over the 34559-byte cap"}
+    monkeypatch.setattr(stabilizer, "MAX_ARRAY_BYTES", 383)
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "resource-limit",
+        "message": "the 4 x 6 check matrix of the Reed-Solomon code needs 24 entries "
+                   "of 16 bytes, over the 383-byte cap"}
+    monkeypatch.setattr(stabilizer, "MAX_ARRAY_BYTES", 34560)
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_simulate_p0(capsys):

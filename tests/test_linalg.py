@@ -1,8 +1,9 @@
 import random
 
 from conftest import gf2_in_span, gf2_nullspace
+from cyclic_oracle import mat_nullspace
 from qbecc.gf import GF2, GF4
-from qbecc.linalg import gf2_rank, gf2_row_reduce, mat_nullspace, mat_row_reduce
+from qbecc.linalg import gf2_rank, gf2_row_reduce, mat_row_reduce
 
 
 def brute_rank_gf2(rows, ncols):

@@ -5,9 +5,10 @@ import pytest
 from conftest import (burst_length, contains, from_symbols, gf2_nullspace, gf2_reduce_vector,
                       interleave_halves, pivots_of, random_css_code, random_self_orthogonal_code,
                       swap_xz, symbols_of, syndrome, trace_ip)
+from cyclic_oracle import linear_code
 from label_oracle import label_ints as oracle_label_ints, label_table
 from qbecc import stabilizer
-from qbecc.classical import LinearCode, cyclic_from_poly, linear_code, rs_mds
+from qbecc.classical import LinearCode, cyclic_from_poly, rs_mds
 from qbecc.gf import GF2, GF4, ExtField, Poly
 from qbecc.qtpc import qtpc_construct, tensor_check_matrix
 from qbecc.registry import load_registry
