@@ -10,7 +10,7 @@ import importlib
 _EXPORTS = {
     "burst": ("BurstAnalysis", "BurstCapability", "burst_count", "check_qrb",
               "classical_burst_capability", "no_cloning_check", "qrb",
-              "quantum_burst_capability", "rs_burst_capability"),
+              "quantum_burst_capability"),
     "channel": ("ChannelModel", "CodeLabels", "DecoderTable", "EfResult",
                 "SweepPoint", "build_decoder", "cond_prob",
                 "entanglement_fidelity", "sweep", "sweep_to_csv"),
@@ -19,7 +19,7 @@ _EXPORTS = {
                   "rs_mds"),
     "gf": ("GF2", "GF4", "ExtField", "Poly", "UnsupportedDegreeError",
            "berlekamp_factor", "poly_gcd", "xn_minus_1"),
-    "qtpc": ("DispersalReport", "InterleaverMap", "QtpcSpec", "deinterleave",
+    "qtpc": ("DispersalReport", "InterleaverMap", "deinterleave",
              "dispersal_report", "qtpc_construct", "tensor_check_matrix"),
     "registry": ("RegistryEntry", "load_registry", "registry_entry"),
     "search": ("SearchPlan", "SearchRecord", "SearchOutcome",

@@ -297,18 +297,9 @@ def classical_burst_capability(code: LinearCode, end_around: bool = False) -> Bu
     return BurstCapability(ceiling, end_around)
 
 
-def rs_burst_capability(code: LinearCode) -> BurstCapability:
-    """Burst capability of an MDS code from its distance: l = (d-1)//2 = (n-k)//2.
-
-    Any pattern of that many symbol errors is correctable, so bursts are
-    covered with end-around included; no elimination needed.
-    """
-    return BurstCapability((code.n - code.k) // 2, end_around=True)
-
-
 __all__ = [
     "BurstAnalysis", "qrb", "check_qrb", "no_cloning_check",
     "burst_count", "quantum_burst_capability",
     "hermitian_columns", "css_columns",
-    "BurstCapability", "classical_burst_capability", "rs_burst_capability",
+    "BurstCapability", "classical_burst_capability",
 ]

@@ -699,11 +699,12 @@ def sweep(code_specs: Sequence[Tuple[str, CodeLabels, int, int]],
           limit: int = DEFAULT_EXACT_LIMIT, workers: int = 1) -> List[SweepPoint]:
     """One fidelity evaluation per (code, mode, p, mu), in that nesting
     order; deterministic and independent of the worker count.  A task is
-    one (code, p, mu) and scores every mode's table.  More tasks than the
-    byte cap holds at 8 bytes each raise ResourceLimitError before any
-    table or list is built; so do, after them, an unknown mode or strategy
-    (ValueError) and, for the exact strategy, any code over the limit or
-    the transfer buffer cap."""
+    one (code, p, mu) and scores every mode's table.  Refused before any
+    table is built, in this order: more tasks than the byte cap holds at 8
+    bytes each (ResourceLimitError, before any list is built); an unknown
+    mode or strategy (ValueError); for the exact strategy, any code over the
+    limit or the transfer buffer cap (ResourceLimitError); a p or mu
+    outside [0, 1] (ValueError, from the grid's ChannelModels)."""
     tasks = len(code_specs) * len(p_grid) * len(mu_grid)
     if 8 * tasks > MAX_ARRAY_BYTES:
         raise ResourceLimitError(
@@ -713,6 +714,7 @@ def sweep(code_specs: Sequence[Tuple[str, CodeLabels, int, int]],
         _check_mode(mode)
     _check_strategy(strategy, [spec[1] for spec in code_specs], limit)
     grid = [(p, mu) for p in p_grid for mu in mu_grid]
+    models = [ChannelModel(p, mu) for p, mu in grid]
     tables = [[build_decoder(code, mode, t=t, l=l) for mode in modes]
               for _, code, t, l in code_specs]
     # the exact engine's per-code work, shared by the code's grid points
@@ -720,7 +722,7 @@ def sweep(code_specs: Sequence[Tuple[str, CodeLabels, int, int]],
              for spec, tabs in zip(code_specs, tables)]
     # _fidelities' arguments, one column each, one task per (code, p, mu)
     columns = ([tabs for tabs in tables for _ in grid],
-               [ChannelModel(p, mu) for _ in code_specs for p, mu in grid],
+               [ch for _ in code_specs for ch in models],
                itertools.repeat(strategy), itertools.repeat(w_max),
                itertools.repeat(None), [plan for plan in plans for _ in grid])
     if workers <= 1 or len(columns[0]) <= 1:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain
+from operator import xor
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .gf import GF2, GF4, Poly, _multiples
-from .linalg import mat_mul_vec
 from .stabilizer import charge_entries
 
 
@@ -38,7 +38,8 @@ class LinearCode(NamedTuple):
     check_rows: Tuple[Tuple[int, ...], ...]
 
     def syndrome(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(mat_mul_vec(self.field, self.check_rows, vec))
+        mul = self.field.mul
+        return tuple(reduce(xor, map(mul, row, vec), 0) for row in self.check_rows)
 
 
 def _systematic(field, n: int, k: int, parities: Sequence[Sequence[int]]) -> LinearCode:

@@ -24,13 +24,13 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .burst import (classical_burst_capability, no_cloning_check, qrb,
-                    quantum_burst_capability, rs_burst_capability)
+                    quantum_burst_capability)
 from .classical import rs_mds
 from .gf import GF4, ExtField
 from .registry import registry_entry
 from .search import (GenPolyError, SearchPlan, build_code, build_registry_code,
                      code_labels, cyclic_code, records_to_csv, reproduce_table1, search)
-from .stabilizer import ResourceLimitError
+from .stabilizer import ResourceLimitError, charge_entries
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -148,20 +148,24 @@ def _cmd_tensor(args) -> Tuple[int, str]:
         raise UsageError(f"tensor needs --c1-n >= 1, got {args.c1_n}")
     c1 = cyclic_code(args.c1_poly, args.c1_n, GF4)
     rho1 = c1.n - c1.k
-    c2 = rs_mds(n2, l2, ExtField(GF4, rho1))
-    stab, qspec = qtpc_construct(c1, c2)
+    field2 = ExtField(GF4, rho1)
+    if 0 <= 2 * l2 < n2 <= field2.order + 1:  # else rs_mds refuses the range
+        charge_entries(rho1 * 2 * l2 * c1.n * n2,
+                       f"the {rho1 * 2 * l2} x {c1.n * n2} tensor check matrix")
+    c2 = rs_mds(n2, l2, field2)
+    rho2 = c2.n - c2.k
     out = {
-        "n1": qspec.n1, "k1": qspec.k1, "n2": qspec.n2, "k2": qspec.k2,
-        "rho1": qspec.rho1, "rho2": qspec.rho2,
-        "params": list(qspec.params),
-        "rank": qspec.rho1 * qspec.rho2,
+        "n1": c1.n, "k1": c1.k, "n2": c2.n, "k2": c2.k,
+        "rho1": rho1, "rho2": rho2,
+        "params": list(qtpc_construct(c1, c2).params),
+        "rank": rho1 * rho2,
         "self_orthogonal": True,  # verified during construction
     }
     if args.dispersal is not None:  # 0 reaches dispersal_report's range check
         l1 = classical_burst_capability(c1).l if args.l1 is None else args.l1
-        if l1 <= 0 or qspec.n1 % l1 != 0:
-            raise UsageError(f"subblock height {l1} must divide n1={qspec.n1}")
-        imap = InterleaverMap(qspec.n1, qspec.n2, l1)
+        if l1 <= 0 or c1.n % l1 != 0:
+            raise UsageError(f"subblock height {l1} must divide n1={c1.n}")
+        imap = InterleaverMap(c1.n, n2, l1)
         full = dispersal_report(imap, args.dispersal)
         aligned = dispersal_report(imap, args.dispersal, aligned_only=True)
         out["dispersal"] = {
@@ -173,7 +177,7 @@ def _cmd_tensor(args) -> Tuple[int, str]:
                 "max_inner_burst": aligned.max_inner_burst,
             },
             "l1": l1,
-            "l2": rs_burst_capability(c2).l,
+            "l2": l2,
         }
     return EXIT_OK, _json(out)
 

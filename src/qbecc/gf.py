@@ -170,11 +170,6 @@ class ExtField:
             e |= (d & mask) << (self.width * i)
         return e
 
-    def mult_matrix(self, e: int) -> List[List[int]]:
-        """m x m base-field matrix of y -> e*y in the power basis (column j = e*x^j)."""
-        cols = [self.digits(self.mul(e, self._exp[j])) for j in range(self.m)]
-        return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
-
     def __repr__(self) -> str:
         return self.name
 

@@ -94,18 +94,7 @@ def mat_row_reduce(field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]
     return reduced, pivots
 
 
-def mat_mul_vec(field, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
-    out = []
-    for row in rows:
-        acc = 0
-        for a, b in zip(row, vec):
-            if a and b:
-                acc ^= field.mul(a, b)
-        out.append(acc)
-    return out
-
-
 __all__ = [
     "gf2_row_reduce", "gf2_rank",
-    "mat_row_reduce", "mat_mul_vec",
+    "mat_row_reduce",
 ]

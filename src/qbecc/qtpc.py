@@ -23,43 +23,31 @@ from typing import List, NamedTuple, Tuple
 
 from .classical import LinearCode
 from .gf import GF4
-from .linalg import mat_mul_vec
 from .stabilizer import StabilizerCode, charge_entries, css_construct, hermitian_construct
-
-
-class QtpcSpec(NamedTuple):
-    n1: int
-    k1: int
-    n2: int
-    k2: int
-    rho1: int
-    rho2: int
-    expanded_check: Tuple[Tuple[int, ...], ...]
-    params: Tuple[int, int]
 
 
 def tensor_check_matrix(c1: LinearCode, c2: LinearCode) -> List[List[int]]:
     """Expanded (rho1*rho2) x (n1*n2) base-field check matrix of the tensor
     code.  The outer code must live over the degree-rho1 extension of the
     inner base field, which is then GF(2) or GF(4), the bases of ExtField."""
-    base = c1.field
     rho1 = c1.n - c1.k
     field2 = c2.field
-    if getattr(field2, "base", None) is not base or field2.m != rho1:
+    if getattr(field2, "base", None) is not c1.field or field2.m != rho1:
         raise ValueError(
-            f"outer code field must be the degree-{rho1} extension of {base!r}")
+            f"outer code field must be the degree-{rho1} extension of {c1.field!r}")
     rows, cols = rho1 * len(c2.check_rows), c1.n * c2.n
     charge_entries(rows * cols, f"the {rows} x {cols} tensor check matrix")
-    # row r of M_e * H1 for each outer entry e: row r of M_e times the
-    # columns of H1
-    columns = list(zip(*c1.check_rows))
-    blocks = {e: [mat_mul_vec(base, columns, m_row) for m_row in field2.mult_matrix(e)]
+    # the block of an outer entry e is M_e * H1, and its column c holds the
+    # digits of e * h_c, where the extension element h_c has column c of H1
+    # as its digits: row r of the block is digit r of each product
+    columns = [field2.from_digits(column) for column in zip(*c1.check_rows)]
+    blocks = {e: list(zip(*(field2.digits(field2.mul(e, h)) for h in columns)))
               for e in {x for row in c2.check_rows for x in row}}
     return [[x for e in h2_row for x in blocks[e][r]]
             for h2_row in c2.check_rows for r in range(rho1)]
 
 
-def qtpc_construct(c1: LinearCode, c2: LinearCode) -> Tuple[StabilizerCode, QtpcSpec]:
+def qtpc_construct(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
     """[[n1*n2, n1*n2 - 2*rho1*rho2]] stabilizer code of the tensor code.
 
     The constructor's commutation check decides dual containment of the
@@ -67,12 +55,10 @@ def qtpc_construct(c1: LinearCode, c2: LinearCode) -> Tuple[StabilizerCode, Qtpc
     expanded matrix has full rank rho1*rho2 (AssertionError otherwise).
     """
     expanded = tensor_check_matrix(c1, c2)
-    rho1, rho2 = c1.n - c1.k, c2.n - c2.k
     n = c1.n * c2.n
-    tensor = LinearCode(c1.field, n, n - rho1 * rho2, tuple(map(tuple, expanded)))
-    stab = hermitian_construct(tensor) if c1.field is GF4 else css_construct(tensor, tensor)
-    spec = QtpcSpec(c1.n, c1.k, c2.n, c2.k, rho1, rho2, tensor.check_rows, stab.params)
-    return stab, spec
+    rank = (c1.n - c1.k) * (c2.n - c2.k)
+    tensor = LinearCode(c1.field, n, n - rank, tuple(map(tuple, expanded)))
+    return hermitian_construct(tensor) if c1.field is GF4 else css_construct(tensor, tensor)
 
 
 # ----------------------------------------------------------------------
@@ -126,20 +112,23 @@ def dispersal_report(imap: InterleaverMap, burst_len: int,
     """Measure, over every stream burst window of length <= burst_len, how
     many array columns are touched and the worst row span inside one column.
 
-    aligned_only restricts window starts to multiples of l1.
+    aligned_only restricts window starts to multiples of l1.  One window
+    period is scanned: a full window shifted by one row group (l1*n2
+    positions) touches the same columns with every row moved down by l1, and
+    a window cut short by the end of the stream lies inside the full window
+    that starts at size - burst_len.  So the starts up to min(size -
+    burst_len, l1*n2 - 1) reach every count, the first worst start included.
     """
     if not 1 <= burst_len <= imap.size:
         raise ValueError(f"burst length {burst_len} outside [1, {imap.size}]")
-    cells = [deinterleave(imap, t) for t in range(imap.size)]
+    last = min(imap.size - burst_len, imap.l1 * imap.n2 - 1)
+    cells = [deinterleave(imap, t) for t in range(last + burst_len)]
     worst_cols = 0
     worst_span = 0
     worst_start = 0
-    for start in range(imap.size):
-        if aligned_only and start % imap.l1 != 0:
-            continue
+    for start in range(0, last + 1, imap.l1 if aligned_only else 1):
         col_rows: dict = {}
-        for t in range(start, min(start + burst_len, imap.size)):
-            row, col = cells[t]
+        for row, col in cells[start:start + burst_len]:
             lo, hi = col_rows.get(col, (row, row))
             col_rows[col] = (min(lo, row), max(hi, row))
         n_cols = len(col_rows)
@@ -152,7 +141,7 @@ def dispersal_report(imap: InterleaverMap, burst_len: int,
 
 
 __all__ = [
-    "QtpcSpec", "tensor_check_matrix", "qtpc_construct",
+    "tensor_check_matrix", "qtpc_construct",
     "InterleaverMap", "deinterleave",
     "DispersalReport", "dispersal_report",
 ]

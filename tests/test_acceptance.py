@@ -24,7 +24,8 @@ from qbecc.classical import cyclic_from_poly, rs_mds
 from qbecc.cli import _parse_grid
 from qbecc.gf import GF4, ExtField
 from qbecc.linalg import mat_row_reduce
-from qbecc.qtpc import InterleaverMap, deinterleave, dispersal_report, qtpc_construct
+from qbecc.qtpc import (InterleaverMap, deinterleave, dispersal_report, qtpc_construct,
+                        tensor_check_matrix)
 from qbecc.registry import load_registry, registry_entry
 from qbecc.search import build_registry_code, code_labels, parse_genpoly
 
@@ -270,11 +271,11 @@ def test_criterion_9_qtpc_example():
     t0 = time.monotonic()
     c1 = cyclic_from_poly(parse_genpoly("1^6 2^3 1^0", 15, GF4), 15)
     c2 = rs_mds(6, 2, ExtField(GF4, 6))
-    stab, qspec = qtpc_construct(c1, c2)
-    assert qspec.params == (90, 42)
+    stab = qtpc_construct(c1, c2)
     assert stab.params == (90, 42)
-    assert len(qspec.expanded_check) == 24
-    assert len(mat_row_reduce(GF4, qspec.expanded_check)[0]) == 24
+    expanded = tensor_check_matrix(c1, c2)
+    assert len(expanded) == 24
+    assert len(mat_row_reduce(GF4, expanded)[0]) == 24
     imap = InterleaverMap(15, 6, 3)
     cells = [deinterleave(imap, t) for t in range(imap.size)]
     assert sorted(cells) == [(row, col) for row in range(15) for col in range(6)]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cyclic_oracle import cyclic_from_poly_matrix, linear_code, mat_nullspace, rs_mds_matrix
-from qbecc.burst import classical_burst_capability, rs_burst_capability
+from qbecc.burst import classical_burst_capability
 from qbecc.classical import (InvalidGeneratorError, binary_dual_containing,
                              cyclic_from_poly, hermitian_dual_containing, rs_mds)
 from qbecc.gf import GF2, GF4, ExtField, Poly
@@ -255,7 +255,7 @@ def test_burst_capability_extension_field_mds():
         code = rs_mds(n2, l2, ExtField(GF4, m))
         for end_around in (False, True):
             cap = classical_burst_capability(code, end_around=end_around)
-            assert (cap.l, cap.witness) == (rs_burst_capability(code).l, None)
+            assert (cap.l, cap.witness) == (l2, None)
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +266,7 @@ def test_rs_mds_example_params():
     F = ExtField(GF4, 6)
     code = rs_mds(6, 2, F)
     assert (code.n, code.k) == (6, 2)
-    assert rs_burst_capability(code).l == 2
-    assert rs_burst_capability(code).end_around
+    assert classical_burst_capability(code, end_around=True) == (2, True, None)
 
 
 def test_rs_mds_l0_identity():

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from qbecc.classical import rs_mds
 from qbecc.cli import main
+from qbecc.gf import GF4, ExtField
 from qbecc.stabilizer import ResourceLimitError
 
 
@@ -187,7 +189,9 @@ def test_tensor_dispersal_zero_rejected(capsys):
 
 
 @pytest.mark.parametrize("rs, digest", [("16,4", "b0e53d6738fa72e4"),
-                                        ("64,4", "6e5fb2f1de1d0ab7")])
+                                        ("64,4", "6e5fb2f1de1d0ab7"),
+                                        ("256,4", "58980b3f89af4580"),
+                                        ("1024,8", "936e6e2245019c39")])
 def test_tensor_output_pinned(capsys, rs, digest):
     # first 16 hex digits of the stdout SHA-256, recorded while the outer
     # code's check rows came from eliminating its Vandermonde rows
@@ -209,15 +213,44 @@ def test_tensor_check_matrix_over_cap_refused(capsys, monkeypatch):
         "type": "resource-limit",
         "message": "the 24 x 90 tensor check matrix needs 2160 entries of 16 bytes, "
                    "over the 34559-byte cap"}
+    # the tensor matrix is charged before the outer code is built, so the
+    # outer code's own charge refuses only a direct rs_mds call
     monkeypatch.setattr(stabilizer, "MAX_ARRAY_BYTES", 383)
     code, out = run_cli(capsys, *argv)
     assert code == 3
-    assert json.loads(out)["error"] == {
-        "type": "resource-limit",
-        "message": "the 4 x 6 check matrix of the Reed-Solomon code needs 24 entries "
-                   "of 16 bytes, over the 383-byte cap"}
+    assert json.loads(out)["error"]["message"] == (
+        "the 24 x 90 tensor check matrix needs 2160 entries of 16 bytes, "
+        "over the 383-byte cap")
+    with pytest.raises(ResourceLimitError, match=r"^the 4 x 6 check matrix of the "
+                       r"Reed-Solomon code needs 24 entries of 16 bytes, over the "
+                       r"383-byte cap$"):
+        rs_mds(6, 2, ExtField(GF4, 6))
     monkeypatch.setattr(stabilizer, "MAX_ARRAY_BYTES", 34560)
     assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_tensor_over_cap_refused_before_the_outer_code(capsys, monkeypatch):
+    from qbecc import cli
+
+    def refused(*args):
+        raise AssertionError("rs_mds called")
+    monkeypatch.setattr(cli, "rs_mds", refused)
+    code, out = run_cli(capsys, "tensor", "--c1-poly", "1^6 2^3 1^0", "--c1-n", "15",
+                        "--rs", "4097,1000")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "resource-limit",
+        "message": "the 12000 x 61455 tensor check matrix needs 737460000 entries of "
+                   "16 bytes, over the 536870912-byte cap"}
+    monkeypatch.undo()
+    # values outside rs_mds's ranges still reach its own messages
+    for rs, message in (("4097,2049", "burst target 2049 out of range [0, 2048]"),
+                        ("4098,8", "length 4098 out of range [2, 4097] for GF(4^6)"),
+                        ("6,-1", "burst target -1 out of range [0, 2]")):
+        code, out = run_cli(capsys, "tensor", "--c1-poly", "1^6 2^3 1^0", "--c1-n", "15",
+                            "--rs", rs)
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
 
 
 def test_simulate_p0(capsys):
@@ -474,6 +507,20 @@ def test_simulate_grid_product_over_cap_refused(capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert error["type"] == "resource-limit"
     assert "961 tasks of 8 bytes, over the 4096-byte cap" in error["message"]
+
+
+def test_simulate_out_of_range_p_refused_before_any_table(capsys, monkeypatch):
+    from qbecc import channel
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("build_decoder reached")
+
+    monkeypatch.setattr(channel, "build_decoder", no_table)
+    code, out = run_cli(capsys, "simulate", "--code", "41_1", "--strategy", "truncated",
+                        "--t", "1", "--l", "8", "--p", "2", "--mu", "0.5")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError", "message": "depolarizing probability 2.0 outside [0, 1]"}
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

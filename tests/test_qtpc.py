@@ -12,6 +12,7 @@ from qbecc.linalg import mat_row_reduce
 from qbecc.qtpc import (InterleaverMap, deinterleave, dispersal_report,
                         qtpc_construct, tensor_check_matrix)
 from qbecc.stabilizer import F4Vector
+from tensor_oracle import dispersal_all_starts, expanded_by_mult_matrix
 
 W = 2
 
@@ -49,6 +50,36 @@ def test_tensor_example_rows_pinned():
         "2c9a38b3018061538d6931b30a779158b37902852fbbd5c439a21970375b6250")
 
 
+class _EveryElement:
+    """A stub outer code whose one check row holds every element of field."""
+
+    def __init__(self, field):
+        self.field, self.n, self.k = field, field.order, field.order - 1
+        self.check_rows = (tuple(field.elements()),)
+
+
+def _repetition():
+    return cyclic_from_poly(Poly(GF2, (1, 1, 1)), 3)  # [3, 1]
+
+
+@pytest.mark.parametrize("inner, outer", [
+    (lambda: C1, lambda: rs_mds(6, 2, ExtField(GF4, 6))),
+    (lambda: C1, lambda: rs_mds(16, 4, ExtField(GF4, 6))),
+    (lambda: C1, lambda: rs_mds(64, 4, ExtField(GF4, 6))),
+    (lambda: _hamming(), lambda: rs_mds(6, 2, ExtField(GF2, 3))),
+    (lambda: _hamming(), lambda: rs_mds(9, 4, ExtField(GF2, 3))),
+    (lambda: _hamming(), lambda: _EveryElement(ExtField(GF2, 3))),
+    (lambda: _repetition(), lambda: rs_mds(5, 1, GF4)),
+    (lambda: _repetition(), lambda: rs_mds(5, 2, ExtField(GF2, 2))),
+    (lambda: _repetition(), lambda: _EveryElement(GF4)),
+], ids=["C1-rs6,2", "C1-rs16,4", "C1-rs64,4", "hamming-rs6,2", "hamming-rs9,4",
+        "hamming-every", "rep-rs5,1", "rep-rs5,2", "rep-every"])
+def test_tensor_blocks_match_mult_matrix_oracle(inner, outer):
+    # each block column as the digits of e * h_c equals M_e * H1
+    c1, c2 = inner(), outer()
+    assert tensor_check_matrix(c1, c2) == expanded_by_mult_matrix(c1, c2)
+
+
 def test_tensor_field_degree_mismatch():
     F = ExtField(GF4, 2)
     c2 = rs_mds(4, 1, F)
@@ -79,10 +110,10 @@ def test_tensor_gf4_outer_of_gf4_inner_refused():
 
 def test_qtpc_example_params():
     F = ExtField(GF4, 6)
-    stab, spec = qtpc_construct(C1, rs_mds(6, 2, F))
-    assert spec.params == (90, 42)
+    c2 = rs_mds(6, 2, F)
+    stab = qtpc_construct(C1, c2)
     assert stab.params == (90, 42)
-    assert spec.rho1 == 6 and spec.rho2 == 4
+    assert (C1.n - C1.k, c2.n - c2.k) == (6, 4)
 
 
 def test_qtpc_solves_no_nullspace(monkeypatch, capsys):
@@ -98,9 +129,8 @@ def test_qtpc_solves_no_nullspace(monkeypatch, capsys):
     for module in modules:  # every binding of the name, wherever imported
         monkeypatch.setattr(module, "mat_row_reduce", refused)
     c2 = rs_mds(6, 2, ExtField(GF4, 6))
-    stab, spec = qtpc_construct(C1, c2)
-    assert stab.params == spec.params == (90, 42)
-    assert spec.expanded_check == tuple(map(tuple, tensor_check_matrix(C1, c2)))
+    assert qtpc_construct(C1, c2).params == (90, 42)
+    assert len(tensor_check_matrix(C1, c2)) == 24
     assert cli.main(["tensor", "--c1-poly", "1^6 2^3 1^0", "--c1-n", "15",
                      "--rs", "256,4", "--dispersal", "6"]) == 0
     out = capsys.readouterr().out
@@ -109,7 +139,7 @@ def test_qtpc_solves_no_nullspace(monkeypatch, capsys):
 
 def test_qtpc_example_burst_capability():
     # the burst analyzer refused this code before (9.98e8 bursts at l = 12)
-    stab, _ = qtpc_construct(C1, rs_mds(6, 2, ExtField(GF4, 6)))
+    stab = qtpc_construct(C1, rs_mds(6, 2, ExtField(GF4, 6)))
     analysis = capability(stab)
     assert (analysis.l, analysis.degenerate) == (3, False)
     e1, e2 = analysis.witness
@@ -123,14 +153,12 @@ def test_qtpc_family_formula():
     # [[15 n2, 15 n2 - 24 l2]] for the [15,9] inner code
     F = ExtField(GF4, 6)
     for n2, l2 in [(4, 1), (6, 2)]:
-        stab, spec = qtpc_construct(C1, rs_mds(n2, l2, F))
-        assert spec.params == (15 * n2, 15 * n2 - 24 * l2)
+        assert qtpc_construct(C1, rs_mds(n2, l2, F)).params == (15 * n2, 15 * n2 - 24 * l2)
 
 
 def test_qtpc_trivial_outer():
     F = ExtField(GF4, 6)
-    stab, spec = qtpc_construct(C1, rs_mds(6, 0, F))
-    assert spec.params == (90, 90)
+    assert qtpc_construct(C1, rs_mds(6, 0, F)).params == (90, 90)
 
 
 def test_qtpc_rejects_non_dual_containing_inner():
@@ -173,10 +201,8 @@ def _hamming():
 def test_qtpc_binary_branch():
     ham = _hamming()
     c2 = rs_mds(6, 2, ExtField(GF2, 3))
-    stab, spec = qtpc_construct(ham, c2)
-    assert spec.params == (42, 18)
-    assert stab.params == (42, 18)
-    assert len(mat_row_reduce(GF2, spec.expanded_check)[0]) == 12
+    assert qtpc_construct(ham, c2).params == (42, 18)
+    assert len(mat_row_reduce(GF2, tensor_check_matrix(ham, c2))[0]) == 12
 
 
 def test_qtpc_binary_branch_rejects_non_dual_containing():
@@ -206,8 +232,7 @@ def test_binary_tensor_all_ones_outer_row():
 def test_qtpc_stabilizer_self_orthogonal():
     # StabilizerCode construction verifies commutation; double-check a sample
     F = ExtField(GF4, 6)
-    stab, _ = qtpc_construct(C1, rs_mds(6, 2, F))
-    rows = stab.basis[:10]
+    rows = qtpc_construct(C1, rs_mds(6, 2, F)).basis[:10]
     for i, u in enumerate(rows):
         for v in rows[i:]:
             assert trace_ip(F4Vector(90, u), F4Vector(90, v)) == 0
@@ -285,6 +310,28 @@ def test_dispersal_unaligned_full_burst_measured():
     rep = dispersal_report(imap, 6)
     assert rep.max_affected_subblocks == 3
     assert rep.max_inner_burst <= 3
+
+
+def test_dispersal_matches_all_starts_oracle():
+    # one period of starts against every start, on every l1 | n1 and every
+    # burst length, in both modes
+    for n1 in range(1, 10):
+        for l1 in [d for d in range(1, n1 + 1) if n1 % d == 0]:
+            for n2 in range(1, 7):
+                imap = InterleaverMap(n1, n2, l1)
+                for burst_len in range(1, imap.size + 1):
+                    for aligned_only in (False, True):
+                        assert dispersal_report(imap, burst_len, aligned_only) == \
+                            dispersal_all_starts(imap, burst_len, aligned_only), \
+                            (imap, burst_len, aligned_only)
+
+
+def test_dispersal_window_longer_than_a_row_group():
+    imap = InterleaverMap(15, 6, 3)  # a row group is 18 stream positions
+    for aligned_only in (False, True):
+        report = dispersal_report(imap, 25, aligned_only)
+        assert report == dispersal_all_starts(imap, 25, aligned_only)
+        assert report.max_affected_subblocks == 6
 
 
 def affected_columns(imap, start, burst_len):

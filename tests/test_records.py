@@ -15,7 +15,7 @@ from qbecc.channel import (ChannelModel, CodeLabels, DecoderTable, EfResult, Swe
                            build_decoder)
 from qbecc.classical import LinearCode
 from qbecc.gf import GF2
-from qbecc.qtpc import DispersalReport, InterleaverMap, QtpcSpec
+from qbecc.qtpc import DispersalReport, InterleaverMap
 from qbecc.registry import RegistryEntry
 from qbecc.search import RowReport, SearchOutcome, SearchPlan, SearchRecord
 from qbecc.stabilizer import F4Vector, StabilizerCode
@@ -46,8 +46,6 @@ RECORDS = [
     (EfResult, dict(ef_lower=0.9, residual=0.05, exact=False), {}),
     (SweepPoint, dict(code_id="13_1", decoder="combined", strategy="exact", p=0.01,
                       mu=0.5, ef_lower=0.99, residual=0.0, exact=True), {}),
-    (QtpcSpec, dict(n1=15, k1=9, n2=6, k2=2, rho1=6, rho2=4,
-                    expanded_check=((1, 0), (0, 1)), params=(90, 42)), {}),
     (InterleaverMap, dict(n1=15, n2=6, l1=3), {}),
     (DispersalReport, dict(burst_len=6, max_affected_subblocks=2, max_inner_burst=3,
                            worst_start=1, aligned_only=False), {}),
